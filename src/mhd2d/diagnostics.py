@@ -19,7 +19,6 @@ initial quantity E_0^s = ||Y1||^2_{H^s} + ||Y1||^2_{H^{s+1}}
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -68,10 +67,6 @@ class EnergyLedger:
             name: {"initial": float(v[0]), "final": float(v[-1]), "max": float(np.max(v))}
             for name, v in sorted(self.channels.items())
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

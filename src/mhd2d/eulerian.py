@@ -14,18 +14,21 @@ projected linear coupling closes the 2x2 system
     d/dt (psi, a) = [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]] (psi, a) + nonlinear,
 
 whose symbol is exactly ``lam^2 + |xi|^2 lam + xi1^2 = 0``.  Stepping is the
-exact mode propagator plus ETD2RK for the quadratic terms.
+exact mode propagator plus ETD2RK for the quadratic terms
+(``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
+``half_spectrum`` context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, l2_norm
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
 from mhd2d.lp import oversample
-from mhd2d.propagators import apply2, etd_tables
+from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
     "EulerState",
@@ -56,68 +59,21 @@ class EulerState:
     t: float
 
 
-class _ECtx:
-    """Cached rfft workspace and mode tables for the coupled system."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        nx, ny = grid.nx, grid.ny
-        m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
-        m2 = np.arange(ny // 2 + 1)[None, :]
-        k1 = 2.0 * np.pi / grid.lx * m1.astype(float) + 0.0 * m2
-        k2 = 2.0 * np.pi / grid.ly * m2.astype(float) + 0.0 * m1
-        self.k1, self.k2 = k1, k2
-        self.ik1 = np.where(m1 == -nx // 2, 0.0, 1j * k1)
-        self.ik2 = np.where(m2 == ny // 2, 0.0, 1j * k2)
-        self.ksq = k1**2 + k2**2
-        kmag = np.sqrt(self.ksq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_ksq = np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
-            inv_kmag = np.where(kmag > 0, 1.0 / kmag, 0.0)
-        # solenoidal unit vector e = (-xi2, xi1)/|xi| (zero at the mean mode)
-        self.e1 = -k2 * inv_kmag
-        self.e2 = k1 * inv_kmag
-        self.deal = (np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)
-        m = np.zeros(self.ksq.shape + (2, 2))
-        m[..., 0, 1] = -k1 * inv_kmag
-        m[..., 1, 0] = k1 * kmag
-        m[..., 1, 1] = -self.ksq
-        self.mode_matrix = m
-        self._etd: dict = {}
-
-    def fwd(self, a):
-        return np.fft.rfft2(a)
-
-    def inv(self, ah):
-        return np.fft.irfft2(ah, s=self.grid.shape)
-
-    def pdh(self, a, b):
-        """Spectral dealiased product of physical fields."""
-        return self.fwd(a * b) * self.deal
-
-    def etd(self, dt: float):
-        tab = self._etd.get(dt)
-        if tab is None:
-            tab = etd_tables(self.mode_matrix, dt)
-            self._etd[dt] = tab
-        return tab
-
-
-_ECTXS: dict[Grid, _ECtx] = {}
-
-
-def _ectx(grid: Grid) -> _ECtx:
-    c = _ECTXS.get(grid)
-    if c is None:
-        c = _ECtx(grid)
-        _ECTXS[grid] = c
-    return c
+@lru_cache(maxsize=8)
+def _etd(grid: Grid, dt: float):
+    """ETD tables of the projected mode matrix [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]]."""
+    c = half_spectrum(grid)
+    m = np.zeros(c.ksq.shape + (2, 2))
+    m[..., 0, 1] = -c.e2
+    m[..., 1, 0] = c.k1 * np.sqrt(c.ksq)
+    m[..., 1, 1] = -c.ksq
+    return etd_tables(m, dt)
 
 
 def leray_project(v: tuple[RealField, RealField]) -> tuple[RealField, RealField]:
     """L2-orthogonal projection onto divergence-free fields."""
     g = v[0].grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     v1h, v2h = c.fwd(v[0].samples), c.fwd(v[1].samples)
     phi = -(c.ik1 * v1h + c.ik2 * v2h) * c.inv_ksq  # InvLap(div v)
     return (
@@ -126,19 +82,19 @@ def leray_project(v: tuple[RealField, RealField]) -> tuple[RealField, RealField]
     )
 
 
-def _amplitude(c: _ECtx, u: tuple[RealField, RealField]) -> np.ndarray:
+def _amplitude(c: HalfSpectrum, u: tuple[RealField, RealField]) -> np.ndarray:
     u1h, u2h = c.fwd(u[0].samples), c.fwd(u[1].samples)
     return c.e1 * u1h + c.e2 * u2h
 
 
-def _velocity(c: _ECtx, ah: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _velocity(c: HalfSpectrum, ah: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.e1 * ah, c.e2 * ah
 
 
 def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float = 0.0) -> EulerState:
     """Dealias, project, and attach the consistent pressure."""
     g = psi0.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     u = leray_project(u0)
     psih = c.fwd(psi0.samples) * c.deal
     ah = _amplitude(c, u) * c.deal
@@ -151,11 +107,11 @@ def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float 
 
 class _EulerStepper:
     def __init__(self, grid: Grid, dt: float, nonlinear: bool = True):
-        self.c = _ectx(grid)
+        self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
-        self.p, self.r1, self.r2 = self.c.etd(dt)
+        self.tables = _etd(grid, dt)
 
     def load(self, state: EulerState) -> None:
         c = self.c
@@ -186,34 +142,22 @@ class _EulerStepper:
         return n_psi, n_a
 
     def advance(self) -> None:
-        dt = self.dt
-        f_psi, f_a = self._nonlinear(self.psih, self.ah)
-        hp0, ha0 = apply2(self.p, self.psih, self.ah)
-        pred_psi = hp0 + self.r1[..., 0, 0] * f_psi + self.r1[..., 0, 1] * f_a
-        pred_a = ha0 + self.r1[..., 1, 0] * f_psi + self.r1[..., 1, 1] * f_a
-        g_psi, g_a = self._nonlinear(pred_psi, pred_a)
-        c1_psi = (g_psi - f_psi) / dt
-        c1_a = (g_a - f_a) / dt
-        self.psih = (
-            hp0
-            + self.r1[..., 0, 0] * f_psi + self.r1[..., 0, 1] * f_a
-            + self.r2[..., 0, 0] * c1_psi + self.r2[..., 0, 1] * c1_a
+        [(self.psih, self.ah)] = etd2rk_step(
+            self.tables, [(self.psih, self.ah)], lambda z, _: [self._nonlinear(*z[0])], self.dt
         )
-        self.ah = (
-            ha0
-            + self.r1[..., 1, 0] * f_psi + self.r1[..., 1, 1] * f_a
-            + self.r2[..., 1, 0] * c1_psi + self.r2[..., 1, 1] * c1_a
-        )
-        self.t += dt
+        self.t += self.dt
+
+    def finite(self) -> bool:
+        return bool(np.all(np.isfinite(self.psih)) and np.all(np.isfinite(self.ah)))
 
     def energy(self) -> tuple[float, float]:
         """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (spectral)."""
         c = self.c
         area = self.grid.lx * self.grid.ly
         norm = (self.grid.nx * self.grid.ny) ** 2
-        psi2 = _half_spectrum_sum(c.ksq * np.abs(self.psih) ** 2)
-        a2 = _half_spectrum_sum(np.abs(self.ah) ** 2)
-        d2 = _half_spectrum_sum(c.ksq * np.abs(self.ah) ** 2)
+        psi2 = c.lattice_sum(c.ksq * np.abs(self.psih) ** 2)
+        a2 = c.lattice_sum(np.abs(self.ah) ** 2)
+        d2 = c.lattice_sum(c.ksq * np.abs(self.ah) ** 2)
         return area * 0.5 * (psi2 + a2) / norm, area * d2 / norm
 
     def state(self, with_pressure: bool = True) -> EulerState:
@@ -231,11 +175,6 @@ class _EulerStepper:
         return st
 
 
-def _half_spectrum_sum(w: np.ndarray) -> float:
-    ny_half = w.shape[1] - 1
-    return float(np.sum(w[:, 0]) + np.sum(w[:, ny_half]) + 2.0 * np.sum(w[:, 1:ny_half]))
-
-
 def step_euler(state: EulerState, dt: float, nonlinear: bool = True) -> EulerState:
     """One IMEX step; raises EulerBlowupError with the last good state on NaN."""
     if dt <= 0:
@@ -243,7 +182,7 @@ def step_euler(state: EulerState, dt: float, nonlinear: bool = True) -> EulerSta
     s = _EulerStepper(state.psi.grid, dt, nonlinear)
     s.load(state)
     s.advance()
-    if not (np.all(np.isfinite(s.psih)) and np.all(np.isfinite(s.ah))):
+    if not s.finite():
         raise EulerBlowupError(f"non-finite state at t = {s.t:.4f}", last_state=state)
     return s.state()
 
@@ -266,11 +205,8 @@ class EulerRun:
 
     def running_blowup_integral(self) -> np.ndarray:
         """Trapezoidal running integral of the continuation-criterion integrand."""
-        out = np.zeros_like(self.blowup)
-        for i in range(1, self.blowup.size):
-            h = self.aux_times[i] - self.aux_times[i - 1]
-            out[i] = out[i - 1] + 0.5 * h * (self.blowup[i] + self.blowup[i - 1])
-        return out
+        b = self.blowup
+        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(self.aux_times) * (b[1:] + b[:-1]))))
 
 
 def run_euler(
@@ -299,11 +235,15 @@ def run_euler(
     e0, d0 = s.energy()
     times, es, ds = [0.0], [e0], [d0]
     aux_t, divs, blow = [0.0], [_div_linf(st)], [blowup_integrand(st)]
-    check_period = max(1, n_steps // 50)
     for n in range(1, n_steps + 1):
+        last = (s.psih, s.ah, s.t)
         s.advance()
-        if n % check_period == 0 and not np.all(np.isfinite(s.ah)):
-            raise EulerBlowupError(f"non-finite state at t = {s.t:.4f}", last_state=states[-1])
+        if not s.finite():
+            t_bad = s.t
+            s.psih, s.ah, s.t = last
+            raise EulerBlowupError(
+                f"non-finite state at step {n}, t = {t_bad:.4f}", last_state=s.state()
+            )
         if n % monitor_every == 0 or n == n_steps:
             e, d = s.energy()
             times.append(s.t)
@@ -329,7 +269,7 @@ def run_euler(
 
 def _div_linf(state: EulerState) -> float:
     g = state.psi.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     div = c.inv(c.ik1 * c.fwd(state.u[0].samples) + c.ik2 * c.fwd(state.u[1].samples))
     return float(np.max(np.abs(div)))
 
@@ -338,7 +278,7 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
     """E, D and (given the previous record) the discrete balance residual
     |dE/dt + mean(D)| over the elapsed interval."""
     g = state.psi.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
     gpsi1, gpsi2 = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
     e = 0.5 * (
@@ -364,7 +304,7 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
 def blowup_integrand(state: EulerState) -> float:
     """||grad u||_Linf + ||grad psi||_Linf^2 on the 2x oversampled grid."""
     g = state.psi.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
     gp1 = oversample(RealField(g, c.inv(c.ik1 * psih))).samples
     gp2 = oversample(RealField(g, c.inv(c.ik2 * psih))).samples
@@ -382,7 +322,7 @@ def pressure_euler(state: EulerState) -> RealField:
     """p = -2 d2 psi + InvLap div(u . grad u + div(grad psi x grad psi)),
     zero mean."""
     g = state.psi.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
     d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
     u1, u2 = state.u[0].samples, state.u[1].samples
@@ -405,7 +345,7 @@ def momentum_divergence_residual(state: EulerState) -> float:
     """L2 norm of div(momentum tendency) with the recovered pressure; the
     time derivative drops because div u = 0."""
     g = state.psi.grid
-    c = _ectx(g)
+    c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
     d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
     u1, u2 = state.u[0].samples, state.u[1].samples

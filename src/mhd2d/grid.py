@@ -6,13 +6,15 @@ expanded as ``u(x) = sum_xi chat(xi) exp(i xi . x)`` with frequencies
 ``exp(i xi0 . x)`` has ``chat(xi0) = 1`` and Plancherel reads
 ``||u||_{L2}^2 = lx * ly * sum |chat|^2``.
 
-All operations are pure functions of immutable inputs.
+All operations are pure functions of immutable inputs.  The solvers work on
+the real-to-half-spectrum (``rfft2``) representation instead, through one
+``HalfSpectrum`` context per grid from ``half_spectrum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +30,8 @@ __all__ = [
     "dealias",
     "l2_norm",
     "mean_value",
+    "HalfSpectrum",
+    "half_spectrum",
 ]
 
 
@@ -223,3 +227,60 @@ def mean_value(u) -> float:
     if isinstance(u, SpectralField):
         return float(np.real(u.coeffs[0, 0]))
     return float(np.mean(u.samples))
+
+
+class HalfSpectrum:
+    """Half-spectrum work context of one grid, shared by both solvers.
+
+    Coefficients are the unnormalised ``rfft2`` output (``nx * ny`` times
+    ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  Every table
+    has that full shape: ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
+    Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean mode); the
+    2/3 mask ``deal``; and the solenoidal unit vector ``e = (-xi2, xi1)/|xi|``
+    as ``e1``/``e2`` (zero at the mean mode).
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        nx, ny = grid.nx, grid.ny
+        m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
+        m2 = np.arange(ny // 2 + 1)[None, :]
+        k1 = 2.0 * np.pi / grid.lx * m1.astype(float) + 0.0 * m2
+        k2 = 2.0 * np.pi / grid.ly * m2.astype(float) + 0.0 * m1
+        self.k1, self.k2 = k1, k2
+        self.ik1 = np.where(m1 == -nx // 2, 0.0, 1j * k1)
+        self.ik2 = np.where(m2 == ny // 2, 0.0, 1j * k2)
+        self.ksq = k1**2 + k2**2
+        kmag = np.sqrt(self.ksq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_ksq = np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
+            inv_kmag = np.where(kmag > 0, 1.0 / kmag, 0.0)
+        self.e1 = -k2 * inv_kmag
+        self.e2 = k1 * inv_kmag
+        self.deal = (np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)
+
+    def fwd(self, a: np.ndarray) -> np.ndarray:
+        return np.fft.rfft2(a)
+
+    def inv(self, ah: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(ah, s=self.grid.shape)
+
+    def pdh(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Dealiased product of two physical fields, as half-spectrum coefficients."""
+        return self.fwd(a * b) * self.deal
+
+    def pd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Dealiased pointwise product of two physical fields."""
+        return self.inv(self.pdh(a, b))
+
+    def lattice_sum(self, w: np.ndarray) -> float:
+        """Sum over the full lattice of a Hermitian-symmetric weight w given
+        on the half spectrum: interior x2 columns count twice."""
+        ny_half = w.shape[1] - 1
+        return float(np.sum(w[:, 0]) + np.sum(w[:, ny_half]) + 2.0 * np.sum(w[:, 1:ny_half]))
+
+
+@lru_cache(maxsize=8)
+def half_spectrum(grid: Grid) -> HalfSpectrum:
+    """The cached half-spectrum context of ``grid`` (equal grids share one)."""
+    return HalfSpectrum(grid)

@@ -18,20 +18,23 @@ which contracts while ||grad Y||_inf stays small.  The source term
 ``div_Y d1^2 Y`` is assembled in its conservative form
 ``div((A - I) d1^2 Y) + d1^2 rho(Y)`` so the right side has exactly zero mean.
 
-Products of physical fields are dealiased pairwise by the 2/3 rule.
+Products of physical fields are dealiased pairwise by the 2/3 rule.  The
+spectral work runs on the grid's shared ``half_spectrum`` context, and each
+step is one ``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, l2_norm
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.lp import sobolev_norm
-from mhd2d.propagators import apply2, etd_tables
+from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
     "FlowMapState",
@@ -67,68 +70,15 @@ class PressureConvergenceError(RuntimeError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# spectral work context (rfft-based, cached per grid)
-# ---------------------------------------------------------------------------
-
-
-class _Ctx:
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        nx, ny = grid.nx, grid.ny
-        m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
-        m2 = np.arange(ny // 2 + 1)[None, :]
-        k1 = 2.0 * np.pi / grid.lx * m1.astype(float)
-        k2 = 2.0 * np.pi / grid.ly * m2.astype(float)
-        self.ik1 = np.where(m1 == -nx // 2, 0.0, 1j * k1) + 0.0 * k2
-        self.ik2 = 1j * np.where(m2 == ny // 2, 0.0, k2) + 0.0 * k1
-        self.ksq = k1**2 + k2**2
-        with np.errstate(divide="ignore"):
-            self.inv_ksq = np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
-        self.deal = (np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)
-        self.k1sq = k1**2 + 0.0 * k2
-        self._etd: dict = {}
-
-    def fwd(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(a)
-
-    def inv(self, ah: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(ah, s=self.grid.shape)
-
-    def pd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased pointwise product of two physical fields."""
-        return self.inv(self.fwd(a * b) * self.deal)
-
-    def etd(self, dt: float):
-        tab = self._etd.get(dt)
-        if tab is None:
-            m = np.zeros(self.ksq.shape + (2, 2))
-            m[..., 0, 1] = 1.0
-            m[..., 1, 0] = -self.k1sq
-            m[..., 1, 1] = -self.ksq
-            p, r1, r2 = etd_tables(m, dt)
-            tab = (p, r1[..., :, 1], r2[..., :, 1])
-            self._etd[dt] = tab
-        return tab
-
-
-_CTXS: dict[Grid, _Ctx] = {}
-
-
-def _ctx(grid: Grid) -> _Ctx:
-    c = _CTXS.get(grid)
-    if c is None:
-        c = _Ctx(grid)
-        _CTXS[grid] = c
-    return c
-
-
-def _rfft_abs2(ah: np.ndarray) -> float:
-    """sum |chat|^2 over the full lattice from an rfft2 half-spectrum."""
-    ny_half = ah.shape[1] - 1
-    s = float(np.sum(np.abs(ah[:, 0]) ** 2) + np.sum(np.abs(ah[:, ny_half]) ** 2))
-    s += 2.0 * float(np.sum(np.abs(ah[:, 1:ny_half]) ** 2))
-    return s
+@lru_cache(maxsize=8)
+def _etd(grid: Grid, dt: float):
+    """ETD tables of the flow-map mode matrix [[0, 1], [-xi1^2, -|xi|^2]]."""
+    c = half_spectrum(grid)
+    m = np.zeros(c.ksq.shape + (2, 2))
+    m[..., 0, 1] = 1.0
+    m[..., 1, 0] = -c.k1**2
+    m[..., 1, 1] = -c.ksq
+    return etd_tables(m, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +116,7 @@ class AdjugateField:
 
 def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
     g = Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     return GradTensor(
         g,
@@ -195,7 +145,7 @@ def det_i_plus_grad(grad: GradTensor) -> RealField:
 def rho(Y: tuple[RealField, RealField]) -> RealField:
     """rho(Y) = d1Y2 d2Y1 - d1Y1 d2Y2, products dealiased."""
     g = Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     t = gradient_tensor(Y)
     return RealField(g, c.pd(t.d1y2, t.d2y1) - c.pd(t.d1y1, t.d2y2))
 
@@ -203,7 +153,7 @@ def rho(Y: tuple[RealField, RealField]) -> RealField:
 def lagrangian_gradient(q: RealField, adj: AdjugateField) -> tuple[RealField, RealField]:
     """grad_Y q = A^T grad q (component i sums b_{ji} d_j q)."""
     g = q.grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     qh = c.fwd(q.samples)
     q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
     out1 = c.pd(adj.b11, q1) + c.pd(adj.b21, q2)
@@ -216,21 +166,27 @@ def lagrangian_gradient(q: RealField, adj: AdjugateField) -> tuple[RealField, Re
 # ---------------------------------------------------------------------------
 
 
-def _div_y_d11_forms(c: _Ctx, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray):
+def _div_y_d11_forms(
+    c: HalfSpectrum, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray, with_form_b: bool = True
+):
     """Spectral right-hand sides of the identity
 
     div((A - I) d1^2 Y) + d1^2 rho(Y)
         = d1(d2Y2 d11Y1 + d1Y2 d12Y1 - d1(d1Y1 d2Y2)) + d2(-d1Y2 d11Y1 + d1Y1 d11Y2).
+
+    Form B is None unless ``with_form_b``.
     """
     d11y1 = c.inv(c.ik1 * c.ik1 * y1h)
     d11y2 = c.inv(c.ik1 * c.ik1 * y2h)
-    d12y1 = c.inv(c.ik1 * c.ik2 * y1h)
     # form A
     u1 = c.pd(t.d2y2, d11y1) - c.pd(t.d2y1, d11y2)
     u2 = -c.pd(t.d1y2, d11y1) + c.pd(t.d1y1, d11y2)
     rho_h = c.fwd(c.pd(t.d1y2, t.d2y1) - c.pd(t.d1y1, t.d2y2))
     form_a = c.ik1 * c.fwd(u1) + c.ik2 * c.fwd(u2) + c.ik1 * c.ik1 * rho_h
+    if not with_form_b:
+        return form_a, None
     # form B
+    d12y1 = c.inv(c.ik1 * c.ik2 * y1h)
     w_h = c.fwd(c.pd(t.d1y1, t.d2y2))
     g1 = c.fwd(c.pd(t.d2y2, d11y1) + c.pd(t.d1y2, d12y1)) - c.ik1 * w_h
     g2 = c.fwd(-c.pd(t.d1y2, d11y1) + c.pd(t.d1y1, d11y2))
@@ -241,7 +197,7 @@ def _div_y_d11_forms(c: _Ctx, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray):
 def div_y_d11(Y: tuple[RealField, RealField]) -> tuple[RealField, RealField]:
     """Both conservative forms of div_Y d1^2 Y, for identity checking."""
     g = Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     t = gradient_tensor(Y)
     fa, fb = _div_y_d11_forms(c, t, y1h, y2h)
@@ -262,7 +218,7 @@ class PressureInfo:
 
 
 def _pressure_spectral(
-    c: _Ctx,
+    c: HalfSpectrum,
     t: GradTensor,
     tv: GradTensor,
     v: tuple[np.ndarray, np.ndarray],
@@ -279,7 +235,7 @@ def _pressure_spectral(
     a11, a12, a21, a22 = tv.d2y2, -tv.d2y1, -tv.d1y2, tv.d1y1
     w1 = c.pd(a11, v[0]) + c.pd(a12, v[1])
     w2 = c.pd(a21, v[0]) + c.pd(a22, v[1])
-    form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h)
+    form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=check_identity)
     ident = None
     if check_identity:
         scale = max(1.0, float(np.max(np.abs(form_a))))
@@ -306,7 +262,7 @@ def _pressure_spectral(
         qh_new = -rhs * c.inv_ksq
         qh_new[0, 0] = 0.0
         diff = (qh_new - qh) / (c.grid.nx * c.grid.ny)
-        inc = math.sqrt(area * _rfft_abs2(diff))
+        inc = math.sqrt(area * c.lattice_sum(np.abs(diff) ** 2))
         qh = qh_new
         if inc < tol:
             return qh, PressureInfo(it, inc, contraction, ident)
@@ -336,10 +292,10 @@ def pressure_solve(
     term to the right side (testing hook).
     """
     g = Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     t = gradient_tensor(Y)
-    if t.sup_norm > 0.5:
-        raise StateBlowupError(f"||grad Y||_inf = {t.sup_norm:.3f} > 1/2")
+    if not (t.sup_norm <= 0.5):
+        raise StateBlowupError(f"||grad Y||_inf = {t.sup_norm:.3f}, not <= 1/2")
     tv = gradient_tensor(Y_t)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     vq = (Y_t[0].samples, Y_t[1].samples)
@@ -360,7 +316,7 @@ def pressure_solve(
 # ---------------------------------------------------------------------------
 
 
-def _rhs_f_spectral(c: _Ctx, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
+def _rhs_f_spectral(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct)."""
     adj = adjugate(t)
     out = []
@@ -380,7 +336,7 @@ def _rhs_f_spectral(c: _Ctx, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], q
     return out[0], out[1]
 
 
-def _rhs_f_divform(c: _Ctx, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
+def _rhs_f_divform(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """Viscous part via the divergence form d1 F1 + d2 F2 (cross-check)."""
     adj = adjugate(t)
     alpha1 = 2.0 * t.d2y2 + c.pd(t.d2y1, t.d2y1) + c.pd(t.d2y2, t.d2y2)
@@ -409,7 +365,7 @@ def rhs_f(
 ):
     """Forcing f(Y, q); optionally also the relative divergence-form residual."""
     g = Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     t = gradient_tensor(Y)
     vh = (c.fwd(Y_t[0].samples), c.fwd(Y_t[1].samples))
     qh = c.fwd(q.samples)
@@ -448,12 +404,12 @@ def make_state(
 
 
 class _Stepper:
-    """Internal spectral state marcher (ETD2RK with exact linear propagator)."""
+    """Internal spectral state marcher (``etd2rk_step`` on the pairs (Y^j, Y^j_t))."""
 
     def __init__(self, grid: Grid, dt: float, nonlinear: bool = True,
                  pressure_tol: float = 1e-10, extra_forcing=None,
                  check_identity: bool = False, constraint_projection: bool = False):
-        self.c = _ctx(grid)
+        self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
@@ -461,7 +417,7 @@ class _Stepper:
         self.pressure_tol = pressure_tol
         self.check_identity = check_identity
         self.constraint_projection = constraint_projection
-        self.p, self.r1, self.r2 = self.c.etd(dt)
+        self.tables = _etd(grid, dt)
         self.qh = None
         self.last_pressure: PressureInfo | None = None
 
@@ -472,51 +428,42 @@ class _Stepper:
         self.qh = c.fwd(state.q.samples)
         self.t = state.t
 
-    def _forcing(self, yh, vh, t, qh_guess):
+    def _forcing(self, z, s):
+        """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
+        (Y^2, Y^2_t)] at time t + s; the pressure is warm-started from, and
+        stored back into, ``self.qh``."""
         c = self.c
+        t = self.t + s
+        yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
         if not self.nonlinear:
-            z = np.zeros_like(yh[0])
-            f1h, f2h = z, z.copy()
-            qh = np.zeros_like(yh[0])
+            f1h = np.zeros_like(yh[0])
+            f2h = f1h.copy()
+            self.qh = np.zeros_like(yh[0])
         else:
             Y = tuple(RealField(self.grid, c.inv(h)) for h in yh)
             tgrad = gradient_tensor(Y)
-            if tgrad.sup_norm > 0.5:
+            if not (tgrad.sup_norm <= 0.5):
                 raise StateBlowupError(
-                    f"||grad Y||_inf = {tgrad.sup_norm:.3f} > 1/2 at t = {t:.4f}"
+                    f"||grad Y||_inf = {tgrad.sup_norm:.3f}, not <= 1/2, at t = {t:.4f}"
                 )
             tv = gradient_tensor(tuple(RealField(self.grid, c.inv(h)) for h in vh))
             v_phys = (c.inv(vh[0]), c.inv(vh[1]))
-            qh, info = _pressure_spectral(
-                c, tgrad, tv, v_phys, yh[0], yh[1], qh_guess,
+            self.qh, self.last_pressure = _pressure_spectral(
+                c, tgrad, tv, v_phys, yh[0], yh[1], self.qh,
                 self.pressure_tol, 200, self.check_identity,
             )
-            self.last_pressure = info
-            f1h, f2h = _rhs_f_spectral(c, tgrad, (vh[0], vh[1]), qh)
+            f1h, f2h = _rhs_f_spectral(c, tgrad, vh, self.qh)
         if self.extra_forcing is not None:
             e1, e2 = self.extra_forcing(t)
             f1h = f1h + e1
             f2h = f2h + e2
-        return (f1h, f2h), qh
+        return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
-        dt = self.dt
-        (f1, f2), qh = self._forcing(self.yh, self.vh, self.t, self.qh)
-        f_now = (f1, f2)
-        pred_y, pred_v = [], []
-        for comp in range(2):
-            hy, hv = apply2(self.p, self.yh[comp], self.vh[comp])
-            pred_y.append(hy + self.r1[..., 0] * f_now[comp])
-            pred_v.append(hv + self.r1[..., 1] * f_now[comp])
-        (g1, g2), qh_pred = self._forcing(pred_y, pred_v, self.t + dt, qh)
-        f_next = (g1, g2)
-        for comp in range(2):
-            c1 = (f_next[comp] - f_now[comp]) / dt
-            hy, hv = apply2(self.p, self.yh[comp], self.vh[comp])
-            self.yh[comp] = hy + self.r1[..., 0] * f_now[comp] + self.r2[..., 0] * c1
-            self.vh[comp] = hv + self.r1[..., 1] * f_now[comp] + self.r2[..., 1] * c1
-        self.qh = qh_pred
-        self.t += dt
+        z = [(self.yh[0], self.vh[0]), (self.yh[1], self.vh[1])]
+        (y1, v1), (y2, v2) = etd2rk_step(self.tables, z, self._forcing, self.dt)
+        self.yh, self.vh = [y1, y2], [v1, v2]
+        self.t += self.dt
         if self.constraint_projection:
             self._project_constraint()
 
@@ -603,12 +550,8 @@ class LagrangianRun:
             }
 
     def running_integral(self, channel: str) -> np.ndarray:
-        values = getattr(self, channel)
-        out = np.zeros_like(values)
-        for i in range(1, values.size):
-            h = self.monitor_times[i] - self.monitor_times[i - 1]
-            out[i] = out[i - 1] + 0.5 * h * (values[i] + values[i - 1])
-        return out
+        v = getattr(self, channel)
+        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(self.monitor_times) * (v[1:] + v[:-1]))))
 
 
 def _state_monitors(
@@ -702,8 +645,8 @@ def run_lagrangian(
 def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
     """u(y + Psi(y)) by periodic bicubic interpolation."""
     t = gradient_tensor(displacement)
-    if t.sup_norm >= 1.0:
-        raise ValueError(f"displacement gradient {t.sup_norm:.3f} >= 1 breaks local invertibility")
+    if not (t.sup_norm < 1.0):
+        raise ValueError(f"displacement gradient {t.sup_norm:.3f}, not < 1, breaks local invertibility")
     return RealField(
         u.grid, PeriodicInterpolator(u)(u.grid.x1 + displacement[0].samples, u.grid.x2 + displacement[1].samples)
     )
@@ -713,8 +656,10 @@ def invert_flow_map(Y: tuple[RealField, RealField], tol: float = 1e-12, max_iter
     """Displacement of the inverse map: X^{-1}(x) = x + D(x), by Newton."""
     g = Y[0].grid
     t = gradient_tensor(Y)
-    if t.sup_norm > 0.5:
-        raise StateBlowupError("flow map too distorted for guaranteed inversion")
+    if not (t.sup_norm <= 0.5):
+        raise StateBlowupError(
+            f"||grad Y||_inf = {t.sup_norm:.3f}, not <= 1/2: flow map too distorted for guaranteed inversion"
+        )
     i_y1 = PeriodicInterpolator(Y[0])
     i_y2 = PeriodicInterpolator(Y[1])
     i_g = {k: PeriodicInterpolator(RealField(g, getattr(t, k))) for k in ("d1y1", "d2y1", "d1y2", "d2y2")}
@@ -763,7 +708,7 @@ def to_eulerian(state: FlowMapState):
     from mhd2d.grid import l2_norm
 
     g = state.Y[0].grid
-    c = _ctx(g)
+    c = half_spectrum(g)
     dinv = invert_flow_map(state.Y)
     t = gradient_tensor(state.Y)
     u1 = compose(state.Y_t[0], dinv)

@@ -10,7 +10,9 @@ exact at double roots and free of overflow for strongly damped modes:
 
 with l+- = mu -+ nu the eigenvalues (both with nonpositive real part here).
 The inhomogeneous responses for a forcing linear in time over one step are
-read off a single stacked 6x6 matrix exponential.
+read off a single stacked 6x6 matrix exponential, and ``etd2rk_step`` uses
+them for the exponential trapezoidal (ETD2RK) step of both nonlinear solvers
+(Cox & Matthews 2002).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = ["expm2", "etd_tables", "apply2"]
+__all__ = ["expm2", "etd_tables", "apply2", "etd2rk_step"]
 
 _SMALL = 0.5
 
@@ -89,3 +91,34 @@ def apply2(table: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> tuple[np.ndarra
     w0 = table[..., 0, 0] * z0 + table[..., 0, 1] * z1
     w1 = table[..., 1, 0] * z0 + table[..., 1, 1] * z1
     return w0, w1
+
+
+def _add_table(w: tuple, table: np.ndarray, f: tuple) -> tuple:
+    """w + table f, one term at a time; a None slot of f is zero."""
+    out = list(w)
+    for i in range(2):
+        for j in range(2):
+            if f[j] is not None:
+                out[i] = out[i] + table[..., i, j] * f[j]
+    return tuple(out)
+
+
+def etd2rk_step(tables: tuple, z: list, forcing, dt: float) -> list:
+    """One ETD2RK step of z' = M z + N(z) for stacked 2x2 mode systems.
+
+    ``tables`` is ``etd_tables(M, dt)``; ``z`` is a list of component pairs
+    (z0, z1) that all share M.  ``forcing(z, s)`` returns one pair of forcing
+    slots per pair of ``z``, evaluated at stage time ``t + s``; a None slot
+    is zero.  With f = N(z) the step returns
+
+        a = P z + R1 f,    a + R2 (N(a) - f) / dt.
+    """
+    p, r1, r2 = tables
+    f = forcing(z, 0.0)
+    pred = [_add_table(apply2(p, *zi), r1, fi) for zi, fi in zip(z, f)]
+    g = forcing(pred, dt)
+    slope = [
+        tuple(None if fk is None else (gk - fk) / dt for fk, gk in zip(fi, gi))
+        for fi, gi in zip(f, g)
+    ]
+    return [_add_table(ai, r2, si) for ai, si in zip(pred, slope)]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mhd2d import eulerian as eul
+from mhd2d import lagrangian as lag
 from mhd2d.fields import mode_field, random_band_field, random_solenoidal
-from mhd2d.grid import RealField, l2_norm, make_grid, spectral_derivative
+from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, spectral_derivative
 from mhd2d.linear import eigenvalues
 
 TWO_PI = 2.0 * np.pi
@@ -133,6 +134,54 @@ def test_blowup_on_nan():
     object.__setattr__(st.psi, "samples", np.full(g.shape, np.nan))
     with pytest.raises((eul.EulerBlowupError, ValueError)):
         eul.step_euler(st, 0.01)
+
+
+def test_run_euler_blowup_reports_last_finite_state(grid32, rng, monkeypatch):
+    """NaN injected after step 7: the error carries the state after step 6."""
+    advance = eul._EulerStepper.advance
+    calls = []
+
+    def poisoned(self):
+        advance(self)
+        calls.append(self.t)
+        if len(calls) == 7:
+            self.ah = self.ah.copy()
+            self.ah[1, 1] = np.nan
+
+    monkeypatch.setattr(eul._EulerStepper, "advance", poisoned)
+    psi0 = random_band_field(grid32, rng, 1.0, 4.0, 1e-3)
+    u0 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-3)
+    with pytest.raises(eul.EulerBlowupError, match="step 7") as err:
+        eul.run_euler(psi0, u0, 0.01, 1.0)
+    last = err.value.last_state
+    assert last.t == calls[5]
+    assert np.all(np.isfinite(last.psi.samples)) and np.all(np.isfinite(last.u[1].samples))
+
+
+def test_solvers_share_context_and_bound_etd_caches():
+    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    same = make_grid(16, 16, TWO_PI, TWO_PI)
+    assert eul._EulerStepper(g, 0.01).c is lag._Stepper(same, 0.01).c is half_spectrum(g)
+    for etd in (eul._etd, lag._etd):
+        bound = etd.cache_info().maxsize
+        assert bound is not None
+        assert etd(g, 0.01) is etd(same, 0.01)
+        for n in range(bound + 2):
+            etd(g, 0.01 * (n + 2))
+        assert etd.cache_info().currsize <= bound
+
+
+def test_running_integrals_match_trapezoid_loop(rng):
+    """Running trapezoid integrals equal the term-by-term loop bit for bit."""
+    t = np.cumsum(rng.random(40) * 0.1)
+    v = rng.standard_normal(40) * np.exp(3.0 * rng.standard_normal(40))
+    loop = np.zeros_like(v)
+    for i in range(1, v.size):
+        loop[i] = loop[i - 1] + 0.5 * (t[i] - t[i - 1]) * (v[i] + v[i - 1])
+    erun = eul.EulerRun([], t, v, v, t, v, v)
+    lrun = lag.LagrangianRun([], t, v, v, v, v, v, v, v)
+    assert np.array_equal(erun.running_blowup_integral(), loop)
+    assert np.array_equal(lrun.running_integral("d1y_hs_sq"), loop)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from mhd2d.grid import (
     SpectralField,
     dealias,
     from_spectral,
+    half_spectrum,
     inverse_laplacian,
     l2_norm,
     make_grid,
@@ -173,3 +174,22 @@ def test_dealiased_product_matches_fine_grid(rng):
                 continue
             err = max(err, abs(coarse[g.mode_index(m, n)] - prod_fine[fine.mode_index(m, n)]))
     assert err < 1e-12
+
+
+def test_half_spectrum_context_is_shared_and_bounded():
+    a = half_spectrum(make_grid(16, 16, TWO_PI, TWO_PI))
+    assert half_spectrum(make_grid(16, 16, TWO_PI, TWO_PI)) is a
+    bound = half_spectrum.cache_info().maxsize
+    assert bound is not None
+    for n in range(bound + 2):
+        half_spectrum(make_grid(8, 8 + 2 * n, TWO_PI, 1.0 + n))
+    assert half_spectrum.cache_info().currsize <= bound
+
+
+def test_half_spectrum_lattice_sum_is_plancherel(grid32, rng):
+    """sum |rfft2|^2 over the full lattice equals sum |fft2|^2."""
+    c = half_spectrum(grid32)
+    a = random_band_field(grid32, rng, 0.0, 16.0).samples
+    full = float(np.sum(np.abs(np.fft.fft2(a)) ** 2))
+    assert c.lattice_sum(np.abs(c.fwd(a)) ** 2) == pytest.approx(full, rel=1e-13)
+    assert np.max(np.abs(c.inv(c.fwd(a)) - a)) < 1e-13

@@ -10,6 +10,7 @@ from mhd2d.grid import (
     SpectralField,
     dealias,
     from_spectral,
+    half_spectrum,
     l2_norm,
     make_grid,
     spectral_derivative,
@@ -318,7 +319,7 @@ def test_step_manufactured_temporal_order(rng):
     def a_tt(t):
         return -omega * omega * math.cos(omega * t)
 
-    ctx = lag._ctx(g)
+    ctx = half_spectrum(g)
     w_hat = [ctx.fwd(W[0].samples), ctx.fwd(W[1].samples)]
 
     def exact(t):
@@ -381,6 +382,26 @@ def test_step_aborts_on_distortion(grid32):
     st = lag.FlowMapState((big, _zeros(grid32)), _pair(grid32), _zeros(grid32), 0.0)
     with pytest.raises(lag.StateBlowupError):
         lag.step(st, 0.01)
+
+
+def _nan_y(g):
+    return (RealField(g, np.full(g.shape, np.nan)), _zeros(g))
+
+
+@pytest.mark.parametrize(
+    "call, exc",
+    [
+        (lambda g: lag.pressure_solve(_nan_y(g), _pair(g)), lag.StateBlowupError),
+        (lambda g: lag.step(lag.FlowMapState(_nan_y(g), _pair(g), _zeros(g), 0.0), 0.01), lag.StateBlowupError),
+        (lambda g: lag.compose(_zeros(g), _nan_y(g)), ValueError),
+        (lambda g: lag.invert_flow_map(_nan_y(g)), lag.StateBlowupError),
+    ],
+    ids=["pressure_solve", "stepper_forcing", "compose", "invert_flow_map"],
+)
+def test_small_data_guards_fire_on_nan(grid32, call, exc):
+    """A NaN displacement fails the ||grad Y||_inf guard before any iteration."""
+    with pytest.raises(exc, match="nan"):
+        call(grid32)
 
 
 # ---------------------------------------------------------------------------

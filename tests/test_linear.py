@@ -18,6 +18,7 @@ from mhd2d.linear import (
     mode_solution,
     regime,
 )
+from mhd2d.propagators import apply2, etd2rk_step, etd_tables
 
 TWO_PI = 2.0 * np.pi
 
@@ -301,3 +302,51 @@ def test_decay_rate_frozen(grid32):
     traj = evolve_linear(y0, _zero_pair(grid32), np.linspace(0.0, 5.0, 30))
     fit = measured_decay_rate(traj, (0, 1))
     assert abs(fit.rate) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# ETD2RK step
+# ---------------------------------------------------------------------------
+
+
+def test_etd2rk_step_matches_written_out_scheme():
+    """Bit-equal to the predictor-corrector written term by term, for full
+    forcing pairs and for pairs whose first slot is None (zero)."""
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((5, 3, 2, 2)) - 2.0 * np.eye(2)
+    dt = 0.05
+    p, r1, r2 = tables = etd_tables(m, dt)
+    z0, z1, z2 = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)) for _ in range(3))
+
+    def full(za, zb):
+        return za * zb, za**2 - zb
+
+    [got] = etd2rk_step(tables, [(z0, z1)], lambda z, s: [full(*z[0])], dt)
+    f = full(z0, z1)
+    h0, h1 = apply2(p, z0, z1)
+    a0 = h0 + r1[..., 0, 0] * f[0] + r1[..., 0, 1] * f[1]
+    a1 = h1 + r1[..., 1, 0] * f[0] + r1[..., 1, 1] * f[1]
+    g = full(a0, a1)
+    c0, c1 = (g[0] - f[0]) / dt, (g[1] - f[1]) / dt
+    want = (
+        h0 + r1[..., 0, 0] * f[0] + r1[..., 0, 1] * f[1] + r2[..., 0, 0] * c0 + r2[..., 0, 1] * c1,
+        h1 + r1[..., 1, 0] * f[0] + r1[..., 1, 1] * f[1] + r2[..., 1, 0] * c0 + r2[..., 1, 1] * c1,
+    )
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    stages = []
+
+    def second_slot(z, s):
+        stages.append(s)
+        return [(None, z[0][0] * z[1][1]), (None, z[1][0] * z[0][1])]
+
+    got = etd2rk_step(tables, [(z0, z1), (z2, z1)], second_slot, dt)
+    assert stages == [0.0, dt]
+    f = (z0 * z1, z2 * z1)
+    h = [apply2(p, z0, z1), apply2(p, z2, z1)]
+    a = [(hy + r1[..., 0, 1] * fc, hv + r1[..., 1, 1] * fc) for (hy, hv), fc in zip(h, f)]
+    g = (a[0][0] * a[1][1], a[1][0] * a[0][1])
+    for (hy, hv), fc, gc, out in zip(h, f, g, got):
+        c = (gc - fc) / dt
+        assert np.array_equal(out[0], hy + r1[..., 0, 1] * fc + r2[..., 0, 1] * c)
+        assert np.array_equal(out[1], hv + r1[..., 1, 1] * fc + r2[..., 1, 1] * c)
