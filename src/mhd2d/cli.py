@@ -94,6 +94,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        allowed = sorted(_TOLERANCES.get(self.experiment, {}))
+        unknown = sorted(set(self.tolerances) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown} for {self.experiment!r}; allowed: {allowed}")
         if self.experiment in _THEOREM_FUNCTIONAL_EXPERIMENTS:
             if not self.s1 > 1.0:
                 raise ValueError("s1 must exceed 1 for flow-map functionals")
@@ -106,9 +110,22 @@ class ExperimentConfig:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, _TOLERANCES[self.experiment][name]))
 
+
+# the tolerances each experiment reads, with defaults; a config may override only these
+_TOLERANCES = {
+    "dispersion": {"vieta": 1e-12, "mode_ode": 1e-10, "rate_fit": 1e-3},
+    "linear-decay": {"monotone": 1e-10, "rate_fit": 1e-2},
+    "energy-identity": {"balance": 1e-6},
+    "lagrangian-smalldata": {"det": 1e-4, "constraint": 1e-4},
+    "eulerian-smalldata": {"div": 1e-10, "cauchy": 0.9},
+    "cross-validate": {"equivalence": 5e-3},
+    "build-initial-data": {"det_u0": 1e-6, "app_grad": 1e-2, "roundtrip": 1e-4,
+                           "roundtrip_psi": 1e-3, "roundtrip_div": 1e-4},
+    "bony-selftest": {"bony": 1e-10},
+}
 
 _THEOREM_FUNCTIONAL_EXPERIMENTS = {"lagrangian-smalldata", "cross-validate", "build-initial-data"}
 
@@ -148,7 +165,7 @@ def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
                 abs(e.lambda_plus + e.lambda_minus + ksq) / max(1.0, ksq),
                 abs(e.lambda_plus * e.lambda_minus - x1 * x1) / max(1.0, x1 * x1),
             )
-    recs = [_bounded("vieta_identities_relative", vieta, cfg.tol("vieta", 1e-12))]
+    recs = [_bounded("vieta_identities_relative", vieta, cfg.tol("vieta"))]
     lam_dev = 0.0
     for n in range(4, min(33, g.nx // 2)):
         lam = lin.eigenvalues((float(n), 0.0)).lambda_minus.real
@@ -168,7 +185,7 @@ def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
             y, v = lin.mode_solution(xi, y0, y1v, t)
             ode = _mode_ode_oracle(xi, y0, y1v, t)
             dev = max(dev, abs(y - ode[0]), abs(v - ode[1]))
-    recs.append(_bounded("mode_solution_vs_ode_oracle", dev, cfg.tol("mode_ode", 1e-10)))
+    recs.append(_bounded("mode_solution_vs_ode_oracle", dev, cfg.tol("mode_ode")))
     # fitted tail rates against the analytic slow/fast eigenvalues
     fit_rows = []
     fit_dev = 0.0
@@ -186,7 +203,7 @@ def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
     mio.write_rows_csv(
         os.path.join(out["ledgers"], "fitted_rates.csv"), fit_rows, ["xi1", "xi2", "fitted", "analytic"]
     )
-    recs.append(_bounded("fitted_vs_analytic_rate", fit_dev, cfg.tol("rate_fit", 1e-3)))
+    recs.append(_bounded("fitted_vs_analytic_rate", fit_dev, cfg.tol("rate_fit")))
     return recs
 
 
@@ -236,7 +253,7 @@ def _exp_linear_decay(cfg: ExperimentConfig, out: dict) -> list[dict]:
         if series[0] <= 0:
             continue
         worst = max(worst, float(np.max(np.diff(series) / np.maximum(series[:-1], 1e-300))))
-    recs = [_bounded("block_energy_monotone_growth", worst, cfg.tol("monotone", 1e-10))]
+    recs = [_bounded("block_energy_monotone_growth", worst, cfg.tol("monotone"))]
     rate_dev = 0.0
     rate_rows = []
     # distinct-real-root modes: clean exponential tails for the fit
@@ -249,7 +266,7 @@ def _exp_linear_decay(cfg: ExperimentConfig, out: dict) -> list[dict]:
     mio.write_rows_csv(
         os.path.join(out["ledgers"], "mode_rates.csv"), rate_rows, ["xi1", "xi2", "fitted", "analytic"]
     )
-    recs.append(_bounded("tail_rate_vs_slow_eigenvalue", rate_dev, cfg.tol("rate_fit", 1e-2)))
+    recs.append(_bounded("tail_rate_vs_slow_eigenvalue", rate_dev, cfg.tol("rate_fit")))
     return recs
 
 
@@ -286,7 +303,7 @@ def _exp_energy_identity(cfg: ExperimentConfig, out: dict) -> list[dict]:
     ledger.to_csv(os.path.join(out["ledgers"], "energy.csv"))
     res = run.balance_residual_per_time()
     e0 = run.energy[0]
-    recs = [_bounded("energy_balance_residual_per_time_over_E0", res / e0, cfg.tol("balance", 1e-6))]
+    recs = [_bounded("energy_balance_residual_per_time_over_E0", res / e0, cfg.tol("balance"))]
     run2 = eul.run_euler(psi0, u0, cfg.dt / 2.0, cfg.t_end)
     res2 = run2.balance_residual_per_time()
     ratio = res / max(res2, 1e-300)
@@ -305,8 +322,8 @@ def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
     )
     mio.save_flow_snapshot(out["fields"], run.states[-1], prefix="final_")
     recs = [
-        _bounded("max_abs_det_minus_one", float(np.max(run.det_err)), cfg.tol("det", 1e-4)),
-        _bounded("max_constraint_residual_l2", float(np.max(run.constraint_err)), cfg.tol("constraint", 1e-4)),
+        _bounded("max_abs_det_minus_one", float(np.max(run.det_err)), cfg.tol("det")),
+        _bounded("max_constraint_residual_l2", float(np.max(run.constraint_err)), cfg.tol("constraint")),
         _bounded("max_grad_inf", float(np.max(run.grad_inf)), 0.5),
     ]
     margins = diag.smallness_margin(run.states, cfg.s1, cfg.s2)
@@ -333,8 +350,8 @@ def _exp_eulerian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
     # amplitude^2 floor, so the ratio tends to but stays below 1)
     increment = (integral[-1] - integral[half]) / max(integral[half], 1e-300)
     recs = [
-        _bounded("div_u_linf_max", float(np.max(run.div_u_linf)), cfg.tol("div", 1e-10)),
-        _bounded("blowup_integral_halving_ratio", float(increment), cfg.tol("cauchy", 0.9)),
+        _bounded("div_u_linf_max", float(np.max(run.div_u_linf)), cfg.tol("div")),
+        _bounded("blowup_integral_halving_ratio", float(increment), cfg.tol("cauchy")),
         _bounded("energy_nonincreasing_growth", float(np.max(np.diff(run.energy))), 1e-12),
     ]
     return recs
@@ -357,14 +374,14 @@ def _exp_cross_validate(cfg: ExperimentConfig, out: dict) -> list[dict]:
     rel = num / den
     mio.save_euler_snapshot(out["fields"], est, prefix="euler_")
     mio.save_euler_snapshot(out["fields"], lst, prefix="lagr_")
-    return [_bounded("formulation_equivalence_rel_l2", rel, cfg.tol("equivalence", 5e-3))]
+    return [_bounded("formulation_equivalence_rel_l2", rel, cfg.tol("equivalence"))]
 
 
 def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g = cfg.grid()
     maker = recipes.gaussian_bump if cfg.shape == "gaussian" else recipes.bump_dx1
     psi0 = maker(g, cfg.amplitude, cfg.center, cfg.width)
-    psitilde0, cinfo = solve_companion_potential(psi0, tol=cfg.tol("det_u0", 1e-6))
+    psitilde0, cinfo = solve_companion_potential(psi0, tol=cfg.tol("det_u0"))
     Y0, finfo = build_flow_map_initial(psi0, psitilde0)
     rng = cfg.rng()
     u0 = recipes.random_solenoidal(g, rng, cfg.kmin, cfg.kmax, cfg.amplitude)
@@ -380,9 +397,9 @@ def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     for name, f in (("psi0", psi0), ("psitilde0", psitilde0), ("Y0_1", Y0[0]), ("Y0_2", Y0[1])):
         mio.save_field(os.path.join(out["fields"], name), f, name=name)
     recs = [
-        _bounded("companion_det_residual", cinfo.det_residual_max, cfg.tol("det_u0", 1e-6)),
+        _bounded("companion_det_residual", cinfo.det_residual_max, cfg.tol("det_u0")),
         _assert_rec("seed_iterations", "<= 30", finfo.iterations, 30, finfo.iterations <= 30),
-        _bounded("seed_gradient_residual_linf", max(finfo.gradient_residuals_linf), cfg.tol("app_grad", 1e-2)),
+        _bounded("seed_gradient_residual_linf", max(finfo.gradient_residuals_linf), cfg.tol("app_grad")),
     ]
     # round trip: t = 0 flow-map state back to Eulerian variables
     state = lag.FlowMapState(Y0, Y1, RealField(g, np.zeros(g.shape)), 0.0)
@@ -394,9 +411,9 @@ def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     psi_ref = psi0.samples - psi0.samples.mean()
     psi_err = float(np.max(np.abs(est.psi.samples - psi_ref))) / max(float(np.max(np.abs(psi_ref))), 1e-300)
     mio.save_euler_snapshot(out["fields"], est, prefix="roundtrip_")
-    recs.append(_bounded("roundtrip_u_rel_sup", u_err, cfg.tol("roundtrip", 1e-4)))
-    recs.append(_bounded("roundtrip_psi_rel_sup", psi_err, cfg.tol("roundtrip_psi", 1e-3)))
-    recs.append(_bounded("roundtrip_div_u_l2", rinfo["div_u_l2"], cfg.tol("roundtrip_div", 1e-4)))
+    recs.append(_bounded("roundtrip_u_rel_sup", u_err, cfg.tol("roundtrip")))
+    recs.append(_bounded("roundtrip_psi_rel_sup", psi_err, cfg.tol("roundtrip_psi")))
+    recs.append(_bounded("roundtrip_div_u_l2", rinfo["div_u_l2"], cfg.tol("roundtrip_div")))
     return recs
 
 
@@ -455,7 +472,7 @@ def _exp_bony_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
             prod = from_spectral(dealias(to_spectral(RealField(g, a.samples * b.samples))))
             err = l2_norm(RealField(g, t.samples + tb.samples + r.samples - prod.samples))
             worst = max(worst, err / max(l2_norm(prod), 1e-300))
-        recs.append(_bounded(f"bony_reconstruction_{direction}", worst, cfg.tol("bony", 1e-10)))
+        recs.append(_bounded(f"bony_reconstruction_{direction}", worst, cfg.tol("bony")))
     worst = 0.0
     a = recipes.random_band_field(g, rng, 1.0, g.nx / 4.0)
     b = recipes.random_band_field(g, rng, 1.0, g.nx / 4.0)

@@ -16,7 +16,8 @@ projected linear coupling closes the 2x2 system
 whose symbol is exactly ``lam^2 + |xi|^2 lam + xi1^2 = 0``.  Stepping is the
 exact mode propagator plus ETD2RK for the quadratic terms
 (``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
-``half_spectrum`` context.
+``half_spectrum`` context.  Each quadratic sum, such as the stress
+``u_i u_j + d_i psi d_j psi``, is dealiased once (``HalfSpectrum.dh``).
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ def _velocity(c: HalfSpectrum, ah: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.e1 * ah, c.e2 * ah
 
 
+def _stress_hat(c: HalfSpectrum, u1: np.ndarray, u2: np.ndarray, psih: np.ndarray):
+    """Dealiased coefficients of u_i u_j + d_i psi d_j psi for ij = 11, 12, 22,
+    and grad psi at the nodes."""
+    d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
+    return (c.dh(u1 * u1 + d1p * d1p), c.dh(u1 * u2 + d1p * d2p), c.dh(u2 * u2 + d2p * d2p)), (d1p, d2p)
+
+
 def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float = 0.0) -> EulerState:
     """Dealias, project, and attach the consistent pressure."""
     g = psi0.grid
@@ -126,18 +134,12 @@ class _EulerStepper:
             return z, z.copy()
         u1h, u2h = _velocity(c, ah)
         u1, u2 = c.inv(u1h), c.inv(u2h)
-        d1psi, d2psi = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
-        n_psi = -(c.pdh(u1, d1psi) + c.pdh(u2, d2psi))
-        n_psi[0, 0] = 0.0
         # u . grad u^c = div(u u^c); magnetic forcing -div(d_c psi grad psi)
-        s11 = c.pdh(u1, u1)
-        s12 = c.pdh(u1, u2)
-        s22 = c.pdh(u2, u2)
-        p11 = c.pdh(d1psi, d1psi)
-        p12 = c.pdh(d1psi, d2psi)
-        p22 = c.pdh(d2psi, d2psi)
-        n1 = -(c.ik1 * s11 + c.ik2 * s12) - (c.ik1 * p11 + c.ik2 * p12)
-        n2 = -(c.ik1 * s12 + c.ik2 * s22) - (c.ik1 * p12 + c.ik2 * p22)
+        (s11, s12, s22), (d1psi, d2psi) = _stress_hat(c, u1, u2, psih)
+        n_psi = -c.dh(u1 * d1psi + u2 * d2psi)
+        n_psi[0, 0] = 0.0
+        n1 = -(c.ik1 * s11 + c.ik2 * s12)
+        n2 = -(c.ik1 * s12 + c.ik2 * s22)
         n_a = c.e1 * n1 + c.e2 * n2
         return n_psi, n_a
 
@@ -324,18 +326,8 @@ def pressure_euler(state: EulerState) -> RealField:
     g = state.psi.grid
     c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
-    d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
-    u1, u2 = state.u[0].samples, state.u[1].samples
-    s = {
-        (1, 1): c.pdh(u1, u1) + c.pdh(d1p, d1p),
-        (1, 2): c.pdh(u1, u2) + c.pdh(d1p, d2p),
-        (2, 2): c.pdh(u2, u2) + c.pdh(d2p, d2p),
-    }
-    ik = {1: c.ik1, 2: c.ik2}
-    acc = np.zeros_like(psih)
-    for (i, j), sij in s.items():
-        factor = 1.0 if i == j else 2.0
-        acc += factor * ik[i] * ik[j] * sij
+    (s11, s12, s22), _ = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
+    acc = c.ik1 * c.ik1 * s11 + 2.0 * c.ik1 * c.ik2 * s12 + c.ik2 * c.ik2 * s22
     ph = -2.0 * c.ik2 * psih + acc * c.inv_ksq
     ph[0, 0] = 0.0
     return RealField(g, c.inv(ph))
@@ -347,12 +339,11 @@ def momentum_divergence_residual(state: EulerState) -> float:
     g = state.psi.grid
     c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
-    d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
-    u1, u2 = state.u[0].samples, state.u[1].samples
     ph = c.fwd(pressure_euler(state).samples)
     # advection + magnetic tensor divergence per component
-    f1 = c.ik1 * (c.pdh(u1, u1) + c.pdh(d1p, d1p)) + c.ik2 * (c.pdh(u1, u2) + c.pdh(d1p, d2p))
-    f2 = c.ik1 * (c.pdh(u1, u2) + c.pdh(d1p, d2p)) + c.ik2 * (c.pdh(u2, u2) + c.pdh(d2p, d2p))
+    (s11, s12, s22), _ = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
+    f1 = c.ik1 * s11 + c.ik2 * s12
+    f2 = c.ik1 * s12 + c.ik2 * s22
     # linear coupling (d1 d2 psi, (Lap + d2^2) psi)
     l1 = c.ik1 * c.ik2 * psih
     l2 = (-c.ksq + c.ik2 * c.ik2) * psih

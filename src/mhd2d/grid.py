@@ -8,7 +8,8 @@ expanded as ``u(x) = sum_xi chat(xi) exp(i xi . x)`` with frequencies
 
 All operations are pure functions of immutable inputs.  The solvers work on
 the real-to-half-spectrum (``rfft2``) representation instead, through one
-``HalfSpectrum`` context per grid from ``half_spectrum``.
+``HalfSpectrum`` context per grid from ``half_spectrum``, where each quadratic
+sum is dealiased once (``HalfSpectrum.dh``) and nested products at each level.
 """
 
 from __future__ import annotations
@@ -265,13 +266,10 @@ class HalfSpectrum:
     def inv(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(ah, s=self.grid.shape)
 
-    def pdh(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased product of two physical fields, as half-spectrum coefficients."""
-        return self.fwd(a * b) * self.deal
-
-    def pd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased pointwise product of two physical fields."""
-        return self.inv(self.pdh(a, b))
+    def dh(self, a: np.ndarray) -> np.ndarray:
+        """Dealiased half-spectrum coefficients of a physical sum of products
+        (one transform suffices: the 2/3 truncation is a linear projection)."""
+        return self.fwd(a) * self.deal
 
     def lattice_sum(self, w: np.ndarray) -> float:
         """Sum over the full lattice of a Hermitian-symmetric weight w given

@@ -18,9 +18,11 @@ which contracts while ||grad Y||_inf stays small.  The source term
 ``div_Y d1^2 Y`` is assembled in its conservative form
 ``div((A - I) d1^2 Y) + d1^2 rho(Y)`` so the right side has exactly zero mean.
 
-Products of physical fields are dealiased pairwise by the 2/3 rule.  The
-spectral work runs on the grid's shared ``half_spectrum`` context, and each
-step is one ``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).
+Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
+exact because the truncation is linear); a nested product such as
+(A - I) A^T grad q is dealiased at each level.  The spectral work runs on the
+grid's shared ``half_spectrum`` context, and each step is one
+``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).
 """
 
 from __future__ import annotations
@@ -114,17 +116,20 @@ class AdjugateField:
     b22: np.ndarray
 
 
-def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
-    g = Y[0].grid
-    c = half_spectrum(g)
-    y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
+def _grad_hat(c: HalfSpectrum, y1h: np.ndarray, y2h: np.ndarray) -> GradTensor:
+    """grad Y at the nodes from the half-spectrum coefficients of Y^1, Y^2."""
     return GradTensor(
-        g,
+        c.grid,
         d1y1=c.inv(c.ik1 * y1h),
         d2y1=c.inv(c.ik2 * y1h),
         d1y2=c.inv(c.ik1 * y2h),
         d2y2=c.inv(c.ik2 * y2h),
     )
+
+
+def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
+    c = half_spectrum(Y[0].grid)
+    return _grad_hat(c, c.fwd(Y[0].samples), c.fwd(Y[1].samples))
 
 
 def adjugate(grad: GradTensor) -> AdjugateField:
@@ -142,23 +147,28 @@ def det_i_plus_grad(grad: GradTensor) -> RealField:
     return RealField(grad.grid, d)
 
 
+def _rho_hat(c: HalfSpectrum, t: GradTensor) -> np.ndarray:
+    """Dealiased half-spectrum coefficients of rho(Y) from grad Y."""
+    return c.dh(t.d1y2 * t.d2y1 - t.d1y1 * t.d2y2)
+
+
 def rho(Y: tuple[RealField, RealField]) -> RealField:
     """rho(Y) = d1Y2 d2Y1 - d1Y1 d2Y2, products dealiased."""
-    g = Y[0].grid
-    c = half_spectrum(g)
-    t = gradient_tensor(Y)
-    return RealField(g, c.pd(t.d1y2, t.d2y1) - c.pd(t.d1y1, t.d2y2))
+    c = half_spectrum(Y[0].grid)
+    return RealField(c.grid, c.inv(_rho_hat(c, gradient_tensor(Y))))
+
+
+def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
+    """Dealiased coefficients of grad_Y q = A^T grad q, and grad q at the nodes."""
+    q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
+    return (c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)), (q1, q2)
 
 
 def lagrangian_gradient(q: RealField, adj: AdjugateField) -> tuple[RealField, RealField]:
     """grad_Y q = A^T grad q (component i sums b_{ji} d_j q)."""
-    g = q.grid
-    c = half_spectrum(g)
-    qh = c.fwd(q.samples)
-    q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
-    out1 = c.pd(adj.b11, q1) + c.pd(adj.b21, q2)
-    out2 = c.pd(adj.b12, q1) + c.pd(adj.b22, q2)
-    return RealField(g, out1), RealField(g, out2)
+    c = half_spectrum(q.grid)
+    (out1, out2), _ = _grad_y_hat(c, adj, c.fwd(q.samples))
+    return RealField(c.grid, c.inv(out1)), RealField(c.grid, c.inv(out2))
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +188,16 @@ def _div_y_d11_forms(
     """
     d11y1 = c.inv(c.ik1 * c.ik1 * y1h)
     d11y2 = c.inv(c.ik1 * c.ik1 * y2h)
-    # form A
-    u1 = c.pd(t.d2y2, d11y1) - c.pd(t.d2y1, d11y2)
-    u2 = -c.pd(t.d1y2, d11y1) + c.pd(t.d1y1, d11y2)
-    rho_h = c.fwd(c.pd(t.d1y2, t.d2y1) - c.pd(t.d1y1, t.d2y2))
-    form_a = c.ik1 * c.fwd(u1) + c.ik2 * c.fwd(u2) + c.ik1 * c.ik1 * rho_h
+    # form A; its second flux is also the second flux of form B
+    u1h = c.dh(t.d2y2 * d11y1 - t.d2y1 * d11y2)
+    u2h = c.dh(t.d1y1 * d11y2 - t.d1y2 * d11y1)
+    form_a = c.ik1 * u1h + c.ik2 * u2h + c.ik1 * c.ik1 * _rho_hat(c, t)
     if not with_form_b:
         return form_a, None
     # form B
     d12y1 = c.inv(c.ik1 * c.ik2 * y1h)
-    w_h = c.fwd(c.pd(t.d1y1, t.d2y2))
-    g1 = c.fwd(c.pd(t.d2y2, d11y1) + c.pd(t.d1y2, d12y1)) - c.ik1 * w_h
-    g2 = c.fwd(-c.pd(t.d1y2, d11y1) + c.pd(t.d1y1, d11y2))
-    form_b = c.ik1 * g1 + c.ik2 * g2
+    g1 = c.dh(t.d2y2 * d11y1 + t.d1y2 * d12y1) - c.ik1 * c.dh(t.d1y1 * t.d2y2)
+    form_b = c.ik1 * g1 + c.ik2 * u2h
     return form_a, form_b
 
 
@@ -199,8 +206,7 @@ def div_y_d11(Y: tuple[RealField, RealField]) -> tuple[RealField, RealField]:
     g = Y[0].grid
     c = half_spectrum(g)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
-    t = gradient_tensor(Y)
-    fa, fb = _div_y_d11_forms(c, t, y1h, y2h)
+    fa, fb = _div_y_d11_forms(c, _grad_hat(c, y1h, y2h), y1h, y2h)
     return RealField(g, c.inv(fa)), RealField(g, c.inv(fb))
 
 
@@ -232,15 +238,14 @@ def _pressure_spectral(
 ) -> tuple[np.ndarray, PressureInfo]:
     adj = adjugate(t)
     # dA/dt has the adjugate entry pattern applied to grad Y_t
-    a11, a12, a21, a22 = tv.d2y2, -tv.d2y1, -tv.d1y2, tv.d1y1
-    w1 = c.pd(a11, v[0]) + c.pd(a12, v[1])
-    w2 = c.pd(a21, v[0]) + c.pd(a22, v[1])
+    w1h = c.dh(tv.d2y2 * v[0] - tv.d2y1 * v[1])
+    w2h = c.dh(tv.d1y1 * v[1] - tv.d1y2 * v[0])
     form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=check_identity)
     ident = None
     if check_identity:
         scale = max(1.0, float(np.max(np.abs(form_a))))
         ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / scale
-    const = c.ik1 * c.fwd(w1) + c.ik2 * c.fwd(w2) + form_a
+    const = c.ik1 * w1h + c.ik2 * w2h + form_a
     if extra_hat is not None:
         const = const + extra_hat
     qh = np.zeros_like(const) if qh0 is None else qh0.copy()
@@ -248,17 +253,12 @@ def _pressure_spectral(
     inc_prev = math.inf
     contraction = 0.0
     for it in range(1, max_iterations + 1):
-        q1 = c.inv(c.ik1 * qh)
-        q2 = c.inv(c.ik2 * qh)
-        # A^T grad q then (A - I) of it
-        w1q = c.pd(adj.b11, q1) + c.pd(adj.b21, q2)
-        w2q = c.pd(adj.b12, q1) + c.pd(adj.b22, q2)
-        v1q = c.pd(adj.b11 - 1.0, w1q) + c.pd(adj.b12, w2q)
-        v2q = c.pd(adj.b21, w1q) + c.pd(adj.b22 - 1.0, w2q)
-        # (A^T - I) grad q
-        z1q = c.pd(adj.b11 - 1.0, q1) + c.pd(adj.b21, q2)
-        z2q = c.pd(adj.b12, q1) + c.pd(adj.b22 - 1.0, q2)
-        rhs = -(c.ik1 * (c.fwd(v1q) + c.fwd(z1q)) + c.ik2 * (c.fwd(v2q) + c.fwd(z2q))) + const
+        (w1h, w2h), (q1, q2) = _grad_y_hat(c, adj, qh)
+        w1q, w2q = c.inv(w1h), c.inv(w2h)
+        # (A - I) A^T grad q + (A^T - I) grad q, with A - I read off grad Y
+        s1 = t.d2y2 * w1q - t.d2y1 * w2q + t.d2y2 * q1 - t.d1y2 * q2
+        s2 = t.d1y1 * w2q - t.d1y2 * w1q + t.d1y1 * q2 - t.d2y1 * q1
+        rhs = -(c.ik1 * c.dh(s1) + c.ik2 * c.dh(s2)) + const
         qh_new = -rhs * c.inv_ksq
         qh_new[0, 0] = 0.0
         diff = (qh_new - qh) / (c.grid.nx * c.grid.ny)
@@ -267,10 +267,12 @@ def _pressure_spectral(
         if inc < tol:
             return qh, PressureInfo(it, inc, contraction, ident)
         contraction = inc / inc_prev if inc_prev < math.inf else 0.0
+        if not (contraction < 1.0):
+            break
         inc_prev = inc
     raise PressureConvergenceError(
-        f"pressure fixed point: increment {inc:.3e} after {max_iterations} iterations "
-        f"(contraction estimate {contraction:.3f})"
+        f"pressure fixed point stopped at iteration {it} of {max_iterations}: increment {inc:.3e}, "
+        f"contraction {contraction:.3f}, ||grad Y||_inf = {t.sup_norm:.3f}"
     )
 
 
@@ -293,11 +295,11 @@ def pressure_solve(
     """
     g = Y[0].grid
     c = half_spectrum(g)
-    t = gradient_tensor(Y)
+    y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
+    t = _grad_hat(c, y1h, y2h)
     if not (t.sup_norm <= 0.5):
         raise StateBlowupError(f"||grad Y||_inf = {t.sup_norm:.3f}, not <= 1/2")
     tv = gradient_tensor(Y_t)
-    y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     vq = (Y_t[0].samples, Y_t[1].samples)
     qh0 = c.fwd(q0.samples) if q0 is not None else None
     extra_hat = c.fwd(extra_source.samples) if extra_source is not None else None
@@ -316,45 +318,39 @@ def pressure_solve(
 # ---------------------------------------------------------------------------
 
 
+def _minus_grad_y_q(c: HalfSpectrum, adj: AdjugateField, out: list, qh: np.ndarray):
+    """out - grad_Y q, with the mean mode and the 2/3-truncated modes zeroed."""
+    for oh, ph in zip(out, _grad_y_hat(c, adj, qh)[0]):
+        oh -= ph
+        oh[0, 0] = 0.0
+        oh *= c.deal
+    return out[0], out[1]
+
+
 def _rhs_f_spectral(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct)."""
     adj = adjugate(t)
     out = []
     for ch in vh:
-        g1, g2 = c.inv(c.ik1 * ch), c.inv(c.ik2 * ch)
-        w1 = c.pd(adj.b11, g1) + c.pd(adj.b21, g2)
-        w2 = c.pd(adj.b12, g1) + c.pd(adj.b22, g2)
-        u1 = c.pd(adj.b11, w1) + c.pd(adj.b12, w2)
-        u2 = c.pd(adj.b21, w1) + c.pd(adj.b22, w2)
-        out.append(c.ik1 * c.fwd(u1) + c.ik2 * c.fwd(u2) + c.ksq * ch)
-    q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
-    out[0] -= c.fwd(c.pd(adj.b11, q1) + c.pd(adj.b21, q2))
-    out[1] -= c.fwd(c.pd(adj.b12, q1) + c.pd(adj.b22, q2))
-    for oh in out:
-        oh[0, 0] = 0.0
-        oh *= c.deal
-    return out[0], out[1]
+        (w1h, w2h), _ = _grad_y_hat(c, adj, ch)
+        w1, w2 = c.inv(w1h), c.inv(w2h)
+        u1h = c.dh(adj.b11 * w1 + adj.b12 * w2)
+        u2h = c.dh(adj.b21 * w1 + adj.b22 * w2)
+        out.append(c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch)
+    return _minus_grad_y_q(c, adj, out, qh)
 
 
 def _rhs_f_divform(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """Viscous part via the divergence form d1 F1 + d2 F2 (cross-check)."""
     adj = adjugate(t)
-    alpha1 = 2.0 * t.d2y2 + c.pd(t.d2y1, t.d2y1) + c.pd(t.d2y2, t.d2y2)
-    alpha2 = 2.0 * t.d1y1 + c.pd(t.d1y1, t.d1y1) + c.pd(t.d1y2, t.d1y2)
-    beta = c.pd(adj.b11, t.d1y2) + c.pd(adj.b22, t.d2y1)
+    alpha1 = 2.0 * t.d2y2 + c.inv(c.dh(t.d2y1 * t.d2y1 + t.d2y2 * t.d2y2))
+    alpha2 = 2.0 * t.d1y1 + c.inv(c.dh(t.d1y1 * t.d1y1 + t.d1y2 * t.d1y2))
+    beta = c.inv(c.dh(adj.b11 * t.d1y2 + adj.b22 * t.d2y1))
     out = []
     for ch in vh:
         g1, g2 = c.inv(c.ik1 * ch), c.inv(c.ik2 * ch)
-        f1 = c.pd(alpha1, g1) - c.pd(beta, g2)
-        f2 = c.pd(alpha2, g2) - c.pd(beta, g1)
-        out.append(c.ik1 * c.fwd(f1) + c.ik2 * c.fwd(f2))
-    q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
-    out[0] -= c.fwd(c.pd(adj.b11, q1) + c.pd(adj.b21, q2))
-    out[1] -= c.fwd(c.pd(adj.b12, q1) + c.pd(adj.b22, q2))
-    for oh in out:
-        oh[0, 0] = 0.0
-        oh *= c.deal
-    return out[0], out[1]
+        out.append(c.ik1 * c.dh(alpha1 * g1 - beta * g2) + c.ik2 * c.dh(alpha2 * g2 - beta * g1))
+    return _minus_grad_y_q(c, adj, out, qh)
 
 
 def rhs_f(
@@ -440,13 +436,12 @@ class _Stepper:
             f2h = f1h.copy()
             self.qh = np.zeros_like(yh[0])
         else:
-            Y = tuple(RealField(self.grid, c.inv(h)) for h in yh)
-            tgrad = gradient_tensor(Y)
+            tgrad = _grad_hat(c, *yh)
             if not (tgrad.sup_norm <= 0.5):
                 raise StateBlowupError(
                     f"||grad Y||_inf = {tgrad.sup_norm:.3f}, not <= 1/2, at t = {t:.4f}"
                 )
-            tv = gradient_tensor(tuple(RealField(self.grid, c.inv(h)) for h in vh))
+            tv = _grad_hat(c, *vh)
             v_phys = (c.inv(vh[0]), c.inv(vh[1]))
             self.qh, self.last_pressure = _pressure_spectral(
                 c, tgrad, tv, v_phys, yh[0], yh[1], self.qh,
@@ -476,9 +471,7 @@ class _Stepper:
         """
         c = self.c
         for _ in range(2):
-            Y = tuple(RealField(self.grid, c.inv(h)) for h in self.yh)
-            r = rho(Y)
-            div_minus_rho = c.ik1 * self.yh[0] + c.ik2 * self.yh[1] - c.fwd(r.samples)
+            div_minus_rho = c.ik1 * self.yh[0] + c.ik2 * self.yh[1] - _rho_hat(c, _grad_hat(c, *self.yh))
             if float(np.max(np.abs(div_minus_rho))) / (self.grid.nx * self.grid.ny) < 1e-16:
                 break
             phi = -div_minus_rho * c.inv_ksq
@@ -558,11 +551,11 @@ def _state_monitors(
     Y: tuple[RealField, RealField], Y_t: tuple[RealField, RealField], s2p1: float
 ) -> tuple[float, float, float, float, float, float]:
     g = Y[0].grid
+    c = half_spectrum(g)
     t = gradient_tensor(Y)
     det = det_i_plus_grad(t)
     det_err = float(np.max(np.abs(det.samples - 1.0)))
-    r = rho(Y)
-    constraint = l2_norm(RealField(g, t.d1y1 + t.d2y2 - r.samples))
+    constraint = l2_norm(RealField(g, t.d1y1 + t.d2y2 - c.inv(_rho_hat(c, t))))
     grad_inf = t.sup_norm
     tv = gradient_tensor(Y_t)
     energy = 0.5 * (

@@ -1,0 +1,224 @@
+"""Fused dealiased sums against the pairwise formulas they replace, and the
+transform budget of one step of each solver.
+
+Each reference below dealiases every quadratic product on its own,
+``pd(a, b) = inv(fwd(a b) * deal)``, and sums the results, as the solvers did
+before each sum was dealiased once; the 2/3 truncation is linear, so the two
+agree up to round-off.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhd2d import eulerian as eul
+from mhd2d import lagrangian as lag
+from mhd2d.fields import random_band_field
+from mhd2d.grid import RealField, half_spectrum, make_grid
+
+TWO_PI = 2.0 * np.pi
+REL = 1e-13  # worst measured over 80 seeds per test at 32^2 and 64^2: 3.5e-15
+
+
+def _setup(seed, n):
+    g = make_grid(n, n, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    rng = np.random.default_rng(seed)
+
+    def field(amp=0.02):
+        return random_band_field(g, rng, 1.0, n / 4.0, amp).samples
+
+    def pd(a, b):
+        return c.inv(c.fwd(a * b) * c.deal)
+
+    return g, c, field, pd
+
+
+def _rel(fused, pairwise):
+    return float(np.max(np.abs(fused - pairwise)) / np.max(np.abs(pairwise)))
+
+
+def _grad(c, ah):
+    return c.inv(c.ik1 * ah), c.inv(c.ik2 * ah)
+
+
+def _form_a_pairwise(c, pd, t, y1h, y2h):
+    d11y1 = c.inv(c.ik1 * c.ik1 * y1h)
+    d11y2 = c.inv(c.ik1 * c.ik1 * y2h)
+    u1 = pd(t.d2y2, d11y1) - pd(t.d2y1, d11y2)
+    u2 = -pd(t.d1y2, d11y1) + pd(t.d1y1, d11y2)
+    rho_h = c.fwd(pd(t.d1y2, t.d2y1) - pd(t.d1y1, t.d2y2))
+    return c.ik1 * c.fwd(u1) + c.ik2 * c.fwd(u2) + c.ik1 * c.ik1 * rho_h
+
+
+def _grad_y_pairwise(c, pd, adj, qh):
+    q1, q2 = _grad(c, qh)
+    return pd(adj.b11, q1) + pd(adj.b21, q2), pd(adj.b12, q1) + pd(adj.b22, q2)
+
+
+_SIZES = st.sampled_from([32, 64])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_rho_fused_matches_pairwise(seed, n):
+    g, c, field, pd = _setup(seed, n)
+    Y = (RealField(g, field()), RealField(g, field()))
+    t = lag.gradient_tensor(Y)
+    ref = pd(t.d1y2, t.d2y1) - pd(t.d1y1, t.d2y2)
+    assert _rel(lag.rho(Y).samples, ref) < REL
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_form_a_fused_matches_pairwise(seed, n):
+    g, c, field, pd = _setup(seed, n)
+    y1h, y2h = c.fwd(field()), c.fwd(field())
+    t = lag._grad_hat(c, y1h, y2h)
+    fused, _ = lag._div_y_d11_forms(c, t, y1h, y2h, with_form_b=False)
+    assert _rel(c.inv(fused), c.inv(_form_a_pairwise(c, pd, t, y1h, y2h))) < REL
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_pressure_update_fused_matches_pairwise(seed, n):
+    """One fixed-point update q0 -> q1, including the constant source."""
+    g, c, field, pd = _setup(seed, n)
+    y1h, y2h = c.fwd(field()), c.fwd(field())
+    vh = (c.fwd(field()), c.fwd(field()))
+    qh0 = c.fwd(field(1.0))
+    t, tv = lag._grad_hat(c, y1h, y2h), lag._grad_hat(c, *vh)
+    v = (c.inv(vh[0]), c.inv(vh[1]))
+    fused, info = lag._pressure_spectral(c, t, tv, v, y1h, y2h, qh0, math.inf, 1, False)
+    assert info.iterations == 1
+
+    adj = lag.adjugate(t)
+    w1 = pd(tv.d2y2, v[0]) + pd(-tv.d2y1, v[1])
+    w2 = pd(-tv.d1y2, v[0]) + pd(tv.d1y1, v[1])
+    const = c.ik1 * c.fwd(w1) + c.ik2 * c.fwd(w2) + _form_a_pairwise(c, pd, t, y1h, y2h)
+    q1, q2 = _grad(c, qh0)
+    w1q, w2q = _grad_y_pairwise(c, pd, adj, qh0)
+    v1q = pd(adj.b11 - 1.0, w1q) + pd(adj.b12, w2q)
+    v2q = pd(adj.b21, w1q) + pd(adj.b22 - 1.0, w2q)
+    z1q = pd(adj.b11 - 1.0, q1) + pd(adj.b21, q2)
+    z2q = pd(adj.b12, q1) + pd(adj.b22 - 1.0, q2)
+    rhs = -(c.ik1 * (c.fwd(v1q) + c.fwd(z1q)) + c.ik2 * (c.fwd(v2q) + c.fwd(z2q))) + const
+    ref = -rhs * c.inv_ksq
+    ref[0, 0] = 0.0
+    assert _rel(c.inv(fused), c.inv(ref)) < REL
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_rhs_f_fused_matches_pairwise(seed, n):
+    g, c, field, pd = _setup(seed, n)
+    t = lag._grad_hat(c, c.fwd(field()), c.fwd(field()))
+    vh = (c.fwd(field()), c.fwd(field()))
+    qh = c.fwd(field(1.0))
+    fused = lag._rhs_f_spectral(c, t, vh, qh)
+
+    adj = lag.adjugate(t)
+    ref = []
+    for ch in vh:
+        w1, w2 = _grad_y_pairwise(c, pd, adj, ch)
+        u1 = pd(adj.b11, w1) + pd(adj.b12, w2)
+        u2 = pd(adj.b21, w1) + pd(adj.b22, w2)
+        ref.append(c.ik1 * c.fwd(u1) + c.ik2 * c.fwd(u2) + c.ksq * ch)
+    p1, p2 = _grad_y_pairwise(c, pd, adj, qh)
+    ref[0] -= c.fwd(p1)
+    ref[1] -= c.fwd(p2)
+    for fh, rh in zip(fused, ref):
+        rh[0, 0] = 0.0
+        assert _rel(c.inv(fh), c.inv(rh * c.deal)) < REL
+
+
+def _euler_state(seed, n):
+    g, c, field, pd = _setup(seed, n)
+    psi = RealField(g, field(1e-2))
+    u = eul.leray_project((RealField(g, field(1e-2)), RealField(g, field(1e-2))))
+    return g, c, pd, eul.EulerState(psi, u, RealField(g, np.zeros(g.shape)), 0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_euler_nonlinear_fused_matches_pairwise(seed, n):
+    g, c, pd, state = _euler_state(seed, n)
+    s = eul._EulerStepper(g, 0.01)
+    s.load(state)
+    n_psi, n_a = s._nonlinear(s.psih, s.ah)
+
+    u1, u2 = (c.inv(x) for x in eul._velocity(c, s.ah))
+    d1psi, d2psi = _grad(c, s.psih)
+
+    def pdh(a, b):
+        return c.fwd(a * b) * c.deal
+
+    ref_psi = -(pdh(u1, d1psi) + pdh(u2, d2psi))
+    ref_psi[0, 0] = 0.0
+    n1 = -(c.ik1 * pdh(u1, u1) + c.ik2 * pdh(u1, u2)) - (c.ik1 * pdh(d1psi, d1psi) + c.ik2 * pdh(d1psi, d2psi))
+    n2 = -(c.ik1 * pdh(u1, u2) + c.ik2 * pdh(u2, u2)) - (c.ik1 * pdh(d1psi, d2psi) + c.ik2 * pdh(d2psi, d2psi))
+    assert _rel(c.inv(n_psi), c.inv(ref_psi)) < REL
+    assert _rel(c.inv(n_a), c.inv(c.e1 * n1 + c.e2 * n2)) < REL
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=_SIZES)
+def test_pressure_euler_fused_matches_pairwise(seed, n):
+    g, c, pd, state = _euler_state(seed, n)
+    psih = c.fwd(state.psi.samples)
+    d1p, d2p = _grad(c, psih)
+    ik = {1: c.ik1, 2: c.ik2}
+    acc = np.zeros_like(psih)
+    for i, j, factor in ((1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0)):
+        a, b = state.u[i - 1].samples, state.u[j - 1].samples
+        pa, pb = (d1p, d2p)[i - 1], (d1p, d2p)[j - 1]
+        acc += factor * ik[i] * ik[j] * c.fwd(pd(a, b) + pd(pa, pb))
+    ref = -2.0 * c.ik2 * psih + acc * c.inv_ksq
+    ref[0, 0] = 0.0
+    assert _rel(eul.pressure_euler(state).samples, c.inv(ref)) < REL
+
+
+# ---------------------------------------------------------------------------
+# transform budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def fft_fields(monkeypatch):
+    """Counter of 2-D fields passed through numpy.fft.rfft2 / irfft2."""
+    count = {"fields": 0}
+    for name in ("rfft2", "irfft2"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _real=real, **kwargs):
+            a = np.asarray(a)
+            count["fields"] += a.size // (a.shape[-2] * a.shape[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+def test_lagrangian_forcing_costs_37_plus_8_per_pressure_iteration(rng, fft_fields):
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    s = lag._Stepper(g, 0.01, check_identity=False)
+    s.load(lag.FlowMapState(Y, V, RealField(g, np.zeros(g.shape)), 0.0))
+    z = [(s.yh[0], s.vh[0]), (s.yh[1], s.vh[1])]
+    fft_fields["fields"] = 0
+    s._forcing(z, 0.0)
+    assert s.last_pressure.iterations >= 2
+    assert fft_fields["fields"] == 37 + 8 * s.last_pressure.iterations
+
+
+def test_euler_step_costs_16_fields(rng, fft_fields):
+    _, _, _, state = _euler_state(7, 32)
+    s = eul._EulerStepper(state.psi.grid, 0.01)
+    s.load(state)
+    fft_fields["fields"] = 0
+    s.advance()
+    assert fft_fields["fields"] == 16

@@ -56,6 +56,18 @@ def test_cli_config_validation_bounds(tmp_path):
         cli.ExperimentConfig(experiment="cross-validate", s1=0.5)
 
 
+def test_cli_rejects_unknown_tolerance(tmp_path, capsys):
+    """A misspelled tolerance name fails at config time and names the allowed ones."""
+    out = str(tmp_path / "o")
+    rc = cli.main(["lagrangian-smalldata", "--set", 'tolerances={"dett": 1e-3}', "--outdir", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'dett'" in err and "'constraint'" in err and "'det'" in err
+    assert not os.path.exists(out)
+    cfg = cli.ExperimentConfig(experiment="lagrangian-smalldata", tolerances={"det": 1e-3})
+    assert cfg.tol("det") == 1e-3 and cfg.tol("constraint") == 1e-4
+
+
 def test_cli_dispersion_runs(tmp_path):
     rc = cli.main(
         ["dispersion", "--outdir", str(tmp_path / "out"), "--set", "nx=32", "--set", "ny=32"]

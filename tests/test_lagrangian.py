@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ def test_pressure_rejects_distorted_state(grid32):
     big = RealField.from_function(grid32, lambda x, y: 0.8 * np.sin(x))
     with pytest.raises(lag.StateBlowupError):
         lag.pressure_solve((big, _zeros(grid32)), _pair(grid32))
+
+
+def test_pressure_stops_when_not_contracting(grid32, rng):
+    """A displacement gradient far beyond 1/2 (passed below the guard) makes
+    the fixed point diverge: it stops at once and names the cause."""
+    c = half_spectrum(grid32)
+    Y = tuple(random_band_field(grid32, rng, 1.0, 4.0, 1.0, normalize="inf") for _ in range(2))
+    y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
+    t = lag._grad_hat(c, y1h, y2h)
+    assert t.sup_norm > 1.0
+    zero = np.zeros(grid32.shape)
+    tv = lag._grad_hat(c, c.fwd(zero), c.fwd(zero))
+    with pytest.raises(lag.PressureConvergenceError, match=r"contraction .*grad Y\|\|_inf") as err:
+        lag._pressure_spectral(c, t, tv, (zero, zero), y1h, y2h, None, 1e-10, 200, False)
+    it = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
+    assert it <= 5
 
 
 # ---------------------------------------------------------------------------
