@@ -17,7 +17,12 @@ whose symbol is exactly ``lam^2 + |xi|^2 lam + xi1^2 = 0``.  Stepping is the
 exact mode propagator plus ETD2RK for the quadratic terms
 (``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
 ``half_spectrum`` context.  Each quadratic sum, such as the stress
-``u_i u_j + d_i psi d_j psi``, is dealiased once (``HalfSpectrum.dh``).
+``u_i u_j + d_i psi d_j psi``, is dealiased once (``HalfSpectrum.dh``).  The
+projected momentum forcing needs only the traceless part of the stress,
+``S11 - S22`` and ``S12``: the trace is a gradient, which the projection onto
+``e`` removes.  The continuation integrand ``||grad u||_inf +
+||grad psi||_inf^2`` is sampled on the 2x finer grid by zero padding the half
+spectrum (``HalfSpectrum.inv_fine``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
-from mhd2d.lp import oversample
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
@@ -92,11 +96,15 @@ def _velocity(c: HalfSpectrum, ah: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.e1 * ah, c.e2 * ah
 
 
+def _grad(c: HalfSpectrum, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad f at the nodes from the half-spectrum coefficients of f."""
+    return c.inv(c.ik1 * fh), c.inv(c.ik2 * fh)
+
+
 def _stress_hat(c: HalfSpectrum, u1: np.ndarray, u2: np.ndarray, psih: np.ndarray):
-    """Dealiased coefficients of u_i u_j + d_i psi d_j psi for ij = 11, 12, 22,
-    and grad psi at the nodes."""
-    d1p, d2p = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
-    return (c.dh(u1 * u1 + d1p * d1p), c.dh(u1 * u2 + d1p * d2p), c.dh(u2 * u2 + d2p * d2p)), (d1p, d2p)
+    """Dealiased coefficients of u_i u_j + d_i psi d_j psi for ij = 11, 12, 22."""
+    d1p, d2p = _grad(c, psih)
+    return c.dh(u1 * u1 + d1p * d1p), c.dh(u1 * u2 + d1p * d2p), c.dh(u2 * u2 + d2p * d2p)
 
 
 def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float = 0.0) -> EulerState:
@@ -134,13 +142,14 @@ class _EulerStepper:
             return z, z.copy()
         u1h, u2h = _velocity(c, ah)
         u1, u2 = c.inv(u1h), c.inv(u2h)
-        # u . grad u^c = div(u u^c); magnetic forcing -div(d_c psi grad psi)
-        (s11, s12, s22), (d1psi, d2psi) = _stress_hat(c, u1, u2, psih)
+        d1psi, d2psi = _grad(c, psih)
         n_psi = -c.dh(u1 * d1psi + u2 * d2psi)
         n_psi[0, 0] = 0.0
-        n1 = -(c.ik1 * s11 + c.ik2 * s12)
-        n2 = -(c.ik1 * s12 + c.ik2 * s22)
-        n_a = c.e1 * n1 + c.e2 * n2
+        # u . grad u^c = div(u u^c); magnetic forcing -div(d_c psi grad psi).
+        # Projected onto e, only the traceless part of the stress remains.
+        sd = c.dh((u1 * u1 + d1psi * d1psi) - (u2 * u2 + d2psi * d2psi))
+        s12 = c.dh(u1 * u2 + d1psi * d2psi)
+        n_a = -(c.wd * sd + c.w12 * s12)
         return n_psi, n_a
 
     def advance(self) -> None:
@@ -281,8 +290,7 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
     |dE/dt + mean(D)| over the elapsed interval."""
     g = state.psi.grid
     c = half_spectrum(g)
-    psih = c.fwd(state.psi.samples)
-    gpsi1, gpsi2 = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
+    gpsi1, gpsi2 = _grad(c, c.fwd(state.psi.samples))
     e = 0.5 * (
         l2_norm(RealField(g, gpsi1)) ** 2
         + l2_norm(RealField(g, gpsi2)) ** 2
@@ -291,9 +299,8 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
     )
     d = 0.0
     for comp in state.u:
-        ch = c.fwd(comp.samples)
-        d += l2_norm(RealField(g, c.inv(c.ik1 * ch))) ** 2
-        d += l2_norm(RealField(g, c.inv(c.ik2 * ch))) ** 2
+        for dc in _grad(c, c.fwd(comp.samples)):
+            d += l2_norm(RealField(g, dc)) ** 2
     rec = {"t": state.t, "energy": e, "dissipation": d, "residual": None}
     if previous is not None:
         h = state.t - previous["t"]
@@ -305,19 +312,13 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
 
 def blowup_integrand(state: EulerState) -> float:
     """||grad u||_Linf + ||grad psi||_Linf^2 on the 2x oversampled grid."""
-    g = state.psi.grid
-    c = half_spectrum(g)
-    psih = c.fwd(state.psi.samples)
-    gp1 = oversample(RealField(g, c.inv(c.ik1 * psih))).samples
-    gp2 = oversample(RealField(g, c.inv(c.ik2 * psih))).samples
+    c = half_spectrum(state.psi.grid)
+    psih, u1h, u2h = (c.fwd(f.samples) for f in (state.psi, *state.u))
+    gp1, gp2, d1u1, d2u1, d1u2, d2u2 = c.inv_fine(
+        np.stack([c.ik1 * psih, c.ik2 * psih, c.ik1 * u1h, c.ik2 * u1h, c.ik1 * u2h, c.ik2 * u2h])
+    )
     grad_psi_sq = float(np.max(gp1**2 + gp2**2))
-    acc = None
-    for comp in state.u:
-        ch = c.fwd(comp.samples)
-        g1 = oversample(RealField(g, c.inv(c.ik1 * ch))).samples
-        g2 = oversample(RealField(g, c.inv(c.ik2 * ch))).samples
-        acc = g1**2 + g2**2 if acc is None else acc + g1**2 + g2**2
-    return float(np.max(np.sqrt(acc))) + grad_psi_sq
+    return float(np.max(np.sqrt(((d1u1**2 + d2u1**2) + d1u2**2) + d2u2**2))) + grad_psi_sq
 
 
 def pressure_euler(state: EulerState) -> RealField:
@@ -326,7 +327,7 @@ def pressure_euler(state: EulerState) -> RealField:
     g = state.psi.grid
     c = half_spectrum(g)
     psih = c.fwd(state.psi.samples)
-    (s11, s12, s22), _ = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
+    s11, s12, s22 = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
     acc = c.ik1 * c.ik1 * s11 + 2.0 * c.ik1 * c.ik2 * s12 + c.ik2 * c.ik2 * s22
     ph = -2.0 * c.ik2 * psih + acc * c.inv_ksq
     ph[0, 0] = 0.0
@@ -341,7 +342,7 @@ def momentum_divergence_residual(state: EulerState) -> float:
     psih = c.fwd(state.psi.samples)
     ph = c.fwd(pressure_euler(state).samples)
     # advection + magnetic tensor divergence per component
-    (s11, s12, s22), _ = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
+    s11, s12, s22 = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
     f1 = c.ik1 * s11 + c.ik2 * s12
     f2 = c.ik1 * s12 + c.ik2 * s22
     # linear coupling (d1 d2 psi, (Lap + d2^2) psi)

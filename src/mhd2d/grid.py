@@ -10,6 +10,8 @@ All operations are pure functions of immutable inputs.  The solvers work on
 the real-to-half-spectrum (``rfft2``) representation instead, through one
 ``HalfSpectrum`` context per grid from ``half_spectrum``, where each quadratic
 sum is dealiased once (``HalfSpectrum.dh``) and nested products at each level.
+Sup norms are sampled on a finer grid by zero padding the half spectrum
+(``HalfSpectrum.inv_fine``), with the unpaired Nyquist modes split evenly.
 """
 
 from __future__ import annotations
@@ -237,8 +239,11 @@ class HalfSpectrum:
     ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  Every table
     has that full shape: ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
     Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean mode); the
-    2/3 mask ``deal``; and the solenoidal unit vector ``e = (-xi2, xi1)/|xi|``
-    as ``e1``/``e2`` (zero at the mean mode).
+    2/3 mask ``deal``; the solenoidal unit vector ``e = (-xi2, xi1)/|xi|``
+    as ``e1``/``e2`` (zero at the mean mode); and the weights ``wd``/``w12``
+    of ``e . div S = wd (S11 - S22) + w12 S12`` for a symmetric tensor S, which
+    holds wherever ``e . ik = 0``: everywhere but the Nyquist modes outside the
+    2/3 set (the trace of S, a gradient, drops out).
     """
 
     def __init__(self, grid: Grid):
@@ -260,11 +265,39 @@ class HalfSpectrum:
         self.e2 = k1 * inv_kmag
         self.deal = (np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)
 
+    # built on first use: only the Eulerian stepper reads them
+    @cached_property
+    def wd(self) -> np.ndarray:
+        return 0.5 * (self.e1 * self.ik1 - self.e2 * self.ik2)
+
+    @cached_property
+    def w12(self) -> np.ndarray:
+        return self.e1 * self.ik2 + self.e2 * self.ik1
+
     def fwd(self, a: np.ndarray) -> np.ndarray:
         return np.fft.rfft2(a)
 
     def inv(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(ah, s=self.grid.shape)
+
+    def inv_fine(self, ah: np.ndarray, factor: int = 2) -> np.ndarray:
+        """Real samples on the ``factor``-times finer grid of a stack of
+        half-spectrum coefficient arrays ``(..., nx, ny // 2 + 1)``, by zero
+        padding: the unpaired Nyquist row ``m1 = -nx/2`` is split evenly across
+        ``+-nx/2`` and the Nyquist column ``ny/2`` is halved.  The all-zero
+        upper x2 columns are never transformed."""
+        if not isinstance(factor, (int, np.integer)) or factor < 2:
+            raise ValueError(f"oversampling factor must be an integer >= 2, got {factor!r}")
+        nx, ny = self.grid.shape
+        h, fx = nx // 2, factor * nx
+        a = (factor * factor) * ah
+        rows = np.zeros(ah.shape[:-2] + (fx, ny // 2 + 1), dtype=complex)
+        rows[..., :h, :] = a[..., :h, :]
+        rows[..., fx - h :, :] = a[..., h:, :]
+        rows[..., fx - h, :] *= 0.5
+        rows[..., h, :] = rows[..., fx - h, :]
+        rows[..., -1] *= 0.5
+        return np.fft.irfft(np.fft.ifft(rows, axis=-2), n=factor * ny, axis=-1)
 
     def dh(self, a: np.ndarray) -> np.ndarray:
         """Dealiased half-spectrum coefficients of a physical sum of products

@@ -553,8 +553,8 @@ def _state_monitors(
     g = Y[0].grid
     c = half_spectrum(g)
     t = gradient_tensor(Y)
-    det = det_i_plus_grad(t)
-    det_err = float(np.max(np.abs(det.samples - 1.0)))
+    # det(I + grad Y) - 1 = div Y + det(grad Y), without cancelling 1 against 1
+    det_err = float(np.max(np.abs(t.d1y1 + t.d2y2 + (t.d1y1 * t.d2y2 - t.d2y1 * t.d1y2))))
     constraint = l2_norm(RealField(g, t.d1y1 + t.d2y2 - c.inv(_rho_hat(c, t))))
     grad_inf = t.sup_norm
     tv = gradient_tensor(Y_t)

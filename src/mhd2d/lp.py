@@ -34,6 +34,7 @@ from mhd2d.grid import (
     SpectralField,
     dealias,
     from_spectral,
+    half_spectrum,
     l2_norm,
     spectral_derivative,
     to_spectral,
@@ -289,23 +290,13 @@ def sobolev_norm(u, s: float, homogeneous: bool = True) -> float:
 
 
 def oversample(u: RealField, factor: int = 2) -> RealField:
-    """Spectrally exact upsampling by zero padding (Nyquist split evenly)."""
+    """Spectrally exact upsampling by zero padding (``HalfSpectrum.inv_fine``)."""
     g = u.grid
-    c = np.fft.fftshift(to_spectral(u).coeffs)
-    nx, ny = g.nx, g.ny
-    fx, fy = factor * nx, factor * ny
-    pad = np.zeros((fx, fy), dtype=complex)
-    x0 = (fx - nx) // 2
-    y0 = (fy - ny) // 2
-    pad[x0 : x0 + nx, y0 : y0 + ny] = c
-    # split the unpaired Nyquist rows/columns across +-N/2
-    pad[x0 + nx, y0 : y0 + ny] = 0.5 * pad[x0, y0 : y0 + ny]
-    pad[x0, y0 : y0 + ny] *= 0.5
-    pad[x0 : x0 + nx + 1, y0 + ny] = 0.5 * pad[x0 : x0 + nx + 1, y0]
-    pad[x0 : x0 + nx + 1, y0] *= 0.5
-    fine = Grid(fx, fy, g.lx, g.ly)
-    coeffs = np.fft.ifftshift(pad)
-    return from_spectral(SpectralField(fine, coeffs))
+    if not np.all(np.isfinite(u.samples)):
+        raise ValueError("non-finite samples")
+    c = half_spectrum(g)
+    samples = c.inv_fine(c.fwd(u.samples), factor)
+    return RealField(Grid(factor * g.nx, factor * g.ny, g.lx, g.ly), samples)
 
 
 def lp_norm(u: RealField, p: float, oversampled: bool = True) -> float:

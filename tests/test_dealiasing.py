@@ -215,10 +215,10 @@ def test_lagrangian_forcing_costs_37_plus_8_per_pressure_iteration(rng, fft_fiel
     assert fft_fields["fields"] == 37 + 8 * s.last_pressure.iterations
 
 
-def test_euler_step_costs_16_fields(rng, fft_fields):
+def test_euler_step_costs_14_fields(rng, fft_fields):
     _, _, _, state = _euler_state(7, 32)
     s = eul._EulerStepper(state.psi.grid, 0.01)
     s.load(state)
     fft_fields["fields"] = 0
     s.advance()
-    assert fft_fields["fields"] == 16
+    assert fft_fields["fields"] == 14

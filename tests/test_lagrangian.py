@@ -103,6 +103,20 @@ def test_det_expansion_identity(grid64, rng):
     assert np.max(np.abs(det - (1.0 + div - rho_point))) < 1e-13
 
 
+def test_det_monitor_keeps_relative_accuracy_at_tiny_amplitude(grid32):
+    """Y = a (sin x1, sin x2): det(I + grad Y) - 1 = a cos x1 + a cos x2 +
+    a^2 cos x1 cos x2, whose 1e-9 size 1 + (det - 1) would round away."""
+    a = 1e-9
+    Y = (
+        RealField.from_function(grid32, lambda x, y: a * np.sin(x) + 0 * y),
+        RealField.from_function(grid32, lambda x, y: a * np.sin(y) + 0 * x),
+    )
+    exact = a * np.cos(grid32.x1) + a * np.cos(grid32.x2) + a * a * np.cos(grid32.x1) * np.cos(grid32.x2)
+    det_err = lag._state_monitors(Y, (_zeros(grid32), _zeros(grid32)), 1.5)[0]
+    ref = float(np.max(np.abs(exact)))
+    assert abs(det_err - ref) <= 1e-12 * ref
+
+
 def test_lagrangian_gradient_identity_cases(grid64):
     q = RealField.from_function(grid64, lambda x, y: np.sin(x) + 0 * y)
     adj = lag.adjugate(lag.gradient_tensor(_pair(grid64)))

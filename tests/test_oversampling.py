@@ -1,0 +1,96 @@
+"""Half-spectrum zero padding against the full-complex oversampling it replaces.
+
+``_oversample_full_complex`` is the former ``lp.oversample``: a full-complex
+``fft2``, an ``fftshift``ed zero-padded copy with the unpaired Nyquist row and
+column split evenly across ``+-N/2``, and a full-complex ``ifft2``.  The
+continuation integrand of the Eulerian solver is checked against the six
+oversampled derivative fields it was computed from.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhd2d import eulerian as eul
+from mhd2d import lp
+from mhd2d.fields import random_band_field
+from mhd2d.grid import RealField, half_spectrum, make_grid
+
+TWO_PI = 2.0 * np.pi
+
+
+def _oversample_full_complex(samples: np.ndarray, factor: int) -> np.ndarray:
+    nx, ny = samples.shape
+    c = np.fft.fftshift(np.fft.fft2(samples) / (nx * ny))
+    fx, fy = factor * nx, factor * ny
+    pad = np.zeros((fx, fy), dtype=complex)
+    x0, y0 = (fx - nx) // 2, (fy - ny) // 2
+    pad[x0 : x0 + nx, y0 : y0 + ny] = c
+    pad[x0 + nx, y0 : y0 + ny] = 0.5 * pad[x0, y0 : y0 + ny]
+    pad[x0, y0 : y0 + ny] *= 0.5
+    pad[x0 : x0 + nx + 1, y0 + ny] = 0.5 * pad[x0 : x0 + nx + 1, y0]
+    pad[x0 : x0 + nx + 1, y0] *= 0.5
+    return np.real(np.fft.ifft2(np.fft.ifftshift(pad) * (fx * fy)))
+
+
+def _rel(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from([(16, 16), (32, 16), (16, 48), (24, 8)]),
+    factor=st.sampled_from([2, 3]),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+)
+def test_inv_fine_matches_full_complex_oversample(seed, shape, factor, batch):
+    """White-noise samples, so every mode is live, the Nyquist ones included."""
+    g = make_grid(*shape, TWO_PI, 3.0)
+    c = half_spectrum(g)
+    a = np.random.default_rng(seed).standard_normal(batch + shape)
+    fine = c.inv_fine(c.fwd(a), factor)
+    assert fine.shape == batch + (factor * shape[0], factor * shape[1])
+    for idx in np.ndindex(*batch):
+        assert _rel(fine[idx], _oversample_full_complex(a[idx], factor)) <= 1e-14
+
+
+def test_oversample_returns_the_fine_grid(grid32, rng):
+    f = random_band_field(grid32, rng, 1.0, 16.0)
+    fine = lp.oversample(f, 3)
+    assert fine.grid.shape == (96, 96) and (fine.grid.lx, fine.grid.ly) == (grid32.lx, grid32.ly)
+    assert _rel(fine.samples, _oversample_full_complex(f.samples, 3)) <= 1e-14
+
+
+@pytest.mark.parametrize("factor", [1, 0, 2.5])
+def test_oversampling_rejects_factor(grid32, rng, factor):
+    f = random_band_field(grid32, rng, 1.0, 8.0)
+    with pytest.raises(ValueError, match=f"got {factor!r}"):
+        lp.oversample(f, factor)
+    c = half_spectrum(grid32)
+    with pytest.raises(ValueError, match=f"got {factor!r}"):
+        c.inv_fine(c.fwd(f.samples), factor)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([32, 64]))
+def test_blowup_integrand_matches_six_oversampled_fields(seed, n):
+    g = make_grid(n, n, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    rng = np.random.default_rng(seed)
+    psi, u1, u2 = (random_band_field(g, rng, 1.0, n / 4.0, 1e-2) for _ in range(3))
+    u = eul.leray_project((u1, u2))
+    state = eul.EulerState(psi, u, RealField(g, np.zeros(g.shape)), 0.0)
+
+    def fine_grad(f):
+        fh = c.fwd(f.samples)
+        return (_oversample_full_complex(c.inv(ik * fh), 2) for ik in (c.ik1, c.ik2))
+
+    gp1, gp2 = fine_grad(psi)
+    acc = None
+    for comp in u:
+        g1, g2 = fine_grad(comp)
+        acc = g1**2 + g2**2 if acc is None else acc + g1**2 + g2**2
+    ref = float(np.max(np.sqrt(acc))) + float(np.max(gp1**2 + gp2**2))
+    assert abs(eul.blowup_integrand(state) - ref) <= 1e-13 * ref
