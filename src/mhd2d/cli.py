@@ -29,7 +29,7 @@ import mhd2d.linear as lin
 from mhd2d import fields as recipes
 from mhd2d import io as mio
 from mhd2d import lp
-from mhd2d.grid import RealField, l2_norm, make_grid, to_spectral
+from mhd2d.grid import RealField, dealias, from_spectral, l2_norm, make_grid, spectral_derivative, to_spectral
 from mhd2d.initial_data import (
     build_flow_map_initial,
     seed_lagrangian_velocity,
@@ -430,13 +430,13 @@ def _exp_norms_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
     f = recipes.random_band_field(g, rng, 1.0, g.nx / 4.0)
     h1 = lp.sobolev_norm(f, 1.0)
     gr = math.sqrt(
-        l2_norm(RealField(g, to_spectral_grad(f, 1))) ** 2 + l2_norm(RealField(g, to_spectral_grad(f, 2))) ** 2
+        l2_norm(spectral_derivative(f, 1)) ** 2 + l2_norm(spectral_derivative(f, 2)) ** 2
     )
     recs.append(_bounded("h1_vs_gradient_l2", abs(h1 - gr) / gr, 1e-10))
     worst = 0.0
     for k in range(0, 4):
         blk = lp.block_h(f, k)
-        lhs = l2_norm(RealField(g, to_spectral_grad(blk, 1)))
+        lhs = l2_norm(spectral_derivative(blk, 1))
         rhs = (8.0 / 3.0) * 2.0**k * l2_norm(blk)
         if lhs > rhs * (1 + 1e-12):
             worst = max(worst, lhs / rhs - 1.0)
@@ -451,12 +451,6 @@ def _exp_norms_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
     return recs
 
 
-def to_spectral_grad(f: RealField, axis: int) -> np.ndarray:
-    from mhd2d.grid import spectral_derivative
-
-    return spectral_derivative(f, axis).samples
-
-
 def _exp_bony_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g = cfg.grid()
     rng = cfg.rng()
@@ -467,8 +461,6 @@ def _exp_bony_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
             a = recipes.random_band_field(g, rng, 0.0 if direction == "iso" else 1.0, g.nx / 4.0)
             b = recipes.random_band_field(g, rng, 0.0, g.nx / 4.0)
             t, tb, r = lp.bony_decompose(a, b, direction)
-            from mhd2d.grid import dealias, from_spectral
-
             prod = from_spectral(dealias(to_spectral(RealField(g, a.samples * b.samples))))
             err = l2_norm(RealField(g, t.samples + tb.samples + r.samples - prod.samples))
             worst = max(worst, err / max(l2_norm(prod), 1e-300))

@@ -13,7 +13,9 @@ taken per dyadic block before the weighted block sum):
 
 and the two-exponent functional is E_T^{s1} + E_T^{s2} with the matching
 initial quantity E_0^s = ||Y1||^2_{H^s} + ||Y1||^2_{H^{s+1}}
-+ ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.
++ ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.  Each stored Y, Y_t and q is
+transformed once per call; every channel reads the per-block tables built
+from those coefficients.
 """
 
 from __future__ import annotations
@@ -114,35 +116,41 @@ def _l1_sq(block_sq: np.ndarray, w: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(series, times)) ** 2
 
 
-def functional_E(states, s: float, return_breakdown: bool = False):
-    """E_T^s over a stored flow-map trajectory (list of FlowMapState)."""
+def _block_tables(states):
+    """(grid, times, per-block tables) of a stored flow-map trajectory.
+
+    Each stored Y, Y_t and q is transformed once, one state at a time; the
+    tables ``yt``, ``y``, ``d1y``, ``y2``, ``gq`` and ``grad_y`` hold the
+    per-block squared L2 norms of Y_t, Y, d1 Y, Y^2, grad q and grad Y
+    (rows = blocks j, cols = states).
+    """
     if len(states) < 2:
         raise ValueError("need at least two stored states")
     for st in states:
         if st.q is None:
             raise ValueError("trajectory is missing the pressure channel")
     grid = states[0].Y[0].grid
-    times = np.array([st.t for st in states])
-    yt_stack, y_stack, d1y_stack, y2_stack, gq_stack = [], [], [], [], []
+    ik1, ik2 = 1j * grid.k1, 1j * grid.k2
+    cols = {name: [] for name in ("yt", "y", "d1y", "y2", "gq", "grad_y")}
     for st in states:
         yh = [to_spectral(c).coeffs for c in st.Y]
-        vh = [to_spectral(c).coeffs for c in st.Y_t]
         qh = to_spectral(st.q).coeffs
-        k1 = grid.k1
-        d1y = [1j * k1 * c for c in yh]
-        gq = [1j * grid.k1 * qh, 1j * grid.k2 * qh]
-        yt_stack.append(tuple(vh))
-        y_stack.append(tuple(yh))
-        d1y_stack.append(tuple(d1y))
-        y2_stack.append((yh[1],))
-        gq_stack.append(tuple(gq))
-    tabs = {
-        "yt": _block_l2_table(grid, yt_stack),
-        "y": _block_l2_table(grid, y_stack),
-        "d1y": _block_l2_table(grid, d1y_stack),
-        "y2": _block_l2_table(grid, y2_stack),
-        "gq": _block_l2_table(grid, gq_stack),
-    }
+        vectors = {
+            "yt": [to_spectral(c).coeffs for c in st.Y_t],
+            "y": yh,
+            "d1y": [ik1 * c for c in yh],
+            "y2": [yh[1]],
+            "gq": [ik1 * qh, ik2 * qh],
+            "grad_y": [ik1 * yh[0], ik2 * yh[0], ik1 * yh[1], ik2 * yh[1]],
+        }
+        for name, comps in vectors.items():
+            cols[name].append(_block_l2_table(grid, [comps]))
+    times = np.array([st.t for st in states])
+    return grid, times, {name: np.hstack(c) for name, c in cols.items()}
+
+
+def _functional(grid: Grid, times: np.ndarray, tabs: dict, s: float) -> tuple[float, dict]:
+    """E_T^s and its eleven channels from the per-block tables."""
 
     def w(expo):
         return _weights(grid, expo)
@@ -160,14 +168,20 @@ def functional_E(states, s: float, return_breakdown: bool = False):
         "gradq_l2_s": _quad_sq(tabs["gq"], w(s), times),
         "gradq_l1_s": _l1_sq(tabs["gq"], w(s), times),
     }
-    total = float(sum(parts.values()))
+    return float(sum(parts.values())), parts
+
+
+def functional_E(states, s: float, return_breakdown: bool = False):
+    """E_T^s over a stored flow-map trajectory (list of FlowMapState)."""
+    total, parts = _functional(*_block_tables(states), s)
     if return_breakdown:
         return total, parts
     return total
 
 
 def functional_script_E(states, s1: float, s2: float) -> float:
-    return functional_E(states, s1) + functional_E(states, s2)
+    tables = _block_tables(states)
+    return _functional(*tables, s1)[0] + _functional(*tables, s2)[0]
 
 
 def initial_energy(Y0, Y1, s: float) -> float:
@@ -186,9 +200,9 @@ def initial_energy(Y0, Y1, s: float) -> float:
     )
 
 
-def _cl_besov_inf(grid: Grid, stacks: list[tuple[np.ndarray, ...]], s: float) -> float:
-    """Tilde L-inf in time of the homogeneous Besov (2,1) norm."""
-    tab = _block_l2_table(grid, stacks)
+def _cl_besov_inf(grid: Grid, tab: np.ndarray, s: float) -> float:
+    """Tilde L-inf in time of the homogeneous Besov (2,1) norm, from a
+    per-block table."""
     j0, j1 = resolved_range(grid, "iso")
     total = 0.0
     for i, j in enumerate(range(j0, j1 + 1)):
@@ -204,27 +218,17 @@ def smallness_margin(states, s1: float, s2: float) -> dict:
     working assumptions, and the implied constant in
     E_T <= C (E_0 + (E_0^{1/2} + E_T^{1/2} + E_T) E_T).
     """
-    grid = states[0].Y[0].grid
-    script_e = functional_script_E(states, s1, s2)
+    grid, times, tabs = _block_tables(states)
+    script_e = _functional(grid, times, tabs, s1)[0] + _functional(grid, times, tabs, s2)[0]
     e0 = initial_energy(states[0].Y, states[0].Y_t, s1) + initial_energy(states[0].Y, states[0].Y_t, s2)
-    grad_stacks = []
-    y_stacks = []
-    for st in states:
-        yh = [to_spectral(c).coeffs for c in st.Y]
-        grads = []
-        for ch in yh:
-            grads.append(1j * grid.k1 * ch)
-            grads.append(1j * grid.k2 * ch)
-        grad_stacks.append(tuple(grads))
-        y_stacks.append(tuple(yh))
     rep = {
         "script_E_T": script_e,
         "script_E_0": e0,
         "ratio_E_T_over_E_0": script_e / e0 if e0 > 0 else 0.0,
-        "gradY_clinf_B1": _cl_besov_inf(grid, grad_stacks, 1.0),
-        "gradY_clinf_B2": _cl_besov_inf(grid, grad_stacks, 2.0),
-        "Y_clinf_Hs1p2": math.sqrt(_cl_inf_sq(_block_l2_table(grid, y_stacks), _weights(grid, s1 + 2.0))),
-        "Y_clinf_Hs2p2": math.sqrt(_cl_inf_sq(_block_l2_table(grid, y_stacks), _weights(grid, s2 + 2.0))),
+        "gradY_clinf_B1": _cl_besov_inf(grid, tabs["grad_y"], 1.0),
+        "gradY_clinf_B2": _cl_besov_inf(grid, tabs["grad_y"], 2.0),
+        "Y_clinf_Hs1p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(grid, s1 + 2.0))),
+        "Y_clinf_Hs2p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(grid, s2 + 2.0))),
     }
     denom = e0 + (math.sqrt(e0) + math.sqrt(script_e) + script_e) * script_e
     rep["bootstrap_constant"] = script_e / denom if denom > 0 else 0.0

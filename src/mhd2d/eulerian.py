@@ -22,7 +22,10 @@ projected momentum forcing needs only the traceless part of the stress,
 ``S11 - S22`` and ``S12``: the trace is a gradient, which the projection onto
 ``e`` removes.  The continuation integrand ``||grad u||_inf +
 ||grad psi||_inf^2`` is sampled on the 2x finer grid by zero padding the half
-spectrum (``HalfSpectrum.inv_fine``).
+spectrum (``HalfSpectrum.inv_fine``).  ``run_euler`` takes every monitor from
+the coefficients the stepper holds: the energy and dissipation by Plancherel,
+``div_u_linf`` from the velocity ``e a`` at the nodes, and the continuation
+integrand on the finer grid.
 """
 
 from __future__ import annotations
@@ -162,28 +165,27 @@ class _EulerStepper:
         return bool(np.all(np.isfinite(self.psih)) and np.all(np.isfinite(self.ah)))
 
     def energy(self) -> tuple[float, float]:
-        """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (spectral)."""
+        """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (Plancherel)."""
         c = self.c
-        area = self.grid.lx * self.grid.ly
-        norm = (self.grid.nx * self.grid.ny) ** 2
-        psi2 = c.lattice_sum(c.ksq * np.abs(self.psih) ** 2)
-        a2 = c.lattice_sum(np.abs(self.ah) ** 2)
-        d2 = c.lattice_sum(c.ksq * np.abs(self.ah) ** 2)
-        return area * 0.5 * (psi2 + a2) / norm, area * d2 / norm
+        a_sq = np.abs(self.ah) ** 2
+        return 0.5 * (c.norm_sq(c.ksq * np.abs(self.psih) ** 2) + c.norm_sq(a_sq)), c.norm_sq(c.ksq * a_sq)
 
-    def state(self, with_pressure: bool = True) -> EulerState:
+    def sup_monitors(self) -> tuple[float, float]:
+        """||div u||_inf of the velocity e a at the nodes, and the continuation
+        integrand on the 2x finer grid."""
+        c = self.c
+        u1h, u2h = _velocity(c, self.ah)
+        div_linf = float(np.max(np.abs(c.inv(c.ik1 * u1h + c.ik2 * u2h))))
+        return div_linf, _blowup_hat(c, self.psih, u1h, u2h)
+
+    def state(self) -> EulerState:
         c = self.c
         g = self.grid
         u1h, u2h = _velocity(c, self.ah)
-        st = EulerState(
-            RealField(g, c.inv(self.psih)),
-            (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h))),
-            RealField(g, np.zeros(g.shape)),
-            self.t,
-        )
-        if with_pressure:
-            st = EulerState(st.psi, st.u, pressure_euler(st), st.t)
-        return st
+        psi = RealField(g, c.inv(self.psih))
+        u = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
+        st = EulerState(psi, u, RealField(g, np.zeros(g.shape)), self.t)
+        return EulerState(psi, u, pressure_euler(st), self.t)
 
 
 def step_euler(state: EulerState, dt: float, nonlinear: bool = True) -> EulerState:
@@ -245,7 +247,7 @@ def run_euler(
     states = [st]
     e0, d0 = s.energy()
     times, es, ds = [0.0], [e0], [d0]
-    aux_t, divs, blow = [0.0], [_div_linf(st)], [blowup_integrand(st)]
+    aux = [(0.0, *s.sup_monitors())]
     for n in range(1, n_steps + 1):
         last = (s.psih, s.ah, s.t)
         s.advance()
@@ -261,12 +263,10 @@ def run_euler(
             es.append(e)
             ds.append(d)
         if n % aux_every == 0 or n == n_steps:
-            snap = s.state(with_pressure=False)
-            aux_t.append(s.t)
-            divs.append(_div_linf(snap))
-            blow.append(blowup_integrand(snap))
+            aux.append((s.t, *s.sup_monitors()))
         if n % store_every == 0 or n == n_steps:
             states.append(s.state())
+    aux_t, divs, blow = zip(*aux)
     return EulerRun(
         states=states,
         times=np.asarray(times),
@@ -276,13 +276,6 @@ def run_euler(
         div_u_linf=np.asarray(divs),
         blowup=np.asarray(blow),
     )
-
-
-def _div_linf(state: EulerState) -> float:
-    g = state.psi.grid
-    c = half_spectrum(g)
-    div = c.inv(c.ik1 * c.fwd(state.u[0].samples) + c.ik2 * c.fwd(state.u[1].samples))
-    return float(np.max(np.abs(div)))
 
 
 def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dict:
@@ -313,7 +306,11 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
 def blowup_integrand(state: EulerState) -> float:
     """||grad u||_Linf + ||grad psi||_Linf^2 on the 2x oversampled grid."""
     c = half_spectrum(state.psi.grid)
-    psih, u1h, u2h = (c.fwd(f.samples) for f in (state.psi, *state.u))
+    return _blowup_hat(c, *(c.fwd(f.samples) for f in (state.psi, *state.u)))
+
+
+def _blowup_hat(c: HalfSpectrum, psih: np.ndarray, u1h: np.ndarray, u2h: np.ndarray) -> float:
+    """``blowup_integrand`` from the half-spectrum coefficients of psi, u^1, u^2."""
     gp1, gp2, d1u1, d2u1, d1u2, d2u2 = c.inv_fine(
         np.stack([c.ik1 * psih, c.ik2 * psih, c.ik1 * u1h, c.ik2 * u1h, c.ik1 * u2h, c.ik2 * u2h])
     )

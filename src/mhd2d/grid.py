@@ -12,6 +12,8 @@ the real-to-half-spectrum (``rfft2``) representation instead, through one
 sum is dealiased once (``HalfSpectrum.dh``) and nested products at each level.
 Sup norms are sampled on a finer grid by zero padding the half spectrum
 (``HalfSpectrum.inv_fine``), with the unpaired Nyquist modes split evenly.
+The solvers' monitors take L2 and Sobolev norms from the coefficients they
+hold by Plancherel on the half spectrum (``HalfSpectrum.norm_sq``).
 """
 
 from __future__ import annotations
@@ -309,6 +311,13 @@ class HalfSpectrum:
         on the half spectrum: interior x2 columns count twice."""
         ny_half = w.shape[1] - 1
         return float(np.sum(w[:, 0]) + np.sum(w[:, ny_half]) + 2.0 * np.sum(w[:, 1:ny_half]))
+
+    def norm_sq(self, w: np.ndarray) -> float:
+        """Plancherel: the squared L2 norm over the box of a real field whose
+        weighted squared coefficients ``w`` (e.g. ``ksq * |fh|^2``) are given
+        on the half spectrum."""
+        g = self.grid
+        return g.lx * g.ly * self.lattice_sum(w) / (g.nx * g.ny) ** 2
 
 
 @lru_cache(maxsize=8)

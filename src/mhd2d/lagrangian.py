@@ -22,7 +22,10 @@ Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
 (A - I) A^T grad q is dealiased at each level.  The spectral work runs on the
 grid's shared ``half_spectrum`` context, and each step is one
-``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).
+``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).  ``run_lagrangian``
+monitors each step from the coefficients the stepper holds: ``det_err`` and
+``||grad Y||_inf`` at the nodes, the constraint residual, the energy, the
+dissipation and the H^{s2+1} norms of d_i Y by Plancherel.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
-from mhd2d.lp import sobolev_norm
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
@@ -548,33 +550,23 @@ class LagrangianRun:
 
 
 def _state_monitors(
-    Y: tuple[RealField, RealField], Y_t: tuple[RealField, RealField], s2p1: float
-) -> tuple[float, float, float, float, float, float]:
-    g = Y[0].grid
-    c = half_spectrum(g)
-    t = gradient_tensor(Y)
+    c: HalfSpectrum, yh: list[np.ndarray], vh: list[np.ndarray], s2p1: float
+) -> tuple[float, float, float, float, float, float, float]:
+    """Monitors of the state held as half-spectrum coefficients (Y^j, Y^j_t):
+    sup norms at the nodes, L2 and Sobolev norms by Plancherel."""
+    t = _grad_hat(c, *yh)
     # det(I + grad Y) - 1 = div Y + det(grad Y), without cancelling 1 against 1
     det_err = float(np.max(np.abs(t.d1y1 + t.d2y2 + (t.d1y1 * t.d2y2 - t.d2y1 * t.d1y2))))
-    constraint = l2_norm(RealField(g, t.d1y1 + t.d2y2 - c.inv(_rho_hat(c, t))))
-    grad_inf = t.sup_norm
-    tv = gradient_tensor(Y_t)
-    energy = 0.5 * (
-        l2_norm(Y_t[0]) ** 2 + l2_norm(Y_t[1]) ** 2
-        + l2_norm(RealField(g, t.d1y1)) ** 2 + l2_norm(RealField(g, t.d1y2)) ** 2
-    )
-    diss = (
-        l2_norm(RealField(g, tv.d1y1)) ** 2 + l2_norm(RealField(g, tv.d2y1)) ** 2
-        + l2_norm(RealField(g, tv.d1y2)) ** 2 + l2_norm(RealField(g, tv.d2y2)) ** 2
-    )
-    d1y = math.hypot(
-        sobolev_norm(RealField(g, t.d1y1), s2p1),
-        sobolev_norm(RealField(g, t.d1y2), s2p1),
-    )
-    d2y = math.hypot(
-        sobolev_norm(RealField(g, t.d2y1), s2p1),
-        sobolev_norm(RealField(g, t.d2y2), s2p1),
-    )
-    return det_err, constraint, grad_inf, energy, diss, d1y**2, d2y**2
+    div_minus_rho = c.ik1 * yh[0] + c.ik2 * yh[1] - _rho_hat(c, t)
+    constraint = math.sqrt(c.norm_sq(np.abs(div_minus_rho) ** 2))
+    # weights |ik_i|^2 follow the Nyquist modes that _grad_hat zeroes
+    k1sq, k2sq = np.abs(c.ik1) ** 2, np.abs(c.ik2) ** 2
+    y_sq, v_sq = np.abs(yh[0]) ** 2 + np.abs(yh[1]) ** 2, np.abs(vh[0]) ** 2 + np.abs(vh[1]) ** 2
+    energy = 0.5 * (c.norm_sq(v_sq) + c.norm_sq(k1sq * y_sq))
+    diss = c.norm_sq((k1sq + k2sq) * v_sq)
+    with np.errstate(divide="ignore"):
+        hs = np.where(c.ksq > 0, c.ksq**s2p1, 0.0) * y_sq
+    return det_err, constraint, t.sup_norm, energy, diss, c.norm_sq(k1sq * hs), c.norm_sq(k2sq * hs)
 
 
 def run_lagrangian(
@@ -600,6 +592,10 @@ def run_lagrangian(
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer number of steps")
+    if not (s2_plus_1 > -1.0):
+        raise ValueError(
+            f"s2_plus_1 = {s2_plus_1}: homogeneous exponent s <= -1 is unreliable on the periodic box"
+        )
     st = make_state(Y0, Y1) if nonlinear else FlowMapState(
         Y0, Y1, RealField(grid, np.zeros(grid.shape)), 0.0
     )
@@ -607,13 +603,12 @@ def run_lagrangian(
                        constraint_projection=constraint_projection)
     stepper.load(st)
     states = [st]
-    mon_t, rows = [0.0], [_state_monitors(st.Y, st.Y_t, s2_plus_1)]
+    mon_t, rows = [0.0], [_state_monitors(stepper.c, stepper.yh, stepper.vh, s2_plus_1)]
     for n in range(1, n_steps + 1):
         stepper.advance()
         if n % monitor_every == 0 or n == n_steps:
-            Yv, Vv = stepper.fields()
             mon_t.append(stepper.t)
-            rows.append(_state_monitors(Yv, Vv, s2_plus_1))
+            rows.append(_state_monitors(stepper.c, stepper.yh, stepper.vh, s2_plus_1))
         if n % store_every == 0 or n == n_steps:
             states.append(stepper.state())
     cols = list(zip(*rows))
@@ -698,7 +693,6 @@ def to_eulerian(state: FlowMapState):
     of the reconstructed gradient fields and the divergence of u.
     """
     from mhd2d.eulerian import EulerState
-    from mhd2d.grid import l2_norm
 
     g = state.Y[0].grid
     c = half_spectrum(g)

@@ -25,7 +25,7 @@ import numpy as np
 
 from mhd2d.grid import Grid, RealField, SpectralField, from_spectral, to_spectral
 from mhd2d.lp import _mask, resolved_range
-from mhd2d.propagators import apply2, etd_tables, expm2
+from mhd2d.propagators import apply2, etd2rk_step, etd_tables, expm2
 
 __all__ = [
     "ModeEigen",
@@ -143,8 +143,8 @@ def evolve_linear(
 
     With no forcing every stored state comes from the exact per-mode
     propagator applied to the initial data (no time-step error).  With
-    forcing, steps use the exponential trapezoidal rule (second order in the
-    substep size).
+    forcing, each substep is one ``propagators.etd2rk_step``, the exponential
+    trapezoidal rule (second order in the substep size).
     """
     g = Y0[0].grid
     times = np.asarray(sorted(float(t) for t in times))
@@ -167,32 +167,28 @@ def evolve_linear(
     t_end = float(times[-1])
     n_steps = max(1, int(round(t_end / substep)))
     h = t_end / n_steps
-    p, r1, r2 = etd_tables(m, h)
-    y, v = y0.copy(), v0.copy()
+    tables = etd_tables(m, h)
+    z = [(y0[c], v0[c]) for c in range(2)]
     t = 0.0
+
+    def slots(_, s):
+        return [(None, fc) for fc in forcing(t + s)]
+
     out_idx = 0
     stored = {}
     if abs(times[0]) < 1e-14:
-        stored[0] = (y.copy(), v.copy())
+        stored[0] = z
         out_idx = 1
     for _ in range(n_steps):
-        f_now = forcing(t)
-        f_next = forcing(t + h)
-        for c in range(2):
-            c0 = f_now[c]
-            c1 = (f_next[c] - f_now[c]) / h
-            hy, hv = apply2(p, y[c], v[c])
-            fy = r1[..., 0, 1] * c0 + r2[..., 0, 1] * c1
-            fv = r1[..., 1, 1] * c0 + r2[..., 1, 1] * c1
-            y[c], v[c] = hy + fy, hv + fv
+        z = etd2rk_step(tables, z, slots, h)
         t += h
         while out_idx < times.size and times[out_idx] <= t + 1e-12:
-            stored[out_idx] = (y.copy(), v.copy())
+            stored[out_idx] = z
             out_idx += 1
     for i in range(times.size):
         if i not in stored:
             raise ValueError("requested store times must align with forced substeps")
-        ny[i], nv[i] = stored[i]
+        (ny[i, 0], nv[i, 0]), (ny[i, 1], nv[i, 1]) = stored[i]
     return LinearTrajectory(g, times, ny, nv, "callable")
 
 

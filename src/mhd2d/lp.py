@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +110,6 @@ def make_cutoffs() -> CutoffPair:
 
 
 _CUTOFFS = make_cutoffs()
-_MASK_CACHE: dict = {}
 
 
 def _tau(grid: Grid, kind: str) -> np.ndarray:
@@ -122,14 +122,13 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
+# bony_decompose in both directions and block_energy_series use 36 distinct
+# masks at 128^2; the bound keeps one grid's working set without growing
+# across the grids of a sweep
+@lru_cache(maxsize=64)
 def _mask(grid: Grid, kind: str, j: int, low: bool) -> np.ndarray:
-    key = (grid, kind, int(j), bool(low))
-    got = _MASK_CACHE.get(key)
-    if got is None:
-        tau = _tau(grid, kind) * 2.0 ** (-float(j))
-        got = _CUTOFFS.chi(tau) if low else _CUTOFFS.phi(tau)
-        _MASK_CACHE[key] = got
-    return got
+    tau = _tau(grid, kind) * 2.0 ** (-float(j))
+    return _CUTOFFS.chi(tau) if low else _CUTOFFS.phi(tau)
 
 
 def resolved_range(grid: Grid, kind: str = "iso") -> tuple[int, int]:

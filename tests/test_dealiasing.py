@@ -8,6 +8,7 @@ agree up to round-off.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,14 +189,18 @@ def test_pressure_euler_fused_matches_pairwise(seed, n):
 
 @pytest.fixture()
 def fft_fields(monkeypatch):
-    """Counter of 2-D fields passed through numpy.fft.rfft2 / irfft2."""
-    count = {"fields": 0}
-    for name in ("rfft2", "irfft2"):
+    """Counter of 2-D fields passed through numpy.fft.rfft2 / irfft2 (together
+    under "fields") and per entry point, full-complex fft2 included."""
+    count = Counter()
+    for name in ("rfft2", "irfft2", "fft2"):
         real = getattr(np.fft, name)
 
-        def counted(a, *args, _real=real, **kwargs):
+        def counted(a, *args, _real=real, _name=name, **kwargs):
             a = np.asarray(a)
-            count["fields"] += a.size // (a.shape[-2] * a.shape[-1])
+            n = a.size // (a.shape[-2] * a.shape[-1])
+            count[_name] += n
+            if _name != "fft2":
+                count["fields"] += n
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -222,3 +227,22 @@ def test_euler_step_costs_14_fields(rng, fft_fields):
     fft_fields["fields"] = 0
     s.advance()
     assert fft_fields["fields"] == 14
+
+
+def test_lagrangian_monitor_costs_4_inverse_and_1_forward_field(rng, fft_fields):
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    yh = [c.fwd(random_band_field(g, rng, 1.0, 5.0, 0.02).samples) for _ in range(2)]
+    vh = [c.fwd(random_band_field(g, rng, 1.0, 5.0, 0.02).samples) for _ in range(2)]
+    fft_fields.clear()
+    lag._state_monitors(c, yh, vh, 1.25)
+    assert (fft_fields["irfft2"], fft_fields["rfft2"], fft_fields["fft2"]) == (4, 1, 0)
+
+
+def test_euler_aux_sample_costs_1_inverse_field(fft_fields):
+    _, _, _, state = _euler_state(7, 32)
+    s = eul._EulerStepper(state.psi.grid, 0.01)
+    s.load(state)
+    fft_fields.clear()
+    s.sup_monitors()
+    assert (fft_fields["irfft2"], fft_fields["rfft2"], fft_fields["fft2"]) == (1, 0, 0)

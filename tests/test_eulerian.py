@@ -210,7 +210,7 @@ def test_energy_ledger_heat_mode_residual(grid32):
     worst = 0.0
     for _ in range(10):
         s.advance()
-        cur = eul.energy_ledger_update(s.state(with_pressure=False), prev)
+        cur = eul.energy_ledger_update(s.state(), prev)
         worst = max(worst, cur["residual"])
         prev = cur
     assert worst < 1e-10
@@ -231,6 +231,18 @@ def test_blowup_integrand_product_mode(grid64):
     st = eul.EulerState(psi, (_zeros(grid64), _zeros(grid64)), _zeros(grid64), 0.0)
     # max |grad psi|^2 = eps^2 (one factor at extremum, the other's derivative 1)
     assert eul.blowup_integrand(st) == pytest.approx(eps**2, rel=1e-10)
+
+
+def test_run_euler_aux_series_matches_blowup_integrand_of_stored_states(grid32, rng):
+    """Aux samples come from the stepper's coefficients; the public
+    blowup_integrand of the stored state at the same times must agree."""
+    psi = random_band_field(grid32, rng, 1.0, 8.0, 0.05)
+    u = random_solenoidal(grid32, rng, 1.0, 8.0, 0.05)
+    run = eul.run_euler(psi, u, 0.01, 0.1, store_every=1, aux_every=1)
+    assert np.array_equal(run.aux_times, [st.t for st in run.states])
+    ref = np.array([eul.blowup_integrand(st) for st in run.states])
+    assert np.max(np.abs(run.blowup - ref) / ref) <= 1e-13
+    assert np.max(run.div_u_linf) <= 1e-13 * np.min(run.blowup)
 
 
 def test_pressure_euler_zero(grid32):

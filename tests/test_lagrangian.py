@@ -19,6 +19,7 @@ from mhd2d.grid import (
 )
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import evolve_linear
+from mhd2d.lp import sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,9 +113,52 @@ def test_det_monitor_keeps_relative_accuracy_at_tiny_amplitude(grid32):
         RealField.from_function(grid32, lambda x, y: a * np.sin(y) + 0 * x),
     )
     exact = a * np.cos(grid32.x1) + a * np.cos(grid32.x2) + a * a * np.cos(grid32.x1) * np.cos(grid32.x2)
-    det_err = lag._state_monitors(Y, (_zeros(grid32), _zeros(grid32)), 1.5)[0]
+    c = half_spectrum(grid32)
+    yh = [c.fwd(f.samples) for f in Y]
+    det_err = lag._state_monitors(c, yh, [np.zeros_like(h) for h in yh], 1.5)[0]
     ref = float(np.max(np.abs(exact)))
     assert abs(det_err - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("shape", [(32, 32, TWO_PI, TWO_PI), (64, 32, 2.0 * TWO_PI, TWO_PI)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_state_monitors_match_real_space_formulas(shape, seed):
+    """The coefficient monitors against the real-space formulas they replace:
+    sup norms of grad Y at the nodes, L2 norms by quadrature and the Sobolev
+    norms of d_i Y^j by lp.sobolev_norm."""
+    g = make_grid(*shape)
+    c = half_spectrum(g)
+    rng = np.random.default_rng(seed)
+    Y = _small_vector(g, rng, amp=1e-2, kmax=g.ny / 4.0)
+    V = _small_vector(g, rng, amp=1e-2, kmax=g.ny / 4.0)
+    s2p1 = 1.25
+    got = lag._state_monitors(c, [c.fwd(f.samples) for f in Y], [c.fwd(f.samples) for f in V], s2p1)
+
+    t, tv = lag.gradient_tensor(Y), lag.gradient_tensor(V)
+
+    def l2sq(a):
+        return l2_norm(RealField(g, a)) ** 2
+
+    def hs_sq(*parts):
+        return sum(sobolev_norm(RealField(g, a), s2p1) ** 2 for a in parts)
+
+    ref = (
+        float(np.max(np.abs(t.d1y1 + t.d2y2 + (t.d1y1 * t.d2y2 - t.d2y1 * t.d1y2)))),
+        l2_norm(RealField(g, t.d1y1 + t.d2y2 - lag.rho(Y).samples)),
+        t.sup_norm,
+        0.5 * (l2sq(V[0].samples) + l2sq(V[1].samples) + l2sq(t.d1y1) + l2sq(t.d1y2)),
+        l2sq(tv.d1y1) + l2sq(tv.d2y1) + l2sq(tv.d1y2) + l2sq(tv.d2y2),
+        hs_sq(t.d1y1, t.d1y2),
+        hs_sq(t.d2y1, t.d2y2),
+    )
+    for name, a, b in zip(lag.LagrangianRun.MONITOR_FIELDS[1:], got, ref):
+        assert abs(a - b) <= 1e-12 * abs(b), name
+
+
+@pytest.mark.parametrize("s2p1", [-1.0, -3.0, float("nan")])
+def test_run_lagrangian_rejects_sobolev_exponent(grid32, s2p1):
+    with pytest.raises(ValueError, match="s2_plus_1"):
+        lag.run_lagrangian(_pair(grid32), _pair(grid32), 0.1, 0.2, s2_plus_1=s2p1)
 
 
 def test_lagrangian_gradient_identity_cases(grid64):

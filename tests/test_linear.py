@@ -12,6 +12,7 @@ from mhd2d.grid import RealField, l2_norm, to_spectral
 from mhd2d.linear import (
     block_energy,
     block_energy_series,
+    companion_matrices,
     eigenvalues,
     evolve_linear,
     measured_decay_rate,
@@ -204,6 +205,27 @@ def test_forced_evolution_second_order(grid32):
         got = evolve_linear(y0, v0, [0.0, 1.0], forcing=forcing, substep=1.0 / n)
         errs.append(np.max(np.abs(got.yhat[1] - ref.yhat[1])))
     assert errs[0] / errs[1] > 3.4
+
+
+def test_forced_evolution_exact_for_forcing_linear_in_time(grid32):
+    """ETD2RK integrates a forcing linear in time exactly: states stored after
+    4 and 8 substeps match the one-shot response P z0 + R1 a + R2 b."""
+    g = grid32
+    rng = np.random.default_rng(3)
+    y0, v0, fa, fb = (
+        tuple(random_band_field(g, rng, 1.0, 6.0) for _ in range(2)) for _ in range(4)
+    )
+    a, b = ([to_spectral(f).coeffs for f in pair] for pair in (fa, fb))
+    got = evolve_linear(y0, v0, [0.0, 0.25, 0.5], forcing=lambda t: (a[0] + b[0] * t, a[1] + b[1] * t),
+                        substep=1.0 / 16)
+    for i, t in ((1, 0.25), (2, 0.5)):
+        p, r1, r2 = etd_tables(companion_matrices(g), t)
+        for c in range(2):
+            hy, hv = apply2(p, to_spectral(y0[c]).coeffs, to_spectral(v0[c]).coeffs)
+            want_y = hy + r1[..., 0, 1] * a[c] + r2[..., 0, 1] * b[c]
+            want_v = hv + r1[..., 1, 1] * a[c] + r2[..., 1, 1] * b[c]
+            assert np.max(np.abs(got.yhat[i, c] - want_y)) <= 1e-12 * np.max(np.abs(want_y))
+            assert np.max(np.abs(got.vhat[i, c] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,24 @@ def test_bony_reconstruction(direction, grid64, rng):
         assert err < 1e-10 * max(1.0, l2_norm(prod))
 
 
+def test_mask_cache_holds_one_grid_and_stays_bounded(rng):
+    """A second bony_decompose in both directions at 128^2 computes no mask,
+    and masks of many grids do not accumulate beyond the cache bound."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    a, b = (random_band_field(g, rng, 1.0, 32.0) for _ in range(2))
+    lp._mask.cache_clear()
+    for direction in ("iso", "horizontal"):
+        lp.bony_decompose(a, b, direction)
+    misses = lp._mask.cache_info().misses
+    for direction in ("iso", "horizontal"):
+        lp.bony_decompose(a, b, direction)
+    assert lp._mask.cache_info().misses == misses
+    maxsize = lp._mask.cache_info().maxsize
+    for n in range(8, 8 + 2 * (maxsize + 8), 2):
+        lp._mask(make_grid(n, 8, TWO_PI, TWO_PI), "iso", 0, low=False)
+    assert lp._mask.cache_info().currsize == maxsize
+
+
 def test_paraproduct_support(grid64, rng):
     """D_k(S_{j-1} a D_j b) = 0 when |k - j| >= 5."""
     a = random_band_field(grid64, rng, 1.0, 20.0)
