@@ -14,8 +14,9 @@ taken per dyadic block before the weighted block sum):
 and the two-exponent functional is E_T^{s1} + E_T^{s2} with the matching
 initial quantity E_0^s = ||Y1||^2_{H^s} + ||Y1||^2_{H^{s+1}}
 + ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.  Each stored Y, Y_t and q is
-transformed once per call; every channel reads the per-block tables built
-from those coefficients.
+transformed once per call onto the half spectrum; every channel, and E_0 from
+the t = 0 coefficients, is a Plancherel sum (``HalfSpectrum.norm_sq``) with the
+Nyquist-zeroing derivative symbols ``HalfSpectrum.ik1``/``ik2``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mhd2d.grid import Grid, spectral_derivative, to_spectral
+from mhd2d.grid import Grid, HalfSpectrum, half_spectrum
 from mhd2d.linear import LinearTrajectory, block_energy_series, eigenvalues
-from mhd2d.lp import _mask, resolved_range, sobolev_norm
+from mhd2d.lp import _mask, resolved_range
 
 __all__ = [
     "EnergyLedger",
@@ -76,22 +77,19 @@ class EnergyLedger:
 # ---------------------------------------------------------------------------
 
 
-def _block_l2_table(grid: Grid, coeff_stack: list[np.ndarray]) -> np.ndarray:
-    """Per-block L2 norms: rows = blocks j, cols = entries of the stack.
+def _block_l2_table(grid: Grid, coeff_stack: list) -> np.ndarray:
+    """Per-block squared L2 norms: rows = blocks j, cols = entries of the stack.
 
-    Each stack entry is a tuple of spectral component arrays (vector norm is
-    the root of the component sum).
+    Each stack entry is a tuple of half-spectrum component arrays (a vector's
+    squared norm is the component sum).
     """
+    c = half_spectrum(grid)
     j0, j1 = resolved_range(grid, "iso")
-    area = grid.lx * grid.ly
     out = np.empty((j1 - j0 + 1, len(coeff_stack)))
-    for i, j in enumerate(range(j0, j1 + 1)):
-        msq = _mask(grid, "iso", j, low=False) ** 2
-        for n, comps in enumerate(coeff_stack):
-            s = 0.0
-            for ch in comps:
-                s += float(np.sum(msq * np.abs(ch) ** 2))
-            out[i, n] = area * s
+    for n, comps in enumerate(coeff_stack):
+        aen = sum(np.abs(ch) ** 2 for ch in comps)
+        for i, j in enumerate(range(j0, j1 + 1)):
+            out[i, n] = c.norm_sq(_mask(grid, "iso", j, low=False) ** 2 * aen)
     return out
 
 
@@ -117,12 +115,14 @@ def _l1_sq(block_sq: np.ndarray, w: np.ndarray, times: np.ndarray) -> float:
 
 
 def _block_tables(states):
-    """(grid, times, per-block tables) of a stored flow-map trajectory.
+    """(grid, times, per-block tables, t = 0 coefficients) of a stored
+    flow-map trajectory.
 
     Each stored Y, Y_t and q is transformed once, one state at a time; the
     tables ``yt``, ``y``, ``d1y``, ``y2``, ``gq`` and ``grad_y`` hold the
     per-block squared L2 norms of Y_t, Y, d1 Y, Y^2, grad q and grad Y
-    (rows = blocks j, cols = states).
+    (rows = blocks j, cols = states).  The last entry holds the half-spectrum
+    coefficients (Y, Y_t) of the first state.
     """
     if len(states) < 2:
         raise ValueError("need at least two stored states")
@@ -130,15 +130,19 @@ def _block_tables(states):
         if st.q is None:
             raise ValueError("trajectory is missing the pressure channel")
     grid = states[0].Y[0].grid
-    ik1, ik2 = 1j * grid.k1, 1j * grid.k2
+    c = half_spectrum(grid)
+    ik1, ik2 = c.ik1, c.ik2
     cols = {name: [] for name in ("yt", "y", "d1y", "y2", "gq", "grad_y")}
-    for st in states:
-        yh = [to_spectral(c).coeffs for c in st.Y]
-        qh = to_spectral(st.q).coeffs
+    for n, st in enumerate(states):
+        yh = [c.fwd(f.samples) for f in st.Y]
+        vh = [c.fwd(f.samples) for f in st.Y_t]
+        qh = c.fwd(st.q.samples)
+        if n == 0:
+            first = (yh, vh)
         vectors = {
-            "yt": [to_spectral(c).coeffs for c in st.Y_t],
+            "yt": vh,
             "y": yh,
-            "d1y": [ik1 * c for c in yh],
+            "d1y": [ik1 * h for h in yh],
             "y2": [yh[1]],
             "gq": [ik1 * qh, ik2 * qh],
             "grad_y": [ik1 * yh[0], ik2 * yh[0], ik1 * yh[1], ik2 * yh[1]],
@@ -146,7 +150,7 @@ def _block_tables(states):
         for name, comps in vectors.items():
             cols[name].append(_block_l2_table(grid, [comps]))
     times = np.array([st.t for st in states])
-    return grid, times, {name: np.hstack(c) for name, c in cols.items()}
+    return grid, times, {name: np.hstack(col) for name, col in cols.items()}, first
 
 
 def _functional(grid: Grid, times: np.ndarray, tabs: dict, s: float) -> tuple[float, dict]:
@@ -173,31 +177,32 @@ def _functional(grid: Grid, times: np.ndarray, tabs: dict, s: float) -> tuple[fl
 
 def functional_E(states, s: float, return_breakdown: bool = False):
     """E_T^s over a stored flow-map trajectory (list of FlowMapState)."""
-    total, parts = _functional(*_block_tables(states), s)
+    grid, times, tabs, _ = _block_tables(states)
+    total, parts = _functional(grid, times, tabs, s)
     if return_breakdown:
         return total, parts
     return total
 
 
 def functional_script_E(states, s1: float, s2: float) -> float:
-    tables = _block_tables(states)
+    tables = _block_tables(states)[:3]
     return _functional(*tables, s1)[0] + _functional(*tables, s2)[0]
+
+
+def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:
+    """E_0^s from the half-spectrum coefficients of Y0 and Y1: homogeneous
+    weights ksq^s (zero at the mean mode), and |ik1|^2 for d1 Y0."""
+    with np.errstate(divide="ignore"):
+        w = np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
+    y0_sq = np.abs(y0h[0]) ** 2 + np.abs(y0h[1]) ** 2
+    y1_sq = np.abs(y1h[0]) ** 2 + np.abs(y1h[1]) ** 2
+    return c.norm_sq(w * ((1.0 + c.ksq) * y1_sq + (np.abs(c.ik1) ** 2 + c.ksq**2) * y0_sq))
 
 
 def initial_energy(Y0, Y1, s: float) -> float:
     """E_0^s from the data alone."""
-    g = Y0[0].grid
-    d1y0 = tuple(spectral_derivative(c, 1) for c in Y0)
-
-    def vec_sq(v, expo):
-        return sum(sobolev_norm(c, expo) ** 2 for c in v)
-
-    return (
-        vec_sq(Y1, s)
-        + vec_sq(Y1, s + 1.0)
-        + vec_sq(d1y0, s)
-        + vec_sq(Y0, s + 2.0)
-    )
+    c = half_spectrum(Y0[0].grid)
+    return _initial_energy_hat(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1], s)
 
 
 def _cl_besov_inf(grid: Grid, tab: np.ndarray, s: float) -> float:
@@ -218,9 +223,10 @@ def smallness_margin(states, s1: float, s2: float) -> dict:
     working assumptions, and the implied constant in
     E_T <= C (E_0 + (E_0^{1/2} + E_T^{1/2} + E_T) E_T).
     """
-    grid, times, tabs = _block_tables(states)
+    grid, times, tabs, (y0h, y1h) = _block_tables(states)
     script_e = _functional(grid, times, tabs, s1)[0] + _functional(grid, times, tabs, s2)[0]
-    e0 = initial_energy(states[0].Y, states[0].Y_t, s1) + initial_energy(states[0].Y, states[0].Y_t, s2)
+    c = half_spectrum(grid)
+    e0 = _initial_energy_hat(c, y0h, y1h, s1) + _initial_energy_hat(c, y0h, y1h, s2)
     rep = {
         "script_E_T": script_e,
         "script_E_0": e0,

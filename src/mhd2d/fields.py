@@ -1,10 +1,10 @@
-"""Initial-data recipes shared by experiments and tests."""
+"""Initial-data recipes shared by experiments and tests (spectral ones on the half spectrum)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, SpectralField, from_spectral, l2_norm, to_spectral
+from mhd2d.grid import Grid, RealField, half_spectrum, l2_norm
 
 __all__ = [
     "gaussian_bump",
@@ -49,12 +49,15 @@ def single_mode(grid: Grid, m: int, n: int, amplitude: float = 1.0, phase: float
 def mode_field(grid: Grid, m: int, n: int, coeff: complex) -> RealField:
     """Real field whose spectral coefficient at (m, n) is ``coeff`` (and the
     conjugate at the mirror mode)."""
-    c = np.zeros(grid.shape, dtype=complex)
+    c = half_spectrum(grid)
     i, j = grid.mode_index(m, n)
-    c[i, j] = coeff
-    im, jm = grid.mode_index(-m, -n)
-    c[im, jm] = np.conj(coeff)
-    return from_spectral(SpectralField(grid, c))
+    if j > grid.ny // 2:  # n < 0: the half spectrum holds the mirror
+        i, j, coeff = -i % grid.nx, grid.ny - j, np.conj(coeff)
+    ch = np.zeros(c.ksq.shape, dtype=complex)
+    ch[i, j] = grid.nx * grid.ny * coeff
+    if j in (0, grid.ny // 2):  # the mirror lies in the same column
+        ch[-i % grid.nx, j] = grid.nx * grid.ny * np.conj(coeff)
+    return RealField(grid, c.inv(ch))
 
 
 def random_band_field(
@@ -70,13 +73,13 @@ def random_band_field(
 
     ``decay`` applies a spectral envelope exp(-decay |m|^2); normalization is
     by L2 norm ('l2') or sup norm ('inf')."""
-    noise = rng.standard_normal(grid.shape)
-    c = to_spectral(RealField(grid, noise)).coeffs
-    mm = np.sqrt(grid.m1.astype(float) ** 2 + grid.m2.astype(float) ** 2)
+    c = half_spectrum(grid)
+    ch = c.fwd(rng.standard_normal(grid.shape))
+    mm = np.sqrt(grid.m1.astype(float) ** 2 + np.arange(grid.ny // 2 + 1, dtype=float) ** 2)
     mask = (mm >= kmin) & (mm <= kmax)
-    c = np.where(mask, c * np.exp(-decay * mm**2), 0.0)
-    c[0, 0] = 0.0
-    f = from_spectral(SpectralField(grid, c))
+    ch = np.where(mask, ch * np.exp(-decay * mm**2), 0.0)
+    ch[0, 0] = 0.0
+    f = RealField(grid, c.inv(ch))
     scale = l2_norm(f) if normalize == "l2" else float(np.max(np.abs(f.samples)))
     if scale == 0.0:
         return RealField(grid, f.samples)
@@ -93,9 +96,10 @@ def random_solenoidal(
 ) -> tuple[RealField, RealField]:
     """Divergence-free pair from a random stream function: (d2 chi, -d1 chi)."""
     chi = random_band_field(grid, rng, kmin, kmax, 1.0, decay)
-    ch = to_spectral(chi).coeffs
-    u1 = from_spectral(SpectralField(grid, 1j * grid.k2 * ch))
-    u2 = from_spectral(SpectralField(grid, -1j * grid.k1 * ch))
+    c = half_spectrum(grid)
+    ch = c.fwd(chi.samples)
+    u1 = RealField(grid, c.inv(c.ik2 * ch))
+    u2 = RealField(grid, c.inv(-c.ik1 * ch))
     scale = float(np.sqrt(l2_norm(u1) ** 2 + l2_norm(u2) ** 2))
     if scale == 0.0:
         return u1, u2

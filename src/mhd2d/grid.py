@@ -6,14 +6,18 @@ expanded as ``u(x) = sum_xi chat(xi) exp(i xi . x)`` with frequencies
 ``exp(i xi0 . x)`` has ``chat(xi0) = 1`` and Plancherel reads
 ``||u||_{L2}^2 = lx * ly * sum |chat|^2``.
 
-All operations are pure functions of immutable inputs.  The solvers work on
-the real-to-half-spectrum (``rfft2``) representation instead, through one
-``HalfSpectrum`` context per grid from ``half_spectrum``, where each quadratic
-sum is dealiased once (``HalfSpectrum.dh``) and nested products at each level.
-Sup norms are sampled on a finer grid by zero padding the half spectrum
-(``HalfSpectrum.inv_fine``), with the unpaired Nyquist modes split evenly.
-The solvers' monitors take L2 and Sobolev norms from the coefficients they
-hold by Plancherel on the half spectrum (``HalfSpectrum.norm_sq``).
+Every spectral operation on real fields runs on the real-to-half-spectrum
+(``rfft2``) coefficients ``nx ny chat`` of the ``ny // 2 + 1`` non-negative x2
+frequencies, through one ``HalfSpectrum`` context per grid from
+``half_spectrum``; Plancherel sums them over the full lattice (``lattice_sum``,
+``norm_sq``).  Each quadratic sum is dealiased once (``dh``) and nested
+products at each level; sup norms are sampled on a finer grid by zero padding
+(``inv_fine``), with the unpaired Nyquist modes split evenly.  The
+full-complex ``SpectralField`` (``to_spectral``, ``from_spectral``,
+``dealias``) remains as a public entry point and as the reference the tests
+compare against.
+
+All operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "inverse_laplacian",
     "dealias",
     "l2_norm",
-    "mean_value",
     "HalfSpectrum",
     "half_spectrum",
 ]
@@ -172,48 +175,43 @@ def from_spectral(s: SpectralField) -> RealField:
     return RealField(s.grid, np.real(np.fft.ifft2(s.coeffs * (s.grid.nx * s.grid.ny))))
 
 
-def _deriv_symbol(grid: Grid, axis: int, order: int) -> np.ndarray:
+def _deriv_symbol(c: HalfSpectrum, axis: int, order: int) -> np.ndarray:
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    k = grid.k1 if axis == 1 else grid.k2
-    sym = (1j * k) ** order
+    # odd orders kill the unpaired Nyquist mode (as ik1/ik2 do) so real fields stay real
     if order % 2:
-        # kill the unpaired Nyquist mode so real fields stay real
-        m = grid.m1 if axis == 1 else grid.m2
-        n = grid.nx if axis == 1 else grid.ny
-        sym = np.where(m == -n // 2, 0.0, sym)
-    return sym
+        return (c.ik1 if axis == 1 else c.ik2) ** order
+    return (1j * (c.k1 if axis == 1 else c.k2)) ** order
 
 
-def spectral_derivative(u, axis: int, order: int = 1):
-    """d^order/dx_axis^order by multiplication with (i xi_axis)^order.
-
-    Accepts and returns the same flavour (RealField or SpectralField).
-    Odd-order derivatives zero the Nyquist mode.
-    """
-    if isinstance(u, RealField):
-        s = to_spectral(u)
-        return from_spectral(SpectralField(u.grid, s.coeffs * _deriv_symbol(u.grid, axis, order)))
-    return SpectralField(u.grid, u.coeffs * _deriv_symbol(u.grid, axis, order))
+def _finite_fwd(u: RealField) -> np.ndarray:
+    """Half-spectrum coefficients of ``u``; non-finite samples raise."""
+    if not np.all(np.isfinite(u.samples)):
+        raise ValueError("non-finite samples")
+    return half_spectrum(u.grid).fwd(u.samples)
 
 
-def inverse_laplacian(u, mean_tolerance: float | None = None):
+def spectral_derivative(u: RealField, axis: int, order: int = 1) -> RealField:
+    """d^order/dx_axis^order by multiplication with (i xi_axis)^order on the
+    half spectrum.  Odd-order derivatives zero the Nyquist mode."""
+    c = half_spectrum(u.grid)
+    return RealField(u.grid, c.inv(_finite_fwd(u) * _deriv_symbol(c, axis, order)))
+
+
+def inverse_laplacian(u: RealField, mean_tolerance: float | None = None) -> RealField:
     """Solve ``Lap(v) = u - mean(u)`` with zero-mean ``v``.
 
     If ``mean_tolerance`` is given, a mean exceeding it raises (caller
     asserted solvability of the unmodified problem).
     """
-    spectral_in = isinstance(u, SpectralField)
-    s = u if spectral_in else to_spectral(u)
-    mean = s.coeffs[0, 0]
+    c = half_spectrum(u.grid)
+    uh = _finite_fwd(u)
+    mean = uh[0, 0] / (u.grid.nx * u.grid.ny)
     if mean_tolerance is not None and abs(mean) > mean_tolerance:
         raise ValueError(f"field mean {abs(mean):.3e} exceeds tolerance {mean_tolerance:.3e}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s.grid.k_sq > 0, -s.coeffs / s.grid.k_sq, 0.0)
-    res = SpectralField(s.grid, out)
-    return res if spectral_in else from_spectral(res)
+    return RealField(u.grid, c.inv(-uh * c.inv_ksq))
 
 
 def dealias(s: SpectralField) -> SpectralField:
@@ -221,21 +219,13 @@ def dealias(s: SpectralField) -> SpectralField:
     return SpectralField(s.grid, np.where(s.grid.dealias_mask, s.coeffs, 0.0))
 
 
-def l2_norm(u) -> float:
-    """L2 norm over the box, via Plancherel for spectral input."""
-    if isinstance(u, SpectralField):
-        return float(np.sqrt(u.grid.lx * u.grid.ly * np.sum(np.abs(u.coeffs) ** 2)))
+def l2_norm(u: RealField) -> float:
+    """L2 norm over the box by quadrature of the samples."""
     return float(np.sqrt(u.grid.cell_area * np.sum(u.samples.astype(float) ** 2)))
 
 
-def mean_value(u) -> float:
-    if isinstance(u, SpectralField):
-        return float(np.real(u.coeffs[0, 0]))
-    return float(np.mean(u.samples))
-
-
 class HalfSpectrum:
-    """Half-spectrum work context of one grid, shared by both solvers.
+    """Half-spectrum work context of one grid, shared by every layer.
 
     Coefficients are the unnormalised ``rfft2`` output (``nx * ny`` times
     ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  Every table

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, spectral_derivative, to_spectral
+from mhd2d.grid import Grid, RealField, half_spectrum, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.lp import a_ks_norm, sobolev_norm
 
@@ -96,10 +96,12 @@ def _column_d2(col: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _x1_shift(f: RealField, shift: float) -> np.ndarray:
-    """Samples of f translated by ``shift`` in x1 (spectral phase shift)."""
-    g = f.grid
-    c = to_spectral(f).coeffs
-    return np.real(np.fft.ifft2(c * np.exp(1j * g.k1 * shift) * (g.nx * g.ny)))
+    """Samples of f translated by ``shift`` in x1 (spectral phase shift); the
+    unpaired Nyquist row, split evenly across +-nx/2, keeps the real part."""
+    c = half_spectrum(f.grid)
+    phase = np.exp(1j * c.k1 * shift)
+    phase[f.grid.nx // 2] = phase[f.grid.nx // 2].real
+    return c.inv(c.fwd(f.samples) * phase)
 
 
 @dataclass(frozen=True)

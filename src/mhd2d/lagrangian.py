@@ -38,6 +38,7 @@ import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
+from mhd2d.linear import _flow_map_matrix
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
@@ -78,11 +79,7 @@ class PressureConvergenceError(RuntimeError):
 def _etd(grid: Grid, dt: float):
     """ETD tables of the flow-map mode matrix [[0, 1], [-xi1^2, -|xi|^2]]."""
     c = half_spectrum(grid)
-    m = np.zeros(c.ksq.shape + (2, 2))
-    m[..., 0, 1] = 1.0
-    m[..., 1, 0] = -c.k1**2
-    m[..., 1, 1] = -c.ksq
-    return etd_tables(m, dt)
+    return etd_tables(_flow_map_matrix(c.k1, c.ksq), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +124,15 @@ def _grad_hat(c: HalfSpectrum, y1h: np.ndarray, y2h: np.ndarray) -> GradTensor:
         d1y2=c.inv(c.ik1 * y2h),
         d2y2=c.inv(c.ik2 * y2h),
     )
+
+
+def _small_grad_hat(c: HalfSpectrum, yh, t: float) -> GradTensor:
+    """grad Y at the nodes; raises StateBlowupError naming t unless
+    ||grad Y||_inf <= 1/2 (NaN-safe)."""
+    grad = _grad_hat(c, *yh)
+    if not (grad.sup_norm <= 0.5):
+        raise StateBlowupError(f"||grad Y||_inf = {grad.sup_norm:.3f}, not <= 1/2, at t = {t:.4f}")
+    return grad
 
 
 def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
@@ -438,11 +444,7 @@ class _Stepper:
             f2h = f1h.copy()
             self.qh = np.zeros_like(yh[0])
         else:
-            tgrad = _grad_hat(c, *yh)
-            if not (tgrad.sup_norm <= 0.5):
-                raise StateBlowupError(
-                    f"||grad Y||_inf = {tgrad.sup_norm:.3f}, not <= 1/2, at t = {t:.4f}"
-                )
+            tgrad = _small_grad_hat(c, yh, t)
             tv = _grad_hat(c, *vh)
             v_phys = (c.inv(vh[0]), c.inv(vh[1]))
             self.qh, self.last_pressure = _pressure_spectral(
@@ -487,15 +489,17 @@ class _Stepper:
         return Y, V
 
     def state(self) -> FlowMapState:
+        """The held state as real fields, with its pressure solved from the
+        held coefficients, warm-started from ``self.qh``."""
         c = self.c
         Y, V = self.fields()
-        if self.nonlinear:
-            q, _ = pressure_solve(Y, V, tol=self.pressure_tol,
-                                  q0=RealField(self.grid, c.inv(self.qh)),
-                                  check_identity=False)
-        else:
-            q = RealField(self.grid, np.zeros(self.grid.shape))
-        return FlowMapState(Y, V, q, self.t)
+        if not self.nonlinear:
+            return FlowMapState(Y, V, RealField(self.grid, np.zeros(self.grid.shape)), self.t)
+        qh, _ = _pressure_spectral(
+            c, _small_grad_hat(c, self.yh, self.t), _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), self.yh[0], self.yh[1],
+            self.qh, self.pressure_tol, 200, False,
+        )
+        return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
 
 
 def step(

@@ -12,6 +12,10 @@ whose symbol ``lam^2 + |xi|^2 lam + xi1^2 = 0`` has roots
 Low frequencies (|xi|^2 <= 2 |xi1|) carry a conjugate pair decaying like
 exp(-t |xi|^2 / 2); high frequencies split into a fast branch ~ exp(-t |xi|^2)
 and a slow branch whose rate ~ xi1^2 / |xi|^2 degenerates as xi1 -> 0.
+
+Trajectories hold half-spectrum coefficients (``grid.half_spectrum``), the
+Lagrangian stepper's layout; block energies are Plancherel sums of a per-mode
+density (``HalfSpectrum.norm_sq``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, SpectralField, from_spectral, to_spectral
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.lp import _mask, resolved_range
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables, expm2
 
@@ -83,19 +87,20 @@ def eigenvalues(xi: tuple[float, float]) -> ModeEigen:
     return ModeEigen((x1, x2), lam_p, lam_m, kind)
 
 
-def _companion(xi: tuple[float, float]) -> np.ndarray:
-    x1, x2 = xi
-    ksq = x1 * x1 + x2 * x2
-    return np.array([[0.0, 1.0], [-x1 * x1, -ksq]])
+def _flow_map_matrix(k1, ksq) -> np.ndarray:
+    """Stack of flow-map mode matrices [[0, 1], [-xi1^2, -|xi|^2]] over the
+    broadcast shape of ``k1`` and ``ksq``, shape (..., 2, 2)."""
+    k1, ksq = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(ksq, dtype=float))
+    m = np.zeros(k1.shape + (2, 2))
+    m[..., 0, 1] = 1.0
+    m[..., 1, 0] = -k1**2
+    m[..., 1, 1] = -ksq
+    return m
 
 
 def companion_matrices(grid: Grid) -> np.ndarray:
-    """Stack of per-mode companion matrices, shape (nx, ny, 2, 2)."""
-    m = np.zeros(grid.shape + (2, 2))
-    m[..., 0, 1] = 1.0
-    m[..., 1, 0] = -grid.k1**2 + 0.0 * grid.k2
-    m[..., 1, 1] = -grid.k_sq
-    return m
+    """Stack of per-mode companion matrices over the full lattice, shape (nx, ny, 2, 2)."""
+    return _flow_map_matrix(grid.k1, grid.k_sq)
 
 
 def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +108,7 @@ def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("t must be nonnegative")
-    m = _companion(xi)
+    m = _flow_map_matrix(xi[0], xi[0] ** 2 + xi[1] ** 2)
     y = np.empty(t_arr.shape, dtype=complex)
     v = np.empty(t_arr.shape, dtype=complex)
     for i, ti in enumerate(t_arr):
@@ -117,19 +122,14 @@ def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple
 
 @dataclass(frozen=True)
 class LinearTrajectory:
-    """Stored spectral evolution of a vector field pair (Y, Y_t)."""
+    """Stored spectral evolution of a vector field pair (Y, Y_t), as
+    half-spectrum coefficients (``HalfSpectrum.fwd`` of each component)."""
 
     grid: Grid
     times: np.ndarray  # (M,)
-    yhat: np.ndarray  # (M, 2, nx, ny) complex
-    vhat: np.ndarray  # (M, 2, nx, ny) complex
+    yhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
+    vhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
     forcing: str = "none"
-
-    def fields(self, i: int) -> tuple[tuple[RealField, RealField], tuple[RealField, RealField]]:
-        g = self.grid
-        y = tuple(from_spectral(SpectralField(g, self.yhat[i, c])) for c in range(2))
-        v = tuple(from_spectral(SpectralField(g, self.vhat[i, c])) for c in range(2))
-        return y, v
 
 
 def evolve_linear(
@@ -144,16 +144,18 @@ def evolve_linear(
     With no forcing every stored state comes from the exact per-mode
     propagator applied to the initial data (no time-step error).  With
     forcing, each substep is one ``propagators.etd2rk_step``, the exponential
-    trapezoidal rule (second order in the substep size).
+    trapezoidal rule (second order in the substep size).  ``forcing(t)``
+    returns the half-spectrum coefficients of both components.
     """
     g = Y0[0].grid
+    c = half_spectrum(g)
     times = np.asarray(sorted(float(t) for t in times))
     if times[0] < 0:
         raise ValueError("times must be nonnegative")
-    m = companion_matrices(g)
-    y0 = np.stack([to_spectral(f).coeffs for f in Y0])
-    v0 = np.stack([to_spectral(f).coeffs for f in Y1])
-    ny = np.empty((times.size, 2) + g.shape, dtype=complex)
+    m = _flow_map_matrix(c.k1, c.ksq)
+    y0 = np.stack([c.fwd(f.samples) for f in Y0])
+    v0 = np.stack([c.fwd(f.samples) for f in Y1])
+    ny = np.empty((times.size, 2) + c.ksq.shape, dtype=complex)
     nv = np.empty_like(ny)
     if forcing is None:
         for i, t in enumerate(times):
@@ -197,44 +199,42 @@ def evolve_linear(
 # ---------------------------------------------------------------------------
 
 
-def _gsq_from_spectral(g: Grid, yh: np.ndarray, vh: np.ndarray, wsq: np.ndarray) -> float:
-    """g^2 = 1/2 (||w_t||^2 + ||d1 w||^2 + 1/4 ||Lap w||^2) - 1/4 (w_t | Lap w)
-    for the block-localized pair, all in spectral form (wsq = squared mask)."""
-    area = g.lx * g.ly
-    k1sq = g.k1**2 + 0.0 * g.k2
-    ksq = g.k_sq
-    nv = np.sum(wsq * (np.abs(vh[0]) ** 2 + np.abs(vh[1]) ** 2))
-    nd1 = np.sum(wsq * k1sq * (np.abs(yh[0]) ** 2 + np.abs(yh[1]) ** 2))
-    nlap = np.sum(wsq * ksq**2 * (np.abs(yh[0]) ** 2 + np.abs(yh[1]) ** 2))
-    cross = np.sum(wsq * ksq * np.real(vh[0] * np.conj(yh[0]) + vh[1] * np.conj(yh[1])))
-    return float(area * (0.5 * (nv + nd1 + 0.25 * nlap) + 0.25 * cross))
+def _gsq_density(c: HalfSpectrum, yh, vh) -> np.ndarray:
+    """Per-mode density of g^2 = 1/2 (||w_t||^2 + ||d1 w||^2 + 1/4 ||Lap w||^2)
+    - 1/4 (w_t | Lap w) on the half spectrum.  It is nonnegative mode by mode,
+    so a block's weighted sum keeps its relative accuracy deep in the decay."""
+    y_sq = np.abs(yh[0]) ** 2 + np.abs(yh[1]) ** 2
+    v_sq = np.abs(vh[0]) ** 2 + np.abs(vh[1]) ** 2
+    cross = np.real(vh[0] * np.conj(yh[0]) + vh[1] * np.conj(yh[1]))
+    return 0.5 * (v_sq + (c.k1**2 + 0.25 * c.ksq**2) * y_sq) + 0.25 * c.ksq * cross
+
+
+def _block_weight(g: Grid, j: int, k: int) -> np.ndarray:
+    """Squared mask of the anisotropic block D_j D_k^h."""
+    return (_mask(g, "iso", j, low=False) * _mask(g, "h", k, low=False)) ** 2
 
 
 def block_energy(Y: tuple[RealField, RealField], Y_t: tuple[RealField, RealField], j: int, k: int) -> float:
     """Anisotropic block energy g_{j,k}^2 of the state (Y, Y_t)."""
-    g = Y[0].grid
-    w = _mask(g, "iso", j, low=False) * _mask(g, "h", k, low=False)
-    yh = [to_spectral(f).coeffs for f in Y]
-    vh = [to_spectral(f).coeffs for f in Y_t]
-    return _gsq_from_spectral(g, yh, vh, w * w)
+    c = half_spectrum(Y[0].grid)
+    dens = _gsq_density(c, [c.fwd(f.samples) for f in Y], [c.fwd(f.samples) for f in Y_t])
+    return c.norm_sq(_block_weight(c.grid, j, k) * dens)
 
 
 def block_energy_series(traj: LinearTrajectory) -> dict[tuple[int, int], np.ndarray]:
     """g_{j,k}^2 over stored times for every resolved (j, k) pair."""
     g = traj.grid
+    c = half_spectrum(g)
+    dens = [_gsq_density(c, traj.yhat[i], traj.vhat[i]) for i in range(traj.times.size)]
     j0, j1 = resolved_range(g, "iso")
     k0, k1 = resolved_range(g, "h")
     table: dict[tuple[int, int], np.ndarray] = {}
     for j in range(j0, j1 + 1):
-        mj = _mask(g, "iso", j, low=False)
         for k in range(k0, k1 + 1):
-            w = mj * _mask(g, "h", k, low=False)
-            if not w.any():
+            wsq = _block_weight(g, j, k)
+            if not wsq.any():
                 continue
-            wsq = w * w
-            series = np.array(
-                [_gsq_from_spectral(g, traj.yhat[i], traj.vhat[i], wsq) for i in range(traj.times.size)]
-            )
+            series = np.array([c.norm_sq(wsq * d) for d in dens])
             if series.max() > 0.0:
                 table[(j, k)] = series
     return table
@@ -256,11 +256,14 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int], compon
     """Least-squares tail slope of log |yhat(t)| at one integer mode.
 
     Uses the last half of the stored samples (past the fast transient) and
-    flags windows that span less than one e-folding of decay.
+    flags windows that span less than one e-folding of decay.  A mode with
+    n < 0 is read off the half spectrum as the conjugate of (-m, -n).
     """
     g = traj.grid
-    idx = g.mode_index(*xi_mode)
-    series = np.abs(traj.yhat[:, component, idx[0], idx[1]])
+    i, j = g.mode_index(*xi_mode)
+    if j > g.ny // 2:
+        i, j = -i % g.nx, g.ny - j
+    series = np.abs(traj.yhat[:, component, i, j])
     # discard the round-off floor left by branch contamination at eps level
     keep = series > max(1e-300, float(series.max()) * 1e-13)
     t, s = traj.times[keep], series[keep]

@@ -11,12 +11,14 @@ with S the standard C-infinity step (0 below 0, 1 above 1).  Then
     sum_j phi(2^-j tau) = chi(2^-(b+1) tau) - chi(2^-a tau)  ->  1,
 
 exactly once the dyadic range [a, b] brackets tau.  Blocks are coefficient
-masks: ``D_j u = F^-1(phi(2^-j |xi|) uhat)`` and the horizontal / vertical
-variants use |xi_1| / |xi_2|.  Out-of-range indices give the zero field.
+masks on the half spectrum, shape ``(nx, ny // 2 + 1)``:
+``D_j u = inv(phi(2^-j |xi|) fwd(u))`` and the horizontal / vertical variants
+use |xi_1| / |xi_2|.  Out-of-range indices give the zero field.
 
-Norm conventions: homogeneous norms subtract the mean first (the torus
-surrogate of "modulo constants"); L-infinity block norms are evaluated on a
-2x zero-padded grid.
+Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
+homogeneous norms drop the mean (the torus surrogate of "modulo constants";
+phi(0) = 0, so every dyadic block does); L-infinity block norms are evaluated
+on a 2x zero-padded grid.
 """
 
 from __future__ import annotations
@@ -29,17 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mhd2d.grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    dealias,
-    from_spectral,
-    half_spectrum,
-    l2_norm,
-    spectral_derivative,
-    to_spectral,
-)
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm, spectral_derivative
 
 __all__ = [
     "CutoffPair",
@@ -113,12 +105,14 @@ _CUTOFFS = make_cutoffs()
 
 
 def _tau(grid: Grid, kind: str) -> np.ndarray:
+    """|xi|, |xi_1| or |xi_2| on the half spectrum."""
+    c = half_spectrum(grid)
     if kind == "iso":
-        return grid.k_mag
+        return np.sqrt(c.ksq)
     if kind == "h":
-        return np.abs(grid.k1) + 0.0 * grid.k2
+        return np.abs(c.k1)
     if kind == "v":
-        return np.abs(grid.k2) + 0.0 * grid.k1
+        return np.abs(c.k2)
     raise ValueError(f"unknown block kind {kind!r}")
 
 
@@ -127,6 +121,7 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
 # across the grids of a sweep
 @lru_cache(maxsize=64)
 def _mask(grid: Grid, kind: str, j: int, low: bool) -> np.ndarray:
+    """phi (or chi when ``low``) of 2^-j tau on the half spectrum."""
     tau = _tau(grid, kind) * 2.0 ** (-float(j))
     return _CUTOFFS.chi(tau) if low else _CUTOFFS.phi(tau)
 
@@ -155,42 +150,37 @@ def resolved_range(grid: Grid, kind: str = "iso") -> tuple[int, int]:
     return j_min, j_max
 
 
-def _apply_mask(u, mask: np.ndarray):
-    if isinstance(u, RealField):
-        return from_spectral(SpectralField(u.grid, to_spectral(u).coeffs * mask))
-    return SpectralField(u.grid, u.coeffs * mask)
+def _apply_mask(u: RealField, kind: str, j: int, low: bool) -> RealField:
+    c = half_spectrum(u.grid)
+    return RealField(u.grid, c.inv(c.fwd(u.samples) * _mask(u.grid, kind, j, low)))
 
 
-def block_iso(u, j: int):
+def block_iso(u: RealField, j: int) -> RealField:
     """Isotropic dyadic block on |xi| ~ 2^j; zero field when out of range."""
-    return _apply_mask(u, _mask(_grid_of(u), "iso", j, low=False))
+    return _apply_mask(u, "iso", j, low=False)
 
 
-def block_h(u, k: int):
+def block_h(u: RealField, k: int) -> RealField:
     """Horizontal block on |xi_1| ~ 2^k."""
-    return _apply_mask(u, _mask(_grid_of(u), "h", k, low=False))
+    return _apply_mask(u, "h", k, low=False)
 
 
-def block_v(u, ell: int):
+def block_v(u: RealField, ell: int) -> RealField:
     """Vertical block on |xi_2| ~ 2^ell."""
-    return _apply_mask(u, _mask(_grid_of(u), "v", ell, low=False))
+    return _apply_mask(u, "v", ell, low=False)
 
 
-def low_pass(u, j: int):
+def low_pass(u: RealField, j: int) -> RealField:
     """Isotropic low-pass on |xi| <~ 2^j (mean mode included)."""
-    return _apply_mask(u, _mask(_grid_of(u), "iso", j, low=True))
+    return _apply_mask(u, "iso", j, low=True)
 
 
-def low_pass_h(u, k: int):
-    return _apply_mask(u, _mask(_grid_of(u), "h", k, low=True))
+def low_pass_h(u: RealField, k: int) -> RealField:
+    return _apply_mask(u, "h", k, low=True)
 
 
-def low_pass_v(u, ell: int):
-    return _apply_mask(u, _mask(_grid_of(u), "v", ell, low=True))
-
-
-def _grid_of(u) -> Grid:
-    return u.grid
+def low_pass_v(u: RealField, ell: int) -> RealField:
+    return _apply_mask(u, "v", ell, low=True)
 
 
 @dataclass(frozen=True)
@@ -261,31 +251,21 @@ def norm_record(spec: NormSpec, value: float) -> dict:
     return rec
 
 
-def _zero_mean_coeffs(u) -> SpectralField:
-    s = u if isinstance(u, SpectralField) else to_spectral(u)
-    c = s.coeffs.copy()
-    c[0, 0] = 0.0
-    return SpectralField(s.grid, c)
-
-
-def sobolev_norm(u, s: float, homogeneous: bool = True) -> float:
+def sobolev_norm(u: RealField, s: float, homogeneous: bool = True) -> float:
     """Sobolev norm via quadrature of |xi|^2s |chat|^2 over resolved modes.
 
     Homogeneous norms exclude the zero mode; s <= -1 is rejected because the
     box surrogate cannot control the low-frequency tail there.
     """
+    c = half_spectrum(u.grid)
     if homogeneous:
         if s <= -1.0:
             raise ValueError("homogeneous exponent s <= -1 is unreliable on the periodic box")
-        sf = _zero_mean_coeffs(u)
-        g = sf.grid
         with np.errstate(divide="ignore"):
-            w = np.where(g.k_sq > 0, g.k_sq ** float(s), 0.0)
-        return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(sf.coeffs) ** 2)))
-    sf = u if isinstance(u, SpectralField) else to_spectral(u)
-    g = sf.grid
-    w = (1.0 + g.k_sq) ** float(s)
-    return float(np.sqrt(g.lx * g.ly * np.sum(w * np.abs(sf.coeffs) ** 2)))
+            w = np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
+    else:
+        w = (1.0 + c.ksq) ** float(s)
+    return math.sqrt(c.norm_sq(w * np.abs(c.fwd(u.samples)) ** 2))
 
 
 def oversample(u: RealField, factor: int = 2) -> RealField:
@@ -314,34 +294,39 @@ def _ell_r(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
-def besov_norm(u, s: float, p: float = 2, r: float = 1) -> float:
-    """Homogeneous Besov norm: ell^r over j of 2^{js} ||D_j u||_{L^p}."""
-    sf = _zero_mean_coeffs(u)
-    g = sf.grid
-    j0, j1 = resolved_range(g, "iso")
-    vals = []
+def _block_norms(c: HalfSpectrum, uh: np.ndarray, p: float) -> list[float]:
+    """||D_j u||_{L^p} over the resolved isotropic blocks j of the field with
+    half-spectrum coefficients ``uh``; L2 by Plancherel."""
+    j0, j1 = resolved_range(c.grid, "iso")
+    out = []
     for j in range(j0, j1 + 1):
-        bj = SpectralField(g, sf.coeffs * _mask(g, "iso", j, low=False))
+        bh = uh * _mask(c.grid, "iso", j, low=False)
         if p == 2:
-            nj = l2_norm(bj)
+            out.append(math.sqrt(c.norm_sq(np.abs(bh) ** 2)))
         else:
-            nj = lp_norm(from_spectral(bj), p)
-        vals.append(2.0 ** (j * s) * nj)
-    return _ell_r(np.asarray(vals), r)
+            out.append(lp_norm(RealField(c.grid, c.inv(bh)), p))
+    return out
 
 
-def aniso_norm(u, s1: float, s2: float) -> float:
+def besov_norm(u: RealField, s: float, p: float = 2, r: float = 1) -> float:
+    """Homogeneous Besov norm: ell^r over j of 2^{js} ||D_j u||_{L^p}."""
+    c = half_spectrum(u.grid)
+    j0, j1 = resolved_range(u.grid, "iso")
+    norms = _block_norms(c, c.fwd(u.samples), p)
+    return _ell_r(np.array([2.0 ** (j * s) for j in range(j0, j1 + 1)]) * norms, r)
+
+
+def aniso_norm(u: RealField, s1: float, s2: float) -> float:
     """Double dyadic sum: sum_{j,k} 2^{j s1} 2^{k s2} ||D_j D_k^h u||_{L2}.
 
     Pairs with j < k - N0 carry identically zero blocks and are skipped.
     """
-    sf = _zero_mean_coeffs(u)
-    g = sf.grid
+    g = u.grid
+    c = half_spectrum(g)
     j0, j1 = resolved_range(g, "iso")
     k0, k1 = resolved_range(g, "h")
     total = 0.0
-    area = g.lx * g.ly
-    aen = np.abs(sf.coeffs) ** 2
+    aen = np.abs(c.fwd(u.samples)) ** 2
     for j in range(j0, j1 + 1):
         mj = _mask(g, "iso", j, low=False)
         if not mj.any():
@@ -352,7 +337,7 @@ def aniso_norm(u, s1: float, s2: float) -> float:
             m = mj * _mask(g, "h", k, low=False)
             if not m.any():
                 continue
-            nrm = math.sqrt(area * float(np.sum(m**2 * aen)))
+            nrm = math.sqrt(c.norm_sq(m**2 * aen))
             total += 2.0 ** (j * s1) * 2.0 ** (k * s2) * nrm
     return total
 
@@ -376,15 +361,10 @@ def chemin_lerner_norm(
     dt = np.diff(times)
     if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-14):
         raise ValueError("time samples must be uniform")
-    g = fields[0].grid
-    j0, j1 = resolved_range(g, "iso")
+    c = half_spectrum(fields[0].grid)
+    j0, j1 = resolved_range(c.grid, "iso")
     js = range(j0, j1 + 1)
-    block_series = np.empty((len(js), times.size))
-    for n, f in enumerate(fields):
-        sf = _zero_mean_coeffs(f)
-        for i, j in enumerate(js):
-            bj = SpectralField(g, sf.coeffs * _mask(g, "iso", j, low=False))
-            block_series[i, n] = l2_norm(bj) if p == 2 else lp_norm(from_spectral(bj), p)
+    block_series = np.array([_block_norms(c, c.fwd(f.samples), p) for f in fields]).T
     if lam == math.inf:
         w = np.max(block_series, axis=1)
     else:
@@ -447,14 +427,14 @@ def bony_decompose(a: RealField, b: RealField, direction: str = "iso"):
         raise ValueError("fields must share a grid")
     kind = "iso" if direction == "iso" else "h"
     j0, j1 = resolved_range(g, kind)
-    ca = to_spectral(a).coeffs
-    cb = to_spectral(b).coeffs
+    c = half_spectrum(g)
+    ca, cb = c.fwd(a.samples), c.fwd(b.samples)
 
-    def blk(c, j):
-        return from_spectral(SpectralField(g, c * _mask(g, kind, j, low=False))).samples
+    def blk(ch, j):
+        return c.inv(ch * _mask(g, kind, j, low=False))
 
-    def low(c, j):
-        return from_spectral(SpectralField(g, c * _mask(g, kind, j, low=True))).samples
+    def low(ch, j):
+        return c.inv(ch * _mask(g, kind, j, low=True))
 
     t_part = np.zeros(g.shape)
     tbar_part = np.zeros(g.shape)
@@ -471,6 +451,6 @@ def bony_decompose(a: RealField, b: RealField, direction: str = "iso"):
         r_part += np.mean(a.samples, axis=0, keepdims=True) * np.mean(b.samples, axis=0, keepdims=True)
 
     def finish(arr):
-        return from_spectral(dealias(to_spectral(RealField(g, arr))))
+        return RealField(g, c.inv(c.dh(arr)))
 
     return finish(t_part), finish(tbar_part), finish(r_part)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhd2d import diagnostics as diag
 from mhd2d import eulerian as eul
 from mhd2d import lagrangian as lag
 from mhd2d.fields import random_band_field
@@ -190,16 +191,16 @@ def test_pressure_euler_fused_matches_pairwise(seed, n):
 @pytest.fixture()
 def fft_fields(monkeypatch):
     """Counter of 2-D fields passed through numpy.fft.rfft2 / irfft2 (together
-    under "fields") and per entry point, full-complex fft2 included."""
+    under "fields") and per entry point, full-complex fft2 / ifft2 included."""
     count = Counter()
-    for name in ("rfft2", "irfft2", "fft2"):
+    for name in ("rfft2", "irfft2", "fft2", "ifft2"):
         real = getattr(np.fft, name)
 
         def counted(a, *args, _real=real, _name=name, **kwargs):
             a = np.asarray(a)
             n = a.size // (a.shape[-2] * a.shape[-1])
             count[_name] += n
-            if _name != "fft2":
+            if _name in ("rfft2", "irfft2"):
                 count["fields"] += n
             return _real(a, *args, **kwargs)
 
@@ -246,3 +247,44 @@ def test_euler_aux_sample_costs_1_inverse_field(fft_fields):
     fft_fields.clear()
     s.sup_monitors()
     assert (fft_fields["irfft2"], fft_fields["rfft2"], fft_fields["fft2"]) == (1, 0, 0)
+
+
+def test_smallness_margin_costs_5_forward_fields_per_state(rng, fft_fields):
+    """Each stored Y, Y_t and q is transformed once; E_0 reuses the t = 0
+    coefficients."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+
+    def field():
+        return random_band_field(g, rng, 1.0, 5.0, 0.02)
+
+    states = [lag.FlowMapState((field(), field()), (field(), field()), field(), 0.1 * n) for n in range(3)]
+    fft_fields.clear()
+    diag.smallness_margin(states, 1.5, -0.75)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (15, 0, 0, 0)
+
+
+def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):
+    """state() solves the pressure from the held coefficients: its only
+    forward transforms are the pressure fixed point's dealiased sums, and
+    outside the solve it makes the 4 real fields it returns, grad Y and
+    grad Y_t at the nodes (8) and q (1)."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    s = lag._Stepper(g, 0.01)
+    s.load(lag.make_state(Y, V))
+    s.advance()
+    inside = Counter()
+    solve = lag._pressure_spectral
+
+    def counted(*args, **kwargs):
+        before = Counter(fft_fields)
+        out = solve(*args, **kwargs)
+        inside.update(Counter(fft_fields) - before)
+        return out
+
+    monkeypatch.setattr(lag, "_pressure_spectral", counted)
+    fft_fields.clear()
+    s.state()
+    assert inside["rfft2"] > 0
+    assert (fft_fields["rfft2"] - inside["rfft2"], fft_fields["irfft2"] - inside["irfft2"]) == (0, 13)

@@ -193,3 +193,11 @@ def test_half_spectrum_lattice_sum_is_plancherel(grid32, rng):
     full = float(np.sum(np.abs(np.fft.fft2(a)) ** 2))
     assert c.lattice_sum(np.abs(c.fwd(a)) ** 2) == pytest.approx(full, rel=1e-13)
     assert np.max(np.abs(c.inv(c.fwd(a)) - a)) < 1e-13
+
+
+@pytest.mark.parametrize("op", [lambda f: spectral_derivative(f, 1), inverse_laplacian])
+def test_half_spectrum_operators_reject_nonfinite(grid32, op):
+    bad = np.zeros(grid32.shape)
+    bad[3, 3] = np.inf
+    with pytest.raises(ValueError):
+        op(RealField(grid32, bad))

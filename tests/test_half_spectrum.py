@@ -1,0 +1,333 @@
+"""Half-spectrum operations against the full-complex formulas they replace.
+
+Every spectral operation on real fields runs on the ``rfft2`` half spectrum.
+Each test below writes out the full-complex, 1/N-normalised formula over the
+whole lattice (``fft2``/``ifft2``) and compares on white-noise fields, where
+every Nyquist mode is live, on square and non-square grids.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mhd2d import diagnostics as diag
+from mhd2d import fields, lp
+from mhd2d import lagrangian as lag
+from mhd2d.grid import RealField, inverse_laplacian, make_grid, spectral_derivative
+from mhd2d.linear import (
+    block_energy_series,
+    companion_matrices,
+    eigenvalues,
+    evolve_linear,
+    measured_decay_rate,
+)
+from mhd2d.propagators import apply2, expm2
+
+TWO_PI = 2.0 * np.pi
+REL = 1e-12
+GRIDS = [(16, 16, TWO_PI, TWO_PI), (32, 16, 2.0 * TWO_PI, TWO_PI), (16, 48, TWO_PI, 1.5 * TWO_PI)]
+CUT = lp.make_cutoffs()
+
+
+@pytest.fixture(params=GRIDS, ids=lambda p: f"{p[0]}x{p[1]}")
+def grid(request):
+    return make_grid(*request.param)
+
+
+def _fwd(g, a):
+    return np.fft.fft2(a) / (g.nx * g.ny)
+
+
+def _inv(g, c):
+    return np.real(np.fft.ifft2(c * (g.nx * g.ny)))
+
+
+def _white(g, rng):
+    u = RealField(g, rng.standard_normal(g.shape))
+    c = _fwd(g, u.samples)
+    assert abs(c[g.nx // 2, 1]) > 0 and abs(c[1, g.ny // 2]) > 0 and abs(c[g.nx // 2, g.ny // 2]) > 0
+    return u
+
+
+def _zero_mean(g, u):
+    c = _fwd(g, u.samples)
+    c[0, 0] = 0.0
+    return c
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
+
+
+def _l2(g, c):
+    return math.sqrt(g.lx * g.ly * float(np.sum(np.abs(c) ** 2)))
+
+
+def _mask(g, kind, j, low=False):
+    tau = {"iso": g.k_mag, "h": np.abs(g.k1) + 0.0 * g.k2, "v": np.abs(g.k2) + 0.0 * g.k1}[kind]
+    return (CUT.chi if low else CUT.phi)(tau * 2.0 ** (-j))
+
+
+def _d1_symbol(g):
+    return np.where(g.m1 == -g.nx // 2, 0.0, 1j * g.k1)
+
+
+def _oversample(g, c, factor=2):
+    """Samples on the finer grid of the full-lattice coefficients c, zero
+    padded with each unpaired Nyquist mode split evenly across +-N/2."""
+    fx, fy = factor * g.nx, factor * g.ny
+    big = np.zeros((fx, fy), dtype=complex)
+    m1, m2 = g.m1[:, 0], g.m2[0]
+    for rows in (m1, np.where(m1 == -g.nx // 2, g.nx // 2, m1)):
+        for cols in (m2, np.where(m2 == -g.ny // 2, g.ny // 2, m2)):
+            big[np.ix_(rows % fx, cols % fy)] += 0.25 * c
+    return np.real(np.fft.ifft2(big)) * fx * fy
+
+
+def _block_norm(g, c, p):
+    return _l2(g, c) if p == 2 else float(np.max(np.abs(_oversample(g, c))))
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_matches_full_lattice(grid, axis, order):
+    u = _white(grid, np.random.default_rng(1))
+    k, m, n = (grid.k1, grid.m1, grid.nx) if axis == 1 else (grid.k2, grid.m2, grid.ny)
+    sym = (1j * k) ** order
+    if order % 2:
+        sym = np.where(m == -n // 2, 0.0, sym)
+    ref = _inv(grid, _fwd(grid, u.samples) * sym)
+    assert _rel(spectral_derivative(u, axis, order).samples, ref) <= REL
+
+
+def test_inverse_laplacian_matches_full_lattice(grid):
+    u = _white(grid, np.random.default_rng(2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = _inv(grid, np.where(grid.k_sq > 0, -_fwd(grid, u.samples) / grid.k_sq, 0.0))
+    assert _rel(inverse_laplacian(u).samples, ref) <= REL
+
+
+# ---------------------------------------------------------------------------
+# lp
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "op,kind,low",
+    [
+        (lp.block_iso, "iso", False),
+        (lp.block_h, "h", False),
+        (lp.block_v, "v", False),
+        (lp.low_pass, "iso", True),
+        (lp.low_pass_h, "h", True),
+        (lp.low_pass_v, "v", True),
+    ],
+)
+def test_blocks_match_full_lattice(grid, op, kind, low):
+    u = _white(grid, np.random.default_rng(3))
+    c = _fwd(grid, u.samples)
+    j0, j1 = lp.resolved_range(grid, kind)
+    for j in range(j0 - 1, j1 + 2):
+        ref = _inv(grid, c * _mask(grid, kind, j, low))
+        got = op(u, j).samples
+        if np.max(np.abs(ref)) == 0.0:
+            assert np.max(np.abs(got)) == 0.0
+        else:
+            assert _rel(got, ref) <= REL
+
+
+@pytest.mark.parametrize("homogeneous,exponents", [(True, (-0.5, 0.0, 1.5)), (False, (-1.0, 1.0, 2.0))])
+def test_sobolev_norm_matches_full_lattice(grid, homogeneous, exponents):
+    u = _white(grid, np.random.default_rng(4))
+    for s in exponents:
+        if homogeneous:
+            c = _zero_mean(grid, u)
+            with np.errstate(divide="ignore"):
+                w = np.where(grid.k_sq > 0, grid.k_sq**s, 0.0)
+        else:
+            c = _fwd(grid, u.samples)
+            w = (1.0 + grid.k_sq) ** s
+        ref = math.sqrt(grid.lx * grid.ly * float(np.sum(w * np.abs(c) ** 2)))
+        assert lp.sobolev_norm(u, s, homogeneous) == pytest.approx(ref, rel=REL)
+
+
+@pytest.mark.parametrize("p", [2, math.inf])
+def test_besov_norm_matches_full_lattice(grid, p):
+    u = _white(grid, np.random.default_rng(5))
+    c = _zero_mean(grid, u)
+    j0, j1 = lp.resolved_range(grid, "iso")
+    s = 0.5
+    vals = np.array([2.0 ** (j * s) * _block_norm(grid, c * _mask(grid, "iso", j), p) for j in range(j0, j1 + 1)])
+    assert lp.besov_norm(u, s, p, 1) == pytest.approx(float(np.sum(vals)), rel=REL)
+    assert lp.besov_norm(u, s, p, 2) == pytest.approx(float(np.sqrt(np.sum(vals**2))), rel=REL)
+
+
+def test_aniso_norm_matches_full_lattice(grid):
+    u = _white(grid, np.random.default_rng(6))
+    c = _zero_mean(grid, u)
+    s1, s2 = 0.3, -0.2
+    j0, j1 = lp.resolved_range(grid, "iso")
+    k0, k1 = lp.resolved_range(grid, "h")
+    ref = sum(
+        2.0 ** (j * s1 + k * s2) * _l2(grid, c * _mask(grid, "iso", j) * _mask(grid, "h", k))
+        for j in range(j0, j1 + 1)
+        for k in range(k0, k1 + 1)
+        if j >= k - lp.ANISO_N0
+    )
+    assert lp.aniso_norm(u, s1, s2) == pytest.approx(ref, rel=REL)
+
+
+@pytest.mark.parametrize("p,lam", [(2, 2.0), (math.inf, math.inf)])
+def test_chemin_lerner_norm_matches_full_lattice(grid, p, lam):
+    rng = np.random.default_rng(7)
+    us = [_white(grid, rng) for _ in range(3)]
+    times = np.array([0.0, 0.5, 1.0])
+    s = 0.5
+    j0, j1 = lp.resolved_range(grid, "iso")
+    js = range(j0, j1 + 1)
+    series = np.array([[_block_norm(grid, _zero_mean(grid, u) * _mask(grid, "iso", j), p) for u in us] for j in js])
+    w = np.max(series, axis=1) if lam == math.inf else np.trapezoid(series**lam, times, axis=1) ** (1.0 / lam)
+    ref = float(np.sum(np.array([2.0 ** (j * s) for j in js]) * w))
+    assert lp.chemin_lerner_norm(us, times, lam, s, p, 1) == pytest.approx(ref, rel=REL)
+
+
+@pytest.mark.parametrize("direction", ["iso", "horizontal"])
+def test_bony_decompose_matches_full_lattice(grid, direction):
+    rng = np.random.default_rng(8)
+    a, b = _white(grid, rng), _white(grid, rng)
+    kind = "iso" if direction == "iso" else "h"
+    j0, j1 = lp.resolved_range(grid, kind)
+    ca, cb = _fwd(grid, a.samples), _fwd(grid, b.samples)
+    blocks_a = {j: _inv(grid, ca * _mask(grid, kind, j)) for j in range(j0 - 1, j1 + 2)}
+    blocks_b = {j: _inv(grid, cb * _mask(grid, kind, j)) for j in range(j0 - 1, j1 + 2)}
+    t = tbar = r = 0.0
+    for j in range(j0, j1 + 1):
+        t = t + _inv(grid, ca * _mask(grid, kind, j - 1, low=True)) * blocks_b[j]
+        tbar = tbar + _inv(grid, cb * _mask(grid, kind, j - 1, low=True)) * blocks_a[j]
+        r = r + blocks_a[j] * (blocks_b[j - 1] + blocks_b[j] + blocks_b[j + 1])
+    axis = None if direction == "iso" else 0
+    r = r + np.mean(a.samples, axis=axis, keepdims=True) * np.mean(b.samples, axis=axis, keepdims=True)
+    for got, part in zip(lp.bony_decompose(a, b, direction), (t, tbar, r)):
+        ref = _inv(grid, _fwd(grid, part) * grid.dealias_mask)
+        assert _rel(got.samples, ref) <= REL
+
+
+# ---------------------------------------------------------------------------
+# linear and diagnostics
+# ---------------------------------------------------------------------------
+
+
+def test_block_energy_series_matches_full_lattice(grid):
+    rng = np.random.default_rng(9)
+    y0, y1 = ((_white(grid, rng), _white(grid, rng)) for _ in range(2))
+    times = [0.0, 0.02, 0.1]
+    got = block_energy_series(evolve_linear(y0, y1, times))
+    c0 = [_fwd(grid, f.samples) for f in y0]
+    c1 = [_fwd(grid, f.samples) for f in y1]
+    k1sq, ksq = grid.k1**2 + 0.0 * grid.k2, grid.k_sq
+    j0, j1 = lp.resolved_range(grid, "iso")
+    k0, k1 = lp.resolved_range(grid, "h")
+    ref = {}
+    for t in times:
+        p = expm2(companion_matrices(grid), t)
+        yv = [apply2(p, a, b) for a, b in zip(c0, c1)]
+        y_sq = sum(np.abs(y) ** 2 for y, _ in yv)
+        v_sq = sum(np.abs(v) ** 2 for _, v in yv)
+        cross = sum(np.real(v * np.conj(y)) for y, v in yv)
+        for j in range(j0, j1 + 1):
+            for k in range(k0, k1 + 1):
+                wsq = (_mask(grid, "iso", j) * _mask(grid, "h", k)) ** 2
+                nv, nd1 = np.sum(wsq * v_sq), np.sum(wsq * k1sq * y_sq)
+                nlap, nc = np.sum(wsq * ksq**2 * y_sq), np.sum(wsq * ksq * cross)
+                gsq = grid.lx * grid.ly * (0.5 * (nv + nd1 + 0.25 * nlap) + 0.25 * nc)
+                ref.setdefault((j, k), []).append(float(gsq))
+    ref = {key: np.array(v) for key, v in ref.items() if max(v) > 0.0}
+    assert set(got) == set(ref)
+    for key, series in ref.items():
+        assert np.all(np.abs(got[key] - series) <= REL * series), key
+
+
+def _initial_energy_full(g, Y0, Y1, s):
+    def hs_sq(c, expo):
+        with np.errstate(divide="ignore"):
+            w = np.where(g.k_sq > 0, g.k_sq**expo, 0.0)
+        return g.lx * g.ly * float(np.sum(w * np.abs(c) ** 2))
+
+    total = 0.0
+    for f0, f1 in zip(Y0, Y1):
+        c0, c1 = _fwd(g, f0.samples), _fwd(g, f1.samples)
+        total += hs_sq(c1, s) + hs_sq(c1, s + 1.0) + hs_sq(_d1_symbol(g) * c0, s) + hs_sq(c0, s + 2.0)
+    return total
+
+
+def test_initial_energy_matches_full_lattice(grid):
+    rng = np.random.default_rng(10)
+    Y0, Y1, Y0b, Y1b = ((_white(grid, rng), _white(grid, rng)) for _ in range(4))
+    refs = {s: _initial_energy_full(grid, Y0, Y1, s) for s in (1.5, -0.75)}
+    for s, ref in refs.items():
+        assert diag.initial_energy(Y0, Y1, s) == pytest.approx(ref, rel=REL)
+    q = _white(grid, rng)
+    states = [lag.FlowMapState(Y0, Y1, q, 0.0), lag.FlowMapState(Y0b, Y1b, q, 1.0)]
+    margin = diag.smallness_margin(states, 1.5, -0.75)
+    assert margin["script_E_0"] == pytest.approx(refs[1.5] + refs[-0.75], rel=REL)
+
+
+def test_measured_decay_rate_reads_negative_n_from_the_mirror():
+    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    zero = RealField(g, np.zeros(g.shape))
+    y0 = (fields.mode_field(g, 2, -3, 1.0 + 0.5j), zero)
+    v0 = (fields.mode_field(g, 2, -3, 0.3), zero)
+    traj = evolve_linear(y0, v0, np.linspace(0.0, 8.0, 60))
+    neg = measured_decay_rate(traj, (2, -3))
+    assert neg == measured_decay_rate(traj, (-2, 3))
+    assert neg.rate == pytest.approx(eigenvalues((2.0, -3.0)).lambda_minus.real, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+
+def _band_full(g, rng, kmin, kmax, amplitude, decay, normalize="l2"):
+    c = _fwd(g, rng.standard_normal(g.shape))
+    mm = np.sqrt(g.m1.astype(float) ** 2 + g.m2.astype(float) ** 2)
+    c = np.where((mm >= kmin) & (mm <= kmax), c * np.exp(-decay * mm**2), 0.0)
+    c[0, 0] = 0.0
+    f = _inv(g, c)
+    scale = math.sqrt(g.cell_area * float(np.sum(f**2))) if normalize == "l2" else float(np.max(np.abs(f)))
+    return amplitude * f / scale
+
+
+@pytest.mark.parametrize("normalize", ["l2", "inf"])
+def test_random_band_field_matches_full_lattice(grid, normalize):
+    # kmax beyond the lattice corner: every mode, the Nyquist ones included, is drawn
+    got = fields.random_band_field(grid, np.random.default_rng(11), 0.0, 1e3, 2.0, 0.01, normalize)
+    ref = _band_full(grid, np.random.default_rng(11), 0.0, 1e3, 2.0, 0.01, normalize)
+    assert _rel(got.samples, ref) <= REL
+
+
+def test_random_solenoidal_matches_full_lattice(grid):
+    got = fields.random_solenoidal(grid, np.random.default_rng(12), 0.0, 1e3, 3.0, 0.01)
+    chi = _fwd(grid, _band_full(grid, np.random.default_rng(12), 0.0, 1e3, 1.0, 0.01))
+    u1, u2 = _inv(grid, 1j * grid.k2 * chi), _inv(grid, -1j * grid.k1 * chi)
+    scale = math.sqrt(grid.cell_area * float(np.sum(u1**2 + u2**2)))
+    for f, ref in zip(got, (3.0 * u1 / scale, 3.0 * u2 / scale)):
+        assert _rel(f.samples, ref) <= REL
+
+
+def test_mode_field_matches_full_lattice(grid):
+    nx, ny = grid.shape
+    modes = [(3, 2), (-3, -2), (2, -1), (2, 0), (-2, 0), (0, 0), (1, -ny // 2), (-nx // 2, 3), (-nx // 2, 0), (0, -ny // 2)]
+    coeff = 0.7 - 0.4j
+    for m, n in modes:
+        c = np.zeros(grid.shape, dtype=complex)
+        c[m % nx, n % ny] = coeff
+        c[-m % nx, -n % ny] = np.conj(coeff)
+        ref = _inv(grid, c)
+        assert _rel(fields.mode_field(grid, m, n, coeff).samples, ref) <= REL, (m, n)

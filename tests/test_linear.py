@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from mhd2d import lp
 from mhd2d.fields import mode_field, random_band_field, single_mode
-from mhd2d.grid import RealField, l2_norm, to_spectral
+from mhd2d.grid import RealField, half_spectrum, l2_norm, to_spectral
 from mhd2d.linear import (
     block_energy,
     block_energy_series,
@@ -155,10 +155,11 @@ def test_evolve_single_mode_matches_mode_solution(grid32):
     traj = evolve_linear(y0, v0, times)
     xi = (3.0, 1.0)
     i, j = grid32.mode_index(3, 1)
+    n = grid32.nx * grid32.ny
     for idx, t in enumerate(times):
         y_ref, v_ref = mode_solution(xi, 0.5 - 0.25j, 0.1 + 0.2j, t)
-        assert abs(traj.yhat[idx, 0, i, j] - y_ref) < 1e-12
-        assert abs(traj.vhat[idx, 0, i, j] - v_ref) < 1e-12
+        assert abs(traj.yhat[idx, 0, i, j] / n - y_ref) < 1e-12
+        assert abs(traj.vhat[idx, 0, i, j] / n - v_ref) < 1e-12
 
 
 def test_evolve_multimode_energy_is_mode_sum(grid32, rng):
@@ -168,7 +169,8 @@ def test_evolve_multimode_energy_is_mode_sum(grid32, rng):
     t = 0.8
     traj = evolve_linear(y0, v0, [0.0, t])
     area = grid32.lx * grid32.ly
-    direct = area * float(np.sum(np.abs(traj.yhat[1]) ** 2))
+    n = grid32.nx * grid32.ny
+    direct = area * half_spectrum(grid32).lattice_sum(np.sum(np.abs(traj.yhat[1] / n) ** 2, axis=0))
     acc = 0.0
     c0 = [to_spectral(f).coeffs for f in y0]
     c1 = [to_spectral(f).coeffs for f in v0]
@@ -191,19 +193,21 @@ def test_forced_evolution_second_order(grid32):
     y0 = (mode_field(g, 1, 2, 0.3), mode_field(g, 2, 1, -0.2))
     v0 = _zero_pair(g)
     i, j = g.mode_index(1, 2)
+    size = g.nx * g.ny
+    half = half_spectrum(g).ksq.shape
 
     def forcing(t):
+        # half spectrum: (1, 2) holds 0.5 amp, its mirror (-1, -2) is implied
         amp = math.sin(1.3 * t)
-        f1 = np.zeros(g.shape, complex)
-        f1[g.mode_index(1, 2)] = 0.5 * amp
-        f1[g.mode_index(-1, -2)] = 0.5 * amp
-        return f1, np.zeros(g.shape, complex)
+        f1 = np.zeros(half, complex)
+        f1[i, j] = 0.5 * amp * size
+        return f1, np.zeros(half, complex)
 
     ref = evolve_linear(y0, v0, [0.0, 1.0], forcing=forcing, substep=1.0 / 512)
     errs = []
     for n in (16, 32):
         got = evolve_linear(y0, v0, [0.0, 1.0], forcing=forcing, substep=1.0 / n)
-        errs.append(np.max(np.abs(got.yhat[1] - ref.yhat[1])))
+        errs.append(np.max(np.abs(got.yhat[1] - ref.yhat[1])) / size)
     assert errs[0] / errs[1] > 3.4
 
 
@@ -211,17 +215,20 @@ def test_forced_evolution_exact_for_forcing_linear_in_time(grid32):
     """ETD2RK integrates a forcing linear in time exactly: states stored after
     4 and 8 substeps match the one-shot response P z0 + R1 a + R2 b."""
     g = grid32
+    hs = half_spectrum(g)
     rng = np.random.default_rng(3)
     y0, v0, fa, fb = (
         tuple(random_band_field(g, rng, 1.0, 6.0) for _ in range(2)) for _ in range(4)
     )
-    a, b = ([to_spectral(f).coeffs for f in pair] for pair in (fa, fb))
+    a, b = ([hs.fwd(f.samples) for f in pair] for pair in (fa, fb))
     got = evolve_linear(y0, v0, [0.0, 0.25, 0.5], forcing=lambda t: (a[0] + b[0] * t, a[1] + b[1] * t),
                         substep=1.0 / 16)
+    # the first ny/2 + 1 full-lattice columns carry the half spectrum's |xi|
+    half_matrices = companion_matrices(g)[:, : g.ny // 2 + 1]
     for i, t in ((1, 0.25), (2, 0.5)):
-        p, r1, r2 = etd_tables(companion_matrices(g), t)
+        p, r1, r2 = etd_tables(half_matrices, t)
         for c in range(2):
-            hy, hv = apply2(p, to_spectral(y0[c]).coeffs, to_spectral(v0[c]).coeffs)
+            hy, hv = apply2(p, hs.fwd(y0[c].samples), hs.fwd(v0[c].samples))
             want_y = hy + r1[..., 0, 1] * a[c] + r2[..., 0, 1] * b[c]
             want_v = hv + r1[..., 1, 1] * a[c] + r2[..., 1, 1] * b[c]
             assert np.max(np.abs(got.yhat[i, c] - want_y)) <= 1e-12 * np.max(np.abs(want_y))
