@@ -17,7 +17,7 @@ import numpy as np
 from mhd2d.diagnostics import decay_table, decay_table_csv
 from mhd2d.fields import random_band_field
 from mhd2d.grid import make_grid
-from mhd2d.linear import evolve_linear
+from mhd2d.linear import block_energy_series, evolve_linear
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
     v0 = (random_band_field(g, rng, 1.0, band), random_band_field(g, rng, 1.0, band))
     times = np.unique(np.concatenate([[0.0], np.geomspace(1e-4, 20.0, 140)]))
     traj = evolve_linear(y0, v0, times)
-    rows = decay_table(traj)
+    rows = decay_table(traj.times, block_energy_series(traj))
     print(f"{'j':>3} {'k':>3} {'regime':>6} {'fitted rate':>12} {'scale':>10} {'c':>8} {'lam_-':>10}")
     for r in rows:
         print(

@@ -273,8 +273,9 @@ def _exp_linear_decay(cfg: ExperimentConfig, out: dict) -> list[dict]:
 def _exp_block_energy(cfg: ExperimentConfig, out: dict) -> list[dict]:
     """Regime-resolved g_{j,k} tables with fitted dyadic rate constants."""
     g, traj = _linear_trajectory(cfg)
-    lin.write_block_energy_csv(traj, os.path.join(out["ledgers"], "block_energy.csv"))
-    rows = diag.decay_table(traj)
+    table = lin.block_energy_series(traj)
+    lin.write_block_energy_csv(traj.times, table, os.path.join(out["ledgers"], "block_energy.csv"))
+    rows = diag.decay_table(traj.times, table)
     diag.decay_table_csv(rows, os.path.join(out["ledgers"], "decay_table.csv"))
     c_min = min((r.rate_constant for r in rows), default=0.0)
     low = [r for r in rows if r.regime == "low"]

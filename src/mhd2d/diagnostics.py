@@ -14,9 +14,11 @@ taken per dyadic block before the weighted block sum):
 and the two-exponent functional is E_T^{s1} + E_T^{s2} with the matching
 initial quantity E_0^s = ||Y1||^2_{H^s} + ||Y1||^2_{H^{s+1}}
 + ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.  Each stored Y, Y_t and q is
-transformed once per call onto the half spectrum; every channel, and E_0 from
-the t = 0 coefficients, is a Plancherel sum (``HalfSpectrum.norm_sq``) with the
-Nyquist-zeroing derivative symbols ``HalfSpectrum.ik1``/``ik2``.
+transformed once per call onto the half spectrum, with the Nyquist-zeroing
+derivative symbols ``HalfSpectrum.ik1``/``ik2``; the per-block tables of every
+channel are one product per state with ``lp``'s isotropic block-weight matrix
+(``lp.block_sq_norms``), and E_0 is a Plancherel sum (``HalfSpectrum.norm_sq``)
+of the t = 0 coefficients.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, half_spectrum
-from mhd2d.linear import LinearTrajectory, block_energy_series, eigenvalues
-from mhd2d.lp import _mask, resolved_range
+from mhd2d.grid import HalfSpectrum, half_spectrum
+from mhd2d.linear import eigenvalues
+from mhd2d.lp import block_sq_norms
 
 __all__ = [
     "EnergyLedger",
@@ -77,25 +79,8 @@ class EnergyLedger:
 # ---------------------------------------------------------------------------
 
 
-def _block_l2_table(grid: Grid, coeff_stack: list) -> np.ndarray:
-    """Per-block squared L2 norms: rows = blocks j, cols = entries of the stack.
-
-    Each stack entry is a tuple of half-spectrum component arrays (a vector's
-    squared norm is the component sum).
-    """
-    c = half_spectrum(grid)
-    j0, j1 = resolved_range(grid, "iso")
-    out = np.empty((j1 - j0 + 1, len(coeff_stack)))
-    for n, comps in enumerate(coeff_stack):
-        aen = sum(np.abs(ch) ** 2 for ch in comps)
-        for i, j in enumerate(range(j0, j1 + 1)):
-            out[i, n] = c.norm_sq(_mask(grid, "iso", j, low=False) ** 2 * aen)
-    return out
-
-
-def _weights(grid: Grid, s: float) -> np.ndarray:
-    j0, j1 = resolved_range(grid, "iso")
-    return np.array([2.0 ** (2.0 * j * s) for j in range(j0, j1 + 1)])
+def _weights(keys: tuple, s: float) -> np.ndarray:
+    return np.array([2.0 ** (2.0 * j * s) for j in keys])
 
 
 def _cl_inf_sq(block_sq: np.ndarray, w: np.ndarray) -> float:
@@ -115,24 +100,23 @@ def _l1_sq(block_sq: np.ndarray, w: np.ndarray, times: np.ndarray) -> float:
 
 
 def _block_tables(states):
-    """(grid, times, per-block tables, t = 0 coefficients) of a stored
+    """(block keys, times, per-block tables, t = 0 coefficients) of a stored
     flow-map trajectory.
 
     Each stored Y, Y_t and q is transformed once, one state at a time; the
     tables ``yt``, ``y``, ``d1y``, ``y2``, ``gq`` and ``grad_y`` hold the
     per-block squared L2 norms of Y_t, Y, d1 Y, Y^2, grad q and grad Y
-    (rows = blocks j, cols = states).  The last entry holds the half-spectrum
-    coefficients (Y, Y_t) of the first state.
+    (rows = isotropic blocks j, cols = states).  The last entry holds the
+    half-spectrum coefficients (Y, Y_t) of the first state.
     """
     if len(states) < 2:
         raise ValueError("need at least two stored states")
     for st in states:
         if st.q is None:
             raise ValueError("trajectory is missing the pressure channel")
-    grid = states[0].Y[0].grid
-    c = half_spectrum(grid)
+    c = half_spectrum(states[0].Y[0].grid)
     ik1, ik2 = c.ik1, c.ik2
-    cols = {name: [] for name in ("yt", "y", "d1y", "y2", "gq", "grad_y")}
+    cols = []
     for n, st in enumerate(states):
         yh = [c.fwd(f.samples) for f in st.Y]
         vh = [c.fwd(f.samples) for f in st.Y_t]
@@ -147,17 +131,19 @@ def _block_tables(states):
             "gq": [ik1 * qh, ik2 * qh],
             "grad_y": [ik1 * yh[0], ik2 * yh[0], ik1 * yh[1], ik2 * yh[1]],
         }
-        for name, comps in vectors.items():
-            cols[name].append(_block_l2_table(grid, [comps]))
+        dens = np.stack([sum(np.abs(h) ** 2 for h in comps) for comps in vectors.values()])
+        keys, tab = block_sq_norms(c.grid, dens)
+        cols.append(tab)
+    tabs = np.stack(cols, axis=-1)  # (blocks, channels, states)
     times = np.array([st.t for st in states])
-    return grid, times, {name: np.hstack(col) for name, col in cols.items()}, first
+    return keys, times, {name: tabs[:, i] for i, name in enumerate(vectors)}, first
 
 
-def _functional(grid: Grid, times: np.ndarray, tabs: dict, s: float) -> tuple[float, dict]:
+def _functional(keys: tuple, times: np.ndarray, tabs: dict, s: float) -> tuple[float, dict]:
     """E_T^s and its eleven channels from the per-block tables."""
 
     def w(expo):
-        return _weights(grid, expo)
+        return _weights(keys, expo)
 
     parts = {
         "yt_clinf_s": _cl_inf_sq(tabs["yt"], w(s)),
@@ -177,8 +163,8 @@ def _functional(grid: Grid, times: np.ndarray, tabs: dict, s: float) -> tuple[fl
 
 def functional_E(states, s: float, return_breakdown: bool = False):
     """E_T^s over a stored flow-map trajectory (list of FlowMapState)."""
-    grid, times, tabs, _ = _block_tables(states)
-    total, parts = _functional(grid, times, tabs, s)
+    keys, times, tabs, _ = _block_tables(states)
+    total, parts = _functional(keys, times, tabs, s)
     if return_breakdown:
         return total, parts
     return total
@@ -205,14 +191,10 @@ def initial_energy(Y0, Y1, s: float) -> float:
     return _initial_energy_hat(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1], s)
 
 
-def _cl_besov_inf(grid: Grid, tab: np.ndarray, s: float) -> float:
+def _cl_besov_inf(keys: tuple, tab: np.ndarray, s: float) -> float:
     """Tilde L-inf in time of the homogeneous Besov (2,1) norm, from a
     per-block table."""
-    j0, j1 = resolved_range(grid, "iso")
-    total = 0.0
-    for i, j in enumerate(range(j0, j1 + 1)):
-        total += 2.0 ** (j * s) * math.sqrt(float(np.max(tab[i])))
-    return total
+    return sum(2.0 ** (j * s) * math.sqrt(float(m)) for j, m in zip(keys, np.max(tab, axis=1)))
 
 
 def smallness_margin(states, s1: float, s2: float) -> dict:
@@ -223,18 +205,18 @@ def smallness_margin(states, s1: float, s2: float) -> dict:
     working assumptions, and the implied constant in
     E_T <= C (E_0 + (E_0^{1/2} + E_T^{1/2} + E_T) E_T).
     """
-    grid, times, tabs, (y0h, y1h) = _block_tables(states)
-    script_e = _functional(grid, times, tabs, s1)[0] + _functional(grid, times, tabs, s2)[0]
-    c = half_spectrum(grid)
+    keys, times, tabs, (y0h, y1h) = _block_tables(states)
+    script_e = _functional(keys, times, tabs, s1)[0] + _functional(keys, times, tabs, s2)[0]
+    c = half_spectrum(states[0].Y[0].grid)
     e0 = _initial_energy_hat(c, y0h, y1h, s1) + _initial_energy_hat(c, y0h, y1h, s2)
     rep = {
         "script_E_T": script_e,
         "script_E_0": e0,
         "ratio_E_T_over_E_0": script_e / e0 if e0 > 0 else 0.0,
-        "gradY_clinf_B1": _cl_besov_inf(grid, tabs["grad_y"], 1.0),
-        "gradY_clinf_B2": _cl_besov_inf(grid, tabs["grad_y"], 2.0),
-        "Y_clinf_Hs1p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(grid, s1 + 2.0))),
-        "Y_clinf_Hs2p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(grid, s2 + 2.0))),
+        "gradY_clinf_B1": _cl_besov_inf(keys, tabs["grad_y"], 1.0),
+        "gradY_clinf_B2": _cl_besov_inf(keys, tabs["grad_y"], 2.0),
+        "Y_clinf_Hs1p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(keys, s1 + 2.0))),
+        "Y_clinf_Hs2p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(keys, s2 + 2.0))),
     }
     denom = e0 + (math.sqrt(e0) + math.sqrt(script_e) + script_e) * script_e
     rep["bootstrap_constant"] = script_e / denom if denom > 0 else 0.0
@@ -258,20 +240,20 @@ class DecayRow:
     initial_gsq: float
 
 
-def decay_table(traj: LinearTrajectory, mass_floor: float = 1e-14) -> list[DecayRow]:
-    """Fit per-block decay rates of g_{j,k} and compare with the regime law.
+def decay_table(times: np.ndarray, table: dict, mass_floor: float = 1e-14) -> list[DecayRow]:
+    """Fit per-block decay rates of g_{j,k} and compare with the regime law,
+    from a ``linear.block_energy_series`` table over the stored ``times``.
 
     The fit window adapts to the block speed: samples after the first
     measurable decay and before underflow; blocks with less than one
     e-folding over the whole record fall back to the last half of samples.
     """
-    table = block_energy_series(traj)
+    t = np.asarray(times)
     rows: list[DecayRow] = []
     for (j, k), gsq in sorted(table.items()):
         g0 = gsq[0]
         if g0 < mass_floor:
             continue
-        t = traj.times
         rel = gsq / g0
         lo, hi = 1e-20, math.exp(-0.4)
         sel = (rel > lo) & (rel < hi)

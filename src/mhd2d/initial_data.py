@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, half_spectrum, spectral_derivative
+from mhd2d.grid import Grid, RealField, _deriv_symbol, half_spectrum, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
-from mhd2d.lp import a_ks_norm, sobolev_norm
+from mhd2d.lp import a_ks_norm, sobolev_norm, sobolev_norm_hat
 
 __all__ = [
     "InitialDatum",
@@ -238,14 +238,10 @@ def build_flow_map_initial(
 
     # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
     #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0
-    d2psi = PeriodicInterpolator(spectral_derivative(psi0, 2))
-    d1psi = PeriodicInterpolator(spectral_derivative(psi0, 1))
-    d2til = PeriodicInterpolator(spectral_derivative(psitilde0, 2))
+    d2p, d1p, d2t = spectral_derivative(psi0, 2), spectral_derivative(psi0, 1), spectral_derivative(psitilde0, 2)
+    d2psi, d1psi, d2til = PeriodicInterpolator(d2p), PeriodicInterpolator(d1p), PeriodicInterpolator(d2t)
     # d1 psitilde0 through the transport relation (seam-safe closed form)
-    d2p_arr = spectral_derivative(psi0, 2).samples
-    d1p_arr = spectral_derivative(psi0, 1).samples
-    d2t_arr = spectral_derivative(psitilde0, 2).samples
-    d1til = PeriodicInterpolator(RealField(g, (d2p_arr + d1p_arr * d2t_arr) / (1.0 + d2p_arr)))
+    d1til = PeriodicInterpolator(RealField(g, (d2p.samples + d1p.samples * d2t.samples) / (1.0 + d2p.samples)))
 
     def cd(arr: np.ndarray, axis: int, d: float) -> np.ndarray:
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
@@ -305,15 +301,16 @@ class InitialDatum:
 
 
 def smallness_report(datum: InitialDatum, k: int, s: float, s1: float, s2: float) -> dict:
-    """All hypothesis norms of the smallness assumptions, bundled as a dict."""
-    lap_y0 = tuple(
-        RealField(datum.Y0[0].grid, spectral_derivative(c, 1, 2).samples + spectral_derivative(c, 2, 2).samples)
-        for c in datum.Y0
-    )
-    d1_y0 = tuple(spectral_derivative(c, 1) for c in datum.Y0)
+    """All hypothesis norms of the smallness assumptions, bundled as a dict.
 
-    def vec_hdot(v, expo):
-        return math.hypot(sobolev_norm(v[0], expo), sobolev_norm(v[1], expo))
+    u0, Y0 and Y1 are transformed once each; the d1 Y0 and Lap Y0 norms come
+    from Y0's coefficients."""
+    c = half_spectrum(datum.Y0[0].grid)
+    lap = _deriv_symbol(c, 1, 2) + _deriv_symbol(c, 2, 2)
+    u0h, y0h, y1h = ([c.fwd(f.samples) for f in v] for v in (datum.u0, datum.Y0, datum.Y1))
+
+    def vec_hdot(vh, expo, symbol=1.0):
+        return math.hypot(*(sobolev_norm_hat(c, symbol * h, expo) for h in vh))
 
     psi_a = a_ks_norm(datum.psi0, k + 1, s)
     til_hk = sobolev_norm(datum.psitilde0, float(k), homogeneous=False)
@@ -321,13 +318,13 @@ def smallness_report(datum: InitialDatum, k: int, s: float, s1: float, s2: float
         "psi0_A_k1_s": psi_a,
         "psitilde0_Hk": til_hk,
         "companion_ratio_Hk_over_A": (til_hk / psi_a if psi_a > 0 else 0.0),
-        "u0_Hdot_km1": vec_hdot(datum.u0, float(k - 1)),
-        "u0_Hdot_s2": vec_hdot(datum.u0, s2),
-        "d1Y0_Hdot_s2": vec_hdot(d1_y0, s2),
-        "lapY0_Hdot_s1": vec_hdot(lap_y0, s1),
-        "lapY0_Hdot_s2": vec_hdot(lap_y0, s2),
-        "Y1_Hdot_s1p1": vec_hdot(datum.Y1, s1 + 1.0),
-        "Y1_Hdot_s2": vec_hdot(datum.Y1, s2),
+        "u0_Hdot_km1": vec_hdot(u0h, float(k - 1)),
+        "u0_Hdot_s2": vec_hdot(u0h, s2),
+        "d1Y0_Hdot_s2": vec_hdot(y0h, s2, c.ik1),
+        "lapY0_Hdot_s1": vec_hdot(y0h, s1, lap),
+        "lapY0_Hdot_s2": vec_hdot(y0h, s2, lap),
+        "Y1_Hdot_s1p1": vec_hdot(y1h, s1 + 1.0),
+        "Y1_Hdot_s2": vec_hdot(y1h, s2),
     }
     rep["hypothesis_sum_flowmap"] = rep["d1Y0_Hdot_s2"] + rep["lapY0_Hdot_s1"] + rep["lapY0_Hdot_s2"] + rep["Y1_Hdot_s1p1"] + rep["Y1_Hdot_s2"]
     rep["hypothesis_sum_scalar"] = rep["psi0_A_k1_s"] + rep["u0_Hdot_km1"] + rep["u0_Hdot_s2"]

@@ -14,8 +14,8 @@ exp(-t |xi|^2 / 2); high frequencies split into a fast branch ~ exp(-t |xi|^2)
 and a slow branch whose rate ~ xi1^2 / |xi|^2 degenerates as xi1 -> 0.
 
 Trajectories hold half-spectrum coefficients (``grid.half_spectrum``), the
-Lagrangian stepper's layout; block energies are Plancherel sums of a per-mode
-density (``HalfSpectrum.norm_sq``).
+Lagrangian stepper's layout; block energies are the product of ``lp``'s
+anisotropic block-weight matrix with a per-mode density (``lp.block_sq_norms``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
-from mhd2d.lp import _mask, resolved_range
+from mhd2d.lp import block_sq_norms
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables, expm2
 
 __all__ = [
@@ -209,35 +209,22 @@ def _gsq_density(c: HalfSpectrum, yh, vh) -> np.ndarray:
     return 0.5 * (v_sq + (c.k1**2 + 0.25 * c.ksq**2) * y_sq) + 0.25 * c.ksq * cross
 
 
-def _block_weight(g: Grid, j: int, k: int) -> np.ndarray:
-    """Squared mask of the anisotropic block D_j D_k^h."""
-    return (_mask(g, "iso", j, low=False) * _mask(g, "h", k, low=False)) ** 2
-
-
 def block_energy(Y: tuple[RealField, RealField], Y_t: tuple[RealField, RealField], j: int, k: int) -> float:
-    """Anisotropic block energy g_{j,k}^2 of the state (Y, Y_t)."""
+    """Anisotropic block energy g_{j,k}^2 of the state (Y, Y_t); 0 for a pair
+    outside the resolved blocks."""
     c = half_spectrum(Y[0].grid)
     dens = _gsq_density(c, [c.fwd(f.samples) for f in Y], [c.fwd(f.samples) for f in Y_t])
-    return c.norm_sq(_block_weight(c.grid, j, k) * dens)
+    keys, tab = block_sq_norms(c.grid, dens, aniso=True)
+    return float(dict(zip(keys, tab)).get((j, k), 0.0))
 
 
 def block_energy_series(traj: LinearTrajectory) -> dict[tuple[int, int], np.ndarray]:
-    """g_{j,k}^2 over stored times for every resolved (j, k) pair."""
-    g = traj.grid
-    c = half_spectrum(g)
-    dens = [_gsq_density(c, traj.yhat[i], traj.vhat[i]) for i in range(traj.times.size)]
-    j0, j1 = resolved_range(g, "iso")
-    k0, k1 = resolved_range(g, "h")
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(j0, j1 + 1):
-        for k in range(k0, k1 + 1):
-            wsq = _block_weight(g, j, k)
-            if not wsq.any():
-                continue
-            series = np.array([c.norm_sq(wsq * d) for d in dens])
-            if series.max() > 0.0:
-                table[(j, k)] = series
-    return table
+    """g_{j,k}^2 over stored times for every resolved (j, k) pair with a
+    nonzero series; one block-table product per stored time."""
+    c = half_spectrum(traj.grid)
+    dens = (_gsq_density(c, yh, vh) for yh, vh in zip(traj.yhat, traj.vhat))
+    keys, cols = zip(*(block_sq_norms(c.grid, d, aniso=True) for d in dens))
+    return {key: row for key, row in zip(keys[0], np.column_stack(cols)) if row.max() > 0.0}
 
 
 @dataclass(frozen=True)
@@ -300,11 +287,11 @@ def write_eigen_csv(grid: Grid, path) -> None:
                 )
 
 
-def write_block_energy_csv(traj: LinearTrajectory, path) -> None:
-    table = block_energy_series(traj)
+def write_block_energy_csv(times: np.ndarray, table: dict[tuple[int, int], np.ndarray], path) -> None:
+    """One row per block and stored time of a ``block_energy_series`` table."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "j", "k", "g_sq"])
         for (j, k), series in sorted(table.items()):
-            for t, val in zip(traj.times, series):
+            for t, val in zip(times, series):
                 w.writerow([float(t), j, k, float(val)])

@@ -18,7 +18,10 @@ use |xi_1| / |xi_2|.  Out-of-range indices give the zero field.
 Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
 homogeneous norms drop the mean (the torus surrogate of "modulo constants";
 phi(0) = 0, so every dyadic block does); L-infinity block norms are evaluated
-on a 2x zero-padded grid.
+on a 2x zero-padded grid.  Every per-block squared L2 norm, here and in
+``linear`` and ``diagnostics``, is one product of a cached block-weight matrix
+(squared masks times the Plancherel lattice weights) with a per-mode density
+on the half spectrum (``block_sq_norms``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm, spectral_derivative
+from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, l2_norm
 
 __all__ = [
     "CutoffPair",
@@ -46,7 +49,9 @@ __all__ = [
     "low_pass_v",
     "resolved_range",
     "build_blockset",
+    "block_sq_norms",
     "sobolev_norm",
+    "sobolev_norm_hat",
     "besov_norm",
     "aniso_norm",
     "chemin_lerner_norm",
@@ -116,9 +121,9 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-# bony_decompose in both directions and block_energy_series use 36 distinct
-# masks at 128^2; the bound keeps one grid's working set without growing
-# across the grids of a sweep
+# bony_decompose in both directions reads 36 distinct masks at 128^2; the
+# bound keeps one grid's working set without growing across the grids of a
+# sweep (the block-weight matrices read each mask once per grid and family)
 @lru_cache(maxsize=64)
 def _mask(grid: Grid, kind: str, j: int, low: bool) -> np.ndarray:
     """phi (or chi when ``low``) of 2^-j tau on the half spectrum."""
@@ -216,6 +221,41 @@ def build_blockset(u: RealField, anisotropic: bool = False) -> DyadicBlockSet:
     return DyadicBlockSet(u, blocks, jr, kr)
 
 
+# one matrix per grid and block family; at 128^2 the anisotropic one is
+# 49 x 8320 (3.3 MB)
+@lru_cache(maxsize=4)
+def _block_weights(grid: Grid, aniso: bool) -> tuple[tuple, np.ndarray]:
+    """Block keys and the (blocks x modes) matrix whose row for block b is
+    its squared mask times the Plancherel weights of ``HalfSpectrum.norm_sq``
+    (1 on columns 0 and ny/2, 2 elsewhere, times lx ly / (nx ny)^2)."""
+    (j0, j1), (k0, k1) = resolved_range(grid, "iso"), resolved_range(grid, "h")
+    pairs = [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1) if j >= k - ANISO_N0]
+    keys = tuple(pairs) if aniso else tuple(range(j0, j1 + 1))
+    lattice = np.full((grid.nx, grid.ny // 2 + 1), 2.0 * grid.lx * grid.ly / (grid.nx * grid.ny) ** 2)
+    lattice[:, [0, -1]] *= 0.5
+    mat = np.empty((len(keys), lattice.size))
+    for row, key in zip(mat, keys):
+        j, k = key if aniso else (key, None)
+        m = _mask(grid, "iso", j, low=False) * (_mask(grid, "h", k, low=False) if aniso else 1.0)
+        row[:] = (m**2 * lattice).ravel()
+    mat.flags.writeable = False
+    return keys, mat
+
+
+def block_sq_norms(grid: Grid, w: np.ndarray, aniso: bool = False) -> tuple[tuple, np.ndarray]:
+    """Squared L2 norms of the dyadic blocks of a real field, from its
+    per-mode density ``w`` on the half spectrum (``|fh|^2``, summed over the
+    components of a vector), as (keys, table).
+
+    Keys are the isotropic j over ``resolved_range(grid, "iso")``, or the
+    pairs (j, k) with j >= k - ANISO_N0 when ``aniso``; zero blocks keep their
+    row.  A density of shape ``(nx, ny // 2 + 1)`` gives one value per block,
+    a stack ``(m, nx, ny // 2 + 1)`` a table of shape (blocks, m).
+    """
+    keys, mat = _block_weights(grid, aniso)
+    return keys, mat @ w.reshape(w.shape[:-2] + (-1,)).T
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -258,6 +298,11 @@ def sobolev_norm(u: RealField, s: float, homogeneous: bool = True) -> float:
     box surrogate cannot control the low-frequency tail there.
     """
     c = half_spectrum(u.grid)
+    return sobolev_norm_hat(c, c.fwd(u.samples), s, homogeneous)
+
+
+def sobolev_norm_hat(c: HalfSpectrum, uh: np.ndarray, s: float, homogeneous: bool = True) -> float:
+    """``sobolev_norm`` of the real field with half-spectrum coefficients ``uh``."""
     if homogeneous:
         if s <= -1.0:
             raise ValueError("homogeneous exponent s <= -1 is unreliable on the periodic box")
@@ -265,7 +310,7 @@ def sobolev_norm(u: RealField, s: float, homogeneous: bool = True) -> float:
             w = np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
     else:
         w = (1.0 + c.ksq) ** float(s)
-    return math.sqrt(c.norm_sq(w * np.abs(c.fwd(u.samples)) ** 2))
+    return math.sqrt(c.norm_sq(w * np.abs(uh) ** 2))
 
 
 def oversample(u: RealField, factor: int = 2) -> RealField:
@@ -294,18 +339,16 @@ def _ell_r(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
-def _block_norms(c: HalfSpectrum, uh: np.ndarray, p: float) -> list[float]:
+def _block_norms(c: HalfSpectrum, uh: np.ndarray, p: float) -> np.ndarray:
     """||D_j u||_{L^p} over the resolved isotropic blocks j of the field with
-    half-spectrum coefficients ``uh``; L2 by Plancherel."""
+    half-spectrum coefficients ``uh``: L2 from ``block_sq_norms``, other p
+    from the samples of each block."""
+    if p == 2:
+        return np.sqrt(block_sq_norms(c.grid, np.abs(uh) ** 2)[1])
     j0, j1 = resolved_range(c.grid, "iso")
-    out = []
-    for j in range(j0, j1 + 1):
-        bh = uh * _mask(c.grid, "iso", j, low=False)
-        if p == 2:
-            out.append(math.sqrt(c.norm_sq(np.abs(bh) ** 2)))
-        else:
-            out.append(lp_norm(RealField(c.grid, c.inv(bh)), p))
-    return out
+    return np.array(
+        [lp_norm(RealField(c.grid, c.inv(uh * _mask(c.grid, "iso", j, low=False))), p) for j in range(j0, j1 + 1)]
+    )
 
 
 def besov_norm(u: RealField, s: float, p: float = 2, r: float = 1) -> float:
@@ -319,27 +362,11 @@ def besov_norm(u: RealField, s: float, p: float = 2, r: float = 1) -> float:
 def aniso_norm(u: RealField, s1: float, s2: float) -> float:
     """Double dyadic sum: sum_{j,k} 2^{j s1} 2^{k s2} ||D_j D_k^h u||_{L2}.
 
-    Pairs with j < k - N0 carry identically zero blocks and are skipped.
+    Pairs with j < k - N0 carry identically zero blocks and have no row.
     """
-    g = u.grid
-    c = half_spectrum(g)
-    j0, j1 = resolved_range(g, "iso")
-    k0, k1 = resolved_range(g, "h")
-    total = 0.0
-    aen = np.abs(c.fwd(u.samples)) ** 2
-    for j in range(j0, j1 + 1):
-        mj = _mask(g, "iso", j, low=False)
-        if not mj.any():
-            continue
-        for k in range(k0, k1 + 1):
-            if j < k - ANISO_N0:
-                continue
-            m = mj * _mask(g, "h", k, low=False)
-            if not m.any():
-                continue
-            nrm = math.sqrt(c.norm_sq(m**2 * aen))
-            total += 2.0 ** (j * s1) * 2.0 ** (k * s2) * nrm
-    return total
+    c = half_spectrum(u.grid)
+    keys, tab = block_sq_norms(u.grid, np.abs(c.fwd(u.samples)) ** 2, aniso=True)
+    return sum(2.0 ** (j * s1) * 2.0 ** (k * s2) * math.sqrt(v) for (j, k), v in zip(keys, tab))
 
 
 def chemin_lerner_norm(
@@ -377,9 +404,11 @@ def a_ks_norm(f: RealField, k: int, s: float, boundary_warn: float = 1e-8) -> fl
     """Weighted-column norm: max over |alpha| <= k of
     sup_x1 <x1 - lx/2>^s ||d^alpha f(x1, .)||_{L2 in x2}.
 
-    The weight is centred at the box midpoint; a warning fires when the
-    outermost columns carry more than ``boundary_warn`` of the total mass
-    (the compact-support surrogate is then invalid).
+    ``f`` is transformed once and each d^alpha f is one inverse transform
+    of the product symbol.  The weight is centred at the box midpoint; a
+    warning fires when the outermost columns carry more than
+    ``boundary_warn`` of the total mass (the compact-support surrogate is
+    then invalid).
     """
     g = f.grid
     x1t = (g.x1[:, 0] - 0.5 * g.lx)
@@ -394,15 +423,16 @@ def a_ks_norm(f: RealField, k: int, s: float, boundary_warn: float = 1e-8) -> fl
                 "weighted-column norm truncation is unreliable",
                 stacklevel=2,
             )
+    c = half_spectrum(g)
+    fh = _finite_fwd(f)
     best = 0.0
     for a1 in range(k + 1):
         for a2 in range(k + 1 - a1):
-            d = f
-            if a1:
-                d = spectral_derivative(d, 1, a1)
+            sym = _deriv_symbol(c, 1, a1) if a1 else 1.0
             if a2:
-                d = spectral_derivative(d, 2, a2)
-            cols = np.sqrt(g.dy * np.sum(d.samples**2, axis=1))
+                sym = sym * _deriv_symbol(c, 2, a2)
+            d = c.inv(fh * sym) if a1 or a2 else f.samples
+            cols = np.sqrt(g.dy * np.sum(d**2, axis=1))
             best = max(best, float(np.max(weight * cols)))
     return best
 

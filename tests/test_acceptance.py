@@ -138,7 +138,7 @@ def test_c03_regime_decay():
     for series in table.values():
         growth = np.max(np.diff(series) / np.maximum(series[:-1], 1e-300))
         worst_growth = max(worst_growth, float(growth))
-    rows = diag.decay_table(traj)
+    rows = diag.decay_table(traj.times, table)
     c_min = min(r.rate_constant for r in rows)
     c_low = min((r.rate_constant for r in rows if r.regime == "low"), default=math.inf)
     c_high = min((r.rate_constant for r in rows if r.regime == "high"), default=math.inf)

@@ -18,8 +18,15 @@ from hypothesis import strategies as st
 from mhd2d import diagnostics as diag
 from mhd2d import eulerian as eul
 from mhd2d import lagrangian as lag
-from mhd2d.fields import random_band_field
+from mhd2d.fields import bump_dx1, random_band_field, random_solenoidal
 from mhd2d.grid import RealField, half_spectrum, make_grid
+from mhd2d.initial_data import (
+    InitialDatum,
+    build_flow_map_initial,
+    seed_lagrangian_velocity,
+    smallness_report,
+    solve_companion_potential,
+)
 
 TWO_PI = 2.0 * np.pi
 REL = 1e-13  # worst measured over 80 seeds per test at 32^2 and 64^2: 3.5e-15
@@ -261,6 +268,22 @@ def test_smallness_margin_costs_5_forward_fields_per_state(rng, fft_fields):
     fft_fields.clear()
     diag.smallness_margin(states, 1.5, -0.75)
     assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (15, 0, 0, 0)
+
+
+def test_smallness_report_costs_28_fields(rng, fft_fields):
+    """a_ks_norm transforms psi0 once and takes each of its 20 derivatives by
+    one inverse transform; psitilde0, u0, Y0 and Y1 are transformed once
+    each (1 + 2 + 2 + 2)."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    psi0 = bump_dx1(g, 1e-4, width=0.6)
+    tilde, _ = solve_companion_potential(psi0)
+    Y0, _ = build_flow_map_initial(psi0, tilde)
+    u0 = random_solenoidal(g, rng, 1.0, 4.0, 1e-4)
+    Y1, _ = seed_lagrangian_velocity(u0, Y0)
+    datum = InitialDatum(psi0, tilde, u0, Y0, Y1)
+    fft_fields.clear()
+    smallness_report(datum, 4, 2.0, 1.5, -0.75)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (8, 20, 0, 0)
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 
 from mhd2d import diagnostics as diag
 from mhd2d import lagrangian as lag
+from mhd2d import lp
 from mhd2d.fields import mode_field, random_band_field, random_solenoidal
 from mhd2d.grid import RealField, half_spectrum
-from mhd2d.linear import evolve_linear
+from mhd2d.linear import block_energy_series, evolve_linear
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,9 +66,9 @@ def test_functional_frozen_mode(grid32):
     assert parts["d1y_clinf_s"] == 0.0 and parts["d1y_l2_s1"] == 0.0
     # Besov-type CL channel of Y at s+2 equals the (block-weighted) t=0 value
     assert parts["y_clinf_s2"] > 0.0
-    two_block = diag._block_l2_table(grid32, [(half_spectrum(grid32).fwd(y.samples),)])
-    w = diag._weights(grid32, 3.5)
-    assert parts["y_clinf_s2"] == pytest.approx(float(w @ two_block[:, 0]), rel=1e-12)
+    keys, two_block = lp.block_sq_norms(grid32, np.abs(half_spectrum(grid32).fwd(y.samples)) ** 2)
+    w = diag._weights(keys, 3.5)
+    assert parts["y_clinf_s2"] == pytest.approx(float(w @ two_block), rel=1e-12)
 
 
 def test_functional_requires_pressure(grid32):
@@ -129,7 +130,7 @@ def test_smallness_margin_scaling(grid32, rng):
 def test_decay_table_zero_mass_skipped(grid32):
     z = (_zeros(grid32), _zeros(grid32))
     traj = evolve_linear(z, z, [0.0, 1.0, 2.0])
-    assert diag.decay_table(traj) == []
+    assert diag.decay_table(traj.times, block_energy_series(traj)) == []
 
 
 def test_decay_table_regime_rates(grid64, rng):
@@ -143,7 +144,7 @@ def test_decay_table_regime_rates(grid64, rng):
     )
     times = np.unique(np.concatenate([[0.0], np.geomspace(1e-4, 15.0, 100)]))
     traj = evolve_linear(y0, v0, times)
-    rows = diag.decay_table(traj)
+    rows = diag.decay_table(traj.times, block_energy_series(traj))
     assert rows, "expected populated decay table"
     for r in rows:
         assert r.fitted_rate < 0.0

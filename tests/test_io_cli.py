@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mhd2d import cli
+from mhd2d import diagnostics as diag
 from mhd2d import io as mio
+from mhd2d import linear as lin
 from mhd2d.fields import random_band_field
 
 TWO_PI = 2.0 * np.pi
@@ -110,6 +112,24 @@ def test_cli_experiments_smoke(tmp_path, name, overrides):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rc == 0, report["assertions"]
     assert report["pass"] is True
+
+
+def test_cli_block_energy_computes_the_table_once(tmp_path, monkeypatch):
+    """The block-energy CSV and the decay table share one block_energy_series."""
+    calls = []
+    series = lin.block_energy_series
+
+    def counted(traj):
+        calls.append(1)
+        return series(traj)
+
+    # a module that imported the name holds its own reference to it
+    for mod in (lin, diag, cli):
+        if hasattr(mod, "block_energy_series"):
+            monkeypatch.setattr(mod, "block_energy_series", counted)
+    args = ["block-energy", "--set", "nx=32", "--set", "ny=32", "--set", "t_end=3.0", "--set", "seed=7"]
+    assert cli.main(args + ["--outdir", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_determinism_bit_identical(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mhd2d import lp
 from mhd2d.fields import random_band_field, single_mode
-from mhd2d.grid import RealField, l2_norm, make_grid, spectral_derivative, to_spectral
+from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, spectral_derivative, to_spectral
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,6 +87,34 @@ def test_blockset_reconstruction(grid64, rng):
     bs = lp.build_blockset(f)
     err = np.max(np.abs(bs.reconstruction().samples - f.samples))
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(64, 64, TWO_PI, TWO_PI), (32, 48, 2.0 * TWO_PI, 1.5 * TWO_PI)])
+@pytest.mark.parametrize("aniso", [False, True])
+def test_block_sq_norms_matches_per_block_sums(shape, aniso, rng):
+    """One product with the cached block-weight matrix equals the written-out
+    per-block Plancherel sum norm_sq(mask^2 w), for one density and a stack."""
+    g = make_grid(*shape)
+    c = half_spectrum(g)
+    dens = np.stack([np.abs(c.fwd(rng.standard_normal(g.shape))) ** 2 for _ in range(3)])
+    keys, one = lp.block_sq_norms(g, dens[0], aniso)
+    keys_stack, stack = lp.block_sq_norms(g, dens, aniso)
+    j0, j1 = lp.resolved_range(g, "iso")
+    k0, k1 = lp.resolved_range(g, "h")
+    if aniso:
+        want = [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1) if j >= k - lp.ANISO_N0]
+    else:
+        want = list(range(j0, j1 + 1))
+    assert list(keys) == want and keys_stack == keys
+    assert one.shape == (len(keys),) and stack.shape == (len(keys), 3)
+    for row, key in enumerate(keys):
+        j, k = key if aniso else (key, None)
+        m = lp._mask(g, "iso", j, low=False)
+        if aniso:
+            m = m * lp._mask(g, "h", k, low=False)
+        ref = np.array([c.norm_sq(m**2 * d) for d in dens])
+        assert np.all(np.abs(stack[row] - ref) <= 1e-13 * ref)
+        assert abs(one[row] - ref[0]) <= 1e-13 * ref[0]
 
 
 def test_aniso_n0_vanishing(grid64, rng):
