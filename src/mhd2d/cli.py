@@ -40,6 +40,8 @@ from mhd2d.initial_data import (
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "EXPERIMENTS", "run", "main"]
 
+# the scalar bump recipes of build-initial-data, by config name
+_SHAPES = {"gaussian": recipes.gaussian_bump, "bump_dx1": recipes.bump_dx1}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -51,7 +53,7 @@ CONFIG_SCHEMA = {
         "ny": {"type": "integer", "minimum": 8},
         "lx": {"type": "number", "exclusiveMinimum": 0},
         "ly": {"type": "number", "exclusiveMinimum": 0},
-        "shape": {"type": "string", "enum": ["gaussian", "bump_dx1", "random"]},
+        "shape": {"type": "string", "enum": list(_SHAPES)},
         "amplitude": {"type": "number"},
         "center": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "width": {"type": "number", "exclusiveMinimum": 0},
@@ -94,6 +96,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.shape not in _SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}; allowed: {sorted(_SHAPES)}")
         allowed = sorted(_TOLERANCES.get(self.experiment, {}))
         unknown = sorted(set(self.tolerances) - set(allowed))
         if unknown:
@@ -380,8 +384,7 @@ def _exp_cross_validate(cfg: ExperimentConfig, out: dict) -> list[dict]:
 
 def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g = cfg.grid()
-    maker = recipes.gaussian_bump if cfg.shape == "gaussian" else recipes.bump_dx1
-    psi0 = maker(g, cfg.amplitude, cfg.center, cfg.width)
+    psi0 = _SHAPES[cfg.shape](g, cfg.amplitude, cfg.center, cfg.width)
     psitilde0, cinfo = solve_companion_potential(psi0, tol=cfg.tol("det_u0"))
     Y0, finfo = build_flow_map_initial(psi0, psitilde0)
     rng = cfg.rng()

@@ -36,7 +36,6 @@ from mhd2d.lp import block_sq_norms
 __all__ = [
     "EnergyLedger",
     "functional_E",
-    "functional_script_E",
     "initial_energy",
     "smallness_margin",
     "decay_table",
@@ -170,11 +169,6 @@ def functional_E(states, s: float, return_breakdown: bool = False):
     return total
 
 
-def functional_script_E(states, s1: float, s2: float) -> float:
-    tables = _block_tables(states)[:3]
-    return _functional(*tables, s1)[0] + _functional(*tables, s2)[0]
-
-
 def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:
     """E_0^s from the half-spectrum coefficients of Y0 and Y1: homogeneous
     weights ksq^s (zero at the mean mode), and |ik1|^2 for d1 Y0."""
@@ -240,19 +234,20 @@ class DecayRow:
     initial_gsq: float
 
 
-def decay_table(times: np.ndarray, table: dict, mass_floor: float = 1e-14) -> list[DecayRow]:
+def decay_table(times: np.ndarray, table: dict) -> list[DecayRow]:
     """Fit per-block decay rates of g_{j,k} and compare with the regime law,
     from a ``linear.block_energy_series`` table over the stored ``times``.
 
     The fit window adapts to the block speed: samples after the first
     measurable decay and before underflow; blocks with less than one
-    e-folding over the whole record fall back to the last half of samples.
+    e-folding over the whole record fall back to the last half of samples;
+    blocks whose initial g^2 is below 1e-14 are skipped.
     """
     t = np.asarray(times)
     rows: list[DecayRow] = []
     for (j, k), gsq in sorted(table.items()):
         g0 = gsq[0]
-        if g0 < mass_floor:
+        if g0 < 1e-14:
             continue
         rel = gsq / g0
         lo, hi = 1e-20, math.exp(-0.4)

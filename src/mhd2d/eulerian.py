@@ -99,19 +99,14 @@ def _velocity(c: HalfSpectrum, ah: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c.e1 * ah, c.e2 * ah
 
 
-def _grad(c: HalfSpectrum, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """grad f at the nodes from the half-spectrum coefficients of f."""
-    return c.inv(c.ik1 * fh), c.inv(c.ik2 * fh)
-
-
 def _stress_hat(c: HalfSpectrum, u1: np.ndarray, u2: np.ndarray, psih: np.ndarray):
     """Dealiased coefficients of u_i u_j + d_i psi d_j psi for ij = 11, 12, 22."""
-    d1p, d2p = _grad(c, psih)
+    d1p, d2p = c.grad(psih)
     return c.dh(u1 * u1 + d1p * d1p), c.dh(u1 * u2 + d1p * d2p), c.dh(u2 * u2 + d2p * d2p)
 
 
-def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float = 0.0) -> EulerState:
-    """Dealias, project, and attach the consistent pressure."""
+def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerState:
+    """The state at t = 0: dealias, project, and attach the consistent pressure."""
     g = psi0.grid
     c = half_spectrum(g)
     u = leray_project(u0)
@@ -120,8 +115,8 @@ def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField], t: float 
     u1h, u2h = _velocity(c, ah)
     psi = RealField(g, c.inv(psih))
     uu = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
-    state = EulerState(psi, uu, RealField(g, np.zeros(g.shape)), t)
-    return EulerState(psi, uu, pressure_euler(state), t)
+    state = EulerState(psi, uu, RealField(g, np.zeros(g.shape)), 0.0)
+    return EulerState(psi, uu, pressure_euler(state), 0.0)
 
 
 class _EulerStepper:
@@ -145,7 +140,7 @@ class _EulerStepper:
             return z, z.copy()
         u1h, u2h = _velocity(c, ah)
         u1, u2 = c.inv(u1h), c.inv(u2h)
-        d1psi, d2psi = _grad(c, psih)
+        d1psi, d2psi = c.grad(psih)
         n_psi = -c.dh(u1 * d1psi + u2 * d2psi)
         n_psi[0, 0] = 0.0
         # u . grad u^c = div(u u^c); magnetic forcing -div(d_c psi grad psi).
@@ -188,11 +183,11 @@ class _EulerStepper:
         return EulerState(psi, u, pressure_euler(st), self.t)
 
 
-def step_euler(state: EulerState, dt: float, nonlinear: bool = True) -> EulerState:
+def step_euler(state: EulerState, dt: float) -> EulerState:
     """One IMEX step; raises EulerBlowupError with the last good state on NaN."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    s = _EulerStepper(state.psi.grid, dt, nonlinear)
+    s = _EulerStepper(state.psi.grid, dt)
     s.load(state)
     s.advance()
     if not s.finite():
@@ -283,7 +278,7 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
     |dE/dt + mean(D)| over the elapsed interval."""
     g = state.psi.grid
     c = half_spectrum(g)
-    gpsi1, gpsi2 = _grad(c, c.fwd(state.psi.samples))
+    gpsi1, gpsi2 = c.grad(c.fwd(state.psi.samples))
     e = 0.5 * (
         l2_norm(RealField(g, gpsi1)) ** 2
         + l2_norm(RealField(g, gpsi2)) ** 2
@@ -292,7 +287,7 @@ def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dic
     )
     d = 0.0
     for comp in state.u:
-        for dc in _grad(c, c.fwd(comp.samples)):
+        for dc in c.grad(c.fwd(comp.samples)):
             d += l2_norm(RealField(g, dc)) ** 2
     rec = {"t": state.t, "energy": e, "dissipation": d, "residual": None}
     if previous is not None:

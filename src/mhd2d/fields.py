@@ -39,11 +39,11 @@ def bump_dx1(grid: Grid, amplitude: float, center: tuple[float, float] | None = 
     return RealField(grid, -amplitude * d1 / width * env)
 
 
-def single_mode(grid: Grid, m: int, n: int, amplitude: float = 1.0, phase: float = 0.0) -> RealField:
-    """Real mode amplitude * cos(xi . x + phase) at integer mode (m, n)."""
+def single_mode(grid: Grid, m: int, n: int) -> RealField:
+    """Real mode cos(xi . x) at integer mode (m, n)."""
     k1 = 2.0 * np.pi * m / grid.lx
     k2 = 2.0 * np.pi * n / grid.ly
-    return RealField(grid, amplitude * np.cos(k1 * grid.x1 + k2 * grid.x2 + phase))
+    return RealField(grid, np.cos(k1 * grid.x1 + k2 * grid.x2))
 
 
 def mode_field(grid: Grid, m: int, n: int, coeff: complex) -> RealField:

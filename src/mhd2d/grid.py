@@ -272,6 +272,10 @@ class HalfSpectrum:
     def inv(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(ah, s=self.grid.shape)
 
+    def grad(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d1 f and d2 f at the nodes from the half-spectrum coefficients of f."""
+        return self.inv(self.ik1 * fh), self.inv(self.ik2 * fh)
+
     def inv_fine(self, ah: np.ndarray, factor: int = 2) -> np.ndarray:
         """Real samples on the ``factor``-times finer grid of a stack of
         half-spectrum coefficient arrays ``(..., nx, ny // 2 + 1)``, by zero

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mhd2d.grid import Grid, RealField, _deriv_symbol, half_spectrum, spectral_derivative
+from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.lp import a_ks_norm, sobolev_norm, sobolev_norm_hat
 
@@ -48,12 +48,6 @@ __all__ = [
 
 class ConstructionError(RuntimeError):
     pass
-
-
-def _grad_inf(f: RealField) -> float:
-    gx = spectral_derivative(f, 1).samples
-    gy = spectral_derivative(f, 2).samples
-    return float(np.max(np.hypot(gx, gy)))
 
 
 def window_derivative_x1(arr: np.ndarray, dx: float) -> np.ndarray:
@@ -75,33 +69,20 @@ def window_derivative_x1(arr: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def quiet_column(psi0: RealField, halfwidth: int = 4) -> int:
-    """Column whose neighbourhood carries the least mass; the march starts
-    there so the zero boundary data sits in the quiet part of the box."""
+def quiet_column(psi0: RealField) -> int:
+    """Column whose neighbourhood (4 columns on each side) carries the least
+    mass; the march starts there so the zero boundary data sits in the quiet
+    part of the box."""
     mass = np.sum(psi0.samples**2, axis=1)
-    kernel = np.ones(2 * halfwidth + 1)
-    smeared = np.array(
-        [np.dot(kernel, np.take(mass, range(i - halfwidth, i + halfwidth + 1), mode="wrap")) for i in range(mass.size)]
-    )
+    kernel = np.ones(9)
+    smeared = np.array([np.dot(kernel, np.take(mass, range(i - 4, i + 5), mode="wrap")) for i in range(mass.size)])
     return int(np.argmin(smeared))
 
 
-def _column_d2(col: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral x2-derivative of one column (periodic)."""
-    k2 = grid.k2[0, :]
-    m2 = grid.m2[0, :]
-    sym = 1j * k2
-    sym = np.where(m2 == -grid.ny // 2, 0.0, sym)
-    return np.real(np.fft.ifft(sym * np.fft.fft(col)))
-
-
-def _x1_shift(f: RealField, shift: float) -> np.ndarray:
-    """Samples of f translated by ``shift`` in x1 (spectral phase shift); the
-    unpaired Nyquist row, split evenly across +-nx/2, keeps the real part."""
-    c = half_spectrum(f.grid)
-    phase = np.exp(1j * c.k1 * shift)
-    phase[f.grid.nx // 2] = phase[f.grid.nx // 2].real
-    return c.inv(c.fwd(f.samples) * phase)
+def _column_d2(cols: np.ndarray, c: HalfSpectrum) -> np.ndarray:
+    """Spectral x2-derivative of a column or a stack of columns (periodic,
+    Nyquist mode zeroed), by one real transform along x2."""
+    return np.fft.irfft(c.ik2[0] * np.fft.rfft(cols), n=c.grid.ny)
 
 
 @dataclass(frozen=True)
@@ -112,27 +93,28 @@ class CompanionInfo:
     march_order: int = 4
 
 
-def solve_companion_potential(
-    psi0: RealField,
-    tol: float = 1e-6,
-    start_column: int | None = None,
-) -> tuple[RealField, CompanionInfo]:
-    """March the companion potential across the box and verify det U0 = 1.
+def solve_companion_potential(psi0: RealField, tol: float = 1e-6) -> tuple[RealField, CompanionInfo]:
+    """March the companion potential across the box from its quiet column
+    and verify det U0 = 1.
 
     The march is fourth-order in x1 (one grid column per step, spectral in
     x2); the returned residual is measured with an independent sixth-order
-    x1 difference inside the marching window.
+    x1 difference inside the marching window.  psi0 is transformed once:
+    its gradient and the gradient's half-cell x1 translate all come from
+    those coefficients.
     """
     g = psi0.grid
-    if _grad_inf(psi0) >= 0.5:
+    c = half_spectrum(g)
+    psih = _finite_fwd(psi0)
+    d1psi, d2psi = c.grad(psih)
+    if float(np.max(np.hypot(d1psi, d2psi))) >= 0.5:
         raise ConstructionError("companion march requires max |grad psi0| < 1/2")
-    d1psi = spectral_derivative(psi0, 1).samples
-    d2psi = spectral_derivative(psi0, 2).samples
-    d1psi_h = _x1_shift(RealField(g, d1psi), 0.5 * g.dx)
-    d2psi_h = _x1_shift(RealField(g, d2psi), 0.5 * g.dx)
-    if start_column is None:
-        start_column = quiet_column(psi0)
-    i0 = start_column
+    # half-cell x1 translate by a spectral phase; the unpaired Nyquist row,
+    # split evenly across +-nx/2, keeps the real part
+    phase = np.exp(1j * c.k1 * (0.5 * g.dx))
+    phase[g.nx // 2] = phase[g.nx // 2].real
+    d1psi_h, d2psi_h = c.grad(psih * phase)
+    i0 = quiet_column(psi0)
 
     def rhs(col_idx_times2: int, tilde_col: np.ndarray) -> np.ndarray:
         # col_idx_times2 counts half-columns from the start of the march
@@ -140,7 +122,7 @@ def solve_companion_potential(
         i = (i0 + whole) % g.nx
         a = (d1psi_h if half else d1psi)[i]
         b = (d2psi_h if half else d2psi)[i]
-        return (b + a * _column_d2(tilde_col, g)) / (1.0 + b)
+        return (b + a * _column_d2(tilde_col, c)) / (1.0 + b)
 
     tilde = np.zeros(g.shape)
     col = np.zeros(g.ny)
@@ -156,7 +138,7 @@ def solve_companion_potential(
     order = [(i0 + s) % g.nx for s in range(g.nx)]
     marched = tilde[order]
     d1tilde_win = window_derivative_x1(marched, g.dx)
-    d2tilde = np.vstack([_column_d2(tilde[i], g) for i in range(g.nx)])
+    d2tilde = _column_d2(tilde, c)
     det_win = (1.0 + d2psi[order]) * (1.0 - d1tilde_win) + d2tilde[order] * d1psi[order]
     det_residual = float(np.max(np.abs(det_win - 1.0)))
     wake = float(np.max(np.abs(marched[-1])))
@@ -194,27 +176,24 @@ def _seam_mask(grid: Grid, i0: int, margin: int) -> np.ndarray:
 
 
 def build_flow_map_initial(
-    psi0: RealField,
-    psitilde0: RealField,
-    tol: float = 1e-12,
-    max_iterations: int = 60,
-    contraction_threshold: float = 0.1,
-    seam_column: int | None = None,
-    seam_margin: int | None = None,
+    psi0: RealField, psitilde0: RealField
 ) -> tuple[tuple[RealField, RealField], FlowMapSeedInfo]:
     """Picard iteration for Y0 = (psitilde0(y + Y0), -psi0(y + Y0)).
 
-    Converges when successive iterates differ by less than ``tol`` in sup
-    norm.  Also returns the residuals of the four gradient relations
+    Needs max |grad psi0| + max |grad psitilde0| <= 0.1, and converges when
+    successive iterates differ by less than 1e-12 in sup norm (at most 60
+    iterations).  Also returns the residuals of the four gradient relations
     (second-order centred differences against interpolated gradients of the
-    potentials), measured away from the marching seam.
+    potentials), measured away from the marching seam at the quiet column of
+    psi0.  psi0 and psitilde0 are transformed once each.
     """
     g = psi0.grid
-    size = _grad_inf(psi0) + _grad_inf(psitilde0)
-    if size > contraction_threshold:
-        raise ConstructionError(
-            f"gradient size {size:.3e} exceeds contraction threshold {contraction_threshold}"
-        )
+    c = half_spectrum(g)
+    d1p, d2p = c.grad(_finite_fwd(psi0))
+    d1t, d2t = c.grad(_finite_fwd(psitilde0))
+    size = float(np.max(np.hypot(d1p, d2p))) + float(np.max(np.hypot(d1t, d2t)))
+    if size > 0.1:
+        raise ConstructionError(f"gradient size {size:.3e} exceeds contraction threshold 0.1")
     it_psi = PeriodicInterpolator(psi0)
     it_til = PeriodicInterpolator(psitilde0)
     y1 = np.zeros(g.shape)
@@ -222,26 +201,25 @@ def build_flow_map_initial(
     prev_inc = math.inf
     grow = 0
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, 61):
         new1 = it_til.at_displaced(y1, y2)
         new2 = -it_psi.at_displaced(y1, y2)
         inc = max(float(np.max(np.abs(new1 - y1))), float(np.max(np.abs(new2 - y2))))
         y1, y2 = new1, new2
-        if inc < tol:
+        if inc < 1e-12:
             break
         grow = grow + 1 if inc > prev_inc else 0
         if grow >= 3:
             raise ConstructionError("fixed point diverges; smallness precondition violated")
         prev_inc = inc
     else:
-        raise ConstructionError(f"no convergence within {max_iterations} iterations (inc={inc:.2e})")
+        raise ConstructionError(f"no convergence within 60 iterations (inc={inc:.2e})")
 
     # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
     #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0
-    d2p, d1p, d2t = spectral_derivative(psi0, 2), spectral_derivative(psi0, 1), spectral_derivative(psitilde0, 2)
-    d2psi, d1psi, d2til = PeriodicInterpolator(d2p), PeriodicInterpolator(d1p), PeriodicInterpolator(d2t)
+    d2psi, d1psi, d2til = (PeriodicInterpolator(RealField(g, a)) for a in (d2p, d1p, d2t))
     # d1 psitilde0 through the transport relation (seam-safe closed form)
-    d1til = PeriodicInterpolator(RealField(g, (d2p.samples + d1p.samples * d2t.samples) / (1.0 + d2p.samples)))
+    d1til = PeriodicInterpolator(RealField(g, (d2p + d1p * d2t) / (1.0 + d2p)))
 
     def cd(arr: np.ndarray, axis: int, d: float) -> np.ndarray:
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
@@ -252,13 +230,10 @@ def build_flow_map_initial(
         cd(y2, 0, g.dx) + d1psi.at_displaced(y1, y2),
         cd(y2, 1, g.dy) + d1til.at_displaced(y1, y2),
     )
-    if seam_column is None:
-        seam_column = quiet_column(psi0)
-    if seam_margin is None:
-        # fixed physical width: the wake wiggle of the spline prefilter
-        # decays per CELL, so a cell-count margin would shrink physically
-        seam_margin = max(6, g.nx // 16)
-    mask = _seam_mask(g, seam_column, seam_margin)
+    # fixed physical width: the wake wiggle of the spline prefilter decays
+    # per CELL, so a cell-count margin would shrink physically
+    seam_margin = max(6, g.nx // 16)
+    mask = _seam_mask(g, quiet_column(psi0), seam_margin)
     linf = tuple(float(np.max(np.abs(ri[mask]))) for ri in r)
     l2 = tuple(float(np.sqrt(g.cell_area * np.sum(ri[mask] ** 2))) for ri in r)
     info = FlowMapSeedInfo(

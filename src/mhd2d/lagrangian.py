@@ -75,6 +75,9 @@ class PressureConvergenceError(RuntimeError):
     pass
 
 
+_PRESSURE_MAX_ITERATIONS = 200
+
+
 @lru_cache(maxsize=8)
 def _etd(grid: Grid, dt: float):
     """ETD tables of the flow-map mode matrix [[0, 1], [-xi1^2, -|xi|^2]]."""
@@ -168,7 +171,7 @@ def rho(Y: tuple[RealField, RealField]) -> RealField:
 
 def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
     """Dealiased coefficients of grad_Y q = A^T grad q, and grad q at the nodes."""
-    q1, q2 = c.inv(c.ik1 * qh), c.inv(c.ik2 * qh)
+    q1, q2 = c.grad(qh)
     return (c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)), (q1, q2)
 
 
@@ -240,7 +243,6 @@ def _pressure_spectral(
     y2h: np.ndarray,
     qh0: np.ndarray | None,
     tol: float,
-    max_iterations: int,
     check_identity: bool,
     extra_hat: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PressureInfo]:
@@ -260,7 +262,7 @@ def _pressure_spectral(
     area = c.grid.lx * c.grid.ly
     inc_prev = math.inf
     contraction = 0.0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _PRESSURE_MAX_ITERATIONS + 1):
         (w1h, w2h), (q1, q2) = _grad_y_hat(c, adj, qh)
         w1q, w2q = c.inv(w1h), c.inv(w2h)
         # (A - I) A^T grad q + (A^T - I) grad q, with A - I read off grad Y
@@ -279,7 +281,7 @@ def _pressure_spectral(
             break
         inc_prev = inc
     raise PressureConvergenceError(
-        f"pressure fixed point stopped at iteration {it} of {max_iterations}: increment {inc:.3e}, "
+        f"pressure fixed point stopped at iteration {it} of {_PRESSURE_MAX_ITERATIONS}: increment {inc:.3e}, "
         f"contraction {contraction:.3f}, ||grad Y||_inf = {t.sup_norm:.3f}"
     )
 
@@ -288,7 +290,6 @@ def pressure_solve(
     Y: tuple[RealField, RealField],
     Y_t: tuple[RealField, RealField],
     tol: float = 1e-10,
-    max_iterations: int = 200,
     q0: RealField | None = None,
     check_identity: bool = True,
     extra_source: RealField | None = None,
@@ -296,9 +297,9 @@ def pressure_solve(
     """Solve the Lagrangian pressure equation; q has zero mean.
 
     Fixed-point iteration stops when the successive L2 difference drops
-    below ``tol``.  The conservative-form identity for div_Y d1^2 Y is
-    evaluated alongside when ``check_identity`` and its relative sup residual
-    is reported in the info record.  ``extra_source`` adds a manufactured
+    below ``tol``, within 200 iterations.  The conservative-form identity for
+    div_Y d1^2 Y is evaluated alongside when ``check_identity`` and its
+    relative sup residual is reported in the info record.  ``extra_source`` adds a manufactured
     term to the right side (testing hook).
     """
     g = Y[0].grid
@@ -312,7 +313,7 @@ def pressure_solve(
     qh0 = c.fwd(q0.samples) if q0 is not None else None
     extra_hat = c.fwd(extra_source.samples) if extra_source is not None else None
     qh, info = _pressure_spectral(
-        c, t, tv, vq, y1h, y2h, qh0, tol, max_iterations, check_identity, extra_hat
+        c, t, tv, vq, y1h, y2h, qh0, tol, check_identity, extra_hat
     )
     if info.identity_residual is not None and info.identity_residual > 1e-6:
         raise PressureConvergenceError(
@@ -396,15 +397,10 @@ class FlowMapState:
     t: float
 
 
-def make_state(
-    Y0: tuple[RealField, RealField],
-    Y1: tuple[RealField, RealField],
-    t: float = 0.0,
-    pressure_tol: float = 1e-10,
-) -> FlowMapState:
-    """Assemble a state, solving the pressure equation for the initial q."""
-    q, _ = pressure_solve(Y0, Y1, tol=pressure_tol, check_identity=False)
-    return FlowMapState(Y0, Y1, q, t)
+def make_state(Y0: tuple[RealField, RealField], Y1: tuple[RealField, RealField]) -> FlowMapState:
+    """Assemble the state at t = 0, solving the pressure equation for the initial q."""
+    q, _ = pressure_solve(Y0, Y1, check_identity=False)
+    return FlowMapState(Y0, Y1, q, 0.0)
 
 
 class _Stepper:
@@ -412,14 +408,13 @@ class _Stepper:
 
     def __init__(self, grid: Grid, dt: float, nonlinear: bool = True,
                  pressure_tol: float = 1e-10, extra_forcing=None,
-                 check_identity: bool = False, constraint_projection: bool = False):
+                 constraint_projection: bool = False):
         self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
         self.extra_forcing = extra_forcing
         self.pressure_tol = pressure_tol
-        self.check_identity = check_identity
         self.constraint_projection = constraint_projection
         self.tables = _etd(grid, dt)
         self.qh = None
@@ -448,8 +443,7 @@ class _Stepper:
             tv = _grad_hat(c, *vh)
             v_phys = (c.inv(vh[0]), c.inv(vh[1]))
             self.qh, self.last_pressure = _pressure_spectral(
-                c, tgrad, tv, v_phys, yh[0], yh[1], self.qh,
-                self.pressure_tol, 200, self.check_identity,
+                c, tgrad, tv, v_phys, yh[0], yh[1], self.qh, self.pressure_tol, False,
             )
             f1h, f2h = _rhs_f_spectral(c, tgrad, vh, self.qh)
         if self.extra_forcing is not None:
@@ -497,22 +491,16 @@ class _Stepper:
             return FlowMapState(Y, V, RealField(self.grid, np.zeros(self.grid.shape)), self.t)
         qh, _ = _pressure_spectral(
             c, _small_grad_hat(c, self.yh, self.t), _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), self.yh[0], self.yh[1],
-            self.qh, self.pressure_tol, 200, False,
+            self.qh, self.pressure_tol, False,
         )
         return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
 
 
-def step(
-    state: FlowMapState,
-    dt: float,
-    nonlinear: bool = True,
-    extra_forcing=None,
-    pressure_tol: float = 1e-10,
-) -> FlowMapState:
+def step(state: FlowMapState, dt: float, nonlinear: bool = True) -> FlowMapState:
     """One IMEX step: exact linear mode propagator + ETD2RK forcing."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    s = _Stepper(state.Y[0].grid, dt, nonlinear, pressure_tol, extra_forcing)
+    s = _Stepper(state.Y[0].grid, dt, nonlinear)
     s.load(state)
     s.advance()
     return s.state()
@@ -579,9 +567,6 @@ def run_lagrangian(
     dt: float,
     t_end: float,
     store_every: int = 10,
-    nonlinear: bool = True,
-    pressure_tol: float = 1e-10,
-    extra_forcing=None,
     s2_plus_1: float = 0.25,
     monitor_every: int = 1,
     constraint_projection: bool = False,
@@ -600,11 +585,8 @@ def run_lagrangian(
         raise ValueError(
             f"s2_plus_1 = {s2_plus_1}: homogeneous exponent s <= -1 is unreliable on the periodic box"
         )
-    st = make_state(Y0, Y1) if nonlinear else FlowMapState(
-        Y0, Y1, RealField(grid, np.zeros(grid.shape)), 0.0
-    )
-    stepper = _Stepper(grid, dt, nonlinear, pressure_tol, extra_forcing,
-                       constraint_projection=constraint_projection)
+    st = make_state(Y0, Y1)
+    stepper = _Stepper(grid, dt, constraint_projection=constraint_projection)
     stepper.load(st)
     states = [st]
     mon_t, rows = [0.0], [_state_monitors(stepper.c, stepper.yh, stepper.vh, s2_plus_1)]
@@ -634,18 +616,28 @@ def run_lagrangian(
 # ---------------------------------------------------------------------------
 
 
-def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
-    """u(y + Psi(y)) by periodic bicubic interpolation."""
+def _check_invertible(displacement: tuple[RealField, RealField]) -> None:
     t = gradient_tensor(displacement)
     if not (t.sup_norm < 1.0):
         raise ValueError(f"displacement gradient {t.sup_norm:.3f}, not < 1, breaks local invertibility")
+
+
+def _compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
     return RealField(
         u.grid, PeriodicInterpolator(u)(u.grid.x1 + displacement[0].samples, u.grid.x2 + displacement[1].samples)
     )
 
 
-def invert_flow_map(Y: tuple[RealField, RealField], tol: float = 1e-12, max_iterations: int = 60):
-    """Displacement of the inverse map: X^{-1}(x) = x + D(x), by Newton."""
+def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
+    """u(y + Psi(y)) by periodic bicubic interpolation; raises ValueError
+    unless ||grad Psi||_inf < 1."""
+    _check_invertible(displacement)
+    return _compose(u, displacement)
+
+
+def invert_flow_map(Y: tuple[RealField, RealField]):
+    """Displacement of the inverse map: X^{-1}(x) = x + D(x), by Newton
+    (at most 60 iterations, to sup residual 1e-12)."""
     g = Y[0].grid
     t = gradient_tensor(Y)
     if not (t.sup_norm <= 0.5):
@@ -659,12 +651,12 @@ def invert_flow_map(Y: tuple[RealField, RealField], tol: float = 1e-12, max_iter
     x2 = g.x2 + 0.0 * g.x1
     d1 = -Y[0].samples
     d2 = -Y[1].samples
-    for _ in range(max_iterations):
+    for _ in range(60):
         y1, y2 = x1 + d1, x2 + d2
         r1 = d1 + i_y1(y1, y2)
         r2 = d2 + i_y2(y1, y2)
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-        if res < tol:
+        if res < 1e-12:
             return RealField(g, d1), RealField(g, d2)
         j11 = 1.0 + i_g["d1y1"](y1, y2)
         j12 = i_g["d2y1"](y1, y2)
@@ -694,16 +686,18 @@ def to_eulerian(state: FlowMapState):
     from the displacement gradient, p = q o X^{-1} - |grad(x2 + psi)|^2.
 
     Returns (EulerState, psitilde, info) where info reports the curl residual
-    of the reconstructed gradient fields and the divergence of u.
+    of the reconstructed gradient fields and the divergence of u.  The
+    inverse displacement is checked once for all seven compositions.
     """
     from mhd2d.eulerian import EulerState
 
     g = state.Y[0].grid
     c = half_spectrum(g)
     dinv = invert_flow_map(state.Y)
+    _check_invertible(dinv)
     t = gradient_tensor(state.Y)
-    u1 = compose(state.Y_t[0], dinv)
-    u2 = compose(state.Y_t[1], dinv)
+    u1 = _compose(state.Y_t[0], dinv)
+    u2 = _compose(state.Y_t[1], dinv)
 
     def integrate_gradient(g1: RealField, g2: RealField):
         g1h, g2h = c.fwd(g1.samples), c.fwd(g2.samples)
@@ -713,17 +707,15 @@ def to_eulerian(state: FlowMapState):
         # psi_hat solves i xi . (i xi psi) = div g  =>  -|xi|^2 psi = div g
         return RealField(g, c.inv(ph)), float(np.sqrt(g.cell_area * np.sum(curl**2)))
 
-    gpsi1 = compose(RealField(g, -t.d1y2), dinv)
-    gpsi2 = compose(RealField(g, t.d1y1), dinv)
+    gpsi1 = _compose(RealField(g, -t.d1y2), dinv)
+    gpsi2 = _compose(RealField(g, t.d1y1), dinv)
     psi, curl_psi = integrate_gradient(gpsi1, gpsi2)
-    gtil1 = compose(RealField(g, -t.d2y2), dinv)
-    gtil2 = compose(RealField(g, t.d2y1), dinv)
+    gtil1 = _compose(RealField(g, -t.d2y2), dinv)
+    gtil2 = _compose(RealField(g, t.d2y1), dinv)
     psitilde, curl_til = integrate_gradient(gtil1, gtil2)
 
-    psih = c.fwd(psi.samples)
-    dpsi1 = c.inv(c.ik1 * psih)
-    dpsi2 = c.inv(c.ik2 * psih)
-    p_raw = compose(state.q, dinv).samples - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))
+    p_raw = _compose(state.q, dinv).samples - (dpsi1**2 + (1.0 + dpsi2) ** 2)
     p = RealField(g, p_raw - float(np.mean(p_raw)))
     div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
     info = {

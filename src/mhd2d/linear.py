@@ -160,8 +160,8 @@ def evolve_linear(
     if forcing is None:
         for i, t in enumerate(times):
             p = expm2(m, float(t))
-            for c in range(2):
-                ny[i, c], nv[i, c] = apply2(p, y0[c], v0[c])
+            for comp in range(2):
+                ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
         return LinearTrajectory(g, times, ny, nv, "none")
 
     # forced path: march with uniform substeps, storing by interpolation of
@@ -170,7 +170,7 @@ def evolve_linear(
     n_steps = max(1, int(round(t_end / substep)))
     h = t_end / n_steps
     tables = etd_tables(m, h)
-    z = [(y0[c], v0[c]) for c in range(2)]
+    z = [(y0[comp], v0[comp]) for comp in range(2)]
     t = 0.0
 
     def slots(_, s):
@@ -239,8 +239,8 @@ def _fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(a[0])
 
 
-def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int], component: int = 0) -> DecayFit:
-    """Least-squares tail slope of log |yhat(t)| at one integer mode.
+def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> DecayFit:
+    """Least-squares tail slope of log |yhat^1(t)| at one integer mode.
 
     Uses the last half of the stored samples (past the fast transient) and
     flags windows that span less than one e-folding of decay.  A mode with
@@ -250,7 +250,7 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int], compon
     i, j = g.mode_index(*xi_mode)
     if j > g.ny // 2:
         i, j = -i % g.nx, g.ny - j
-    series = np.abs(traj.yhat[:, component, i, j])
+    series = np.abs(traj.yhat[:, 0, i, j])
     # discard the round-off floor left by branch contamination at eps level
     keep = series > max(1e-300, float(series.max()) * 1e-13)
     t, s = traj.times[keep], series[keep]

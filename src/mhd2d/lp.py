@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, l2_norm
+from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum
 
 __all__ = [
     "CutoffPair",
@@ -58,7 +58,6 @@ __all__ = [
     "a_ks_norm",
     "bony_decompose",
     "oversample",
-    "lp_norm",
     "norm_record",
     "ANISO_N0",
 ]
@@ -85,12 +84,10 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """The radial profiles (phi, chi) with their support brackets."""
+    """The radial profiles (phi, chi); supp chi in [0, 4/3], supp phi in [3/4, 8/3]."""
 
     phi: Callable[[np.ndarray], np.ndarray]
     chi: Callable[[np.ndarray], np.ndarray]
-    chi_support: tuple[float, float] = (0.0, 4.0 / 3.0)
-    phi_support: tuple[float, float] = (3.0 / 4.0, 8.0 / 3.0)
 
 
 def make_cutoffs() -> CutoffPair:
@@ -190,35 +187,24 @@ def low_pass_v(u: RealField, ell: int) -> RealField:
 
 @dataclass(frozen=True)
 class DyadicBlockSet:
-    """A field's decomposition into blocks indexed by j or (j, k)."""
+    """A field's decomposition into isotropic blocks indexed by j."""
 
     source: RealField
     blocks: dict
     j_range: tuple[int, int]
-    k_range: tuple[int, int] | None = None
 
     def reconstruction(self) -> RealField:
-        """Sum of all blocks; equals the zero-mean source (isotropic case)."""
+        """Sum of all blocks; equals the zero-mean source."""
         acc = np.zeros(self.source.grid.shape)
         for f in self.blocks.values():
             acc = acc + f.samples
         return RealField(self.source.grid, acc)
 
 
-def build_blockset(u: RealField, anisotropic: bool = False) -> DyadicBlockSet:
-    g = u.grid
-    jr = resolved_range(g, "iso")
-    if not anisotropic:
-        blocks = {j: block_iso(u, j) for j in range(jr[0], jr[1] + 1)}
-        return DyadicBlockSet(u, blocks, jr)
-    kr = resolved_range(g, "h")
-    blocks = {}
-    for j in range(jr[0], jr[1] + 1):
-        for k in range(kr[0], kr[1] + 1):
-            if j < k - ANISO_N0:
-                continue
-            blocks[(j, k)] = block_h(block_iso(u, j), k)
-    return DyadicBlockSet(u, blocks, jr, kr)
+def build_blockset(u: RealField) -> DyadicBlockSet:
+    """The isotropic blocks D_j u over ``resolved_range(grid, "iso")``."""
+    jr = resolved_range(u.grid, "iso")
+    return DyadicBlockSet(u, {j: block_iso(u, j) for j in range(jr[0], jr[1] + 1)}, jr)
 
 
 # one matrix per grid and block family; at 128^2 the anisotropic one is
@@ -323,16 +309,6 @@ def oversample(u: RealField, factor: int = 2) -> RealField:
     return RealField(Grid(factor * g.nx, factor * g.ny, g.lx, g.ly), samples)
 
 
-def lp_norm(u: RealField, p: float, oversampled: bool = True) -> float:
-    """L^p norm over the box; p = inf uses a 2x oversampled max."""
-    if p == 2:
-        return l2_norm(u)
-    f = oversample(u) if oversampled else u
-    if p == math.inf:
-        return float(np.max(np.abs(f.samples)))
-    return float((f.grid.cell_area * np.sum(np.abs(f.samples) ** p)) ** (1.0 / p))
-
-
 def _ell_r(values: np.ndarray, r: float) -> float:
     if r == math.inf:
         return float(np.max(values)) if values.size else 0.0
@@ -342,13 +318,20 @@ def _ell_r(values: np.ndarray, r: float) -> float:
 def _block_norms(c: HalfSpectrum, uh: np.ndarray, p: float) -> np.ndarray:
     """||D_j u||_{L^p} over the resolved isotropic blocks j of the field with
     half-spectrum coefficients ``uh``: L2 from ``block_sq_norms``, other p
-    from the samples of each block."""
+    from the samples of each block on the 2x finer grid, taken straight from
+    its masked coefficients (``HalfSpectrum.inv_fine``)."""
     if p == 2:
         return np.sqrt(block_sq_norms(c.grid, np.abs(uh) ** 2)[1])
     j0, j1 = resolved_range(c.grid, "iso")
-    return np.array(
-        [lp_norm(RealField(c.grid, c.inv(uh * _mask(c.grid, "iso", j, low=False))), p) for j in range(j0, j1 + 1)]
-    )
+    g = c.grid
+    norms = []
+    for j in range(j0, j1 + 1):
+        fine = np.abs(c.inv_fine(uh * _mask(g, "iso", j, low=False)))
+        if p == math.inf:
+            norms.append(float(np.max(fine)))
+        else:
+            norms.append(float((0.25 * g.cell_area * np.sum(fine**p)) ** (1.0 / p)))
+    return np.array(norms)
 
 
 def besov_norm(u: RealField, s: float, p: float = 2, r: float = 1) -> float:
@@ -400,15 +383,14 @@ def chemin_lerner_norm(
     return _ell_r(vals, r)
 
 
-def a_ks_norm(f: RealField, k: int, s: float, boundary_warn: float = 1e-8) -> float:
+def a_ks_norm(f: RealField, k: int, s: float) -> float:
     """Weighted-column norm: max over |alpha| <= k of
     sup_x1 <x1 - lx/2>^s ||d^alpha f(x1, .)||_{L2 in x2}.
 
     ``f`` is transformed once and each d^alpha f is one inverse transform
     of the product symbol.  The weight is centred at the box midpoint; a
-    warning fires when the outermost columns carry more than
-    ``boundary_warn`` of the total mass (the compact-support surrogate is
-    then invalid).
+    warning fires when the outermost columns carry more than 1e-8 of the
+    total mass (the compact-support surrogate is then invalid).
     """
     g = f.grid
     x1t = (g.x1[:, 0] - 0.5 * g.lx)
@@ -417,7 +399,7 @@ def a_ks_norm(f: RealField, k: int, s: float, boundary_warn: float = 1e-8) -> fl
     total = float(np.sum(col_mass))
     if total > 0:
         edge = float(col_mass[:2].sum() + col_mass[-2:].sum())
-        if edge > boundary_warn * total:
+        if edge > 1e-8 * total:
             warnings.warn(
                 f"boundary columns carry {edge / total:.2e} of the field mass; "
                 "weighted-column norm truncation is unreliable",

@@ -101,7 +101,7 @@ def test_pressure_update_fused_matches_pairwise(seed, n):
     qh0 = c.fwd(field(1.0))
     t, tv = lag._grad_hat(c, y1h, y2h), lag._grad_hat(c, *vh)
     v = (c.inv(vh[0]), c.inv(vh[1]))
-    fused, info = lag._pressure_spectral(c, t, tv, v, y1h, y2h, qh0, math.inf, 1, False)
+    fused, info = lag._pressure_spectral(c, t, tv, v, y1h, y2h, qh0, math.inf, False)
     assert info.iterations == 1
 
     adj = lag.adjugate(t)
@@ -219,7 +219,7 @@ def test_lagrangian_forcing_costs_37_plus_8_per_pressure_iteration(rng, fft_fiel
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
-    s = lag._Stepper(g, 0.01, check_identity=False)
+    s = lag._Stepper(g, 0.01)
     s.load(lag.FlowMapState(Y, V, RealField(g, np.zeros(g.shape)), 0.0))
     z = [(s.yh[0], s.vh[0]), (s.yh[1], s.vh[1])]
     fft_fields["fields"] = 0
@@ -284,6 +284,51 @@ def test_smallness_report_costs_28_fields(rng, fft_fields):
     fft_fields.clear()
     smallness_report(datum, 4, 2.0, 1.5, -0.75)
     assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (8, 20, 0, 0)
+
+
+def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
+    """The companion march transforms psi0 once for its gradient and the
+    gradient's half-cell x1 translate (4 inverse fields) and differentiates
+    columns with real 1-D transforms; the seed transforms psi0 and psitilde0
+    once each for their gradients (4 inverse fields)."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    psi0 = bump_dx1(g, 1e-4, width=0.6)
+    complex_1d = Counter()
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            complex_1d[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    fft_fields.clear()
+    tilde, _ = solve_companion_potential(psi0)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (1, 4, 0, 0)
+    assert not complex_1d
+    fft_fields.clear()
+    build_flow_map_initial(psi0, tilde)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2, 4, 0, 0)
+
+
+def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
+    """Three gradient tensors (invert_flow_map's, the displacement's and the
+    check of the inverse displacement, 6 fields each) and 14 fields of its own."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    Y, V = (tuple(random_band_field(g, rng, 1.0, 4.0, 0.02) for _ in range(2)) for _ in range(2))
+    state = lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 4.0, 0.02), 0.0)
+    calls = Counter()
+    gradient_tensor = lag.gradient_tensor
+
+    def counted(displacement):
+        calls["gradient_tensor"] += 1
+        return gradient_tensor(displacement)
+
+    monkeypatch.setattr(lag, "gradient_tensor", counted)
+    fft_fields.clear()
+    lag.to_eulerian(state)
+    assert calls["gradient_tensor"] == 3
+    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (32, 0, 0)
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):

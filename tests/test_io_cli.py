@@ -70,6 +70,15 @@ def test_cli_rejects_unknown_tolerance(tmp_path, capsys):
     assert cfg.tol("det") == 1e-3 and cfg.tol("constraint") == 1e-4
 
 
+def test_unknown_shape_is_rejected_on_both_config_paths():
+    """A shape with no recipe fails in the schema and in direct construction
+    (which skips the schema), naming the shape."""
+    with pytest.raises(ValueError, match="'random'"):
+        cli.load_config("build-initial-data", None, {"shape": "random"})
+    with pytest.raises(ValueError, match="'random'"):
+        cli.ExperimentConfig(experiment="build-initial-data", shape="random")
+
+
 def test_cli_dispersion_runs(tmp_path):
     rc = cli.main(
         ["dispersion", "--outdir", str(tmp_path / "out"), "--set", "nx=32", "--set", "ny=32"]

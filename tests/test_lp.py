@@ -426,6 +426,38 @@ def test_oversample_exact(grid32):
     assert np.max(np.abs(fine.samples - expected)) < 1e-12
 
 
+def test_block_lp_norms_sample_each_block_from_the_coefficients(grid32, rng, monkeypatch):
+    """p != 2 block norms take each block's samples on the 2x grid straight
+    from the masked coefficients: one forward transform and no inverse one,
+    with the values of the inverse-transform-then-oversample formula."""
+    u = random_band_field(grid32, rng, 1.0, 12.0)
+    j0, j1 = lp.resolved_range(grid32, "iso")
+
+    def former(p):
+        total = 0.0
+        for j in range(j0, j1 + 1):
+            fine = lp.oversample(lp.block_iso(u, j))
+            a = np.abs(fine.samples)
+            norm = np.max(a) if p == math.inf else (fine.grid.cell_area * np.sum(a**p)) ** (1.0 / p)
+            total += 2.0 ** (0.5 * j) * norm
+        return total
+
+    expected = {p: former(p) for p in (math.inf, 3.0)}
+    count = {"rfft2": 0, "irfft2": 0}
+    for name in count:
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            count[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    got = lp.besov_norm(u, 0.5, math.inf)
+    assert count == {"rfft2": 1, "irfft2": 0}
+    assert got == pytest.approx(expected[math.inf], rel=1e-13)
+    assert lp.besov_norm(u, 0.5, 3.0) == pytest.approx(expected[3.0], rel=1e-13)
+
+
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
         lp.NormSpec("bogus")
