@@ -320,11 +320,10 @@ def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g, y0, y1 = _linear_data(cfg)
     zero = (RealField(g, np.zeros(g.shape)), RealField(g, np.zeros(g.shape)))
     run = lag.run_lagrangian(zero, y1, cfg.dt, cfg.t_end, store_every=max(1, int(round(cfg.t_end / cfg.dt)) // 8), s2_plus_1=cfg.s2 + 1.0)
-    mio.write_rows_csv(
-        os.path.join(out["ledgers"], "monitors.csv"),
-        run.monitors_rows(),
-        list(lag.LagrangianRun.MONITOR_FIELDS),
-    )
+    ledger = diag.EnergyLedger(run.monitor_times)
+    for name in ("det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq"):
+        ledger.add(name, getattr(run, name))
+    ledger.to_csv(os.path.join(out["ledgers"], "monitors.csv"))
     mio.save_flow_snapshot(out["fields"], run.states[-1], prefix="final_")
     recs = [
         _bounded("max_abs_det_minus_one", float(np.max(run.det_err)), cfg.tol("det")),

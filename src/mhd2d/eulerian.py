@@ -25,7 +25,10 @@ projected momentum forcing needs only the traceless part of the stress,
 spectrum (``HalfSpectrum.inv_fine``).  ``run_euler`` takes every monitor from
 the coefficients the stepper holds: the energy and dissipation by Plancherel,
 ``div_u_linf`` from the velocity ``e a`` at the nodes, and the continuation
-integrand on the finer grid.
+integrand on the finer grid.  ``run_euler`` and ``step_euler`` march through
+the loop ``propagators._march``; a step whose result is not finite is not
+committed and raises ``EulerBlowupError`` naming the step and its time, with
+the state the step started from.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
-from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
+from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_tables
+from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
     "EulerState",
@@ -53,10 +57,8 @@ __all__ = [
 ]
 
 
-class EulerBlowupError(RuntimeError):
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
+class EulerBlowupError(MarchError):
+    """Raised when a step's result is not finite."""
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,14 @@ class _EulerStepper:
         return n_psi, n_a
 
     def advance(self) -> None:
-        [(self.psih, self.ah)] = etd2rk_step(
+        """One ETD2RK step, committed only when its result is finite."""
+        [(psih, ah)] = etd2rk_step(
             self.tables, [(self.psih, self.ah)], lambda z, _: [self._nonlinear(*z[0])], self.dt
         )
+        if not (np.all(np.isfinite(psih)) and np.all(np.isfinite(ah))):
+            raise EulerBlowupError("non-finite state")
+        self.psih, self.ah = psih, ah
         self.t += self.dt
-
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.psih)) and np.all(np.isfinite(self.ah)))
 
     def energy(self) -> tuple[float, float]:
         """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (Plancherel)."""
@@ -182,17 +185,13 @@ class _EulerStepper:
         st = EulerState(psi, u, RealField(g, np.zeros(g.shape)), self.t)
         return EulerState(psi, u, pressure_euler(st), self.t)
 
+    held_state = state
+
 
 def step_euler(state: EulerState, dt: float) -> EulerState:
-    """One IMEX step; raises EulerBlowupError with the last good state on NaN."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    s = _EulerStepper(state.psi.grid, dt)
-    s.load(state)
-    s.advance()
-    if not s.finite():
-        raise EulerBlowupError(f"non-finite state at t = {s.t:.4f}", last_state=state)
-    return s.state()
+    """One IMEX step; raises EulerBlowupError with the held state on NaN."""
+    n_steps = _step_count(dt, dt)  # one step; rejects dt <= 0
+    return _march(_EulerStepper(state.psi.grid, dt), state, n_steps, 1)[0][-1]
 
 
 @dataclass
@@ -213,8 +212,7 @@ class EulerRun:
 
     def running_blowup_integral(self) -> np.ndarray:
         """Trapezoidal running integral of the continuation-criterion integrand."""
-        b = self.blowup
-        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(self.aux_times) * (b[1:] + b[:-1]))))
+        return _running_trapezoid(self.aux_times, self.blowup)
 
 
 def run_euler(
@@ -230,47 +228,15 @@ def run_euler(
     """March the perturbation system; cheap spectral energy monitors run on
     the ``monitor_every`` cadence, oversampled sup-norm diagnostics on the
     coarser ``aux_every`` cadence."""
-    grid = psi0.grid
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = _step_count(dt, t_end)
     if aux_every is None:
         aux_every = max(1, n_steps // 100)
-    st = make_euler_state(psi0, u0)
-    s = _EulerStepper(grid, dt, nonlinear)
-    s.load(st)
-    states = [st]
-    e0, d0 = s.energy()
-    times, es, ds = [0.0], [e0], [d0]
-    aux = [(0.0, *s.sup_monitors())]
-    for n in range(1, n_steps + 1):
-        last = (s.psih, s.ah, s.t)
-        s.advance()
-        if not s.finite():
-            t_bad = s.t
-            s.psih, s.ah, s.t = last
-            raise EulerBlowupError(
-                f"non-finite state at step {n}, t = {t_bad:.4f}", last_state=s.state()
-            )
-        if n % monitor_every == 0 or n == n_steps:
-            e, d = s.energy()
-            times.append(s.t)
-            es.append(e)
-            ds.append(d)
-        if n % aux_every == 0 or n == n_steps:
-            aux.append((s.t, *s.sup_monitors()))
-        if n % store_every == 0 or n == n_steps:
-            states.append(s.state())
-    aux_t, divs, blow = zip(*aux)
-    return EulerRun(
-        states=states,
-        times=np.asarray(times),
-        energy=np.asarray(es),
-        dissipation=np.asarray(ds),
-        aux_times=np.asarray(aux_t),
-        div_u_linf=np.asarray(divs),
-        blowup=np.asarray(blow),
+    s = _EulerStepper(psi0.grid, dt, nonlinear)
+    states, ((times, es, ds), (aux_t, divs, blow)) = _march(
+        s, make_euler_state(psi0, u0), n_steps, store_every,
+        [(monitor_every, s.energy), (aux_every, s.sup_monitors)],
     )
+    return EulerRun(states, times, es, ds, aux_t, divs, blow)
 
 
 def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dict:

@@ -26,6 +26,13 @@ grid's shared ``half_spectrum`` context, and each step is one
 monitors each step from the coefficients the stepper holds: ``det_err`` and
 ``||grad Y||_inf`` at the nodes, the constraint residual, the energy, the
 dissipation and the H^{s2+1} norms of d_i Y by Plancherel.
+
+``run_lagrangian`` and ``step`` march through the loop
+``propagators._march``.  A step is committed only when its result is finite.
+A step that leaves the small-data regime (``||grad Y||_inf <= 1/2``, one
+guard) or whose pressure fixed point stops raises ``StateBlowupError`` or
+``PressureConvergenceError`` naming the step and its time, with the state the
+step started from and the stepper's latest pressure.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import numpy as np
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
-from mhd2d.propagators import apply2, etd2rk_step, etd_tables  # noqa: F401  (perfbench checks apply2 is rebound here)
+from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_tables
+from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
     "FlowMapState",
@@ -67,12 +75,13 @@ __all__ = [
 ]
 
 
-class StateBlowupError(RuntimeError):
-    """Raised when the ||grad Y||_inf <= 1/2 working assumption fails."""
+class StateBlowupError(MarchError):
+    """Raised when the ||grad Y||_inf <= 1/2 working assumption fails, or a
+    step's result is not finite."""
 
 
-class PressureConvergenceError(RuntimeError):
-    pass
+class PressureConvergenceError(MarchError):
+    """Raised when the pressure fixed point stops without converging."""
 
 
 _PRESSURE_MAX_ITERATIONS = 200
@@ -129,12 +138,10 @@ def _grad_hat(c: HalfSpectrum, y1h: np.ndarray, y2h: np.ndarray) -> GradTensor:
     )
 
 
-def _small_grad_hat(c: HalfSpectrum, yh, t: float) -> GradTensor:
-    """grad Y at the nodes; raises StateBlowupError naming t unless
-    ||grad Y||_inf <= 1/2 (NaN-safe)."""
-    grad = _grad_hat(c, *yh)
+def _small(grad: GradTensor) -> GradTensor:
+    """``grad``; raises StateBlowupError unless ||grad Y||_inf <= 1/2 (NaN-safe)."""
     if not (grad.sup_norm <= 0.5):
-        raise StateBlowupError(f"||grad Y||_inf = {grad.sup_norm:.3f}, not <= 1/2, at t = {t:.4f}")
+        raise StateBlowupError(f"||grad Y||_inf = {grad.sup_norm:.3f}, not <= 1/2")
     return grad
 
 
@@ -305,9 +312,7 @@ def pressure_solve(
     g = Y[0].grid
     c = half_spectrum(g)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
-    t = _grad_hat(c, y1h, y2h)
-    if not (t.sup_norm <= 0.5):
-        raise StateBlowupError(f"||grad Y||_inf = {t.sup_norm:.3f}, not <= 1/2")
+    t = _small(_grad_hat(c, y1h, y2h))
     tv = gradient_tensor(Y_t)
     vq = (Y_t[0].samples, Y_t[1].samples)
     qh0 = c.fwd(q0.samples) if q0 is not None else None
@@ -439,7 +444,7 @@ class _Stepper:
             f2h = f1h.copy()
             self.qh = np.zeros_like(yh[0])
         else:
-            tgrad = _small_grad_hat(c, yh, t)
+            tgrad = _small(_grad_hat(c, *yh))
             tv = _grad_hat(c, *vh)
             v_phys = (c.inv(vh[0]), c.inv(vh[1]))
             self.qh, self.last_pressure = _pressure_spectral(
@@ -453,15 +458,17 @@ class _Stepper:
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
+        """One step, committed only when its result is finite."""
         z = [(self.yh[0], self.vh[0]), (self.yh[1], self.vh[1])]
         (y1, v1), (y2, v2) = etd2rk_step(self.tables, z, self._forcing, self.dt)
-        self.yh, self.vh = [y1, y2], [v1, v2]
+        yh = self._project_constraint(y1, y2) if self.constraint_projection else [y1, y2]
+        if not all(np.all(np.isfinite(h)) for h in (*yh, v1, v2)):
+            raise StateBlowupError("non-finite state")
+        self.yh, self.vh = yh, [v1, v2]
         self.t += self.dt
-        if self.constraint_projection:
-            self._project_constraint()
 
-    def _project_constraint(self) -> None:
-        """Gradient update enforcing div Y = rho(Y).
+    def _project_constraint(self, y1h: np.ndarray, y2h: np.ndarray) -> list[np.ndarray]:
+        """Gradient update of (Y^1, Y^2) enforcing div Y = rho(Y).
 
         Off by default: the exact dynamics propagates the constraint and
         projecting would mask scheme errors; the mode exists to separate
@@ -469,12 +476,12 @@ class _Stepper:
         """
         c = self.c
         for _ in range(2):
-            div_minus_rho = c.ik1 * self.yh[0] + c.ik2 * self.yh[1] - _rho_hat(c, _grad_hat(c, *self.yh))
+            div_minus_rho = c.ik1 * y1h + c.ik2 * y2h - _rho_hat(c, _grad_hat(c, y1h, y2h))
             if float(np.max(np.abs(div_minus_rho))) / (self.grid.nx * self.grid.ny) < 1e-16:
                 break
             phi = -div_minus_rho * c.inv_ksq
-            self.yh[0] = self.yh[0] - c.ik1 * phi
-            self.yh[1] = self.yh[1] - c.ik2 * phi
+            y1h, y2h = y1h - c.ik1 * phi, y2h - c.ik2 * phi
+        return [y1h, y2h]
 
     def fields(self) -> tuple[tuple[RealField, RealField], tuple[RealField, RealField]]:
         c = self.c
@@ -490,20 +497,21 @@ class _Stepper:
         if not self.nonlinear:
             return FlowMapState(Y, V, RealField(self.grid, np.zeros(self.grid.shape)), self.t)
         qh, _ = _pressure_spectral(
-            c, _small_grad_hat(c, self.yh, self.t), _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), self.yh[0], self.yh[1],
+            c, _small(_grad_hat(c, *self.yh)), _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), self.yh[0], self.yh[1],
             self.qh, self.pressure_tol, False,
         )
         return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
 
+    def held_state(self) -> FlowMapState:
+        """The held state with the latest pressure, without a new solve."""
+        Y, V = self.fields()
+        return FlowMapState(Y, V, RealField(self.grid, self.c.inv(self.qh)), self.t)
+
 
 def step(state: FlowMapState, dt: float, nonlinear: bool = True) -> FlowMapState:
     """One IMEX step: exact linear mode propagator + ETD2RK forcing."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    s = _Stepper(state.Y[0].grid, dt, nonlinear)
-    s.load(state)
-    s.advance()
-    return s.state()
+    n_steps = _step_count(dt, dt)  # one step; rejects dt <= 0
+    return _march(_Stepper(state.Y[0].grid, dt, nonlinear), state, n_steps, 1)[0][-1]
 
 
 @dataclass
@@ -518,27 +526,9 @@ class LagrangianRun:
     d1y_hs_sq: np.ndarray
     d2y_hs_sq: np.ndarray
 
-    MONITOR_FIELDS = (
-        "t", "det_err", "constraint_err", "grad_inf", "energy", "dissipation",
-        "d1y_hs_sq", "d2y_hs_sq",
-    )
-
-    def monitors_rows(self):
-        for i, t in enumerate(self.monitor_times):
-            yield {
-                "t": float(t),
-                "det_err": float(self.det_err[i]),
-                "constraint_err": float(self.constraint_err[i]),
-                "grad_inf": float(self.grad_inf[i]),
-                "energy": float(self.energy[i]),
-                "dissipation": float(self.dissipation[i]),
-                "d1y_hs_sq": float(self.d1y_hs_sq[i]),
-                "d2y_hs_sq": float(self.d2y_hs_sq[i]),
-            }
-
     def running_integral(self, channel: str) -> np.ndarray:
-        v = getattr(self, channel)
-        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(self.monitor_times) * (v[1:] + v[:-1]))))
+        """Trapezoidal running integral of one monitor channel."""
+        return _running_trapezoid(self.monitor_times, getattr(self, channel))
 
 
 def _state_monitors(
@@ -577,38 +567,17 @@ def run_lagrangian(
     re-imposes div Y = rho(Y) after each step (off by default: the constraint
     is propagated by the dynamics and projection would mask scheme errors).
     """
-    grid = Y0[0].grid
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = _step_count(dt, t_end)
     if not (s2_plus_1 > -1.0):
         raise ValueError(
             f"s2_plus_1 = {s2_plus_1}: homogeneous exponent s <= -1 is unreliable on the periodic box"
         )
-    st = make_state(Y0, Y1)
-    stepper = _Stepper(grid, dt, constraint_projection=constraint_projection)
-    stepper.load(st)
-    states = [st]
-    mon_t, rows = [0.0], [_state_monitors(stepper.c, stepper.yh, stepper.vh, s2_plus_1)]
-    for n in range(1, n_steps + 1):
-        stepper.advance()
-        if n % monitor_every == 0 or n == n_steps:
-            mon_t.append(stepper.t)
-            rows.append(_state_monitors(stepper.c, stepper.yh, stepper.vh, s2_plus_1))
-        if n % store_every == 0 or n == n_steps:
-            states.append(stepper.state())
-    cols = list(zip(*rows))
-    return LagrangianRun(
-        states=states,
-        monitor_times=np.asarray(mon_t),
-        det_err=np.asarray(cols[0]),
-        constraint_err=np.asarray(cols[1]),
-        grad_inf=np.asarray(cols[2]),
-        energy=np.asarray(cols[3]),
-        dissipation=np.asarray(cols[4]),
-        d1y_hs_sq=np.asarray(cols[5]),
-        d2y_hs_sq=np.asarray(cols[6]),
+    s = _Stepper(Y0[0].grid, dt, constraint_projection=constraint_projection)
+    states, [series] = _march(
+        s, make_state(Y0, Y1), n_steps, store_every,
+        [(monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],
     )
+    return LagrangianRun(states, *series)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +606,14 @@ def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealFiel
 
 def invert_flow_map(Y: tuple[RealField, RealField]):
     """Displacement of the inverse map: X^{-1}(x) = x + D(x), by Newton
-    (at most 60 iterations, to sup residual 1e-12)."""
+    (at most 60 iterations, to sup residual 1e-12); raises StateBlowupError
+    unless ||grad Y||_inf <= 1/2."""
+    return _invert(Y, _small(gradient_tensor(Y)))
+
+
+def _invert(Y: tuple[RealField, RealField], t: GradTensor):
+    """``invert_flow_map`` given grad Y (checked small) for the Newton Jacobian."""
     g = Y[0].grid
-    t = gradient_tensor(Y)
-    if not (t.sup_norm <= 0.5):
-        raise StateBlowupError(
-            f"||grad Y||_inf = {t.sup_norm:.3f}, not <= 1/2: flow map too distorted for guaranteed inversion"
-        )
     i_y1 = PeriodicInterpolator(Y[0])
     i_y2 = PeriodicInterpolator(Y[1])
     i_g = {k: PeriodicInterpolator(RealField(g, getattr(t, k))) for k in ("d1y1", "d2y1", "d1y2", "d2y2")}
@@ -687,15 +657,16 @@ def to_eulerian(state: FlowMapState):
 
     Returns (EulerState, psitilde, info) where info reports the curl residual
     of the reconstructed gradient fields and the divergence of u.  The
-    inverse displacement is checked once for all seven compositions.
+    inverse displacement is checked once for all seven compositions, and grad Y
+    is taken once, for the inversion and the stream-like scalars.
     """
     from mhd2d.eulerian import EulerState
 
     g = state.Y[0].grid
     c = half_spectrum(g)
-    dinv = invert_flow_map(state.Y)
+    t = _small(gradient_tensor(state.Y))
+    dinv = _invert(state.Y, t)
     _check_invertible(dinv)
-    t = gradient_tensor(state.Y)
     u1 = _compose(state.Y_t[0], dinv)
     u2 = _compose(state.Y_t[1], dinv)
 

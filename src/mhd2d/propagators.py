@@ -13,14 +13,22 @@ The inhomogeneous responses for a forcing linear in time over one step are
 read off a single stacked 6x6 matrix exponential, and ``etd2rk_step`` uses
 them for the exponential trapezoidal (ETD2RK) step of both nonlinear solvers
 (Cox & Matthews 2002).
+
+Both solvers also share one march loop, ``_march``: the step count
+(``_step_count``, a whole number of positive steps), the monitor and store
+cadences, and the failure report.  A failing step raises its solver's own
+``MarchError`` again, naming the step and its time, with the last state the
+march committed in ``last_state``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
-__all__ = ["expm2", "etd_tables", "apply2", "etd2rk_step"]
+__all__ = ["expm2", "etd_tables", "apply2", "etd2rk_step", "MarchError"]
 
 _SMALL = 0.5
 
@@ -122,3 +130,53 @@ def etd2rk_step(tables: tuple, z: list, forcing, dt: float) -> list:
         for fi, gi in zip(f, g)
     ]
     return [_add_table(ai, r2, si) for ai, si in zip(pred, slope)]
+
+
+class MarchError(RuntimeError):
+    """A solver failure; ``last_state`` is the last state the march committed."""
+
+    def __init__(self, message: str, last_state=None):
+        super().__init__(message)
+        self.last_state = last_state
+
+
+def _step_count(dt: float, t_end: float) -> int:
+    """t_end / dt; ValueError naming both unless dt > 0 and t_end > 0 are
+    finite and t_end is a whole number of steps."""
+    n = round(t_end / dt) if 0 < dt < math.inf and 0 < t_end < math.inf else 0
+    if n < 1 or abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"dt = {dt!r}, t_end = {t_end!r}: need dt > 0 and t_end a whole number n >= 1 of steps")
+    return n
+
+
+def _march(stepper, state, n_steps: int, store_every: int, monitors=()):
+    """March ``state`` by ``n_steps`` steps of a stepper (``load``, ``advance``
+    committing only finite results, ``state``, ``held_state``, ``t``, ``dt``).
+
+    Returns the stored states (``state``, then ``stepper.state()`` every
+    ``store_every`` steps and after the last) and, per ``(every, sample)``
+    monitor, the arrays (t, *sample()) sampled at the start, every ``every``
+    steps and after the last.  A MarchError in step n is raised again as its
+    own class, naming n and the step's time, with ``held_state()``: the state
+    step n started from (or its result, if storing it failed).
+    """
+    stepper.load(state)
+    states = [state]
+    rows = [[(stepper.t, *sample())] for _, sample in monitors]
+    for n in range(1, n_steps + 1):
+        t_n = stepper.t + stepper.dt
+        try:
+            stepper.advance()
+            if n % store_every == 0 or n == n_steps:
+                states.append(stepper.state())
+        except MarchError as err:
+            raise type(err)(f"step {n}, t = {t_n:.4f}: {err}", last_state=stepper.held_state()) from err
+        for (every, sample), r in zip(monitors, rows):
+            if n % every == 0 or n == n_steps:
+                r.append((stepper.t, *sample()))
+    return states, [tuple(np.asarray(col) for col in zip(*r)) for r in rows]
+
+
+def _running_trapezoid(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Trapezoidal running integral of the samples v at times t, from 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (v[1:] + v[:-1]))))

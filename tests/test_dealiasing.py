@@ -312,8 +312,9 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
 
 
 def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
-    """Three gradient tensors (invert_flow_map's, the displacement's and the
-    check of the inverse displacement, 6 fields each) and 14 fields of its own."""
+    """Two gradient tensors (the displacement's, shared by the inversion and
+    the stream-like scalars, and the check of the inverse displacement, 6
+    fields each) and 14 fields of its own."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y, V = (tuple(random_band_field(g, rng, 1.0, 4.0, 0.02) for _ in range(2)) for _ in range(2))
     state = lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 4.0, 0.02), 0.0)
@@ -327,8 +328,8 @@ def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monke
     monkeypatch.setattr(lag, "gradient_tensor", counted)
     fft_fields.clear()
     lag.to_eulerian(state)
-    assert calls["gradient_tensor"] == 3
-    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (32, 0, 0)
+    assert calls["gradient_tensor"] == 2
+    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26, 0, 0)
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):

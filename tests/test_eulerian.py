@@ -137,24 +137,24 @@ def test_blowup_on_nan():
 
 
 def test_run_euler_blowup_reports_last_finite_state(grid32, rng, monkeypatch):
-    """NaN injected after step 7: the error carries the state after step 6."""
-    advance = eul._EulerStepper.advance
+    """NaN in the forcing of step 7: the error carries the state after step 6."""
+    nonlinear = eul._EulerStepper._nonlinear
     calls = []
 
-    def poisoned(self):
-        advance(self)
+    def poisoned(self, psih, ah):
         calls.append(self.t)
-        if len(calls) == 7:
-            self.ah = self.ah.copy()
-            self.ah[1, 1] = np.nan
+        n_psi, n_a = nonlinear(self, psih, ah)
+        if len(calls) == 13:  # the first forcing evaluation of step 7
+            n_a[1, 1] = np.nan
+        return n_psi, n_a
 
-    monkeypatch.setattr(eul._EulerStepper, "advance", poisoned)
+    monkeypatch.setattr(eul._EulerStepper, "_nonlinear", poisoned)
     psi0 = random_band_field(grid32, rng, 1.0, 4.0, 1e-3)
     u0 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-3)
     with pytest.raises(eul.EulerBlowupError, match="step 7") as err:
         eul.run_euler(psi0, u0, 0.01, 1.0)
     last = err.value.last_state
-    assert last.t == calls[5]
+    assert last.t == calls[12]
     assert np.all(np.isfinite(last.psi.samples)) and np.all(np.isfinite(last.u[1].samples))
 
 

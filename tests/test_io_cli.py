@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -121,6 +122,21 @@ def test_cli_experiments_smoke(tmp_path, name, overrides):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rc == 0, report["assertions"]
     assert report["pass"] is True
+
+
+def test_lagrangian_monitors_are_written_in_long_format(tmp_path):
+    """monitors.csv is a ledger like the Euler ones: rows (t, channel, value)."""
+    out = tmp_path / "o"
+    args = ["lagrangian-smalldata", "--outdir", str(out)]
+    for ov in ("nx=16", "ny=16", "dt=0.02", "t_end=0.1"):
+        args += ["--set", ov]
+    assert cli.main(args) == 0
+    with open(out / "ledgers" / "monitors.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "channel", "value"]
+    channels = {r[1] for r in rows[1:]}
+    assert channels == {"det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq"}
+    assert len(rows) - 1 == 6 * len(channels)  # t = 0 and 5 steps
 
 
 def test_cli_block_energy_computes_the_table_once(tmp_path, monkeypatch):

@@ -1,0 +1,135 @@
+"""The march loop both solvers share: step count, cadences and failure report."""
+
+import re
+
+import numpy as np
+import pytest
+
+from mhd2d import cli
+from mhd2d import eulerian as eul
+from mhd2d import lagrangian as lag
+from mhd2d.fields import random_band_field, random_solenoidal
+from mhd2d.grid import RealField
+from mhd2d.propagators import MarchError
+
+DT = 0.01
+FAILING_STEP = 4
+
+
+def _zeros(g):
+    return RealField(g, np.zeros(g.shape))
+
+
+def _euler_data(g, rng):
+    return random_band_field(g, rng, 1.0, 4.0, 1e-3), random_solenoidal(g, rng, 1.0, 4.0, 1e-3)
+
+
+def _lagrangian_data(g, rng):
+    return (_zeros(g), _zeros(g)), random_solenoidal(g, rng, 1.0, 4.0, 1e-2)
+
+
+def _one_step(step, g, dt):
+    z = _zeros(g)
+    state = lag.FlowMapState((z, z), (z, z), z, 0.0) if step is lag.step else eul.EulerState(z, (z, z), z, 0.0)
+    return step(state, dt)
+
+
+@pytest.mark.parametrize(
+    "march, dt, t_end, bad",
+    [
+        (lambda g, rng, dt, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), dt, t_end), -0.02, 2.0, "dt = -0.02"),
+        (lambda g, rng, dt, t_end: eul.run_euler(*_euler_data(g, rng), dt, t_end), -0.01, 1.0, "dt = -0.01"),
+        (lambda g, rng, dt, t_end: eul.run_euler(*_euler_data(g, rng), dt, t_end), 0.01, -1.0, "t_end = -1.0"),
+        (lambda g, rng, dt, t_end: eul.run_euler(*_euler_data(g, rng), dt, t_end), 0.0, 1.0, "dt = 0.0"),
+        (lambda g, rng, dt, t_end: eul.run_euler(*_euler_data(g, rng), dt, t_end), 0.03, 1.0, "t_end = 1.0"),
+        (lambda g, rng, dt, t_end: _one_step(lag.step, g, dt), -0.01, None, "dt = -0.01"),
+        (lambda g, rng, dt, t_end: _one_step(eul.step_euler, g, dt), -0.01, None, "dt = -0.01"),
+    ],
+    ids=[
+        "lagrangian-negative-dt", "euler-negative-dt", "euler-negative-t_end", "euler-zero-dt", "euler-fractional",
+        "step-negative-dt", "step_euler-negative-dt",
+    ],
+)
+def test_step_count_rejects_bad_dt_and_t_end(grid32, rng, march, dt, t_end, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        march(grid32, rng, dt, t_end)
+
+
+def test_cli_rejects_negative_dt_built_without_the_schema(tmp_path):
+    cfg = cli.ExperimentConfig(experiment="eulerian-smalldata", nx=16, ny=16, dt=-0.01, outdir=str(tmp_path / "o"))
+    with pytest.raises(ValueError, match=re.escape("dt = -0.01")):
+        cli.run(cfg)
+
+
+def _poison(monkeypatch, cls, name, call, spoil):
+    """Spoil the ``call``-th forcing evaluation of a stepper class (two per
+    step: 2k - 1 opens step k, 2k is its second stage); records the stepper
+    time of each call."""
+    forcing = getattr(cls, name)
+    times = []
+
+    def poisoned(self, *args):
+        times.append(self.t)
+        return spoil(forcing, self, args) if len(times) == call else forcing(self, *args)
+
+    monkeypatch.setattr(cls, name, poisoned)
+    return times
+
+
+def _nan_in(slot):
+    def spoil(forcing, self, args):
+        out = forcing(self, *args)
+        slot(out)[1, 1] = np.nan
+        return out
+
+    return spoil
+
+
+def _distorted(forcing, self, args):
+    z, s = args
+    return forcing(self, [(1e6 * y, v) for y, v in z], s)
+
+
+K = FAILING_STEP
+CASES = {
+    # NaN forcing in the first stage spoils the second stage and the result
+    "euler-nan": (
+        lambda mp: _poison(mp, eul._EulerStepper, "_nonlinear", 2 * K - 1, _nan_in(lambda out: out[1])),
+        lambda g, rng, t_end: eul.run_euler(*_euler_data(g, rng), DT, t_end),
+        eul.EulerBlowupError, "non-finite state", lambda st: (st.psi, *st.u, st.p),
+    ),
+    # NaN forcing in the second stage reaches only the result
+    "lagrangian-nan": (
+        lambda mp: _poison(mp, lag._Stepper, "_forcing", 2 * K, _nan_in(lambda out: out[0][1])),
+        lambda g, rng, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), DT, t_end),
+        lag.StateBlowupError, "non-finite state", lambda st: (*st.Y, *st.Y_t, st.q),
+    ),
+    "lagrangian-distortion": (
+        lambda mp: _poison(mp, lag._Stepper, "_forcing", 2 * K - 1, _distorted),
+        lambda g, rng, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), DT, t_end),
+        lag.StateBlowupError, "not <= 1/2", lambda st: (*st.Y, *st.Y_t, st.q),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_failing_step_reports_step_time_and_last_state(grid32, case, monkeypatch):
+    """Both marches fail the same way: the solver's own class, a MarchError,
+    naming the step, its time (once) and the cause, with the finite state the
+    step started from."""
+    poison, march, exc, cause, fields = CASES[case]
+    before = march(grid32, np.random.default_rng(5), (FAILING_STEP - 1) * DT).states[-1]
+    times = poison(monkeypatch)
+    with pytest.raises(exc) as err:
+        march(grid32, np.random.default_rng(5), 10 * DT)
+    msg = str(err.value)
+    assert isinstance(err.value, MarchError)
+    assert msg.startswith(f"step {FAILING_STEP}, t = {FAILING_STEP * DT:.4f}: ") and cause in msg
+    assert msg.count("t = ") == 1
+    last = err.value.last_state
+    assert last.t == times[2 * FAILING_STEP - 2] == before.t > 0
+    assert all(np.all(np.isfinite(f.samples)) for f in fields(last))
+    # the state the failing step started from, bit for bit (the Lagrangian q
+    # is the latest pressure of the march, not a new solve)
+    for a, b in list(zip(fields(last), fields(before)))[:-1]:
+        assert np.array_equal(a.samples, b.samples)
