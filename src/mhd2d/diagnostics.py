@@ -31,7 +31,7 @@ import numpy as np
 
 from mhd2d.grid import HalfSpectrum, half_spectrum
 from mhd2d.linear import eigenvalues
-from mhd2d.lp import block_sq_norms
+from mhd2d.lp import _homogeneous_weight, block_sq_norms
 
 __all__ = [
     "EnergyLedger",
@@ -172,8 +172,7 @@ def functional_E(states, s: float, return_breakdown: bool = False):
 def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:
     """E_0^s from the half-spectrum coefficients of Y0 and Y1: homogeneous
     weights ksq^s (zero at the mean mode), and |ik1|^2 for d1 Y0."""
-    with np.errstate(divide="ignore"):
-        w = np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
+    w = _homogeneous_weight(c, s)
     y0_sq = np.abs(y0h[0]) ** 2 + np.abs(y0h[1]) ** 2
     y1_sq = np.abs(y1h[0]) ** 2 + np.abs(y1h[1]) ** 2
     return c.norm_sq(w * ((1.0 + c.ksq) * y1_sq + (np.abs(c.ik1) ** 2 + c.ksq**2) * y0_sq))

@@ -107,33 +107,37 @@ def _stress_hat(c: HalfSpectrum, u1: np.ndarray, u2: np.ndarray, psih: np.ndarra
     return c.dh(u1 * u1 + d1p * d1p), c.dh(u1 * u2 + d1p * d2p), c.dh(u2 * u2 + d2p * d2p)
 
 
-def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerState:
-    """The state at t = 0: dealias, project, and attach the consistent pressure."""
-    g = psi0.grid
-    c = half_spectrum(g)
-    u = leray_project(u0)
-    psih = c.fwd(psi0.samples) * c.deal
-    ah = _amplitude(c, u) * c.deal
+def _state_hat(c: HalfSpectrum, psih: np.ndarray, ah: np.ndarray, t: float) -> EulerState:
+    """The state at time t from the coefficients of psi and a, with its pressure."""
+    g = c.grid
     u1h, u2h = _velocity(c, ah)
     psi = RealField(g, c.inv(psih))
-    uu = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
-    state = EulerState(psi, uu, RealField(g, np.zeros(g.shape)), 0.0)
-    return EulerState(psi, uu, pressure_euler(state), 0.0)
+    u = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
+    return EulerState(psi, u, pressure_euler(EulerState(psi, u, RealField(g, np.zeros(g.shape)), t)), t)
+
+
+def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerState:
+    """The state at t = 0: dealias, project, and attach the consistent pressure."""
+    c = half_spectrum(psi0.grid)
+    return _state_hat(c, c.fwd(psi0.samples) * c.deal, _amplitude(c, leray_project(u0)) * c.deal, 0.0)
 
 
 class _EulerStepper:
     def __init__(self, grid: Grid, dt: float, nonlinear: bool = True):
         self.c = half_spectrum(grid)
-        self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
         self.tables = _etd(grid, dt)
 
     def load(self, state: EulerState) -> None:
         c = self.c
-        self.psih = c.fwd(state.psi.samples) * c.deal
-        self.ah = _amplitude(c, state.u) * c.deal
-        self.t = state.t
+        self._hold(c.fwd(state.psi.samples) * c.deal, _amplitude(c, state.u) * c.deal, state.t)
+
+    def _hold(self, psih, ah, t: float) -> None:
+        """Hold (psi, a) at time t; EulerBlowupError unless both are finite."""
+        if not (np.all(np.isfinite(psih)) and np.all(np.isfinite(ah))):
+            raise EulerBlowupError("non-finite state")
+        self.psih, self.ah, self.t = psih, ah, t
 
     def _nonlinear(self, psih, ah):
         c = self.c
@@ -157,10 +161,7 @@ class _EulerStepper:
         [(psih, ah)] = etd2rk_step(
             self.tables, [(self.psih, self.ah)], lambda z, _: [self._nonlinear(*z[0])], self.dt
         )
-        if not (np.all(np.isfinite(psih)) and np.all(np.isfinite(ah))):
-            raise EulerBlowupError("non-finite state")
-        self.psih, self.ah = psih, ah
-        self.t += self.dt
+        self._hold(psih, ah, self.t + self.dt)
 
     def energy(self) -> tuple[float, float]:
         """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (Plancherel)."""
@@ -177,21 +178,15 @@ class _EulerStepper:
         return div_linf, _blowup_hat(c, self.psih, u1h, u2h)
 
     def state(self) -> EulerState:
-        c = self.c
-        g = self.grid
-        u1h, u2h = _velocity(c, self.ah)
-        psi = RealField(g, c.inv(self.psih))
-        u = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
-        st = EulerState(psi, u, RealField(g, np.zeros(g.shape)), self.t)
-        return EulerState(psi, u, pressure_euler(st), self.t)
+        return _state_hat(self.c, self.psih, self.ah, self.t)
 
     held_state = state
 
 
 def step_euler(state: EulerState, dt: float) -> EulerState:
-    """One IMEX step; raises EulerBlowupError with the held state on NaN."""
+    """One IMEX step; raises EulerBlowupError on a non-finite state or result."""
     n_steps = _step_count(dt, dt)  # one step; rejects dt <= 0
-    return _march(_EulerStepper(state.psi.grid, dt), state, n_steps, 1)[0][-1]
+    return _march(_EulerStepper(state.psi.grid, dt), lambda: state, n_steps, 1)[0][-1]
 
 
 @dataclass
@@ -233,7 +228,7 @@ def run_euler(
         aux_every = max(1, n_steps // 100)
     s = _EulerStepper(psi0.grid, dt, nonlinear)
     states, ((times, es, ds), (aux_t, divs, blow)) = _march(
-        s, make_euler_state(psi0, u0), n_steps, store_every,
+        s, lambda: make_euler_state(psi0, u0), n_steps, store_every,
         [(monitor_every, s.energy), (aux_every, s.sup_monitors)],
     )
     return EulerRun(states, times, es, ds, aux_t, divs, blow)

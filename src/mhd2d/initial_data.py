@@ -25,7 +25,7 @@ boundary data; the solver reports the wake size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class CompanionInfo:
     start_column: int
     det_residual_max: float
     wake_max: float
-    march_order: int = 4
 
 
 def solve_companion_potential(psi0: RealField, tol: float = 1e-6) -> tuple[RealField, CompanionInfo]:
@@ -272,7 +271,6 @@ class InitialDatum:
     u0: tuple[RealField, RealField]
     Y0: tuple[RealField, RealField]
     Y1: tuple[RealField, RealField]
-    norms: dict = field(default_factory=dict)
 
 
 def smallness_report(datum: InitialDatum, k: int, s: float, s1: float, s2: float) -> dict:

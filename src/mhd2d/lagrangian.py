@@ -46,6 +46,7 @@ import numpy as np
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
+from mhd2d.lp import _homogeneous_weight
 from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_tables
 from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
@@ -427,10 +428,17 @@ class _Stepper:
 
     def load(self, state: FlowMapState) -> None:
         c = self.c
-        self.yh = [c.fwd(f.samples) for f in state.Y]
-        self.vh = [c.fwd(f.samples) for f in state.Y_t]
         self.qh = c.fwd(state.q.samples)
-        self.t = state.t
+        yh = [c.fwd(f.samples) for f in state.Y]
+        if self.nonlinear:
+            _small(_grad_hat(c, *yh))
+        self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t)
+
+    def _hold(self, yh: list, vh: list, t: float) -> None:
+        """Hold (Y, Y_t) at time t; StateBlowupError unless they and q are finite."""
+        if not all(np.all(np.isfinite(h)) for h in (*yh, *vh, self.qh)):
+            raise StateBlowupError("non-finite state")
+        self.yh, self.vh, self.t = yh, vh, t
 
     def _forcing(self, z, s):
         """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
@@ -462,10 +470,7 @@ class _Stepper:
         z = [(self.yh[0], self.vh[0]), (self.yh[1], self.vh[1])]
         (y1, v1), (y2, v2) = etd2rk_step(self.tables, z, self._forcing, self.dt)
         yh = self._project_constraint(y1, y2) if self.constraint_projection else [y1, y2]
-        if not all(np.all(np.isfinite(h)) for h in (*yh, v1, v2)):
-            raise StateBlowupError("non-finite state")
-        self.yh, self.vh = yh, [v1, v2]
-        self.t += self.dt
+        self._hold(yh, [v1, v2], self.t + self.dt)
 
     def _project_constraint(self, y1h: np.ndarray, y2h: np.ndarray) -> list[np.ndarray]:
         """Gradient update of (Y^1, Y^2) enforcing div Y = rho(Y).
@@ -511,7 +516,7 @@ class _Stepper:
 def step(state: FlowMapState, dt: float, nonlinear: bool = True) -> FlowMapState:
     """One IMEX step: exact linear mode propagator + ETD2RK forcing."""
     n_steps = _step_count(dt, dt)  # one step; rejects dt <= 0
-    return _march(_Stepper(state.Y[0].grid, dt, nonlinear), state, n_steps, 1)[0][-1]
+    return _march(_Stepper(state.Y[0].grid, dt, nonlinear), lambda: state, n_steps, 1)[0][-1]
 
 
 @dataclass
@@ -546,8 +551,7 @@ def _state_monitors(
     y_sq, v_sq = np.abs(yh[0]) ** 2 + np.abs(yh[1]) ** 2, np.abs(vh[0]) ** 2 + np.abs(vh[1]) ** 2
     energy = 0.5 * (c.norm_sq(v_sq) + c.norm_sq(k1sq * y_sq))
     diss = c.norm_sq((k1sq + k2sq) * v_sq)
-    with np.errstate(divide="ignore"):
-        hs = np.where(c.ksq > 0, c.ksq**s2p1, 0.0) * y_sq
+    hs = _homogeneous_weight(c, s2p1) * y_sq
     return det_err, constraint, t.sup_norm, energy, diss, c.norm_sq(k1sq * hs), c.norm_sq(k2sq * hs)
 
 
@@ -574,7 +578,7 @@ def run_lagrangian(
         )
     s = _Stepper(Y0[0].grid, dt, constraint_projection=constraint_projection)
     states, [series] = _march(
-        s, make_state(Y0, Y1), n_steps, store_every,
+        s, lambda: make_state(Y0, Y1), n_steps, store_every,
         [(monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],
     )
     return LagrangianRun(states, *series)

@@ -112,9 +112,7 @@ def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple
     y = np.empty(t_arr.shape, dtype=complex)
     v = np.empty(t_arr.shape, dtype=complex)
     for i, ti in enumerate(t_arr):
-        p = expm2(m, float(ti))
-        y[i] = p[0, 0] * y0 + p[0, 1] * y1
-        v[i] = p[1, 0] * y0 + p[1, 1] * y1
+        y[i], v[i] = apply2(expm2(m, float(ti)), y0, y1)
     if np.isscalar(t) or np.ndim(t) == 0:
         return y[0], v[0]
     return y, v
@@ -129,7 +127,6 @@ class LinearTrajectory:
     times: np.ndarray  # (M,)
     yhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
     vhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
-    forcing: str = "none"
 
 
 def evolve_linear(
@@ -162,7 +159,7 @@ def evolve_linear(
             p = expm2(m, float(t))
             for comp in range(2):
                 ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
-        return LinearTrajectory(g, times, ny, nv, "none")
+        return LinearTrajectory(g, times, ny, nv)
 
     # forced path: march with uniform substeps, storing by interpolation of
     # step endpoints onto the requested times (times must align with steps)
@@ -191,7 +188,7 @@ def evolve_linear(
         if i not in stored:
             raise ValueError("requested store times must align with forced substeps")
         (ny[i, 0], nv[i, 0]), (ny[i, 1], nv[i, 1]) = stored[i]
-    return LinearTrajectory(g, times, ny, nv, "callable")
+    return LinearTrajectory(g, times, ny, nv)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +228,6 @@ def block_energy_series(traj: LinearTrajectory) -> dict[tuple[int, int], np.ndar
 class DecayFit:
     rate: float
     window_ok: bool
-    n_points: int
-
-
-def _fit_log_slope(times: np.ndarray, values: np.ndarray) -> float:
-    a = np.polyfit(times, np.log(values), 1)
-    return float(a[0])
 
 
 def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> DecayFit:
@@ -255,14 +246,14 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> Dec
     keep = series > max(1e-300, float(series.max()) * 1e-13)
     t, s = traj.times[keep], series[keep]
     if t.size < 3:
-        return DecayFit(rate=float("nan"), window_ok=False, n_points=int(t.size))
+        return DecayFit(rate=float("nan"), window_ok=False)
     half = t.size // 2
     t_fit, s_fit = t[half:], s[half:]
     if s_fit.min() <= 0 or np.allclose(s_fit, s_fit[0], rtol=1e-13, atol=0.0):
-        return DecayFit(rate=0.0, window_ok=True, n_points=int(t_fit.size))
-    rate = _fit_log_slope(t_fit, s_fit)
+        return DecayFit(rate=0.0, window_ok=True)
+    rate = float(np.polyfit(t_fit, np.log(s_fit), 1)[0])
     efold = math.log(s_fit[0] / s_fit[-1]) if s_fit[-1] > 0 else math.inf
-    return DecayFit(rate=rate, window_ok=bool(efold >= 1.0 or abs(rate) < 1e-8), n_points=int(t_fit.size))
+    return DecayFit(rate=rate, window_ok=bool(efold >= 1.0 or abs(rate) < 1e-8))
 
 
 # ---------------------------------------------------------------------------

@@ -287,13 +287,18 @@ def sobolev_norm(u: RealField, s: float, homogeneous: bool = True) -> float:
     return sobolev_norm_hat(c, c.fwd(u.samples), s, homogeneous)
 
 
+def _homogeneous_weight(c: HalfSpectrum, s: float) -> np.ndarray:
+    """|xi|^2s on the half spectrum, 0 at the mean mode: homogeneous norms drop it."""
+    with np.errstate(divide="ignore"):
+        return np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
+
+
 def sobolev_norm_hat(c: HalfSpectrum, uh: np.ndarray, s: float, homogeneous: bool = True) -> float:
     """``sobolev_norm`` of the real field with half-spectrum coefficients ``uh``."""
     if homogeneous:
         if s <= -1.0:
             raise ValueError("homogeneous exponent s <= -1 is unreliable on the periodic box")
-        with np.errstate(divide="ignore"):
-            w = np.where(c.ksq > 0, c.ksq ** float(s), 0.0)
+        w = _homogeneous_weight(c, s)
     else:
         w = (1.0 + c.ksq) ** float(s)
     return math.sqrt(c.norm_sq(w * np.abs(uh) ** 2))

@@ -9,16 +9,16 @@ exact at double roots and free of overflow for strongly damped modes:
     C = (e^{l-} + e^{l+})/2,   S = (e^{l-} - e^{l+}) / (l- - l+),
 
 with l+- = mu -+ nu the eigenvalues (both with nonpositive real part here).
-The inhomogeneous responses for a forcing linear in time over one step are
-read off a single stacked 6x6 matrix exponential, and ``etd2rk_step`` uses
-them for the exponential trapezoidal (ETD2RK) step of both nonlinear solvers
-(Cox & Matthews 2002).
+The inhomogeneous responses for a forcing linear in time over one step come
+with exp(M h) from scaling and squaring on the 2x2 blocks, and ``etd2rk_step``
+uses them for the exponential trapezoidal (ETD2RK) step of both nonlinear
+solvers (Cox & Matthews 2002).
 
 Both solvers also share one march loop, ``_march``: the step count
 (``_step_count``, a whole number of positive steps), the monitor and store
 cadences, and the failure report.  A failing step raises its solver's own
 ``MarchError`` again, naming the step and its time, with the last state the
-march committed in ``last_state``.
+march committed in ``last_state`` (None if the initial data fail, as step 0).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = ["expm2", "etd_tables", "apply2", "etd2rk_step", "MarchError"]
 
@@ -76,21 +75,21 @@ def etd_tables(m: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns (P, R1, R2) with z(h) = P z(0) + R1 c0 + R2 c1, where
     P = exp(M h), R1 = int_0^h exp(M (h-s)) ds, R2 = int_0^h exp(M (h-s)) s ds,
-    all shape (..., 2, 2).  Read off the exponential of the augmented system
-    (z, g, r)' = (M z + g, r, 0).
+    all shape (..., 2, 2).  Scaling and squaring: 18 Taylor terms at the step
+    k = h / 2^s with k max_rowsum|M| <= 1/2 (smallest s >= 0), then s doublings.
     """
     m = np.asarray(m, dtype=float)
-    lead = m.shape[:-2]
-    aug = np.zeros(lead + (6, 6))
-    aug[..., 0:2, 0:2] = m
-    aug[..., 0, 2] = 1.0
-    aug[..., 1, 3] = 1.0
-    aug[..., 2, 4] = 1.0
-    aug[..., 3, 5] = 1.0
-    e = expm(aug * h)
-    p = e[..., 0:2, 0:2]
-    r1 = e[..., 0:2, 2:4]
-    r2 = e[..., 0:2, 4:6]
+    norm = h * float(np.max(np.sum(np.abs(m), axis=-1), initial=0.0))
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    k = h / 2**s
+    eye = np.broadcast_to(np.eye(2), m.shape)
+    term, p, r1, r2 = eye, eye, eye, 0.5 * eye
+    for n in range(1, 18):  # term = (kM)^n / n!; R1 / k and R2 / k^2 sum (kM)^n / (n+1)! and / (n+2)!
+        term = term @ (k / n * m)
+        p, r1, r2 = p + term, r1 + term / (n + 1), r2 + term / ((n + 1) * (n + 2))
+    r1, r2 = k * r1, k * k * r2
+    for _ in range(s):  # the tables at 2k from those at k
+        p, r1, r2, k = p @ p, (p + eye) @ r1, (p + eye) @ r2 + k * r1, 2.0 * k
     return p, r1, r2
 
 
@@ -133,7 +132,8 @@ def etd2rk_step(tables: tuple, z: list, forcing, dt: float) -> list:
 
 
 class MarchError(RuntimeError):
-    """A solver failure; ``last_state`` is the last state the march committed."""
+    """A solver failure; ``last_state`` is the last state the march committed,
+    None at step 0 (the initial state failed), since nothing was committed."""
 
     def __init__(self, message: str, last_state=None):
         super().__init__(message)
@@ -149,18 +149,26 @@ def _step_count(dt: float, t_end: float) -> int:
     return n
 
 
-def _march(stepper, state, n_steps: int, store_every: int, monitors=()):
-    """March ``state`` by ``n_steps`` steps of a stepper (``load``, ``advance``
-    committing only finite results, ``state``, ``held_state``, ``t``, ``dt``).
+def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
+    """March ``state = initial()`` by ``n_steps`` steps of a stepper (``load``
+    and ``advance`` holding only finite states, ``state``, ``held_state``,
+    ``t``, ``dt``).
 
     Returns the stored states (``state``, then ``stepper.state()`` every
     ``store_every`` steps and after the last) and, per ``(every, sample)``
     monitor, the arrays (t, *sample()) sampled at the start, every ``every``
     steps and after the last.  A MarchError in step n is raised again as its
     own class, naming n and the step's time, with ``held_state()``: the state
-    step n started from (or its result, if storing it failed).
+    step n started from (or its result, if storing it failed); building or
+    loading ``state`` is step 0, with no state.
     """
-    stepper.load(state)
+    t_0 = 0.0
+    try:
+        state = initial()
+        t_0 = state.t
+        stepper.load(state)
+    except MarchError as err:
+        raise type(err)(f"step 0, t = {t_0:.4f}: {err}") from err
     states = [state]
     rows = [[(stepper.t, *sample())] for _, sample in monitors]
     for n in range(1, n_steps + 1):

@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from mhd2d import lp
+from mhd2d import eulerian, lagrangian, lp
 from mhd2d.fields import mode_field, random_band_field, single_mode
-from mhd2d.grid import RealField, half_spectrum, l2_norm, to_spectral
+from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, to_spectral
 from mhd2d.linear import (
     block_energy,
     block_energy_series,
@@ -331,6 +335,63 @@ def test_decay_rate_frozen(grid32):
     traj = evolve_linear(y0, _zero_pair(grid32), np.linspace(0.0, 5.0, 30))
     fit = measured_decay_rate(traj, (0, 1))
     assert abs(fit.rate) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# ETD tables
+# ---------------------------------------------------------------------------
+
+
+def _augmented_expm_tables(m, h):
+    """(P, R1, R2) read off scipy's expm of the augmented system
+    (z, g, r)' = (M z + g, r, 0): the construction ``etd_tables`` replaced."""
+    aug = np.zeros(m.shape[:-2] + (6, 6))
+    aug[..., 0:2, 0:2] = m
+    aug[..., 0, 2] = aug[..., 1, 3] = aug[..., 2, 4] = aug[..., 3, 5] = 1.0
+    e = expm(aug * h)
+    return e[..., 0:2, 0:2], e[..., 0:2, 2:4], e[..., 0:2, 4:6]
+
+
+def _solver_matrices(module, grid, monkeypatch):
+    """The mode matrices a solver's cached ``_etd`` hands to ``etd_tables``."""
+    monkeypatch.setattr(module, "etd_tables", lambda m, h: m)
+    return module._etd.__wrapped__(grid, 1.0)
+
+
+@pytest.mark.parametrize("dt", [5e-4, 4e-3, 2e-2])
+@pytest.mark.parametrize("solver", ["lagrangian", "euler", "random", "zero"])
+def test_etd_tables_match_augmented_expm(solver, dt, monkeypatch):
+    """Scaling and squaring on the 2x2 blocks agrees with scipy's expm of the
+    6x6 augmented matrix to 1e-12 of each mode's largest entry, per table: on
+    the 128^2 half spectrum of both solvers (the mean mode, xi1 = 0 and the
+    double roots |xi|^4 = 4 xi1^2 such as xi = (1, 1) included), a random
+    stack, and the zero matrix (no squaring)."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    rng = np.random.default_rng(7)
+    m = {
+        "lagrangian": lambda: _solver_matrices(lagrangian, g, monkeypatch),
+        "euler": lambda: _solver_matrices(eulerian, g, monkeypatch),
+        "random": lambda: rng.standard_normal((5, 3, 2, 2)) - 2.0 * np.eye(2),
+        "zero": lambda: np.zeros((4, 2, 2)),
+    }[solver]()
+    got = etd_tables(m, dt)
+    assert all(t.shape == m.shape for t in got)
+    for table, want in zip(got, _augmented_expm_tables(m, dt)):
+        scale = np.max(np.abs(want), axis=(-2, -1))
+        assert np.all(np.max(np.abs(table - want), axis=(-2, -1)) <= 1e-12 * scale)
+    if solver == "zero":
+        assert all(np.all(t == w * np.eye(2)) for t, w in zip(got, (1.0, dt, 0.5 * dt**2)))
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """The package builds its ETD tables in numpy alone: a fresh interpreter
+    importing the command line does not load scipy.linalg."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mhd2d.cli; print('scipy.linalg' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

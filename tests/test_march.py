@@ -133,3 +133,37 @@ def test_failing_step_reports_step_time_and_last_state(grid32, case, monkeypatch
     # is the latest pressure of the march, not a new solve)
     for a, b in list(zip(fields(last), fields(before)))[:-1]:
         assert np.array_equal(a.samples, b.samples)
+
+
+def _nan_psi(g):
+    samples = np.zeros(g.shape)
+    samples[3, 4] = np.nan
+    return RealField(g, samples)
+
+
+STEP0_CASES = {
+    # the t = 0 pressure solve meets ||grad Y||_inf = 0.8
+    "lagrangian-distorted": (
+        lambda g: lag.run_lagrangian(
+            (RealField(g, 0.8 * np.sin(g.x1 + 0.0 * g.x2)), _zeros(g)), (_zeros(g), _zeros(g)), DT, 10 * DT
+        ),
+        lag.StateBlowupError, "||grad Y||_inf = 0.800, not <= 1/2",
+    ),
+    # one NaN sample spoils every coefficient of psi
+    "euler-nan": (
+        lambda g: eul.run_euler(_nan_psi(g), (_zeros(g), _zeros(g)), DT, 10 * DT),
+        eul.EulerBlowupError, "non-finite state",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP0_CASES))
+def test_initial_state_failure_is_step_0(grid32, case):
+    """Initial data that fail fail inside the march, as step 0 at t = 0 with
+    the cause, in the solver's own class, with no state committed."""
+    march, exc, cause = STEP0_CASES[case]
+    with pytest.raises(exc) as err:
+        march(grid32)
+    assert isinstance(err.value, MarchError)
+    assert str(err.value) == f"step 0, t = 0.0000: {cause}"
+    assert err.value.last_state is None
