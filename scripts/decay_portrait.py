@@ -9,14 +9,16 @@ slow eigenvalue of the block's centre frequency.  Optionally writes a CSV.
 
 import os
 import sys
+from dataclasses import astuple, fields
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from mhd2d.diagnostics import decay_table, decay_table_csv
+from mhd2d.diagnostics import DecayRow, decay_table
 from mhd2d.fields import random_band_field
 from mhd2d.grid import make_grid
+from mhd2d.io import write_rows_csv
 from mhd2d.linear import block_energy_series, evolve_linear
 
 
@@ -40,7 +42,7 @@ def main() -> int:
     c_min = min(r.rate_constant for r in rows)
     print(f"\nrecorded rate constant c = {c_min:.4f} over {len(rows)} blocks")
     if out_csv:
-        decay_table_csv(rows, out_csv)
+        write_rows_csv(out_csv, map(astuple, rows), [f.name for f in fields(DecayRow)])
         print(f"wrote {out_csv}")
     return 0
 

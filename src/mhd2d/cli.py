@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -96,8 +96,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; allowed: {sorted(_SHAPES)}")
+        import jsonschema
+
+        data = {key: value for key, value in vars(self).items() if value is not None and key != "experiment"}
+        if self.center is not None:
+            data["center"] = list(self.center)
+        try:
+            jsonschema.validate(data, CONFIG_SCHEMA)
+        except jsonschema.exceptions.ValidationError as exc:
+            raise ValueError(f"{exc.json_path[2:]} = {exc.instance!r}: {exc.message}") from exc
         allowed = sorted(_TOLERANCES.get(self.experiment, {}))
         unknown = sorted(set(self.tolerances) - set(allowed))
         if unknown:
@@ -155,20 +162,24 @@ def _bounded(name: str, observed: float, bound: float) -> dict:
 
 def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g = cfg.grid()
-    lin.write_eigen_csv(g, os.path.join(out["ledgers"], "eigenvalues.csv"))
-    vieta = 0.0
+    # one pass over the lattice: the eigenvalue table and the Vieta residual
+    rows, vieta = [], 0.0
     for i in range(g.nx):
         for j in range(g.ny):
             x1, x2 = float(g.k1[i, 0]), float(g.k2[0, j])
             if x1 == 0 and x2 == 0:
                 continue
             e = lin.eigenvalues((x1, x2))
+            lam_p, lam_m = e.lambda_plus, e.lambda_minus
+            rows.append((x1, x2, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag, lin.regime((x1, x2))))
             ksq = x1 * x1 + x2 * x2
             vieta = max(
                 vieta,
-                abs(e.lambda_plus + e.lambda_minus + ksq) / max(1.0, ksq),
-                abs(e.lambda_plus * e.lambda_minus - x1 * x1) / max(1.0, x1 * x1),
+                abs(lam_p + lam_m + ksq) / max(1.0, ksq),
+                abs(lam_p * lam_m - x1 * x1) / max(1.0, x1 * x1),
             )
+    header = ["xi1", "xi2", "lambda_plus_re", "lambda_plus_im", "lambda_minus_re", "lambda_minus_im", "regime"]
+    mio.write_rows_csv(os.path.join(out["ledgers"], "eigenvalues.csv"), rows, header)
     recs = [_bounded("vieta_identities_relative", vieta, cfg.tol("vieta"))]
     lam_dev = 0.0
     for n in range(4, min(33, g.nx // 2)):
@@ -202,7 +213,7 @@ def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
         traj = lin.evolve_linear((y0f, zero), (v0f, zero), np.linspace(0.0, 8.0, 60))
         fit = lin.measured_decay_rate(traj, (m, n))
         analytic = lam.real
-        fit_rows.append({"xi1": m, "xi2": n, "fitted": fit.rate, "analytic": analytic})
+        fit_rows.append((m, n, fit.rate, analytic))
         fit_dev = max(fit_dev, abs(fit.rate - analytic) / max(1.0, abs(analytic)))
     mio.write_rows_csv(
         os.path.join(out["ledgers"], "fitted_rates.csv"), fit_rows, ["xi1", "xi2", "fitted", "analytic"]
@@ -265,7 +276,7 @@ def _exp_linear_decay(cfg: ExperimentConfig, out: dict) -> list[dict]:
         fit = lin.measured_decay_rate(traj, (m, n))
         e = lin.eigenvalues((float(m), float(n)))
         analytic = max(e.lambda_plus.real, e.lambda_minus.real)
-        rate_rows.append({"xi1": m, "xi2": n, "fitted": fit.rate, "analytic": analytic})
+        rate_rows.append((m, n, fit.rate, analytic))
         rate_dev = max(rate_dev, abs(fit.rate - analytic) / max(1.0, abs(analytic)))
     mio.write_rows_csv(
         os.path.join(out["ledgers"], "mode_rates.csv"), rate_rows, ["xi1", "xi2", "fitted", "analytic"]
@@ -278,9 +289,11 @@ def _exp_block_energy(cfg: ExperimentConfig, out: dict) -> list[dict]:
     """Regime-resolved g_{j,k} tables with fitted dyadic rate constants."""
     g, traj = _linear_trajectory(cfg)
     table = lin.block_energy_series(traj)
-    lin.write_block_energy_csv(traj.times, table, os.path.join(out["ledgers"], "block_energy.csv"))
+    series = ((float(t), j, k, float(v)) for (j, k), row in sorted(table.items()) for t, v in zip(traj.times, row))
+    mio.write_rows_csv(os.path.join(out["ledgers"], "block_energy.csv"), series, ["t", "j", "k", "g_sq"])
     rows = diag.decay_table(traj.times, table)
-    diag.decay_table_csv(rows, os.path.join(out["ledgers"], "decay_table.csv"))
+    header = [f.name for f in fields(diag.DecayRow)]
+    mio.write_rows_csv(os.path.join(out["ledgers"], "decay_table.csv"), map(astuple, rows), header)
     c_min = min((r.rate_constant for r in rows), default=0.0)
     low = [r for r in rows if r.regime == "low"]
     high = [r for r in rows if r.regime == "high"]
@@ -331,8 +344,7 @@ def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
         _bounded("max_grad_inf", float(np.max(run.grad_inf)), 0.5),
     ]
     margins = diag.smallness_margin(run.states, cfg.s1, cfg.s2)
-    with open(os.path.join(out["root"], "smallness_margin.json"), "w") as fh:
-        json.dump(margins, fh, indent=2, sort_keys=True)
+    mio.write_json(os.path.join(out["root"], "smallness_margin.json"), margins)
     recs.append(
         _assert_rec("script_E_finite", "finite", margins["script_E_T"], None, math.isfinite(margins["script_E_T"]))
     )
@@ -395,8 +407,7 @@ def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     rep["seed_iterations"] = finfo.iterations
     rep["seed_gradient_residual_linf"] = max(finfo.gradient_residuals_linf)
     rep["Y1_transported_divergence_l2"] = div_res
-    with open(os.path.join(out["root"], "smallness_report.json"), "w") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True)
+    mio.write_json(os.path.join(out["root"], "smallness_report.json"), rep)
     for name, f in (("psi0", psi0), ("psitilde0", psitilde0), ("Y0_1", Y0[0]), ("Y0_2", Y0[1])):
         mio.save_field(os.path.join(out["fields"], name), f, name=name)
     recs = [
@@ -449,8 +460,7 @@ def _exp_norms_selftest(cfg: ExperimentConfig, out: dict) -> list[dict]:
         lp.norm_record(lp.NormSpec("besov", {"s": 0.5}, p=2, r=1), lp.besov_norm(f, 0.5)),
         lp.norm_record(lp.NormSpec("aniso", {"s1": 0.25, "s2": 0.25}), lp.aniso_norm(f, 0.25, 0.25)),
     ]
-    with open(os.path.join(out["root"], "norms.json"), "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
+    mio.write_json(os.path.join(out["root"], "norms.json"), records)
     return recs
 
 
@@ -519,15 +529,12 @@ def run(cfg: ExperimentConfig) -> tuple[int, str]:
         "assertions": assertions,
         "pass": ok,
     }
-    with open(os.path.join(root, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    mio.write_json(os.path.join(root, "report.json"), report)
     return (0 if ok else 1), root
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
-    if d.get("center") is not None:
-        d["center"] = list(d["center"])
     d.pop("outdir", None)  # environment detail; keeps reruns bit-identical
     return d
 
@@ -546,17 +553,14 @@ def _parse_set(pairs: list[str]) -> dict:
 
 
 def load_config(experiment: str, config_path: str | None, overrides: dict) -> ExperimentConfig:
-    import jsonschema
-
     data = {}
     if config_path:
         with open(config_path) as fh:
             data = json.load(fh)
     data.update(overrides)
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise ValueError(f"config violates the published schema: {exc.message}") from exc
+    unknown = sorted(set(data) - set(CONFIG_SCHEMA["properties"]))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(CONFIG_SCHEMA['properties'])}")
     if "center" in data and data["center"] is not None:
         data["center"] = tuple(data["center"])
     return ExperimentConfig(experiment=experiment, **data)

@@ -23,13 +23,13 @@ of the t = 0 coefficients.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mhd2d.grid import HalfSpectrum, half_spectrum
+from mhd2d.io import write_rows_csv
 from mhd2d.linear import eigenvalues
 from mhd2d.lp import _homogeneous_weight, block_sq_norms
 
@@ -59,12 +59,9 @@ class EnergyLedger:
         self.channels[name] = arr
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "channel", "value"])
-            for name in sorted(self.channels):
-                for t, v in zip(self.times, self.channels[name]):
-                    w.writerow([float(t), name, float(v)])
+        """Long format: one (t, channel, value) row per channel and time."""
+        rows = ((float(t), name, float(v)) for name in sorted(self.channels) for t, v in zip(self.times, self.channels[name]))
+        write_rows_csv(path, rows, ["t", "channel", "value"])
 
     def summary(self) -> dict:
         return {
@@ -280,10 +277,3 @@ def decay_table(times: np.ndarray, table: dict) -> list[DecayRow]:
         )
     return rows
 
-
-def decay_table_csv(rows: list[DecayRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k", "regime", "fitted_rate", "dyadic_scale", "rate_constant", "lambda_minus_center", "initial_gsq"])
-        for r in rows:
-            w.writerow([r.j, r.k, r.regime, r.fitted_rate, r.dyadic_scale, r.rate_constant, r.lambda_minus_center, r.initial_gsq])

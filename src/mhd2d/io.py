@@ -1,4 +1,5 @@
-"""Flat-binary field snapshots with JSON sidecars, and CSV monitors."""
+"""Every file an experiment writes: flat-binary field snapshots with JSON
+sidecars, CSV tables and JSON reports."""
 
 from __future__ import annotations
 
@@ -10,15 +11,13 @@ import numpy as np
 
 from mhd2d.grid import Grid, RealField
 
-__all__ = ["save_field", "load_field", "save_flow_snapshot", "save_euler_snapshot", "write_rows_csv"]
+__all__ = ["save_field", "load_field", "save_flow_snapshot", "save_euler_snapshot", "write_rows_csv", "write_json"]
 
 
 def save_field(path_base: str, field: RealField, **meta) -> None:
     """Write ``<base>.bin`` (little-endian float64, row-major) + ``<base>.json``."""
     g = field.grid
-    arr = np.ascontiguousarray(field.samples, dtype="<f8")
-    with open(path_base + ".bin", "wb") as fh:
-        fh.write(arr.tobytes())
+    np.ascontiguousarray(field.samples, dtype="<f8").tofile(path_base + ".bin")
     sidecar = {
         "nx": g.nx,
         "ny": g.ny,
@@ -27,16 +26,14 @@ def save_field(path_base: str, field: RealField, **meta) -> None:
         "dtype": "<f8",
         "order": "row-major (x1, x2)",
     }
-    sidecar.update(meta)
-    with open(path_base + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+    write_json(path_base + ".json", {**sidecar, **meta})
 
 
 def load_field(path_base: str) -> tuple[RealField, dict]:
     with open(path_base + ".json") as fh:
         meta = json.load(fh)
     g = Grid(meta["nx"], meta["ny"], meta["lx"], meta["ly"])
-    arr = np.frombuffer(open(path_base + ".bin", "rb").read(), dtype="<f8").reshape(g.shape)
+    arr = np.fromfile(path_base + ".bin", dtype="<f8").reshape(g.shape)
     return RealField(g, arr.astype(float)), meta
 
 
@@ -66,8 +63,14 @@ def save_euler_snapshot(directory: str, state, prefix: str = "") -> None:
 
 
 def write_rows_csv(path: str, rows, header: list[str]) -> None:
+    """One header line, then one line per row (a sequence in header order)."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=header)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_json(path: str, obj) -> None:
+    """``obj`` as JSON, indent 2 and sorted keys, so equal objects give equal bytes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)

@@ -20,7 +20,6 @@ anisotropic block-weight matrix with a per-mode density (``lp.block_sq_norms``).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,8 +41,6 @@ __all__ = [
     "block_energy_series",
     "measured_decay_rate",
     "companion_matrices",
-    "write_eigen_csv",
-    "write_block_energy_csv",
 ]
 
 
@@ -255,34 +252,3 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> Dec
     efold = math.log(s_fit[0] / s_fit[-1]) if s_fit[-1] > 0 else math.inf
     return DecayFit(rate=rate, window_ok=bool(efold >= 1.0 or abs(rate) < 1e-8))
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def write_eigen_csv(grid: Grid, path) -> None:
-    """Per-mode eigenvalue table over the grid frequency lattice."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi1", "xi2", "lambda_plus_re", "lambda_plus_im", "lambda_minus_re", "lambda_minus_im", "regime"])
-        for i in range(grid.nx):
-            for jj in range(grid.ny):
-                x1 = float(grid.k1[i, 0])
-                x2 = float(grid.k2[0, jj])
-                if x1 == 0.0 and x2 == 0.0:
-                    continue
-                e = eigenvalues((x1, x2))
-                w.writerow(
-                    [x1, x2, e.lambda_plus.real, e.lambda_plus.imag, e.lambda_minus.real, e.lambda_minus.imag, regime((x1, x2))]
-                )
-
-
-def write_block_energy_csv(times: np.ndarray, table: dict[tuple[int, int], np.ndarray], path) -> None:
-    """One row per block and stored time of a ``block_energy_series`` table."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "j", "k", "g_sq"])
-        for (j, k), series in sorted(table.items()):
-            for t, val in zip(times, series):
-                w.writerow([float(t), j, k, float(val)])

@@ -1,6 +1,9 @@
 import csv
+import gc
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +21,14 @@ def test_field_roundtrip(tmp_path, grid32, rng):
     f = random_band_field(grid32, rng, 1.0, 8.0)
     base = str(tmp_path / "field")
     mio.save_field(base, f, name="test", time=1.5)
-    back, meta = mio.load_field(base)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        back, meta = mio.load_field(base)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]  # the .bin file is closed
     assert np.array_equal(back.samples, f.samples)
     assert meta["nx"] == 32 and meta["time"] == 1.5
-    raw = open(base + ".bin", "rb").read()
+    raw = (tmp_path / "field.bin").read_bytes()
     assert len(raw) == 32 * 32 * 8  # little-endian f8 row-major
 
 
@@ -71,13 +78,25 @@ def test_cli_rejects_unknown_tolerance(tmp_path, capsys):
     assert cfg.tol("det") == 1e-3 and cfg.tol("constraint") == 1e-4
 
 
-def test_unknown_shape_is_rejected_on_both_config_paths():
-    """A shape with no recipe fails in the schema and in direct construction
-    (which skips the schema), naming the shape."""
-    with pytest.raises(ValueError, match="'random'"):
-        cli.load_config("build-initial-data", None, {"shape": "random"})
-    with pytest.raises(ValueError, match="'random'"):
-        cli.ExperimentConfig(experiment="build-initial-data", shape="random")
+@pytest.mark.parametrize(
+    "key,value",
+    [("shape", "random"), ("nx", 64.7), ("width", -1), ("k", 0), ("dt", 0), ("seed", 1.5), ("nx", "64")],
+    ids=["shape", "nx-float", "width", "k", "dt", "seed", "nx-string"],
+)
+def test_unknown_shape_is_rejected_on_both_config_paths(key, value):
+    """A value the schema rejects (a shape with no recipe, a fractional grid
+    size, a nonpositive width, ...) fails through load_config and through
+    direct construction alike, naming the key and the value."""
+    msg = "^" + re.escape(f"{key} = {value!r}: ")
+    with pytest.raises(ValueError, match=msg):
+        cli.load_config("build-initial-data", None, {key: value})
+    with pytest.raises(ValueError, match=msg):
+        cli.ExperimentConfig(experiment="build-initial-data", **{key: value})
+
+
+def test_unknown_config_key_is_rejected_by_name():
+    with pytest.raises(ValueError, match="'nxx'"):
+        cli.load_config("dispersion", None, {"nxx": 64})
 
 
 def test_cli_dispersion_runs(tmp_path):
@@ -155,6 +174,24 @@ def test_cli_block_energy_computes_the_table_once(tmp_path, monkeypatch):
     args = ["block-energy", "--set", "nx=32", "--set", "ny=32", "--set", "t_end=3.0", "--set", "seed=7"]
     assert cli.main(args + ["--outdir", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_cli_dispersion_solves_each_lattice_mode_once(tmp_path, monkeypatch):
+    """The eigenvalue table and the Vieta check share one solve per mode: the
+    255 nonzero modes of the 16^2 lattice, 4 asymptote modes and 3 fitted modes."""
+    calls = []
+    eigenvalues = lin.eigenvalues
+
+    def counted(xi):
+        calls.append(xi)
+        return eigenvalues(xi)
+
+    for mod in (lin, diag, cli):
+        if hasattr(mod, "eigenvalues"):
+            monkeypatch.setattr(mod, "eigenvalues", counted)
+    args = ["dispersion", "--set", "nx=16", "--set", "ny=16", "--outdir", str(tmp_path / "o")]
+    assert cli.main(args) == 0
+    assert len(calls) == 262
 
 
 def test_cli_determinism_bit_identical(tmp_path):

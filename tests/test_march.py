@@ -56,9 +56,8 @@ def test_step_count_rejects_bad_dt_and_t_end(grid32, rng, march, dt, t_end, bad)
 
 
 def test_cli_rejects_negative_dt_built_without_the_schema(tmp_path):
-    cfg = cli.ExperimentConfig(experiment="eulerian-smalldata", nx=16, ny=16, dt=-0.01, outdir=str(tmp_path / "o"))
     with pytest.raises(ValueError, match=re.escape("dt = -0.01")):
-        cli.run(cfg)
+        cli.run(cli.ExperimentConfig(experiment="eulerian-smalldata", nx=16, ny=16, dt=-0.01, outdir=str(tmp_path / "o")))
 
 
 def _poison(monkeypatch, cls, name, call, spoil):
