@@ -13,7 +13,7 @@ from mhd2d.cli import EXPERIMENTS, ExperimentConfig, run
 # per-experiment overrides keeping the full sweep under ~10 minutes
 SIZES = {
     "dispersion": {"nx": 64, "ny": 64},
-    "linear-decay": {"nx": 128, "ny": 128, "t_end": 20.0},
+    "linear-decay": {"nx": 128, "ny": 128},
     "block-energy": {"nx": 128, "ny": 128, "t_end": 20.0},
     "energy-identity": {"nx": 128, "ny": 128, "dt": 1e-3, "t_end": 2.0, "kmax": 2.0},
     "lagrangian-smalldata": {"nx": 128, "ny": 128, "dt": 0.01, "t_end": 5.0},
@@ -32,7 +32,8 @@ def main() -> int:
         cfg = ExperimentConfig(experiment=name, outdir=os.path.join(base, name), **SIZES.get(name, {}))
         t0 = time.time()
         status, root = run(cfg)
-        report = json.load(open(os.path.join(root, "report.json")))
+        with open(os.path.join(root, "report.json")) as fh:
+            report = json.load(fh)
         ok = report["pass"]
         overall &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name:24s} ({time.time() - t0:5.1f}s) -> {root}")

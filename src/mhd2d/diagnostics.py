@@ -63,12 +63,6 @@ class EnergyLedger:
         rows = ((float(t), name, float(v)) for name in sorted(self.channels) for t, v in zip(self.times, self.channels[name]))
         write_rows_csv(path, rows, ["t", "channel", "value"])
 
-    def summary(self) -> dict:
-        return {
-            name: {"initial": float(v[0]), "final": float(v[-1]), "max": float(np.max(v))}
-            for name, v in sorted(self.channels.items())
-        }
-
 
 # ---------------------------------------------------------------------------
 # flow-map energy functionals

@@ -67,12 +67,9 @@ def random_band_field(
     kmax: float = 8.0,
     amplitude: float = 1.0,
     decay: float = 0.0,
-    normalize: str = "l2",
 ) -> RealField:
-    """Zero-mean random field band-limited to kmin <= |m| <= kmax.
-
-    ``decay`` applies a spectral envelope exp(-decay |m|^2); normalization is
-    by L2 norm ('l2') or sup norm ('inf')."""
+    """Zero-mean random field band-limited to kmin <= |m| <= kmax, with L2
+    norm ``amplitude``; ``decay`` applies a spectral envelope exp(-decay |m|^2)."""
     c = half_spectrum(grid)
     ch = c.fwd(rng.standard_normal(grid.shape))
     mm = np.sqrt(grid.m1.astype(float) ** 2 + np.arange(grid.ny // 2 + 1, dtype=float) ** 2)
@@ -80,7 +77,7 @@ def random_band_field(
     ch = np.where(mask, ch * np.exp(-decay * mm**2), 0.0)
     ch[0, 0] = 0.0
     f = RealField(grid, c.inv(ch))
-    scale = l2_norm(f) if normalize == "l2" else float(np.max(np.abs(f.samples)))
+    scale = l2_norm(f)
     if scale == 0.0:
         return RealField(grid, f.samples)
     return RealField(grid, amplitude * f.samples / scale)

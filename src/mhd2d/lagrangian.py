@@ -413,15 +413,13 @@ class _Stepper:
     """Internal spectral state marcher (``etd2rk_step`` on the pairs (Y^j, Y^j_t))."""
 
     def __init__(self, grid: Grid, dt: float, nonlinear: bool = True,
-                 pressure_tol: float = 1e-10, extra_forcing=None,
-                 constraint_projection: bool = False):
+                 pressure_tol: float = 1e-10, extra_forcing=None):
         self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
         self.extra_forcing = extra_forcing
         self.pressure_tol = pressure_tol
-        self.constraint_projection = constraint_projection
         self.tables = _etd(grid, dt)
         self.qh = None
         self.last_pressure: PressureInfo | None = None
@@ -469,24 +467,7 @@ class _Stepper:
         """One step, committed only when its result is finite."""
         z = [(self.yh[0], self.vh[0]), (self.yh[1], self.vh[1])]
         (y1, v1), (y2, v2) = etd2rk_step(self.tables, z, self._forcing, self.dt)
-        yh = self._project_constraint(y1, y2) if self.constraint_projection else [y1, y2]
-        self._hold(yh, [v1, v2], self.t + self.dt)
-
-    def _project_constraint(self, y1h: np.ndarray, y2h: np.ndarray) -> list[np.ndarray]:
-        """Gradient update of (Y^1, Y^2) enforcing div Y = rho(Y).
-
-        Off by default: the exact dynamics propagates the constraint and
-        projecting would mask scheme errors; the mode exists to separate
-        constraint drift from other error sources in studies.
-        """
-        c = self.c
-        for _ in range(2):
-            div_minus_rho = c.ik1 * y1h + c.ik2 * y2h - _rho_hat(c, _grad_hat(c, y1h, y2h))
-            if float(np.max(np.abs(div_minus_rho))) / (self.grid.nx * self.grid.ny) < 1e-16:
-                break
-            phi = -div_minus_rho * c.inv_ksq
-            y1h, y2h = y1h - c.ik1 * phi, y2h - c.ik2 * phi
-        return [y1h, y2h]
+        self._hold([y1, y2], [v1, v2], self.t + self.dt)
 
     def fields(self) -> tuple[tuple[RealField, RealField], tuple[RealField, RealField]]:
         c = self.c
@@ -563,20 +544,14 @@ def run_lagrangian(
     store_every: int = 10,
     s2_plus_1: float = 0.25,
     monitor_every: int = 1,
-    constraint_projection: bool = False,
 ) -> LagrangianRun:
-    """March the flow-map system, recording states and invariant monitors.
-
-    ``constraint_projection`` switches on the optional gradient update that
-    re-imposes div Y = rho(Y) after each step (off by default: the constraint
-    is propagated by the dynamics and projection would mask scheme errors).
-    """
+    """March the flow-map system, recording states and invariant monitors."""
     n_steps = _step_count(dt, t_end)
     if not (s2_plus_1 > -1.0):
         raise ValueError(
             f"s2_plus_1 = {s2_plus_1}: homogeneous exponent s <= -1 is unreliable on the periodic box"
         )
-    s = _Stepper(Y0[0].grid, dt, constraint_projection=constraint_projection)
+    s = _Stepper(Y0[0].grid, dt)
     states, [series] = _march(
         s, lambda: make_state(Y0, Y1), n_steps, store_every,
         [(monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.lp import block_sq_norms
-from mhd2d.propagators import apply2, etd2rk_step, etd_tables, expm2
+from mhd2d.propagators import apply2, expm2
 
 __all__ = [
     "ModeEigen",
@@ -130,16 +130,11 @@ def evolve_linear(
     Y0: tuple[RealField, RealField],
     Y1: tuple[RealField, RealField],
     times: Sequence[float],
-    forcing: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None,
-    substep: float = 1e-2,
 ) -> LinearTrajectory:
-    """Evolve the linear system, storing states at the requested times.
+    """Evolve the unforced linear system, storing states at the requested times.
 
-    With no forcing every stored state comes from the exact per-mode
-    propagator applied to the initial data (no time-step error).  With
-    forcing, each substep is one ``propagators.etd2rk_step``, the exponential
-    trapezoidal rule (second order in the substep size).  ``forcing(t)``
-    returns the half-spectrum coefficients of both components.
+    Every stored state is the exact per-mode propagator ``exp(M t)`` applied
+    to the initial data, so it carries no time-step error.
     """
     g = Y0[0].grid
     c = half_spectrum(g)
@@ -151,40 +146,10 @@ def evolve_linear(
     v0 = np.stack([c.fwd(f.samples) for f in Y1])
     ny = np.empty((times.size, 2) + c.ksq.shape, dtype=complex)
     nv = np.empty_like(ny)
-    if forcing is None:
-        for i, t in enumerate(times):
-            p = expm2(m, float(t))
-            for comp in range(2):
-                ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
-        return LinearTrajectory(g, times, ny, nv)
-
-    # forced path: march with uniform substeps, storing by interpolation of
-    # step endpoints onto the requested times (times must align with steps)
-    t_end = float(times[-1])
-    n_steps = max(1, int(round(t_end / substep)))
-    h = t_end / n_steps
-    tables = etd_tables(m, h)
-    z = [(y0[comp], v0[comp]) for comp in range(2)]
-    t = 0.0
-
-    def slots(_, s):
-        return [(None, fc) for fc in forcing(t + s)]
-
-    out_idx = 0
-    stored = {}
-    if abs(times[0]) < 1e-14:
-        stored[0] = z
-        out_idx = 1
-    for _ in range(n_steps):
-        z = etd2rk_step(tables, z, slots, h)
-        t += h
-        while out_idx < times.size and times[out_idx] <= t + 1e-12:
-            stored[out_idx] = z
-            out_idx += 1
-    for i in range(times.size):
-        if i not in stored:
-            raise ValueError("requested store times must align with forced substeps")
-        (ny[i, 0], nv[i, 0]), (ny[i, 1], nv[i, 1]) = stored[i]
+    for i, t in enumerate(times):
+        p = expm2(m, float(t))
+        for comp in range(2):
+            ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
     return LinearTrajectory(g, times, ny, nv)
 
 

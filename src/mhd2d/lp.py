@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -38,8 +38,6 @@ from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd
 
 __all__ = [
     "CutoffPair",
-    "DyadicBlockSet",
-    "NormSpec",
     "make_cutoffs",
     "block_iso",
     "block_h",
@@ -48,7 +46,6 @@ __all__ = [
     "low_pass_h",
     "low_pass_v",
     "resolved_range",
-    "build_blockset",
     "block_sq_norms",
     "sobolev_norm",
     "sobolev_norm_hat",
@@ -58,7 +55,6 @@ __all__ = [
     "a_ks_norm",
     "bony_decompose",
     "oversample",
-    "norm_record",
     "ANISO_N0",
 ]
 
@@ -185,28 +181,6 @@ def low_pass_v(u: RealField, ell: int) -> RealField:
     return _apply_mask(u, "v", ell, low=True)
 
 
-@dataclass(frozen=True)
-class DyadicBlockSet:
-    """A field's decomposition into isotropic blocks indexed by j."""
-
-    source: RealField
-    blocks: dict
-    j_range: tuple[int, int]
-
-    def reconstruction(self) -> RealField:
-        """Sum of all blocks; equals the zero-mean source."""
-        acc = np.zeros(self.source.grid.shape)
-        for f in self.blocks.values():
-            acc = acc + f.samples
-        return RealField(self.source.grid, acc)
-
-
-def build_blockset(u: RealField) -> DyadicBlockSet:
-    """The isotropic blocks D_j u over ``resolved_range(grid, "iso")``."""
-    jr = resolved_range(u.grid, "iso")
-    return DyadicBlockSet(u, {j: block_iso(u, j) for j in range(jr[0], jr[1] + 1)}, jr)
-
-
 # one matrix per grid and block family; at 128^2 the anisotropic one is
 # 49 x 8320 (3.3 MB)
 @lru_cache(maxsize=4)
@@ -245,37 +219,6 @@ def block_sq_norms(grid: Grid, w: np.ndarray, aniso: bool = False) -> tuple[tupl
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-_NORM_KINDS = ("sobolev_hom", "sobolev_inhom", "besov", "aniso", "chemin_lerner", "a_ks")
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Descriptor of a norm evaluation, exportable as a JSON record."""
-
-    kind: str
-    exponents: dict = field(default_factory=dict)
-    p: float | None = None
-    r: float | None = None
-    lam: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        for name in ("p", "r", "lam"):
-            v = getattr(self, name)
-            if v is not None and not (1.0 <= v or v == math.inf):
-                raise ValueError(f"{name} must lie in [1, inf]")
-
-
-def norm_record(spec: NormSpec, value: float) -> dict:
-    rec = {"kind": spec.kind, "exponents": dict(spec.exponents), "value": float(value)}
-    for name in ("p", "r", "lam"):
-        v = getattr(spec, name)
-        if v is not None:
-            rec[name] = v if v != math.inf else "inf"
-    return rec
-
 
 def sobolev_norm(u: RealField, s: float, homogeneous: bool = True) -> float:
     """Sobolev norm via quadrature of |xi|^2s |chat|^2 over resolved modes.

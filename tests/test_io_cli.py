@@ -115,7 +115,20 @@ def test_cli_norms_selftest_runs(tmp_path):
     rc = cli.main(["norms-selftest", "--outdir", str(tmp_path / "o"), "--set", "nx=32", "--set", "ny=32"])
     assert rc == 0
     recs = json.loads((tmp_path / "o" / "norms.json").read_text())
-    assert any(r["kind"] == "besov" for r in recs)
+    assert [(r["kind"], r["exponents"]) for r in recs] == [
+        ("sobolev_hom", {"s": 1.0}),
+        ("besov", {"s": 0.5}),
+        ("aniso", {"s1": 0.25, "s2": 0.25}),
+    ]
+    assert [sorted(r) for r in recs] == [
+        ["exponents", "kind", "value"],
+        ["exponents", "kind", "p", "r", "value"],
+        ["exponents", "kind", "value"],
+    ]
+    besov = recs[1]
+    assert (besov["p"], besov["r"]) == (2, 1)
+    assert type(besov["p"]) is int and type(besov["r"]) is int
+    assert all(isinstance(r["value"], float) and r["value"] > 0 for r in recs)
 
 
 def test_cli_bony_selftest_runs(tmp_path):
@@ -131,6 +144,7 @@ def test_cli_bony_selftest_runs(tmp_path):
         ("eulerian-smalldata", ["nx=32", "ny=32", "dt=0.01", "t_end=2.0"]),
         ("cross-validate", ["nx=32", "ny=32", "dt=0.01", "t_end=0.5"]),
         ("build-initial-data", ["nx=128", "ny=128", "amplitude=1e-4", "shape=\"bump_dx1\"", "width=0.6"]),
+        ("linear-decay", ["nx=32", "ny=32"]),
     ],
 )
 def test_cli_experiments_smoke(tmp_path, name, overrides):

@@ -313,7 +313,9 @@ def test_pressure_stops_when_not_contracting(grid32, rng):
     """A displacement gradient far beyond 1/2 (passed below the guard) makes
     the fixed point diverge: it stops at once and names the cause."""
     c = half_spectrum(grid32)
-    Y = tuple(random_band_field(grid32, rng, 1.0, 4.0, 1.0, normalize="inf") for _ in range(2))
+    # unit sup norm: ||grad Y||_inf is then well above 1
+    Y = tuple(random_band_field(grid32, rng, 1.0, 4.0) for _ in range(2))
+    Y = tuple(RealField(grid32, f.samples / np.max(np.abs(f.samples))) for f in Y)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     t = lag._grad_hat(c, y1h, y2h)
     assert t.sup_norm > 1.0
@@ -441,18 +443,6 @@ def test_step_manufactured_temporal_order(rng):
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert order2 >= 1.9 or order1 >= 1.9
-
-
-def test_constraint_projection_mode(grid32, rng):
-    """Optional projection keeps div Y = rho(Y) tighter than the free run."""
-    z = _pair(grid32)
-    y1 = random_solenoidal(grid32, rng, 1.0, 5.0, 5e-2)
-    free = lag.run_lagrangian(z, y1, 0.05, 1.0, store_every=10**9, monitor_every=4)
-    proj = lag.run_lagrangian(
-        z, y1, 0.05, 1.0, store_every=10**9, monitor_every=4, constraint_projection=True
-    )
-    assert np.max(proj.constraint_err) <= np.max(free.constraint_err)
-    assert np.max(proj.constraint_err) < 1e-11
 
 
 def test_step_aborts_on_distortion(grid32):
