@@ -65,7 +65,7 @@ CONFIG_SCHEMA = {
         "s2": {"type": "number"},
         "kmin": {"type": "number"},
         "kmax": {"type": "number"},
-        "tolerances": {"type": "object"},
+        "tolerances": {"type": "object", "additionalProperties": {"type": "number", "minimum": 0}},
         "outdir": {"type": "string"},
         "seed": {"type": "integer"},
     },
@@ -101,13 +101,16 @@ class ExperimentConfig:
         if self.t_end is None:
             # linear-decay fits slow-branch tail rates, which settle only by t ~ 20
             self.t_end = 20.0 if self.experiment == "linear-decay" else 2.0
-        data = {key: value for key, value in vars(self).items() if value is not None and key != "experiment"}
+        data = {key: value for key, value in vars(self).items() if key not in ("experiment", "center")}
         if self.center is not None:
             data["center"] = list(self.center)
         try:
             jsonschema.validate(data, CONFIG_SCHEMA)
         except jsonschema.exceptions.ValidationError as exc:
             raise ValueError(f"{exc.json_path[2:]} = {exc.instance!r}: {exc.message}") from exc
+        for key, value in [*data.items(), *((f"tolerances.{k}", v) for k, v in self.tolerances.items())]:
+            if not all(math.isfinite(v) for v in (value if key == "center" else [value]) if isinstance(v, float)):
+                raise ValueError(f"{key} = {value!r}: not a finite number")
         allowed = sorted(_TOLERANCES.get(self.experiment, {}))
         unknown = sorted(set(self.tolerances) - set(allowed))
         if unknown:
@@ -558,8 +561,13 @@ def _parse_set(pairs: list[str]) -> dict:
 def load_config(experiment: str, config_path: str | None, overrides: dict) -> ExperimentConfig:
     data = {}
     if config_path:
-        with open(config_path) as fh:
-            data = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"config file {config_path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {config_path}: a JSON object is needed, not {type(data).__name__}")
     data.update(overrides)
     unknown = sorted(set(data) - set(CONFIG_SCHEMA["properties"]))
     if unknown:

@@ -14,8 +14,8 @@ projected linear coupling closes the 2x2 system
     d/dt (psi, a) = [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]] (psi, a) + nonlinear,
 
 whose symbol is exactly ``lam^2 + |xi|^2 lam + xi1^2 = 0``.  Stepping is the
-exact mode propagator plus ETD2RK for the quadratic terms
-(``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
+exact mode propagator plus ETD2RK for the quadratic terms, which are always
+on (``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
 ``half_spectrum`` context.  Each quadratic sum, such as the stress
 ``u_i u_j + d_i psi d_j psi``, is dealiased once (``HalfSpectrum.dh``).  The
 projected momentum forcing needs only the traceless part of the stress,
@@ -123,10 +123,9 @@ def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerS
 
 
 class _EulerStepper:
-    def __init__(self, grid: Grid, dt: float, nonlinear: bool = True):
+    def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
         self.dt = dt
-        self.nonlinear = nonlinear
         self.tables = _etd(grid, dt)
 
     def load(self, state: EulerState) -> None:
@@ -141,9 +140,6 @@ class _EulerStepper:
 
     def _nonlinear(self, psih, ah):
         c = self.c
-        if not self.nonlinear:
-            z = np.zeros_like(psih)
-            return z, z.copy()
         u1h, u2h = _velocity(c, ah)
         u1, u2 = c.inv(u1h), c.inv(u2h)
         d1psi, d2psi = c.grad(psih)
@@ -218,7 +214,6 @@ def run_euler(
     store_every: int = 1000000,
     monitor_every: int = 1,
     aux_every: int | None = None,
-    nonlinear: bool = True,
 ) -> EulerRun:
     """March the perturbation system; cheap spectral energy monitors run on
     the ``monitor_every`` cadence, oversampled sup-norm diagnostics on the
@@ -226,10 +221,10 @@ def run_euler(
     n_steps = _step_count(dt, t_end)
     if aux_every is None:
         aux_every = max(1, n_steps // 100)
-    s = _EulerStepper(psi0.grid, dt, nonlinear)
+    s = _EulerStepper(psi0.grid, dt)
     states, ((times, es, ds), (aux_t, divs, blow)) = _march(
         s, lambda: make_euler_state(psi0, u0), n_steps, store_every,
-        [(monitor_every, s.energy), (aux_every, s.sup_monitors)],
+        [("monitor_every", monitor_every, s.energy), ("aux_every", aux_every, s.sup_monitors)],
     )
     return EulerRun(states, times, es, ds, aux_t, divs, blow)
 

@@ -200,18 +200,10 @@ def spectral_derivative(u: RealField, axis: int, order: int = 1) -> RealField:
     return RealField(u.grid, c.inv(_finite_fwd(u) * _deriv_symbol(c, axis, order)))
 
 
-def inverse_laplacian(u: RealField, mean_tolerance: float | None = None) -> RealField:
-    """Solve ``Lap(v) = u - mean(u)`` with zero-mean ``v``.
-
-    If ``mean_tolerance`` is given, a mean exceeding it raises (caller
-    asserted solvability of the unmodified problem).
-    """
+def inverse_laplacian(u: RealField) -> RealField:
+    """Solve ``Lap(v) = u - mean(u)`` with zero-mean ``v``."""
     c = half_spectrum(u.grid)
-    uh = _finite_fwd(u)
-    mean = uh[0, 0] / (u.grid.nx * u.grid.ny)
-    if mean_tolerance is not None and abs(mean) > mean_tolerance:
-        raise ValueError(f"field mean {abs(mean):.3e} exceeds tolerance {mean_tolerance:.3e}")
-    return RealField(u.grid, c.inv(-uh * c.inv_ksq))
+    return RealField(u.grid, c.inv(-_finite_fwd(u) * c.inv_ksq))
 
 
 def dealias(s: SpectralField) -> SpectralField:

@@ -14,7 +14,8 @@ by taking grad_Y-divergence of the momentum equation, as a fixed point of
     q  <-  InvLap[ -div((A - I) A^T grad q) - div((A^T - I) grad q)
                    + div(dA/dt Y_t) + div_Y d1^2 Y ],
 
-which contracts while ||grad Y||_inf stays small.  The source term
+which contracts while ||grad Y||_inf stays small; every solve and every step
+runs it, to the L2 increment ``_PRESSURE_TOL`` = 1e-10.  The source term
 ``div_Y d1^2 Y`` is assembled in its conservative form
 ``div((A - I) d1^2 Y) + d1^2 rho(Y)`` so the right side has exactly zero mean.
 
@@ -86,6 +87,7 @@ class PressureConvergenceError(MarchError):
 
 
 _PRESSURE_MAX_ITERATIONS = 200
+_PRESSURE_TOL = 1e-10  # L2 size of the last fixed-point increment, for every solve
 
 
 @lru_cache(maxsize=8)
@@ -250,9 +252,7 @@ def _pressure_spectral(
     y1h: np.ndarray,
     y2h: np.ndarray,
     qh0: np.ndarray | None,
-    tol: float,
     check_identity: bool,
-    extra_hat: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PressureInfo]:
     adj = adjugate(t)
     # dA/dt has the adjugate entry pattern applied to grad Y_t
@@ -264,8 +264,6 @@ def _pressure_spectral(
         scale = max(1.0, float(np.max(np.abs(form_a))))
         ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / scale
     const = c.ik1 * w1h + c.ik2 * w2h + form_a
-    if extra_hat is not None:
-        const = const + extra_hat
     qh = np.zeros_like(const) if qh0 is None else qh0.copy()
     area = c.grid.lx * c.grid.ly
     inc_prev = math.inf
@@ -282,7 +280,7 @@ def _pressure_spectral(
         diff = (qh_new - qh) / (c.grid.nx * c.grid.ny)
         inc = math.sqrt(area * c.lattice_sum(np.abs(diff) ** 2))
         qh = qh_new
-        if inc < tol:
+        if inc < _PRESSURE_TOL:
             return qh, PressureInfo(it, inc, contraction, ident)
         contraction = inc / inc_prev if inc_prev < math.inf else 0.0
         if not (contraction < 1.0):
@@ -297,30 +295,24 @@ def _pressure_spectral(
 def pressure_solve(
     Y: tuple[RealField, RealField],
     Y_t: tuple[RealField, RealField],
-    tol: float = 1e-10,
     q0: RealField | None = None,
     check_identity: bool = True,
-    extra_source: RealField | None = None,
 ) -> tuple[RealField, PressureInfo]:
     """Solve the Lagrangian pressure equation; q has zero mean.
 
-    Fixed-point iteration stops when the successive L2 difference drops
-    below ``tol``, within 200 iterations.  The conservative-form identity for
-    div_Y d1^2 Y is evaluated alongside when ``check_identity`` and its
-    relative sup residual is reported in the info record.  ``extra_source`` adds a manufactured
-    term to the right side (testing hook).
+    The fixed point, warm-started from ``q0``, stops when the successive L2
+    difference drops below ``_PRESSURE_TOL`` (1e-10), within 200 iterations.
+    The conservative-form identity for div_Y d1^2 Y is evaluated alongside
+    when ``check_identity`` and its relative sup residual is reported in the
+    info record.
     """
     g = Y[0].grid
     c = half_spectrum(g)
     y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
     t = _small(_grad_hat(c, y1h, y2h))
     tv = gradient_tensor(Y_t)
-    vq = (Y_t[0].samples, Y_t[1].samples)
     qh0 = c.fwd(q0.samples) if q0 is not None else None
-    extra_hat = c.fwd(extra_source.samples) if extra_source is not None else None
-    qh, info = _pressure_spectral(
-        c, t, tv, vq, y1h, y2h, qh0, tol, check_identity, extra_hat
-    )
+    qh, info = _pressure_spectral(c, t, tv, (Y_t[0].samples, Y_t[1].samples), y1h, y2h, qh0, check_identity)
     if info.identity_residual is not None and info.identity_residual > 1e-6:
         raise PressureConvergenceError(
             f"conservative-form identity residual {info.identity_residual:.2e} out of bounds"
@@ -412,14 +404,10 @@ def make_state(Y0: tuple[RealField, RealField], Y1: tuple[RealField, RealField])
 class _Stepper:
     """Internal spectral state marcher (``etd2rk_step`` on the pairs (Y^j, Y^j_t))."""
 
-    def __init__(self, grid: Grid, dt: float, nonlinear: bool = True,
-                 pressure_tol: float = 1e-10, extra_forcing=None):
+    def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
-        self.nonlinear = nonlinear
-        self.extra_forcing = extra_forcing
-        self.pressure_tol = pressure_tol
         self.tables = _etd(grid, dt)
         self.qh = None
         self.last_pressure: PressureInfo | None = None
@@ -428,8 +416,7 @@ class _Stepper:
         c = self.c
         self.qh = c.fwd(state.q.samples)
         yh = [c.fwd(f.samples) for f in state.Y]
-        if self.nonlinear:
-            _small(_grad_hat(c, *yh))
+        _small(_grad_hat(c, *yh))
         self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t)
 
     def _hold(self, yh: list, vh: list, t: float) -> None:
@@ -443,24 +430,11 @@ class _Stepper:
         (Y^2, Y^2_t)] at time t + s; the pressure is warm-started from, and
         stored back into, ``self.qh``."""
         c = self.c
-        t = self.t + s
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
-        if not self.nonlinear:
-            f1h = np.zeros_like(yh[0])
-            f2h = f1h.copy()
-            self.qh = np.zeros_like(yh[0])
-        else:
-            tgrad = _small(_grad_hat(c, *yh))
-            tv = _grad_hat(c, *vh)
-            v_phys = (c.inv(vh[0]), c.inv(vh[1]))
-            self.qh, self.last_pressure = _pressure_spectral(
-                c, tgrad, tv, v_phys, yh[0], yh[1], self.qh, self.pressure_tol, False,
-            )
-            f1h, f2h = _rhs_f_spectral(c, tgrad, vh, self.qh)
-        if self.extra_forcing is not None:
-            e1, e2 = self.extra_forcing(t)
-            f1h = f1h + e1
-            f2h = f2h + e2
+        tgrad = _small(_grad_hat(c, *yh))
+        v_phys = (c.inv(vh[0]), c.inv(vh[1]))
+        self.qh, self.last_pressure = _pressure_spectral(c, tgrad, _grad_hat(c, *vh), v_phys, *yh, self.qh, False)
+        f1h, f2h = _rhs_f_spectral(c, tgrad, vh, self.qh)
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
@@ -480,12 +454,8 @@ class _Stepper:
         held coefficients, warm-started from ``self.qh``."""
         c = self.c
         Y, V = self.fields()
-        if not self.nonlinear:
-            return FlowMapState(Y, V, RealField(self.grid, np.zeros(self.grid.shape)), self.t)
-        qh, _ = _pressure_spectral(
-            c, _small(_grad_hat(c, *self.yh)), _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), self.yh[0], self.yh[1],
-            self.qh, self.pressure_tol, False,
-        )
+        qh, _ = _pressure_spectral(c, _small(_grad_hat(c, *self.yh)), _grad_hat(c, *self.vh),
+                                   (V[0].samples, V[1].samples), *self.yh, self.qh, False)
         return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
 
     def held_state(self) -> FlowMapState:
@@ -494,10 +464,10 @@ class _Stepper:
         return FlowMapState(Y, V, RealField(self.grid, self.c.inv(self.qh)), self.t)
 
 
-def step(state: FlowMapState, dt: float, nonlinear: bool = True) -> FlowMapState:
+def step(state: FlowMapState, dt: float) -> FlowMapState:
     """One IMEX step: exact linear mode propagator + ETD2RK forcing."""
     n_steps = _step_count(dt, dt)  # one step; rejects dt <= 0
-    return _march(_Stepper(state.Y[0].grid, dt, nonlinear), lambda: state, n_steps, 1)[0][-1]
+    return _march(_Stepper(state.Y[0].grid, dt), lambda: state, n_steps, 1)[0][-1]
 
 
 @dataclass
@@ -554,7 +524,7 @@ def run_lagrangian(
     s = _Stepper(Y0[0].grid, dt)
     states, [series] = _march(
         s, lambda: make_state(Y0, Y1), n_steps, store_every,
-        [(monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],
+        [("monitor_every", monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],
     )
     return LagrangianRun(states, *series)
 

@@ -155,13 +155,16 @@ def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
     ``t``, ``dt``).
 
     Returns the stored states (``state``, then ``stepper.state()`` every
-    ``store_every`` steps and after the last) and, per ``(every, sample)``
-    monitor, the arrays (t, *sample()) sampled at the start, every ``every``
-    steps and after the last.  A MarchError in step n is raised again as its
-    own class, naming n and the step's time, with ``held_state()``: the state
-    step n started from (or its result, if storing it failed); building or
-    loading ``state`` is step 0, with no state.
+    ``store_every`` steps and after the last) and, per ``(name, every,
+    sample)`` monitor, the arrays (t, *sample()) sampled at the start, every
+    ``every`` steps (a whole number >= 1, else ValueError) and after the last.
+    A MarchError in step n is raised again as its own class, naming n and the
+    step's time, with ``held_state()``: the state step n started from (or its
+    result, if storing it failed); building or loading ``state`` is step 0.
     """
+    for name, every, *_ in [("store_every", store_every), *monitors]:
+        if not (every >= 1 and every % 1 == 0):
+            raise ValueError(f"{name} = {every!r}: a cadence must be a whole number >= 1")
     t_0 = 0.0
     try:
         state = initial()
@@ -170,7 +173,7 @@ def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
     except MarchError as err:
         raise type(err)(f"step 0, t = {t_0:.4f}: {err}") from err
     states = [state]
-    rows = [[(stepper.t, *sample())] for _, sample in monitors]
+    rows = [[(stepper.t, *sample())] for _, _, sample in monitors]
     for n in range(1, n_steps + 1):
         t_n = stepper.t + stepper.dt
         try:
@@ -179,7 +182,7 @@ def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
                 states.append(stepper.state())
         except MarchError as err:
             raise type(err)(f"step {n}, t = {t_n:.4f}: {err}", last_state=stepper.held_state()) from err
-        for (every, sample), r in zip(monitors, rows):
+        for (_, every, sample), r in zip(monitors, rows):
             if n % every == 0 or n == n_steps:
                 r.append((stepper.t, *sample()))
     return states, [tuple(np.asarray(col) for col in zip(*r)) for r in rows]

@@ -20,6 +20,15 @@ def _zero_state(g):
     return eul.EulerState(_zeros(g), (_zeros(g), _zeros(g)), _zeros(g), 0.0)
 
 
+def _linear_only(monkeypatch):
+    """Zero the quadratic terms of every Euler step."""
+
+    def zero(self, psih, ah):
+        return np.zeros_like(psih), np.zeros_like(ah)
+
+    monkeypatch.setattr(eul._EulerStepper, "_nonlinear", zero)
+
+
 # ---------------------------------------------------------------------------
 # Leray projection
 # ---------------------------------------------------------------------------
@@ -109,11 +118,12 @@ def test_linearized_dispersion_matches_eigenvalues(grid32):
         assert slope == pytest.approx(expected, rel=2e-3)
 
 
-def test_nonlinear_small_amplitude_stays_near_linear(grid32, rng):
+def test_nonlinear_small_amplitude_stays_near_linear(grid32, rng, monkeypatch):
     psi0 = random_band_field(grid32, rng, 1.0, 4.0, 1e-6)
     u0 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-6)
-    lin = eul.run_euler(psi0, u0, 0.05, 1.0, nonlinear=False)
-    non = eul.run_euler(psi0, u0, 0.05, 1.0, nonlinear=True)
+    non = eul.run_euler(psi0, u0, 0.05, 1.0)
+    _linear_only(monkeypatch)
+    lin = eul.run_euler(psi0, u0, 0.05, 1.0)
     a = lin.states[-1]
     b = non.states[-1]
     diff = l2_norm(RealField(grid32, a.psi.samples - b.psi.samples))
@@ -194,7 +204,7 @@ def test_energy_ledger_zero_state(grid32):
     assert rec["energy"] == 0.0 and rec["dissipation"] == 0.0
 
 
-def test_energy_ledger_heat_mode_residual(grid32):
+def test_energy_ledger_heat_mode_residual(grid32, monkeypatch):
     """Pure heat mode with the exact propagator: trapezoid residual < 1e-10."""
     g = grid32
     chi = mode_field(g, 0, 1, 1.0)
@@ -205,7 +215,8 @@ def test_energy_ledger_heat_mode_residual(grid32):
     rec = eul.energy_ledger_update(st)
     assert rec["energy"] == pytest.approx(1.0, rel=1e-12)
     prev = rec
-    s = eul._EulerStepper(g, 1e-5, nonlinear=False)
+    _linear_only(monkeypatch)
+    s = eul._EulerStepper(g, 1e-5)
     s.load(st)
     worst = 0.0
     for _ in range(10):

@@ -116,12 +116,6 @@ def test_inverse_laplacian_modes(grid64):
     assert np.max(np.abs(out.samples + f.samples / 9.0)) < 1e-13
 
 
-def test_inverse_laplacian_mean_flag(grid32):
-    f = RealField(grid32, np.ones(grid32.shape))
-    with pytest.raises(ValueError):
-        inverse_laplacian(f, mean_tolerance=1e-12)
-
-
 def test_inverse_laplacian_inverts_laplacian(grid64, rng):
     f = random_band_field(grid64, rng, 1.0, 20.0)
     lap = RealField(

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import re
 import warnings
@@ -78,10 +79,38 @@ def test_cli_rejects_unknown_tolerance(tmp_path, capsys):
     assert cfg.tol("det") == 1e-3 and cfg.tol("constraint") == 1e-4
 
 
+@pytest.mark.parametrize("value", ["abc", -1, math.nan, math.inf], ids=["string", "negative", "nan", "inf"])
+def test_tolerance_values_are_checked_when_the_config_is_built(value):
+    """A tolerance that is not a finite number >= 0 fails at config time,
+    naming its key, not later inside the experiment."""
+    with pytest.raises(ValueError, match="^" + re.escape(f"tolerances.vieta = {value!r}: ")):
+        cli.ExperimentConfig(experiment="dispersion", tolerances={"vieta": value})
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [(None, []), ("[1, 2]", []), ("{}", ["--set", "lx=Infinity"])],
+    ids=["missing-file", "json-array", "infinite-box"],
+)
+def test_bad_config_exits_2_with_a_message(tmp_path, capsys, content, argv):
+    """A missing config file, one that holds no JSON object, or a non-finite
+    value exits 2 with a one-line message, writing nothing."""
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["dispersion", "--config", str(path), "--outdir", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert (str(path) in err) if not argv else err.startswith("lx = inf: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value",
-    [("shape", "random"), ("nx", 64.7), ("width", -1), ("k", 0), ("dt", 0), ("seed", 1.5), ("nx", "64")],
-    ids=["shape", "nx-float", "width", "k", "dt", "seed", "nx-string"],
+    [
+        ("shape", "random"), ("nx", 64.7), ("width", -1), ("k", 0), ("dt", 0), ("seed", 1.5), ("nx", "64"),
+        ("lx", math.inf), ("amplitude", math.nan), ("nx", None), ("tolerances", None),
+    ],
+    ids=["shape", "nx-float", "width", "k", "dt", "seed", "nx-string", "lx-inf", "amplitude-nan", "nx-null", "tolerances-null"],
 )
 def test_unknown_shape_is_rejected_on_both_config_paths(key, value):
     """A value the schema rejects (a shape with no recipe, a fractional grid

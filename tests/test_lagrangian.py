@@ -20,6 +20,7 @@ from mhd2d.grid import (
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import evolve_linear
 from mhd2d.lp import sobolev_norm
+from mhd2d.propagators import etd2rk_step
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,10 +220,11 @@ def test_pressure_zero_state(grid32):
     assert info.iterations <= 2
 
 
-def test_pressure_manufactured_solution(rng):
-    """Insert the forcing matching a chosen q*; the fixed point returns q*.
+def test_pressure_manufactured_solution(rng, monkeypatch):
+    """Add the source matching a chosen q* to div_Y d1^2 Y; the fixed point
+    returns q*.
 
-    The forcing is assembled with an independent full-fft transcription of
+    The source is assembled with an independent full-fft transcription of
     the elliptic operator, not the solver's internals."""
     g = make_grid(48, 48, TWO_PI, TWO_PI)
     Y = _small_vector(g, rng, amp=0.03, kmax=6)
@@ -248,20 +250,27 @@ def test_pressure_manufactured_solution(rng):
     form_a, _ = lag.div_y_d11(Y)
     source = lap_q + dx(v1 + z1, 1) + dx(v2 + z2, 2) - form_a.samples
 
-    q, info = lag.pressure_solve(
-        Y, _pair(g), extra_source=RealField(g, source), tol=1e-13, check_identity=False
-    )
+    forms, extra = lag._div_y_d11_forms, half_spectrum(g).fwd(source)
+
+    def with_source(*args, **kwargs):
+        fa, fb = forms(*args, **kwargs)
+        return fa + extra, fb
+
+    monkeypatch.setattr(lag, "_div_y_d11_forms", with_source)
+    monkeypatch.setattr(lag, "_PRESSURE_TOL", 1e-13)
+    q, info = lag.pressure_solve(Y, _pair(g), check_identity=False)
     q_shift = q.samples - np.mean(q.samples)
     ref = q_star.samples - np.mean(q_star.samples)
     assert np.max(np.abs(q_shift - ref)) < 1e-9
 
 
-def test_pressure_manufactured_with_y_terms(rng):
+def test_pressure_manufactured_with_y_terms(rng, monkeypatch):
     """Full manufactured check including the Y-dependent source terms."""
     g = make_grid(48, 48, TWO_PI, TWO_PI)
     Y = _small_vector(g, rng, amp=0.03, kmax=6)
     V = _small_vector(g, rng, amp=0.03, kmax=6)
-    q_ref, info = lag.pressure_solve(Y, V, tol=1e-13)
+    monkeypatch.setattr(lag, "_PRESSURE_TOL", 1e-13)
+    q_ref, info = lag.pressure_solve(Y, V)
     # residual of the elliptic equation, assembled independently
     t = lag.gradient_tensor(Y)
     tv = lag.gradient_tensor(V)
@@ -322,7 +331,7 @@ def test_pressure_stops_when_not_contracting(grid32, rng):
     zero = np.zeros(grid32.shape)
     tv = lag._grad_hat(c, c.fwd(zero), c.fwd(zero))
     with pytest.raises(lag.PressureConvergenceError, match=r"contraction .*grad Y\|\|_inf") as err:
-        lag._pressure_spectral(c, t, tv, (zero, zero), y1h, y2h, None, 1e-10, False)
+        lag._pressure_spectral(c, t, tv, (zero, zero), y1h, y2h, None, False)
     it = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
     assert it <= 5
 
@@ -369,22 +378,20 @@ def test_step_zero_state(grid32):
 
 
 def test_step_linear_reduction_matches_evolve_linear(grid32, rng):
-    """With the nonlinearity disabled the stepper is the exact propagator."""
+    """With zero forcing the stepper's ETD2RK step is the exact propagator."""
     Y0 = _small_vector(grid32, rng, amp=1.0, kmax=8)
     Y1 = _small_vector(grid32, rng, amp=1.0, kmax=8)
-    st = lag.FlowMapState(Y0, Y1, _zeros(grid32), 0.0)
     dt = 0.37
-    out = lag.step(st, dt, nonlinear=False)
-    ref = evolve_linear(Y0, Y1, [0.0, dt])
     c = half_spectrum(grid32)
+    z = [(c.fwd(Y0[j].samples), c.fwd(Y1[j].samples)) for j in range(2)]
+    out = etd2rk_step(lag._etd(grid32, dt), z, lambda z, s: [(None, None)] * len(z), dt)
+    ref = evolve_linear(Y0, Y1, [0.0, dt])
     n = grid32.nx * grid32.ny
-    got = c.fwd(out.Y[0].samples)
-    assert np.max(np.abs(got - ref.yhat[1, 0])) / n < 1e-13
-    gotv = c.fwd(out.Y_t[1].samples)
-    assert np.max(np.abs(gotv - ref.vhat[1, 1])) / n < 1e-13
+    assert np.max(np.abs(out[0][0] - ref.yhat[1, 0])) / n < 1e-13
+    assert np.max(np.abs(out[1][1] - ref.vhat[1, 1])) / n < 1e-13
 
 
-def test_step_manufactured_temporal_order(rng):
+def test_step_manufactured_temporal_order(rng, monkeypatch):
     """Richardson study on a forced problem: observed order >= 1.9."""
     g = make_grid(24, 24, TWO_PI, TWO_PI)
     W = _small_vector(g, rng, amp=5e-3, kmax=3)
@@ -411,7 +418,7 @@ def test_step_manufactured_temporal_order(rng):
     def forcing(t):
         Yt_ = exact(t)
         Vt_ = (RealField(g, a_t(t) * W[0].samples), RealField(g, a_t(t) * W[1].samples))
-        q_t, _ = lag.pressure_solve(Yt_, Vt_, tol=1e-13, check_identity=False)
+        q_t, _ = lag.pressure_solve(Yt_, Vt_, check_identity=False)
         f = lag.rhs_f(Yt_, Vt_, q_t)
         out = []
         for comp in range(2):
@@ -423,12 +430,19 @@ def test_step_manufactured_temporal_order(rng):
             out.append(lin_part - ctx.fwd(f[comp].samples))
         return out[0], out[1]
 
+    class Forced(lag._Stepper):
+        def _forcing(self, z, s):
+            (_, f1h), (_, f2h) = super()._forcing(z, s)
+            e1, e2 = forcing(self.t + s)
+            return [(None, f1h + e1), (None, f2h + e2)]
+
+    monkeypatch.setattr(lag, "_PRESSURE_TOL", 1e-13)
     t_end = 0.5
     errs = []
     for n in (8, 16, 32):
         dt = t_end / n
         st = lag.make_state(exact(0.0), (RealField(g, a_t(0.0) * W[0].samples), RealField(g, a_t(0.0) * W[1].samples)))
-        s = lag._Stepper(g, dt, nonlinear=True, pressure_tol=1e-13, extra_forcing=forcing)
+        s = Forced(g, dt)
         s.load(st)
         for _ in range(n):
             s.advance()
