@@ -2,7 +2,8 @@
 
 The package provides, on a periodic box:
 
-- ``grid``: spectral substrate (transforms, derivatives, dealiasing),
+- ``grid``: spectral substrate (the nodes and one ``rfft2`` half spectrum per
+  grid: transforms, wavenumber tables, derivatives, dealiasing),
 - ``lp``: dyadic frequency analysis (isotropic / horizontal / vertical
   blocks, Besov-type and weighted-column norms, paraproducts),
 - ``linear``: exact per-mode theory of the damped wave operator
@@ -15,28 +16,8 @@ The package provides, on a periodic box:
 - ``cli``: named experiment recipes with JSON configs.
 """
 
-from mhd2d.grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    dealias,
-    from_spectral,
-    inverse_laplacian,
-    make_grid,
-    spectral_derivative,
-    to_spectral,
-)
+from mhd2d.grid import Grid, RealField, inverse_laplacian, make_grid, spectral_derivative
 
-__all__ = [
-    "Grid",
-    "RealField",
-    "SpectralField",
-    "make_grid",
-    "to_spectral",
-    "from_spectral",
-    "spectral_derivative",
-    "inverse_laplacian",
-    "dealias",
-]
+__all__ = ["Grid", "RealField", "make_grid", "spectral_derivative", "inverse_laplacian"]
 
 __version__ = "0.1.0"

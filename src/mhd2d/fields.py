@@ -50,9 +50,9 @@ def mode_field(grid: Grid, m: int, n: int, coeff: complex) -> RealField:
     """Real field whose spectral coefficient at (m, n) is ``coeff`` (and the
     conjugate at the mirror mode)."""
     c = half_spectrum(grid)
-    i, j = grid.mode_index(m, n)
-    if j > grid.ny // 2:  # n < 0: the half spectrum holds the mirror
-        i, j, coeff = -i % grid.nx, grid.ny - j, np.conj(coeff)
+    i, j, mirrored = c.mode_index(m, n)
+    if mirrored:
+        coeff = np.conj(coeff)
     ch = np.zeros(c.ksq.shape, dtype=complex)
     ch[i, j] = grid.nx * grid.ny * coeff
     if j in (0, grid.ny // 2):  # the mirror lies in the same column
@@ -72,7 +72,7 @@ def random_band_field(
     norm ``amplitude``; ``decay`` applies a spectral envelope exp(-decay |m|^2)."""
     c = half_spectrum(grid)
     ch = c.fwd(rng.standard_normal(grid.shape))
-    mm = np.sqrt(grid.m1.astype(float) ** 2 + np.arange(grid.ny // 2 + 1, dtype=float) ** 2)
+    mm = np.sqrt(c.m1.astype(float) ** 2 + c.m2.astype(float) ** 2)
     mask = (mm >= kmin) & (mm <= kmax)
     ch = np.where(mask, ch * np.exp(-decay * mm**2), 0.0)
     ch[0, 0] = 0.0

@@ -13,9 +13,8 @@ frequencies, through one ``HalfSpectrum`` context per grid from
 ``norm_sq``).  Each quadratic sum is dealiased once (``dh``) and nested
 products at each level; sup norms are sampled on a finer grid by zero padding
 (``inv_fine``), with the unpaired Nyquist modes split evenly.  The
-full-complex ``SpectralField`` (``to_spectral``, ``from_spectral``,
-``dealias``) remains as a public entry point and as the reference the tests
-compare against.
+``HalfSpectrum`` owns every wavenumber and mode-index table; ``Grid`` holds
+only the nodes.
 
 All operations are pure functions of immutable inputs.
 """
@@ -30,13 +29,9 @@ import numpy as np
 __all__ = [
     "Grid",
     "RealField",
-    "SpectralField",
     "make_grid",
-    "to_spectral",
-    "from_spectral",
     "spectral_derivative",
     "inverse_laplacian",
-    "dealias",
     "l2_norm",
     "HalfSpectrum",
     "half_spectrum",
@@ -47,8 +42,9 @@ __all__ = [
 class Grid:
     """Uniform periodic grid; hashable on its scalar signature.
 
-    Derived arrays (nodes, wavenumbers, masks) are cached properties so the
-    instance stays cheap to compare and to use as a cache key.
+    The node arrays are cached properties so the instance stays cheap to
+    compare and to use as a cache key; wavenumber tables live on its
+    ``HalfSpectrum``.
     """
 
     nx: int
@@ -83,49 +79,12 @@ class Grid:
         return (self.dy * np.arange(self.ny))[None, :]
 
     @cached_property
-    def m1(self) -> np.ndarray:
-        """Integer mode indices along axis 0 in FFT order, shape (nx, 1)."""
-        return np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(int)[:, None]
-
-    @cached_property
-    def m2(self) -> np.ndarray:
-        return np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(int)[None, :]
-
-    @cached_property
-    def k1(self) -> np.ndarray:
-        """Physical frequency xi_1 = 2 pi m / lx, shape (nx, 1)."""
-        return 2.0 * np.pi / self.lx * self.m1.astype(float)
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return 2.0 * np.pi / self.ly * self.m2.astype(float)
-
-    @cached_property
-    def k_sq(self) -> np.ndarray:
-        return self.k1**2 + self.k2**2
-
-    @cached_property
-    def k_mag(self) -> np.ndarray:
-        return np.sqrt(self.k_sq)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep |m| <= nx/3 and |n| <= ny/3."""
-        return (np.abs(self.m1) <= self.nx / 3.0) & (np.abs(self.m2) <= self.ny / 3.0)
-
-    @cached_property
     def cell_area(self) -> float:
         return self.dx * self.dy
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
-
-    def mode_index(self, m: int, n: int) -> tuple[int, int]:
-        """Array index of the integer mode (m, n)."""
-        if not (-self.nx // 2 <= m < self.nx // 2 and -self.ny // 2 <= n < self.ny // 2):
-            raise ValueError(f"mode ({m}, {n}) not representable on {self.nx}x{self.ny} grid")
-        return (m % self.nx, n % self.ny)
 
 
 @dataclass(frozen=True)
@@ -148,31 +107,9 @@ class RealField:
         return RealField(grid, np.zeros(grid.shape))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex coefficients chat(xi) of ``sum chat exp(i xi . x)``."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError("coefficient array shape does not match grid")
-
-
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
     """Build a grid; rejects odd or undersized sample counts."""
     return Grid(int(nx), int(ny), float(lx), float(ly))
-
-
-def to_spectral(f: RealField) -> SpectralField:
-    if not np.all(np.isfinite(f.samples)):
-        raise ValueError("non-finite samples")
-    return SpectralField(f.grid, np.fft.fft2(f.samples) / (f.grid.nx * f.grid.ny))
-
-
-def from_spectral(s: SpectralField) -> RealField:
-    return RealField(s.grid, np.real(np.fft.ifft2(s.coeffs * (s.grid.nx * s.grid.ny))))
 
 
 def _deriv_symbol(c: HalfSpectrum, axis: int, order: int) -> np.ndarray:
@@ -206,11 +143,6 @@ def inverse_laplacian(u: RealField) -> RealField:
     return RealField(u.grid, c.inv(-_finite_fwd(u) * c.inv_ksq))
 
 
-def dealias(s: SpectralField) -> SpectralField:
-    """Zero every coefficient with |m| > nx/3 or |n| > ny/3 (2/3 rule)."""
-    return SpectralField(s.grid, np.where(s.grid.dealias_mask, s.coeffs, 0.0))
-
-
 def l2_norm(u: RealField) -> float:
     """L2 norm over the box by quadrature of the samples."""
     return float(np.sqrt(u.grid.cell_area * np.sum(u.samples.astype(float) ** 2)))
@@ -220,8 +152,10 @@ class HalfSpectrum:
     """Half-spectrum work context of one grid, shared by every layer.
 
     Coefficients are the unnormalised ``rfft2`` output (``nx * ny`` times
-    ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  Every table
-    has that full shape: ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
+    ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  The integer
+    mode indices ``m1`` (FFT order, shape (nx, 1)) and ``m2`` (shape
+    (1, ny // 2 + 1)) label them; every other table has the full shape:
+    ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
     Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean mode); the
     2/3 mask ``deal``; the solenoidal unit vector ``e = (-xi2, xi1)/|xi|``
     as ``e1``/``e2`` (zero at the mean mode); and the weights ``wd``/``w12``
@@ -233,8 +167,8 @@ class HalfSpectrum:
     def __init__(self, grid: Grid):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
-        m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
-        m2 = np.arange(ny // 2 + 1)[None, :]
+        self.m1 = m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
+        self.m2 = m2 = np.arange(ny // 2 + 1)[None, :]
         k1 = 2.0 * np.pi / grid.lx * m1.astype(float) + 0.0 * m2
         k2 = 2.0 * np.pi / grid.ly * m2.astype(float) + 0.0 * m1
         self.k1, self.k2 = k1, k2
@@ -257,6 +191,18 @@ class HalfSpectrum:
     @cached_property
     def w12(self) -> np.ndarray:
         return self.e1 * self.ik2 + self.e2 * self.ik1
+
+    def mode_index(self, m: int, n: int) -> tuple[int, int, bool]:
+        """Index ``(i, j, mirrored)`` of the integer mode (m, n) in the half
+        spectrum.  A mode with ``-ny/2 < n < 0`` is not stored: ``(i, j)`` then
+        holds its mirror (-m, -n), whose coefficient is the conjugate, and
+        ``mirrored`` is true."""
+        nx, ny = self.grid.shape
+        if not (-nx // 2 <= m < nx // 2 and -ny // 2 <= n < ny // 2):
+            raise ValueError(f"mode ({m}, {n}) not representable on {nx}x{ny} grid")
+        if -ny // 2 < n < 0:
+            return -m % nx, -n, True
+        return m % nx, n % ny, False
 
     def fwd(self, a: np.ndarray) -> np.ndarray:
         return np.fft.rfft2(a)

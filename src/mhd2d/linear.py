@@ -40,7 +40,6 @@ __all__ = [
     "block_energy",
     "block_energy_series",
     "measured_decay_rate",
-    "companion_matrices",
 ]
 
 
@@ -93,11 +92,6 @@ def _flow_map_matrix(k1, ksq) -> np.ndarray:
     m[..., 1, 0] = -k1**2
     m[..., 1, 1] = -ksq
     return m
-
-
-def companion_matrices(grid: Grid) -> np.ndarray:
-    """Stack of per-mode companion matrices over the full lattice, shape (nx, ny, 2, 2)."""
-    return _flow_map_matrix(grid.k1, grid.k_sq)
 
 
 def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple[np.ndarray, np.ndarray]:
@@ -199,10 +193,7 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> Dec
     flags windows that span less than one e-folding of decay.  A mode with
     n < 0 is read off the half spectrum as the conjugate of (-m, -n).
     """
-    g = traj.grid
-    i, j = g.mode_index(*xi_mode)
-    if j > g.ny // 2:
-        i, j = -i % g.nx, g.ny - j
+    i, j, _ = half_spectrum(traj.grid).mode_index(*xi_mode)
     series = np.abs(traj.yhat[:, 0, i, j])
     # discard the round-off floor left by branch contamination at eps level
     keep = series > max(1e-300, float(series.max()) * 1e-13)

@@ -12,13 +12,14 @@ from scipy.integrate import solve_ivp
 import mhd2d.diagnostics as diag
 import mhd2d.eulerian as eul
 import mhd2d.lagrangian as lag
-import mhd2d.linear as lin
 from mhd2d import lp
 from mhd2d.fields import gaussian_bump, random_band_field, random_solenoidal
-from mhd2d.grid import RealField, l2_norm, make_grid, spectral_derivative, to_spectral
+from mhd2d.grid import RealField, l2_norm, make_grid, spectral_derivative
 from mhd2d.initial_data import build_flow_map_initial, solve_companion_potential
 from mhd2d.linear import block_energy_series, eigenvalues, evolve_linear, mode_solution
 from mhd2d.propagators import expm2
+
+import full_lattice as fl
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,8 +41,9 @@ def _zeros(g):
 def test_c01_dispersion_exactness():
     t_start = time.time()
     g = make_grid(64, 64, TWO_PI, TWO_PI)
-    k1 = g.k1 + 0.0 * g.k2
-    ksq = g.k_sq
+    lat = fl.lattice(g)
+    k1 = lat.k1 + 0.0 * lat.k2
+    ksq = lat.k_sq
     nz = ksq > 0
     # Vieta identities over the whole lattice
     vieta = 0.0
@@ -49,7 +51,7 @@ def test_c01_dispersion_exactness():
         for j in range(g.ny):
             if not nz[i, j]:
                 continue
-            e = eigenvalues((float(g.k1[i, 0]), float(g.k2[0, j])))
+            e = eigenvalues((float(lat.k1[i, 0]), float(lat.k2[0, j])))
             s = float(ksq[i, j])
             p = float(k1[i, j] ** 2)
             vieta = max(
@@ -69,7 +71,7 @@ def test_c01_dispersion_exactness():
         return np.concatenate([v, -(k1f**2) * y - ksqf * v])
 
     sample_times = [0.5, 3.0, 10.0]
-    m = lin.companion_matrices(g)
+    m = fl.companion_matrices(g)
     dev = 0.0
     z = np.concatenate([y0.ravel(), v0.ravel()])
     t_prev = 0.0
@@ -93,7 +95,7 @@ def test_c01_dispersion_exactness():
         j = int(rng.integers(0, g.ny))
         if not nz[i, j]:
             continue
-        xi = (float(g.k1[i, 0]), float(g.k2[0, j]))
+        xi = (float(lat.k1[i, 0]), float(lat.k2[0, j]))
         y, v = mode_solution(xi, complex(y0[i, j]), complex(v0[i, j]), 3.0)
         flat = i * g.ny + j
         dev = max(dev, abs(y - oracle_at[3.0][flat]), abs(v - oracle_at[3.0][y0.size + flat]))
@@ -328,7 +330,8 @@ def test_c09_littlewood_paley_suite():
     t_start = time.time()
     g = make_grid(64, 64, TWO_PI, TWO_PI)
     cut = lp.make_cutoffs()
-    taus = g.k_mag[g.k_mag > 0]
+    k_mag = fl.lattice(g).k_mag
+    taus = k_mag[k_mag > 0]
     j0, j1 = lp.resolved_range(g, "iso")
     total = np.zeros_like(taus)
     for j in range(j0, j1 + 1):
@@ -361,15 +364,13 @@ def test_c09_littlewood_paley_suite():
             if nr > rhs * (1 + 1e-12):
                 violated = True
 
-    from mhd2d.grid import dealias, from_spectral
-
     bony = 0.0
     for direction in ("iso", "horizontal"):
         for _ in range(10):
             a = random_band_field(g, rng, 0.0, 20.0)
             b = random_band_field(g, rng, 0.0, 20.0)
             t, tb, r = lp.bony_decompose(a, b, direction)
-            prod = from_spectral(dealias(to_spectral(RealField(g, a.samples * b.samples))))
+            prod = fl.dealiased_product(a, b)
             bony = max(
                 bony,
                 l2_norm(RealField(g, t.samples + tb.samples + r.samples - prod.samples))

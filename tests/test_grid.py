@@ -1,30 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhd2d.fields import random_band_field
-from mhd2d.grid import (
-    RealField,
-    SpectralField,
-    dealias,
-    from_spectral,
-    half_spectrum,
-    inverse_laplacian,
-    l2_norm,
-    make_grid,
-    spectral_derivative,
-    to_spectral,
-)
+from mhd2d.grid import RealField, half_spectrum, inverse_laplacian, l2_norm, make_grid, spectral_derivative
+
+import full_lattice as fl
 
 TWO_PI = 2.0 * np.pi
 
 
 def test_make_grid_frequency_set():
-    g = make_grid(8, 8, TWO_PI, TWO_PI)
-    assert sorted(g.m1[:, 0]) == list(range(-4, 4))
-    g64 = make_grid(64, 64, TWO_PI, TWO_PI)
-    assert np.max(np.abs(g64.k1)) == 32.0
+    c = half_spectrum(make_grid(8, 8, TWO_PI, TWO_PI))
+    assert sorted(c.m1[:, 0]) == list(range(-4, 4))
+    assert list(c.m2[0]) == list(range(0, 5))
+    c64 = half_spectrum(make_grid(64, 64, TWO_PI, TWO_PI))
+    assert np.max(np.abs(c64.k1)) == 32.0 and np.max(c64.k2) == 32.0
 
 
 @pytest.mark.parametrize("nx,ny,lx,ly", [(9, 8, 1, 1), (8, 6, 1, 1), (8, 8, 0, 1), (4, 8, 1, 1)])
@@ -34,33 +28,40 @@ def test_make_grid_rejects(nx, ny, lx, ly):
 
 
 def test_pure_mode_coefficients(grid64):
+    """sin(x1) = (exp(i x1) - exp(-i x1)) / 2i: coefficient -i/2 at (1, 0) and
+    i/2 at (-1, 0), both stored, once divided by nx ny."""
+    hs = half_spectrum(grid64)
     f = RealField.from_function(grid64, lambda x, y: np.sin(x))
-    c = to_spectral(f).coeffs
-    i, j = grid64.mode_index(1, 0)
-    im, jm = grid64.mode_index(-1, 0)
+    c = hs.fwd(f.samples) / (grid64.nx * grid64.ny)
+    i, j, _ = hs.mode_index(1, 0)
+    im, jm, _ = hs.mode_index(-1, 0)
     assert abs(c[i, j] - (-0.5j)) < 1e-14
     assert abs(c[im, jm] - 0.5j) < 1e-14
-    mask = np.ones(grid64.shape, bool)
+    mask = np.ones(c.shape, bool)
     mask[i, j] = mask[im, jm] = False
     assert np.max(np.abs(c[mask])) < 1e-14
 
 
+def test_mode_index_reads_negative_n_from_the_mirror(grid32):
+    hs = half_spectrum(grid32)
+    assert hs.mode_index(3, 2) == (3, 2, False)
+    assert hs.mode_index(3, -2) == (29, 2, True)
+    assert hs.mode_index(-16, -16) == (16, 16, False)  # the Nyquist column is stored
+    for m, n in ((16, 0), (0, 16), (-17, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"({m}, {n})")):
+            hs.mode_index(m, n)
+
+
 def test_constant_field_coefficient(grid64):
-    c = to_spectral(RealField(grid64, np.ones(grid64.shape))).coeffs
+    c = half_spectrum(grid64).fwd(np.ones(grid64.shape)) / (grid64.nx * grid64.ny)
     assert abs(c[0, 0] - 1.0) < 1e-14
-
-
-def test_to_spectral_rejects_nonfinite(grid32):
-    bad = np.zeros(grid32.shape)
-    bad[3, 3] = np.nan
-    with pytest.raises(ValueError):
-        to_spectral(RealField(grid32, bad))
 
 
 def test_roundtrip_random(grid64, rng):
     f = random_band_field(grid64, rng, 0.0, 30.0)
-    back = from_spectral(to_spectral(f))
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * max(1.0, np.max(np.abs(f.samples)))
+    hs = half_spectrum(grid64)
+    back = hs.inv(hs.fwd(f.samples))
+    assert np.max(np.abs(back - f.samples)) < 1e-12 * max(1.0, np.max(np.abs(f.samples)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,9 +69,9 @@ def test_roundtrip_random(grid64, rng):
 def test_plancherel_property(seed):
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     f = random_band_field(g, np.random.default_rng(seed), 0.0, 10.0)
-    s = to_spectral(f)
+    hs = half_spectrum(g)
     phys = np.sqrt(g.cell_area * np.sum(f.samples**2))
-    spec = np.sqrt(g.lx * g.ly * np.sum(np.abs(s.coeffs) ** 2))
+    spec = np.sqrt(hs.norm_sq(np.abs(hs.fwd(f.samples)) ** 2))
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -128,22 +129,25 @@ def test_inverse_laplacian_inverts_laplacian(grid64, rng):
 
 def test_derivative_commutes_with_roundtrip(grid32, rng):
     f = random_band_field(grid32, rng, 1.0, 10.0)
-    a = spectral_derivative(from_spectral(to_spectral(f)), 1)
-    b = from_spectral(to_spectral(spectral_derivative(f, 1)))
-    assert np.max(np.abs(a.samples - b.samples)) < 1e-12
+    hs = half_spectrum(grid32)
+    a = spectral_derivative(RealField(grid32, hs.inv(hs.fwd(f.samples))), 1)
+    b = hs.inv(hs.fwd(spectral_derivative(f, 1).samples))
+    assert np.max(np.abs(a.samples - b)) < 1e-12
 
 
 def test_dealias_mask_boundaries(grid64):
-    c = np.zeros(grid64.shape, complex)
-    c[grid64.mode_index(22, 0)] = 1.0
-    c[grid64.mode_index(10, 10)] = 1.0
-    out = dealias(SpectralField(grid64, c)).coeffs
-    assert out[grid64.mode_index(22, 0)] == 0.0
-    assert out[grid64.mode_index(10, 10)] == 1.0
+    hs = half_spectrum(grid64)
+    c = np.zeros(hs.ksq.shape, complex)
+    c[hs.mode_index(22, 0)[:2]] = 1.0
+    c[hs.mode_index(10, 10)[:2]] = 1.0
+    out = c * hs.deal
+    assert out[hs.mode_index(22, 0)[:2]] == 0.0
+    assert out[hs.mode_index(10, 10)[:2]] == 1.0
 
 
 def test_dealiased_product_matches_fine_grid(rng):
-    """2/3-rule product equals the exact product computed on a 2x finer grid."""
+    """The half spectrum's 2/3-rule product equals the exact product computed
+    on a 2x finer grid."""
     g = make_grid(64, 64, TWO_PI, TWO_PI)
     fine = make_grid(128, 128, TWO_PI, TWO_PI)
     a = random_band_field(g, rng, 0.0, 21.0)
@@ -151,22 +155,25 @@ def test_dealiased_product_matches_fine_grid(rng):
 
     def lift(f):
         c = np.zeros(fine.shape, complex)
-        cf = to_spectral(f).coeffs
+        cf = fl.fwd(g, f.samples)
         for m in range(-32, 32):
             for n in range(-32, 32):
-                v = cf[g.mode_index(m, n)]
+                v = cf[fl.mode_index(g, m, n)]
                 if v != 0:
-                    c[fine.mode_index(m, n)] = v
-        return from_spectral(SpectralField(fine, c))
+                    c[fl.mode_index(fine, m, n)] = v
+        return fl.inv(fine, c)
 
-    prod_fine = to_spectral(RealField(fine, lift(a).samples * lift(b).samples)).coeffs
-    coarse = dealias(to_spectral(RealField(g, a.samples * b.samples))).coeffs
+    prod_fine = fl.fwd(fine, lift(a) * lift(b))
+    hs = half_spectrum(g)
+    coarse = hs.dh(a.samples * b.samples) / (g.nx * g.ny)
     err = 0.0
     for m in range(-21, 22):
         for n in range(-21, 22):
             if abs(m) > 64 / 3 or abs(n) > 64 / 3:
                 continue
-            err = max(err, abs(coarse[g.mode_index(m, n)] - prod_fine[fine.mode_index(m, n)]))
+            i, j, mirrored = hs.mode_index(m, n)
+            v = np.conj(coarse[i, j]) if mirrored else coarse[i, j]
+            err = max(err, abs(v - prod_fine[fl.mode_index(fine, m, n)]))
     assert err < 1e-12
 
 

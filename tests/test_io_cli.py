@@ -61,10 +61,12 @@ def test_cli_config_schema_violation(tmp_path):
 
 
 def test_cli_config_validation_bounds(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^" + re.escape("s2 = 0.3: must lie in (-1, -1/2)")):
         cli.ExperimentConfig(experiment="lagrangian-smalldata", s2=0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^" + re.escape("s1 = 0.5: must exceed 1")):
         cli.ExperimentConfig(experiment="cross-validate", s1=0.5)
+    with pytest.raises(ValueError, match="^" + re.escape("s1 = 1.0: ")):
+        cli.load_config("build-initial-data", None, {"s1": 1.0})
 
 
 def test_cli_rejects_unknown_tolerance(tmp_path, capsys):
@@ -108,9 +110,13 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, content, argv):
     "key,value",
     [
         ("shape", "random"), ("nx", 64.7), ("width", -1), ("k", 0), ("dt", 0), ("seed", 1.5), ("nx", "64"),
-        ("lx", math.inf), ("amplitude", math.nan), ("nx", None), ("tolerances", None),
+        ("lx", math.inf), ("amplitude", math.nan), ("nx", None), ("tolerances", None), ("dt", None),
+        ("shape", None), ("amplitude", None), ("nx", 9), ("ny", 63),
     ],
-    ids=["shape", "nx-float", "width", "k", "dt", "seed", "nx-string", "lx-inf", "amplitude-nan", "nx-null", "tolerances-null"],
+    ids=[
+        "shape", "nx-float", "width", "k", "dt", "seed", "nx-string", "lx-inf", "amplitude-nan", "nx-null",
+        "tolerances-null", "dt-null", "shape-null", "amplitude-null", "nx-odd", "ny-odd",
+    ],
 )
 def test_unknown_shape_is_rejected_on_both_config_paths(key, value):
     """A value the schema rejects (a shape with no recipe, a fractional grid
@@ -121,6 +127,49 @@ def test_unknown_shape_is_rejected_on_both_config_paths(key, value):
         cli.load_config("build-initial-data", None, {key: value})
     with pytest.raises(ValueError, match=msg):
         cli.ExperimentConfig(experiment="build-initial-data", **{key: value})
+
+
+@pytest.mark.parametrize("name", ["energy-identity", "eulerian-smalldata", "build-initial-data"])
+def test_experiment_passes_at_its_default_config(tmp_path, name):
+    """Run bare, each experiment uses its own defaults and passes its checks."""
+    assert cli.main([name, "--outdir", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "name,key,own,generic",
+    [
+        ("linear-decay", "t_end", 20.0, 2.0),
+        ("energy-identity", "dt", 2e-3, 0.01),
+        ("eulerian-smalldata", "t_end", 4.0, 2.0),
+        ("build-initial-data", "shape", "bump_dx1", "gaussian"),
+        ("build-initial-data", "amplitude", 1e-4, 1e-3),
+    ],
+)
+def test_experiment_defaults_yield_to_values_the_caller_sets(name, key, own, generic):
+    """An experiment's own default applies only to a key the caller leaves
+    unset (or, for t_end, sets to null); a value the caller sets wins on both
+    config paths, even when it equals the generic default."""
+    assert getattr(cli.ExperimentConfig(experiment=name), key) == own
+    assert getattr(cli.load_config(name, None, {}), key) == own
+    assert getattr(cli.ExperimentConfig(experiment="dispersion"), key) == generic
+    assert getattr(cli.ExperimentConfig(experiment=name, **{key: generic}), key) == generic
+    assert getattr(cli.load_config(name, None, {key: generic}), key) == generic
+    if key == "t_end":
+        assert cli.load_config(name, None, {"t_end": None}).t_end == own
+
+
+@pytest.mark.parametrize("name", ["dispersion", "norms-selftest", "bony-selftest"])
+def test_self_tests_make_no_full_complex_transform(tmp_path, monkeypatch, name):
+    """One spectral substrate: with numpy's 2-D and n-D full-complex
+    transforms disabled, the experiments that compare against full-lattice
+    formulas still run and pass."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-complex transform called")
+
+    for fn in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, fn, refuse)
+    assert cli.main([name, "--outdir", str(tmp_path / "o"), "--set", "nx=32", "--set", "ny=32"]) == 0
 
 
 def test_unknown_config_key_is_rejected_by_name():

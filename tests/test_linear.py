@@ -12,11 +12,10 @@ from scipy.linalg import expm
 
 from mhd2d import eulerian, lagrangian, lp
 from mhd2d.fields import mode_field, random_band_field, single_mode
-from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, to_spectral
+from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid
 from mhd2d.linear import (
     block_energy,
     block_energy_series,
-    companion_matrices,
     eigenvalues,
     evolve_linear,
     measured_decay_rate,
@@ -24,6 +23,8 @@ from mhd2d.linear import (
     regime,
 )
 from mhd2d.propagators import apply2, etd2rk_step, etd_tables
+
+import full_lattice as fl
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,7 +159,7 @@ def test_evolve_single_mode_matches_mode_solution(grid32):
     times = [0.0, 0.7, 1.9]
     traj = evolve_linear(y0, v0, times)
     xi = (3.0, 1.0)
-    i, j = grid32.mode_index(3, 1)
+    i, j, _ = half_spectrum(grid32).mode_index(3, 1)
     n = grid32.nx * grid32.ny
     for idx, t in enumerate(times):
         y_ref, v_ref = mode_solution(xi, 0.5 - 0.25j, 0.1 + 0.2j, t)
@@ -176,12 +177,13 @@ def test_evolve_multimode_energy_is_mode_sum(grid32, rng):
     n = grid32.nx * grid32.ny
     direct = area * half_spectrum(grid32).lattice_sum(np.sum(np.abs(traj.yhat[1] / n) ** 2, axis=0))
     acc = 0.0
-    c0 = [to_spectral(f).coeffs for f in y0]
-    c1 = [to_spectral(f).coeffs for f in v0]
+    c0 = [fl.fwd(grid32, f.samples) for f in y0]
+    c1 = [fl.fwd(grid32, f.samples) for f in v0]
+    lat = fl.lattice(grid32)
     for comp in range(2):
         for i in range(grid32.nx):
             for j in range(grid32.ny):
-                x1, x2 = float(grid32.k1[i, 0]), float(grid32.k2[0, j])
+                x1, x2 = float(lat.k1[i, 0]), float(lat.k2[0, j])
                 if c0[comp][i, j] == 0 and c1[comp][i, j] == 0:
                     continue
                 if x1 == 0 and x2 == 0:
@@ -197,7 +199,7 @@ def _forced_march(g, y0, v0, forcing, h, n_steps):
     ``forcing(t)`` (half-spectrum coefficients of both components)."""
     hs = half_spectrum(g)
     # the first ny/2 + 1 full-lattice columns carry the half spectrum's |xi|
-    tables = etd_tables(companion_matrices(g)[:, : g.ny // 2 + 1], h)
+    tables = etd_tables(fl.companion_matrices(g)[:, : g.ny // 2 + 1], h)
     z = [(hs.fwd(y.samples), hs.fwd(v.samples)) for y, v in zip(y0, v0)]
     t, out = 0.0, []
     for _ in range(n_steps):
@@ -212,7 +214,7 @@ def test_forced_evolution_second_order(grid32):
     g = grid32
     y0 = (mode_field(g, 1, 2, 0.3), mode_field(g, 2, 1, -0.2))
     v0 = _zero_pair(g)
-    i, j = g.mode_index(1, 2)
+    i, j, _ = half_spectrum(g).mode_index(1, 2)
     size = g.nx * g.ny
     half = half_spectrum(g).ksq.shape
 
@@ -242,7 +244,7 @@ def test_forced_evolution_exact_for_forcing_linear_in_time(grid32):
     )
     a, b = ([hs.fwd(f.samples) for f in pair] for pair in (fa, fb))
     got = _forced_march(g, y0, v0, lambda t: (a[0] + b[0] * t, a[1] + b[1] * t), 1.0 / 16, 8)
-    half_matrices = companion_matrices(g)[:, : g.ny // 2 + 1]
+    half_matrices = fl.companion_matrices(g)[:, : g.ny // 2 + 1]
     for n, t in ((4, 0.25), (8, 0.5)):
         p, r1, r2 = etd_tables(half_matrices, t)
         for c in range(2):
