@@ -9,6 +9,11 @@ Each experiment writes ``report.json`` ({assertion, expected, observed,
 tolerance, pass} records), CSV ledgers under ``ledgers/`` and binary field
 snapshots under ``fields/`` into the output directory.  Reruns with the same
 config and seed are bit-identical.
+
+Every config is checked against ``CONFIG_SCHEMA`` when it is built, by a
+check of the keywords that schema uses (no schema library is imported); a
+bad value is rejected as ``<key> = <value>: <reason>`` in JSON Schema's
+wording.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -73,6 +79,63 @@ CONFIG_SCHEMA = {
 }
 
 
+_IS_TYPE = {
+    "integer": lambda v: not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """(path, value, reason) for each keyword of ``schema`` that ``value``
+    breaks, in schema order, with JSON Schema's wording.  Covers the keywords
+    CONFIG_SCHEMA uses; a ``false`` additionalProperties is left to the
+    key checks of load_config and the dataclass."""
+    number, array = _IS_TYPE["number"](value), isinstance(value, list)
+    for key, arg in schema.items():
+        reason = None
+        if key == "type" and not _IS_TYPE[arg](value):
+            reason = f"{value!r} is not of type {arg!r}"
+        elif key == "minimum" and number and value < arg:
+            reason = f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and number and value <= arg:
+            reason = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "multipleOf" and number and value % arg:
+            reason = f"{value!r} is not a multiple of {arg}"
+        elif key == "enum" and value not in arg:
+            reason = f"{value!r} is not one of {arg!r}"
+        elif key == "minItems" and array and len(value) < arg:
+            reason = f"{value!r} is too short"
+        elif key == "maxItems" and array and len(value) > arg:
+            reason = f"{value!r} is too long"
+        elif key == "items" and array:
+            for i, item in enumerate(value):
+                yield from _violations(item, arg, (*path, i))
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, (*path, name))
+        elif key == "additionalProperties" and isinstance(arg, dict) and isinstance(value, dict):
+            for name in value:
+                if name not in schema.get("properties", {}):
+                    yield from _violations(value[name], arg, (*path, name))
+        if reason:
+            yield path, value, reason
+
+
+def _check_schema(data: dict) -> None:
+    """Raise ``ValueError("<key> = <value>: <reason>")`` for the violation of
+    CONFIG_SCHEMA that a reference JSON Schema validator reports as its best
+    match: the shallowest, of those the greatest path, then the first keyword."""
+    found = max(_violations(data, CONFIG_SCHEMA), key=lambda v: (-len(v[0]), v[0]), default=None)
+    if found:
+        path, value, reason = found
+        key = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        raise ValueError(f"{key} = {value!r}: {reason}")
+
+
 # marks a field the caller left unset: __post_init__ fills in the experiment's default
 _UNSET: Any = object()
 # defaults of the _UNSET fields; an experiment whose own checks fail at them
@@ -110,18 +173,13 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        import jsonschema
-
         for key, value in {**_DEFAULTS, **_EXPERIMENT_DEFAULTS.get(self.experiment, {})}.items():
             if getattr(self, key) is _UNSET or (key == "t_end" and self.t_end is None):
                 setattr(self, key, value)
         data = {key: value for key, value in vars(self).items() if key not in ("experiment", "center")}
         if self.center is not None:
             data["center"] = list(self.center)
-        try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-        except jsonschema.exceptions.ValidationError as exc:
-            raise ValueError(f"{exc.json_path[2:]} = {exc.instance!r}: {exc.message}") from exc
+        _check_schema(data)
         for key, value in [*data.items(), *((f"tolerances.{k}", v) for k, v in self.tolerances.items())]:
             if not all(math.isfinite(v) for v in (value if key == "center" else [value]) if isinstance(v, float)):
                 raise ValueError(f"{key} = {value!r}: not a finite number")

@@ -184,7 +184,9 @@ def build_flow_map_initial(
     iterations).  Also returns the residuals of the four gradient relations
     (second-order centred differences against interpolated gradients of the
     potentials), measured away from the marching seam at the quiet column of
-    psi0.  psi0 and psitilde0 are transformed once each.
+    psi0.  psi0 and psitilde0 are transformed once each for their gradients;
+    the Picard iterates interpolate the pair as one stack, and the four
+    gradients are one stack at the converged seed.
     """
     g = psi0.grid
     c = half_spectrum(g)
@@ -193,16 +195,15 @@ def build_flow_map_initial(
     size = float(np.max(np.hypot(d1p, d2p))) + float(np.max(np.hypot(d1t, d2t)))
     if size > 0.1:
         raise ConstructionError(f"gradient size {size:.3e} exceeds contraction threshold 0.1")
-    it_psi = PeriodicInterpolator(psi0)
-    it_til = PeriodicInterpolator(psitilde0)
+    potentials = PeriodicInterpolator(psitilde0, psi0)
     y1 = np.zeros(g.shape)
     y2 = np.zeros(g.shape)
     prev_inc = math.inf
     grow = 0
     iterations = 0
     for iterations in range(1, 61):
-        new1 = it_til.at_displaced(y1, y2)
-        new2 = -it_psi.at_displaced(y1, y2)
+        new1, new2 = potentials(g.x1 + y1, g.x2 + y2)
+        new2 = -new2
         inc = max(float(np.max(np.abs(new1 - y1))), float(np.max(np.abs(new2 - y2))))
         y1, y2 = new1, new2
         if inc < 1e-12:
@@ -216,18 +217,18 @@ def build_flow_map_initial(
 
     # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
     #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0
-    d2psi, d1psi, d2til = (PeriodicInterpolator(RealField(g, a)) for a in (d2p, d1p, d2t))
     # d1 psitilde0 through the transport relation (seam-safe closed form)
-    d1til = PeriodicInterpolator(RealField(g, (d2p + d1p * d2t) / (1.0 + d2p)))
+    grads = (d2p, d2t, d1p, (d2p + d1p * d2t) / (1.0 + d2p))
+    at_x0 = PeriodicInterpolator(*(RealField(g, a) for a in grads))(g.x1 + y1, g.x2 + y2)
 
     def cd(arr: np.ndarray, axis: int, d: float) -> np.ndarray:
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
 
     r = (
-        cd(y1, 0, g.dx) - d2psi.at_displaced(y1, y2),
-        cd(y1, 1, g.dy) - d2til.at_displaced(y1, y2),
-        cd(y2, 0, g.dx) + d1psi.at_displaced(y1, y2),
-        cd(y2, 1, g.dy) + d1til.at_displaced(y1, y2),
+        cd(y1, 0, g.dx) - at_x0[0],
+        cd(y1, 1, g.dy) - at_x0[1],
+        cd(y2, 0, g.dx) + at_x0[2],
+        cd(y2, 1, g.dy) + at_x0[3],
     )
     # fixed physical width: the wake wiggle of the spline prefilter decays
     # per CELL, so a cell-count margin would shrink physically
@@ -252,8 +253,7 @@ def seed_lagrangian_velocity(
     ||div(A_{Y0} Y1)||_{L2} reported (zero for exact data)."""
     g = u0[0].grid
     y1s, y2s = Y0[0].samples, Y0[1].samples
-    v1 = PeriodicInterpolator(u0[0]).at_displaced(y1s, y2s)
-    v2 = PeriodicInterpolator(u0[1]).at_displaced(y1s, y2s)
+    v1, v2 = PeriodicInterpolator(*u0)(g.x1 + y1s, g.x2 + y2s)
     Y1 = (RealField(g, v1), RealField(g, v2))
     from mhd2d.lagrangian import adjugate, gradient_tensor
 

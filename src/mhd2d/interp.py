@@ -1,30 +1,78 @@
-"""Periodic bicubic interpolation used for flow-map compositions."""
+"""Periodic cubic-spline interpolation for the flow-map compositions, in numpy.
+
+``PeriodicInterpolator(*fields)`` prefilters a stack of fields on one grid
+once: the periodic cubic B-spline coefficients solve the interpolation
+condition, whose symbol on the half spectrum is
+``(4 + 2 cos th1)(4 + 2 cos th2) / 36``.  A call evaluates the whole stack at
+one point set, in chunks of points: each point's base node and its 4 + 4
+B-spline weights are formed once, and each of the 16 gathers from the
+wrap-padded coefficient planes serves every field.  Fields are prefiltered
+one at a time, so no temporary spans the stack.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter
 
-from mhd2d.grid import RealField
+from mhd2d.grid import RealField, half_spectrum
 
 __all__ = ["PeriodicInterpolator"]
 
+# points per chunk of an evaluation: bounds the gather temporaries
+_CHUNK = 8192
+
+
+def _bspline_weights(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cubic B-spline weights of the nodes base - 1 .. base + 2 at offset u in [0, 1)."""
+    v = 1.0 - u
+    u2, u3 = u * u, u * u * u
+    return v * v * v / 6.0, (3.0 * u3 - 6.0 * u2 + 4.0) / 6.0, (-3.0 * u3 + 3.0 * (u2 + u) + 1.0) / 6.0, u3 / 6.0
+
 
 class PeriodicInterpolator:
-    """Cubic-spline evaluator for one periodic field, prefiltered once."""
+    """Cubic-spline evaluator for a stack of periodic fields on one grid,
+    prefiltered once.  ``self(x1, x2)`` evaluates every field at the
+    broadcast points, with shape ``(k, ...)`` for k fields and ``(...)`` for
+    one; a non-finite point raises ValueError."""
 
-    def __init__(self, field: RealField):
-        self.grid = field.grid
-        self._coeffs = spline_filter(field.samples, order=3, mode="grid-wrap")
+    def __init__(self, *fields: RealField):
+        g = self.grid = fields[0].grid
+        c = half_spectrum(g)
+        nx, ny = g.shape
+        symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi / nx * c.m1)) * (4.0 + 2.0 * np.cos(2.0 * np.pi / ny * c.m2)) / 36.0
+        # one padded plane per field, wrapped 1 node before and 2 after on each axis
+        pad = np.empty((len(fields), nx + 3, ny + 3))
+        for k, f in enumerate(fields):
+            pad[k, 1 : nx + 1, 1 : ny + 1] = c.inv(c.fwd(f.samples) / symbol)
+        pad[:, 0], pad[:, nx + 1 :] = pad[:, nx], pad[:, 1:3]
+        pad[:, :, 0], pad[:, :, ny + 1 :] = pad[:, :, ny], pad[:, :, 1:3]
+        self._coeffs = pad.reshape(len(fields), -1)
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         g = self.grid
-        coords = np.stack([np.asarray(x1) / g.dx, np.asarray(x2) / g.dy])
-        return map_coordinates(self._coeffs, coords, order=3, mode="grid-wrap", prefilter=False)
-
-    def at_displaced(self, disp1: np.ndarray, disp2: np.ndarray) -> np.ndarray:
-        """Evaluate at y + Psi(y) for node-based displacement arrays."""
-        g = self.grid
-        x1 = g.x1 + 0.0 * g.x2 + disp1
-        x2 = g.x2 + 0.0 * g.x1 + disp2
-        return self(x1, x2)
+        nx, ny = g.shape
+        t1, t2 = np.broadcast_arrays(np.asarray(x1) / g.dx, np.asarray(x2) / g.dy)
+        shape = t1.shape
+        t1, t2 = t1.ravel(), t2.ravel()
+        bad = np.count_nonzero(~(np.isfinite(t1) & np.isfinite(t2)))
+        if bad:
+            raise ValueError(f"{bad} non-finite interpolation points")
+        row = ny + 3
+        out = np.empty((self._coeffs.shape[0], t1.size))
+        for lo in range(0, t1.size, _CHUNK):
+            s1, s2 = t1[lo : lo + _CHUNK], t2[lo : lo + _CHUNK]
+            f1, f2 = np.floor(s1), np.floor(s2)
+            # flat index of the padded node base - 1 (padded index = node + 1)
+            base = (f1.astype(np.intp) % nx) * row + f2.astype(np.intp) % ny
+            w1, w2 = _bspline_weights(s1 - f1), _bspline_weights(s2 - f2)
+            acc = np.zeros((out.shape[0], base.size))
+            gathered = np.empty_like(acc)
+            for a in range(4):
+                for b in range(4):
+                    # indices lie in range by construction; "clip" lets take
+                    # write into out without the copy its "raise" mode makes
+                    np.take(self._coeffs, base + (a * row + b), axis=1, out=gathered, mode="clip")
+                    gathered *= w1[a] * w2[b]
+                    acc += gathered
+            out[:, lo : lo + _CHUNK] = acc
+        return out.reshape(shape) if out.shape[0] == 1 else out.reshape(-1, *shape)

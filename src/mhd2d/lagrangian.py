@@ -540,17 +540,12 @@ def _check_invertible(displacement: tuple[RealField, RealField]) -> None:
         raise ValueError(f"displacement gradient {t.sup_norm:.3f}, not < 1, breaks local invertibility")
 
 
-def _compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
-    return RealField(
-        u.grid, PeriodicInterpolator(u)(u.grid.x1 + displacement[0].samples, u.grid.x2 + displacement[1].samples)
-    )
-
-
 def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
     """u(y + Psi(y)) by periodic bicubic interpolation; raises ValueError
     unless ||grad Psi||_inf < 1."""
     _check_invertible(displacement)
-    return _compose(u, displacement)
+    g = u.grid
+    return RealField(g, PeriodicInterpolator(u)(g.x1 + displacement[0].samples, g.x2 + displacement[1].samples))
 
 
 def invert_flow_map(Y: tuple[RealField, RealField]):
@@ -563,24 +558,19 @@ def invert_flow_map(Y: tuple[RealField, RealField]):
 def _invert(Y: tuple[RealField, RealField], t: GradTensor):
     """``invert_flow_map`` given grad Y (checked small) for the Newton Jacobian."""
     g = Y[0].grid
-    i_y1 = PeriodicInterpolator(Y[0])
-    i_y2 = PeriodicInterpolator(Y[1])
-    i_g = {k: PeriodicInterpolator(RealField(g, getattr(t, k))) for k in ("d1y1", "d2y1", "d1y2", "d2y2")}
-    x1 = g.x1 + 0.0 * g.x2
-    x2 = g.x2 + 0.0 * g.x1
+    i_y = PeriodicInterpolator(*Y)
+    i_g = PeriodicInterpolator(*(RealField(g, a) for a in (t.d1y1, t.d2y1, t.d1y2, t.d2y2)))
     d1 = -Y[0].samples
     d2 = -Y[1].samples
     for _ in range(60):
-        y1, y2 = x1 + d1, x2 + d2
-        r1 = d1 + i_y1(y1, y2)
-        r2 = d2 + i_y2(y1, y2)
+        y1, y2 = g.x1 + d1, g.x2 + d2
+        e1, e2 = i_y(y1, y2)
+        r1, r2 = d1 + e1, d2 + e2
         res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
         if res < 1e-12:
             return RealField(g, d1), RealField(g, d2)
-        j11 = 1.0 + i_g["d1y1"](y1, y2)
-        j12 = i_g["d2y1"](y1, y2)
-        j21 = i_g["d1y2"](y1, y2)
-        j22 = 1.0 + i_g["d2y2"](y1, y2)
+        j11, j12, j21, j22 = i_g(y1, y2)
+        j11, j22 = 1.0 + j11, 1.0 + j22
         det = j11 * j22 - j12 * j21
         d1 = d1 - (j22 * r1 - j12 * r2) / det
         d2 = d2 - (-j21 * r1 + j11 * r2) / det
@@ -606,8 +596,9 @@ def to_eulerian(state: FlowMapState):
 
     Returns (EulerState, psitilde, info) where info reports the curl residual
     of the reconstructed gradient fields and the divergence of u.  The
-    inverse displacement is checked once for all seven compositions, and grad Y
-    is taken once, for the inversion and the stream-like scalars.
+    inverse displacement is checked once, and the seven fields composed with
+    it are one interpolated stack; grad Y is taken once, for the inversion and
+    the stream-like scalars.
     """
     from mhd2d.eulerian import EulerState
 
@@ -616,26 +607,26 @@ def to_eulerian(state: FlowMapState):
     t = _small(gradient_tensor(state.Y))
     dinv = _invert(state.Y, t)
     _check_invertible(dinv)
-    u1 = _compose(state.Y_t[0], dinv)
-    u2 = _compose(state.Y_t[1], dinv)
+    grads = (-t.d1y2, t.d1y1, -t.d2y2, t.d2y1)
+    at_dinv = PeriodicInterpolator(*state.Y_t, *(RealField(g, a) for a in grads), state.q)(
+        g.x1 + dinv[0].samples, g.x2 + dinv[1].samples
+    )
+    # the velocity is returned: copied, so it does not hold the whole stack
+    u1, u2 = (RealField(g, a) for a in at_dinv[:2].copy())
 
-    def integrate_gradient(g1: RealField, g2: RealField):
-        g1h, g2h = c.fwd(g1.samples), c.fwd(g2.samples)
+    def integrate_gradient(g1: np.ndarray, g2: np.ndarray):
+        g1h, g2h = c.fwd(g1), c.fwd(g2)
         curl = c.inv(c.ik1 * g2h - c.ik2 * g1h)
         num = c.ik1 * g1h + c.ik2 * g2h
         ph = np.where(c.ksq > 0, num / np.where(c.ksq > 0, -c.ksq, 1.0), 0.0)
         # psi_hat solves i xi . (i xi psi) = div g  =>  -|xi|^2 psi = div g
         return RealField(g, c.inv(ph)), float(np.sqrt(g.cell_area * np.sum(curl**2)))
 
-    gpsi1 = _compose(RealField(g, -t.d1y2), dinv)
-    gpsi2 = _compose(RealField(g, t.d1y1), dinv)
-    psi, curl_psi = integrate_gradient(gpsi1, gpsi2)
-    gtil1 = _compose(RealField(g, -t.d2y2), dinv)
-    gtil2 = _compose(RealField(g, t.d2y1), dinv)
-    psitilde, curl_til = integrate_gradient(gtil1, gtil2)
+    psi, curl_psi = integrate_gradient(at_dinv[2], at_dinv[3])
+    psitilde, curl_til = integrate_gradient(at_dinv[4], at_dinv[5])
 
     dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))
-    p_raw = _compose(state.q, dinv).samples - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    p_raw = at_dinv[6] - (dpsi1**2 + (1.0 + dpsi2) ** 2)
     p = RealField(g, p_raw - float(np.mean(p_raw)))
     div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
     info = {

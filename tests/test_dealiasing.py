@@ -292,7 +292,9 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
     """The companion march transforms psi0 once for its gradient and the
     gradient's half-cell x1 translate (4 inverse fields) and differentiates
     columns with real 1-D transforms; the seed transforms psi0 and psitilde0
-    once each for their gradients (4 inverse fields)."""
+    once each for their gradients (4 inverse fields), and the spline
+    prefilter transforms each interpolated field forward and back once (the
+    2 potentials and the 4 gradients)."""
     g = make_grid(128, 128, TWO_PI, TWO_PI)
     psi0 = bump_dx1(g, 1e-4, width=0.6)
     complex_1d = Counter()
@@ -310,13 +312,15 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
     assert not complex_1d
     fft_fields.clear()
     build_flow_map_initial(psi0, tilde)
-    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2, 4, 0, 0)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2 + 6, 4 + 6, 0, 0)
 
 
 def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
     """Two gradient tensors (the displacement's, shared by the inversion and
     the stream-like scalars, and the check of the inverse displacement, 6
-    fields each) and 14 fields of its own."""
+    fields each), 14 fields of its own, and the spline prefilter's forward
+    and inverse transform of each interpolated field: Y and grad Y for the
+    inversion (6), and the 7 fields composed with the inverse displacement."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y, V = (tuple(random_band_field(g, rng, 1.0, 4.0, 0.02) for _ in range(2)) for _ in range(2))
     state = lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 4.0, 0.02), 0.0)
@@ -331,7 +335,7 @@ def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monke
     fft_fields.clear()
     lag.to_eulerian(state)
     assert calls["gradient_tensor"] == 2
-    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26, 0, 0)
+    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26 + 2 * (6 + 7), 0, 0)
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):

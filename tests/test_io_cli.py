@@ -129,6 +129,35 @@ def test_unknown_shape_is_rejected_on_both_config_paths(key, value):
         cli.ExperimentConfig(experiment="build-initial-data", **{key: value})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {}, {"nx": 64}, {"nx": 64.0}, {"nx": 8, "ny": 10}, {"center": [0.5, -1]}, {"width": 1e-9},
+        {"tolerances": {"vieta": 0.0, "rate_fit": 2}}, {"shape": "bump_dx1"}, {"seed": -3}, {"amplitude": -1.5},
+        {"nx": True}, {"nx": 64.7}, {"nx": 9}, {"nx": 6}, {"width": 0}, {"lx": -1}, {"shape": "disk"},
+        {"center": [1.0, 2.0, 3.0]}, {"center": [1.0, "a"]}, {"tolerances": {"vieta": -1}},
+        {"tolerances": {"vieta": "abc"}}, {"seed": 1.5}, {"lx": True}, {"k": 0}, {"outdir": 3},
+        {"tolerances": [1]}, {"center": [1]}, {"nx": 9, "width": 0}, {"seed": 1.5, "tolerances": {"a": -1}},
+    ],
+    ids=repr,
+)
+def test_config_checks_agree_with_jsonschema(data):
+    """The config checks give jsonschema's verdict on CONFIG_SCHEMA, and on
+    a rejection its best match as ``<key> = <value>: <message>``."""
+    jsonschema = pytest.importorskip("jsonschema")
+    try:
+        jsonschema.validate(data, cli.CONFIG_SCHEMA)
+        want = None
+    except jsonschema.ValidationError as exc:
+        want = f"{exc.json_path[2:]} = {exc.instance!r}: {exc.message}"
+    try:
+        cli._check_schema(data)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
+
+
 @pytest.mark.parametrize("name", ["energy-identity", "eulerian-smalldata", "build-initial-data"])
 def test_experiment_passes_at_its_default_config(tmp_path, name):
     """Run bare, each experiment uses its own defaults and passes its checks."""

@@ -506,23 +506,47 @@ def test_compose_rejects_large_displacement(grid32):
 
 
 def flow_displacement(chi, n_steps=64):
-    """Time-1 flow of the divergence-free field grad^perp chi."""
+    """Time-1 flow of the divergence-free field grad^perp chi (RK4; both
+    velocity components are one interpolated stack)."""
     g = chi.grid
     w1 = spectral_derivative(chi, 2)
     w2 = RealField(g, -spectral_derivative(chi, 1).samples)
-    i1, i2 = PeriodicInterpolator(w1), PeriodicInterpolator(w2)
+    w = PeriodicInterpolator(w1, w2)
     x1 = g.x1 + 0.0 * g.x2
     x2 = g.x2 + 0.0 * g.x1
     p1, p2 = x1.copy(), x2.copy()
     h = 1.0 / n_steps
     for _ in range(n_steps):
+        k11, k12 = w(p1, p2)
+        k21, k22 = w(p1 + 0.5 * h * k11, p2 + 0.5 * h * k12)
+        k31, k32 = w(p1 + 0.5 * h * k21, p2 + 0.5 * h * k22)
+        k41, k42 = w(p1 + h * k31, p2 + h * k32)
+        p1 = p1 + h / 6.0 * (k11 + 2 * k21 + 2 * k31 + k41)
+        p2 = p2 + h / 6.0 * (k12 + 2 * k22 + 2 * k32 + k42)
+    return RealField(g, p1 - x1), RealField(g, p2 - x2)
+
+
+def test_flow_displacement_stack_matches_two_single_field_calls(rng):
+    """The helper's one two-field interpolator gives the displacement of two
+    single-field interpolators evaluated at the same RK4 stages, to round-off."""
+    g = make_grid(64, 64, TWO_PI, TWO_PI)
+    chi = random_band_field(g, rng, 1.0, 3.0, 0.05)
+    i1 = PeriodicInterpolator(spectral_derivative(chi, 2))
+    i2 = PeriodicInterpolator(RealField(g, -spectral_derivative(chi, 1).samples))
+    x1, x2 = g.x1 + 0.0 * g.x2, g.x2 + 0.0 * g.x1
+    p1, p2 = x1.copy(), x2.copy()
+    h = 1.0 / 16
+    for _ in range(16):
         k11, k12 = i1(p1, p2), i2(p1, p2)
         k21, k22 = i1(p1 + 0.5 * h * k11, p2 + 0.5 * h * k12), i2(p1 + 0.5 * h * k11, p2 + 0.5 * h * k12)
         k31, k32 = i1(p1 + 0.5 * h * k21, p2 + 0.5 * h * k22), i2(p1 + 0.5 * h * k21, p2 + 0.5 * h * k22)
         k41, k42 = i1(p1 + h * k31, p2 + h * k32), i2(p1 + h * k31, p2 + h * k32)
         p1 = p1 + h / 6.0 * (k11 + 2 * k21 + 2 * k31 + k41)
         p2 = p2 + h / 6.0 * (k12 + 2 * k22 + 2 * k32 + k42)
-    return RealField(g, p1 - x1), RealField(g, p2 - x2)
+    d1, d2 = flow_displacement(chi, n_steps=16)
+    scale = max(np.max(np.abs(p1 - x1)), np.max(np.abs(p2 - x2)))
+    assert np.max(np.abs(d1.samples - (p1 - x1))) <= 1e-14 * scale
+    assert np.max(np.abs(d2.samples - (p2 - x2))) <= 1e-14 * scale
 
 
 def test_compose_measure_preserving_isometry(rng):

@@ -401,14 +401,18 @@ def test_etd_tables_match_augmented_expm(solver, dt, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    """The package builds its ETD tables in numpy alone: a fresh interpreter
-    importing the command line does not load scipy.linalg."""
+    """The package sets up on numpy alone (ETD tables, spline interpolation,
+    config checks): a fresh interpreter that imports the command line and
+    loads a config has no scipy or jsonschema module loaded."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mhd2d.cli; print('scipy.linalg' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    code = (
+        "import sys, mhd2d.cli; mhd2d.cli.load_config('block-energy', None, {}); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
