@@ -15,17 +15,18 @@ projected linear coupling closes the 2x2 system
 
 whose symbol is exactly ``lam^2 + |xi|^2 lam + xi1^2 = 0``.  Stepping is the
 exact mode propagator plus ETD2RK for the quadratic terms, which are always
-on (``propagators.etd2rk_step`` on the pair (psi, a)), on the grid's shared
-``half_spectrum`` context.  Each quadratic sum, such as the stress
-``u_i u_j + d_i psi d_j psi``, is dealiased once (``HalfSpectrum.dh``).  The
-projected momentum forcing needs only the traceless part of the stress,
-``S11 - S22`` and ``S12``: the trace is a gradient, which the projection onto
-``e`` removes.  The continuation integrand ``||grad u||_inf +
-||grad psi||_inf^2`` is sampled on the 2x finer grid by zero padding the half
-spectrum (``HalfSpectrum.inv_fine``).  ``run_euler`` takes every monitor from
-the coefficients the stepper holds: the energy and dissipation by Plancherel,
-``div_u_linf`` from the velocity ``e a`` at the nodes, and the continuation
-integrand on the finer grid.  ``run_euler`` and ``step_euler`` march through
+on (``propagators.etd2rk_step`` on the pair (psi, a), with the entry tables
+of ``etd_entries``), on the grid's shared ``half_spectrum`` context.  Each
+quadratic sum, such as the stress ``u_i u_j + d_i psi d_j psi``, is formed
+in place and dealiased once (``HalfSpectrum.dh``).  The projected momentum
+forcing needs only the traceless part of the stress, ``S11 - S22`` and
+``S12``: the trace is a gradient, which the projection onto ``e`` removes.
+The continuation integrand ``||grad u||_inf + ||grad psi||_inf^2`` is sampled
+on the 2x finer grid by zero padding the half spectrum
+(``HalfSpectrum.inv_fine``), one derivative field at a time.  ``run_euler``
+takes every monitor from the coefficients the stepper holds: the energy and
+dissipation by Plancherel, ``div_u_linf`` from the velocity ``e a`` at the
+nodes, and the continuation integrand on the finer grid.  ``run_euler`` and ``step_euler`` march through
 the loop ``propagators._march``; a step whose result is not finite is not
 committed and raises ``EulerBlowupError`` naming the step and its time, with
 the state the step started from.
@@ -39,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
-from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_tables
+from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_entries, etd_tables
 from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
@@ -74,7 +75,7 @@ def _etd(grid: Grid, dt: float):
     """ETD tables of the projected mode matrix [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]]."""
     c = half_spectrum(grid)
     m = np.zeros(c.ksq.shape + (2, 2))
-    m[..., 0, 1] = -c.e2
+    m[..., 0, 1] = -c.e2.real
     m[..., 1, 0] = c.k1 * np.sqrt(c.ksq)
     m[..., 1, 1] = -c.ksq
     return etd_tables(m, dt)
@@ -126,7 +127,7 @@ class _EulerStepper:
     def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
         self.dt = dt
-        self.tables = _etd(grid, dt)
+        self.tables = etd_entries(_etd(grid, dt))
 
     def load(self, state: EulerState) -> None:
         c = self.c
@@ -139,17 +140,33 @@ class _EulerStepper:
         self.psih, self.ah, self.t = psih, ah, t
 
     def _nonlinear(self, psih, ah):
+        """(N_psi, N_a): each product formed into one of three work arrays and
+        summed in place, in the order of the written-out sums."""
         c = self.c
         u1h, u2h = _velocity(c, ah)
         u1, u2 = c.inv(u1h), c.inv(u2h)
         d1psi, d2psi = c.grad(psih)
-        n_psi = -c.dh(u1 * d1psi + u2 * d2psi)
+        a, b = u1 * d1psi, u2 * d2psi
+        a += b
+        n_psi = c.dh(a)
+        np.negative(n_psi, out=n_psi)
         n_psi[0, 0] = 0.0
         # u . grad u^c = div(u u^c); magnetic forcing -div(d_c psi grad psi).
         # Projected onto e, only the traceless part of the stress remains.
-        sd = c.dh((u1 * u1 + d1psi * d1psi) - (u2 * u2 + d2psi * d2psi))
-        s12 = c.dh(u1 * u2 + d1psi * d2psi)
-        n_a = -(c.wd * sd + c.w12 * s12)
+        tmp = np.empty_like(a)
+        np.multiply(u1, u1, out=a)
+        a += np.multiply(d1psi, d1psi, out=tmp)
+        np.multiply(u2, u2, out=b)
+        b += np.multiply(d2psi, d2psi, out=tmp)
+        a -= b  # (u1 u1 + d1psi d1psi) - (u2 u2 + d2psi d2psi)
+        sd = c.dh(a)
+        np.multiply(u1, u2, out=b)
+        b += np.multiply(d1psi, d2psi, out=tmp)
+        s12 = c.dh(b)
+        # n_a = -(wd sd + w12 s12)
+        n_a = np.multiply(c.wd, sd, out=sd)
+        n_a += np.multiply(c.w12, s12, out=s12)
+        np.negative(n_a, out=n_a)
         return n_psi, n_a
 
     def advance(self) -> None:
@@ -261,12 +278,22 @@ def blowup_integrand(state: EulerState) -> float:
 
 
 def _blowup_hat(c: HalfSpectrum, psih: np.ndarray, u1h: np.ndarray, u2h: np.ndarray) -> float:
-    """``blowup_integrand`` from the half-spectrum coefficients of psi, u^1, u^2."""
-    gp1, gp2, d1u1, d2u1, d1u2, d2u2 = c.inv_fine(
-        np.stack([c.ik1 * psih, c.ik2 * psih, c.ik1 * u1h, c.ik2 * u1h, c.ik1 * u2h, c.ik2 * u2h])
-    )
-    grad_psi_sq = float(np.max(gp1**2 + gp2**2))
-    return float(np.max(np.sqrt(((d1u1**2 + d2u1**2) + d1u2**2) + d2u2**2))) + grad_psi_sq
+    """``blowup_integrand`` from the half-spectrum coefficients of psi, u^1, u^2.
+
+    The six derivatives go to the finer grid one field at a time (a stack of
+    six falls out of cache), each squared in place; the velocity's squares
+    are summed in the order ((d1u1^2 + d2u1^2) + d1u2^2) + d2u2^2."""
+
+    def fine_sq(ik: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        f = c.inv_fine(ik * fh)
+        return np.multiply(f, f, out=f)
+
+    grad_psi_sq = fine_sq(c.ik1, psih)
+    grad_psi_sq += fine_sq(c.ik2, psih)
+    grad_u_sq = fine_sq(c.ik1, u1h)
+    for ik, fh in ((c.ik2, u1h), (c.ik1, u2h), (c.ik2, u2h)):
+        grad_u_sq += fine_sq(ik, fh)
+    return float(np.max(np.sqrt(grad_u_sq, out=grad_u_sq))) + float(np.max(grad_psi_sq))
 
 
 def pressure_euler(state: EulerState) -> RealField:

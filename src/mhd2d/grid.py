@@ -157,11 +157,12 @@ class HalfSpectrum:
     (1, ny // 2 + 1)) label them; every other table has the full shape:
     ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
     Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean mode); the
-    2/3 mask ``deal``; the solenoidal unit vector ``e = (-xi2, xi1)/|xi|``
-    as ``e1``/``e2`` (zero at the mean mode); and the weights ``wd``/``w12``
-    of ``e . div S = wd (S11 - S22) + w12 S12`` for a symmetric tensor S, which
-    holds wherever ``e . ik = 0``: everywhere but the Nyquist modes outside the
-    2/3 set (the trace of S, a gradient, drops out).
+    2/3 mask ``deal`` (complex 1 or 0); the solenoidal unit vector
+    ``e = (-xi2, xi1)/|xi|`` as complex ``e1``/``e2`` (zero at the mean mode);
+    and the weights ``wd``/``w12`` of ``e . div S = wd (S11 - S22) + w12 S12``
+    for a symmetric tensor S, which holds wherever ``e . ik = 0``: everywhere
+    but the Nyquist modes outside the 2/3 set (the trace of S, a gradient,
+    drops out).
     """
 
     def __init__(self, grid: Grid):
@@ -179,9 +180,10 @@ class HalfSpectrum:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.inv_ksq = np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
             inv_kmag = np.where(kmag > 0, 1.0 / kmag, 0.0)
-        self.e1 = -k2 * inv_kmag
-        self.e2 = k1 * inv_kmag
-        self.deal = (np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)
+        # complex, like every coefficient array they multiply: no cast per product
+        self.e1 = (-k2 * inv_kmag).astype(complex)
+        self.e2 = (k1 * inv_kmag).astype(complex)
+        self.deal = ((np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)).astype(complex)
 
     # built on first use: only the Eulerian stepper reads them
     @cached_property
@@ -235,8 +237,11 @@ class HalfSpectrum:
 
     def dh(self, a: np.ndarray) -> np.ndarray:
         """Dealiased half-spectrum coefficients of a physical sum of products
-        (one transform suffices: the 2/3 truncation is a linear projection)."""
-        return self.fwd(a) * self.deal
+        (one transform suffices: the 2/3 truncation is a linear projection),
+        masked in place."""
+        ah = self.fwd(a)
+        ah *= self.deal
+        return ah
 
     def lattice_sum(self, w: np.ndarray) -> float:
         """Sum over the full lattice of a Hermitian-symmetric weight w given

@@ -23,17 +23,22 @@ Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
 (A - I) A^T grad q is dealiased at each level.  The spectral work runs on the
 grid's shared ``half_spectrum`` context, and each step is one
-``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).  ``run_lagrangian``
-monitors each step from the coefficients the stepper holds: ``det_err`` and
-``||grad Y||_inf`` at the nodes, the constraint residual, the energy, the
-dissipation and the H^{s2+1} norms of d_i Y by Plancherel.
+``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).  The stepper takes
+grad Y of each state it commits once and holds it: the first forcing stage
+of the next step, the monitors and the stored state read it, and the
+forcing passes the pressure's grad Y_t on to its viscous term.
+``run_lagrangian`` monitors each step from the coefficients the stepper
+holds: ``det_err`` and ``||grad Y||_inf`` at the nodes, the constraint
+residual, the energy, the dissipation and the H^{s2+1} norms of d_i Y by
+Plancherel.
 
 ``run_lagrangian`` and ``step`` march through the loop
-``propagators._march``.  A step is committed only when its result is finite.
-A step that leaves the small-data regime (``||grad Y||_inf <= 1/2``, one
-guard) or whose pressure fixed point stops raises ``StateBlowupError`` or
-``PressureConvergenceError`` naming the step and its time, with the state the
-step started from and the stepper's latest pressure.
+``propagators._march``.  A step is committed only when its result is finite
+and inside the small-data regime (``||grad Y||_inf <= 1/2``, one guard, on
+the held grad Y).  A step whose result leaves the regime, or whose pressure
+fixed point stops, raises ``StateBlowupError`` or
+``PressureConvergenceError`` naming that step and its time, with the state
+the step started from and the stepper's latest pressure.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
 from mhd2d.lp import _homogeneous_weight
-from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_tables
+from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_entries, etd_tables
 from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
 __all__ = [
@@ -179,10 +184,15 @@ def rho(Y: tuple[RealField, RealField]) -> RealField:
     return RealField(c.grid, c.inv(_rho_hat(c, gradient_tensor(Y))))
 
 
+def _adj_t_hat(c: HalfSpectrum, adj: AdjugateField, q1: np.ndarray, q2: np.ndarray):
+    """Dealiased coefficients of A^T (q1, q2), given at the nodes."""
+    return c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)
+
+
 def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
     """Dealiased coefficients of grad_Y q = A^T grad q, and grad q at the nodes."""
     q1, q2 = c.grad(qh)
-    return (c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)), (q1, q2)
+    return _adj_t_hat(c, adj, q1, q2), (q1, q2)
 
 
 def lagrangian_gradient(q: RealField, adj: AdjugateField) -> tuple[RealField, RealField]:
@@ -334,12 +344,15 @@ def _minus_grad_y_q(c: HalfSpectrum, adj: AdjugateField, out: list, qh: np.ndarr
     return out[0], out[1]
 
 
-def _rhs_f_spectral(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
-    """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct)."""
+def _rhs_f_spectral(
+    c: HalfSpectrum, t: GradTensor, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray
+):
+    """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct),
+    given grad Y_t (``tv``) at the nodes."""
     adj = adjugate(t)
     out = []
-    for ch in vh:
-        (w1h, w2h), _ = _grad_y_hat(c, adj, ch)
+    for ch, grad_ch in zip(vh, ((tv.d1y1, tv.d2y1), (tv.d1y2, tv.d2y2))):
+        w1h, w2h = _adj_t_hat(c, adj, *grad_ch)
         w1, w2 = c.inv(w1h), c.inv(w2h)
         u1h = c.dh(adj.b11 * w1 + adj.b12 * w2)
         u2h = c.dh(adj.b21 * w1 + adj.b22 * w2)
@@ -372,7 +385,7 @@ def rhs_f(
     t = gradient_tensor(Y)
     vh = (c.fwd(Y_t[0].samples), c.fwd(Y_t[1].samples))
     qh = c.fwd(q.samples)
-    f1h, f2h = _rhs_f_spectral(c, t, vh, qh)
+    f1h, f2h = _rhs_f_spectral(c, t, _grad_hat(c, *vh), vh, qh)
     f = (RealField(g, c.inv(f1h)), RealField(g, c.inv(f2h)))
     if not cross_check:
         return f
@@ -408,7 +421,7 @@ class _Stepper:
         self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
-        self.tables = _etd(grid, dt)
+        self.tables = etd_entries(_etd(grid, dt))
         self.qh = None
         self.last_pressure: PressureInfo | None = None
 
@@ -416,25 +429,29 @@ class _Stepper:
         c = self.c
         self.qh = c.fwd(state.q.samples)
         yh = [c.fwd(f.samples) for f in state.Y]
-        _small(_grad_hat(c, *yh))
+        _small(_grad_hat(c, *yh))  # ahead of _hold: a NaN displacement fails this guard, naming the NaN
         self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t)
 
     def _hold(self, yh: list, vh: list, t: float) -> None:
-        """Hold (Y, Y_t) at time t; StateBlowupError unless they and q are finite."""
+        """Hold (Y, Y_t) at time t with grad Y at the nodes (``ty``);
+        StateBlowupError unless they and q are finite and ||grad Y||_inf <= 1/2."""
         if not all(np.all(np.isfinite(h)) for h in (*yh, *vh, self.qh)):
             raise StateBlowupError("non-finite state")
-        self.yh, self.vh, self.t = yh, vh, t
+        ty = _small(_grad_hat(self.c, *yh))
+        self.yh, self.vh, self.ty, self.t = yh, vh, ty, t
 
     def _forcing(self, z, s):
         """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
         (Y^2, Y^2_t)] at time t + s; the pressure is warm-started from, and
-        stored back into, ``self.qh``."""
+        stored back into, ``self.qh``.  The held state reuses its grad Y."""
         c = self.c
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
-        tgrad = _small(_grad_hat(c, *yh))
+        held = yh[0] is self.yh[0] and yh[1] is self.yh[1]
+        tgrad = self.ty if held else _small(_grad_hat(c, *yh))
+        tv = _grad_hat(c, *vh)
         v_phys = (c.inv(vh[0]), c.inv(vh[1]))
-        self.qh, self.last_pressure = _pressure_spectral(c, tgrad, _grad_hat(c, *vh), v_phys, *yh, self.qh, False)
-        f1h, f2h = _rhs_f_spectral(c, tgrad, vh, self.qh)
+        self.qh, self.last_pressure = _pressure_spectral(c, tgrad, tv, v_phys, *yh, self.qh, False)
+        f1h, f2h = _rhs_f_spectral(c, tgrad, tv, vh, self.qh)
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
@@ -454,8 +471,8 @@ class _Stepper:
         held coefficients, warm-started from ``self.qh``."""
         c = self.c
         Y, V = self.fields()
-        qh, _ = _pressure_spectral(c, _small(_grad_hat(c, *self.yh)), _grad_hat(c, *self.vh),
-                                   (V[0].samples, V[1].samples), *self.yh, self.qh, False)
+        qh, _ = _pressure_spectral(c, self.ty, _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), *self.yh,
+                                   self.qh, False)
         return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
 
     def held_state(self) -> FlowMapState:
@@ -488,11 +505,11 @@ class LagrangianRun:
 
 
 def _state_monitors(
-    c: HalfSpectrum, yh: list[np.ndarray], vh: list[np.ndarray], s2p1: float
+    c: HalfSpectrum, t: GradTensor, yh: list[np.ndarray], vh: list[np.ndarray], s2p1: float
 ) -> tuple[float, float, float, float, float, float, float]:
-    """Monitors of the state held as half-spectrum coefficients (Y^j, Y^j_t):
-    sup norms at the nodes, L2 and Sobolev norms by Plancherel."""
-    t = _grad_hat(c, *yh)
+    """Monitors of the state held as half-spectrum coefficients (Y^j, Y^j_t)
+    with grad Y at the nodes (``t``): sup norms at the nodes, L2 and Sobolev
+    norms by Plancherel."""
     # det(I + grad Y) - 1 = div Y + det(grad Y), without cancelling 1 against 1
     det_err = float(np.max(np.abs(t.d1y1 + t.d2y2 + (t.d1y1 * t.d2y2 - t.d2y1 * t.d1y2))))
     div_minus_rho = c.ik1 * yh[0] + c.ik2 * yh[1] - _rho_hat(c, t)
@@ -524,7 +541,7 @@ def run_lagrangian(
     s = _Stepper(Y0[0].grid, dt)
     states, [series] = _march(
         s, lambda: make_state(Y0, Y1), n_steps, store_every,
-        [("monitor_every", monitor_every, lambda: _state_monitors(s.c, s.yh, s.vh, s2_plus_1))],
+        [("monitor_every", monitor_every, lambda: _state_monitors(s.c, s.ty, s.yh, s.vh, s2_plus_1))],
     )
     return LagrangianRun(states, *series)
 

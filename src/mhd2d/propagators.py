@@ -12,7 +12,10 @@ with l+- = mu -+ nu the eigenvalues (both with nonpositive real part here).
 The inhomogeneous responses for a forcing linear in time over one step come
 with exp(M h) from scaling and squaring on the 2x2 blocks, and ``etd2rk_step``
 uses them for the exponential trapezoidal (ETD2RK) step of both nonlinear
-solvers (Cox & Matthews 2002).
+solvers (Cox & Matthews 2002).  A stepper converts its tables once
+(``etd_entries``) into C-contiguous complex entry arrays, and the step sums
+each product into the new state in place, in the order of the written-out
+scheme, so the arithmetic is that of the out-of-place sums bit for bit.
 
 Both solvers also share one march loop, ``_march``: the step count
 (``_step_count``, a whole number of positive steps), the monitor and store
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expm2", "etd_tables", "apply2", "etd2rk_step", "MarchError"]
+__all__ = ["expm2", "etd_tables", "etd_entries", "apply2", "etd2rk_step", "MarchError"]
 
 _SMALL = 0.5
 
@@ -100,35 +103,58 @@ def apply2(table: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> tuple[np.ndarra
     return w0, w1
 
 
-def _add_table(w: tuple, table: np.ndarray, f: tuple) -> tuple:
-    """w + table f, one term at a time; a None slot of f is zero."""
-    out = list(w)
+def etd_entries(tables: tuple) -> tuple:
+    """``etd_tables`` output in the form ``etd2rk_step`` takes: per table the
+    4-tuple (T00, T01, T10, T11) of its entries as C-contiguous complex128
+    arrays.  A product of a complex entry with complex coefficients is the
+    product numpy forms after casting the real entry, without the cast or the
+    strided read."""
+    return tuple(
+        tuple(np.ascontiguousarray(t[..., i, j], dtype=complex) for i in (0, 1) for j in (0, 1)) for t in tables
+    )
+
+
+def _add_products(w: list, entries: tuple, f: tuple, tmp: np.ndarray) -> None:
+    """w[i] += T_ij f[j] in place, one term at a time; a None slot of f is zero."""
     for i in range(2):
         for j in range(2):
             if f[j] is not None:
-                out[i] = out[i] + table[..., i, j] * f[j]
-    return tuple(out)
+                w[i] += np.multiply(entries[2 * i + j], f[j], out=tmp)
 
 
 def etd2rk_step(tables: tuple, z: list, forcing, dt: float) -> list:
     """One ETD2RK step of z' = M z + N(z) for stacked 2x2 mode systems.
 
-    ``tables`` is ``etd_tables(M, dt)``; ``z`` is a list of component pairs
-    (z0, z1) that all share M.  ``forcing(z, s)`` returns one pair of forcing
-    slots per pair of ``z``, evaluated at stage time ``t + s``; a None slot
-    is zero.  With f = N(z) the step returns
+    ``tables`` is ``etd_entries(etd_tables(M, dt))``; ``z`` is a list of
+    component pairs (z0, z1) that all share M.  ``forcing(z, s)`` returns one
+    pair of forcing slots per pair of ``z``, evaluated at stage time ``t + s``;
+    a None slot is zero.  With f = N(z) the step returns
 
-        a = P z + R1 f,    a + R2 (N(a) - f) / dt.
+        a = P z + R1 f,    a + R2 (N(a) - f) / dt,
+
+    summed term by term in that order into new arrays: the predictor's arrays
+    become the result, and neither ``z`` nor the forcing slots are written.
     """
     p, r1, r2 = tables
     f = forcing(z, 0.0)
-    pred = [_add_table(apply2(p, *zi), r1, fi) for zi, fi in zip(z, f)]
+    pred = []
+    for (z0, z1), fi in zip(z, f):
+        w = [np.multiply(p[0], z0), np.multiply(p[2], z0)]
+        tmp = np.empty_like(w[0])
+        _add_products(w, p, (None, z1), tmp)
+        _add_products(w, r1, fi, tmp)
+        pred.append(w)
     g = forcing(pred, dt)
-    slope = [
-        tuple(None if fk is None else (gk - fk) / dt for fk, gk in zip(fi, gi))
-        for fi, gi in zip(f, g)
-    ]
-    return [_add_table(ai, r2, si) for ai, si in zip(pred, slope)]
+    for w, fi, gi in zip(pred, f, g):
+        _add_products(w, r2, [None if fk is None else _slope(gk, fk, dt) for fk, gk in zip(fi, gi)], tmp)
+    return [tuple(w) for w in pred]
+
+
+def _slope(g: np.ndarray, f: np.ndarray, dt: float) -> np.ndarray:
+    """(g - f) / dt in one new array."""
+    out = np.subtract(g, f)
+    out /= dt
+    return out
 
 
 class MarchError(RuntimeError):

@@ -10,7 +10,7 @@ from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, spectral_de
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import evolve_linear
 from mhd2d.lp import sobolev_norm
-from mhd2d.propagators import etd2rk_step
+from mhd2d.propagators import etd2rk_step, etd_entries
 
 import full_lattice as fl
 
@@ -108,7 +108,7 @@ def test_det_monitor_keeps_relative_accuracy_at_tiny_amplitude(grid32):
     exact = a * np.cos(grid32.x1) + a * np.cos(grid32.x2) + a * a * np.cos(grid32.x1) * np.cos(grid32.x2)
     c = half_spectrum(grid32)
     yh = [c.fwd(f.samples) for f in Y]
-    det_err = lag._state_monitors(c, yh, [np.zeros_like(h) for h in yh], 1.5)[0]
+    det_err = lag._state_monitors(c, lag._grad_hat(c, *yh), yh, [np.zeros_like(h) for h in yh], 1.5)[0]
     ref = float(np.max(np.abs(exact)))
     assert abs(det_err - ref) <= 1e-12 * ref
 
@@ -125,7 +125,8 @@ def test_state_monitors_match_real_space_formulas(shape, seed):
     Y = _small_vector(g, rng, amp=1e-2, kmax=g.ny / 4.0)
     V = _small_vector(g, rng, amp=1e-2, kmax=g.ny / 4.0)
     s2p1 = 1.25
-    got = lag._state_monitors(c, [c.fwd(f.samples) for f in Y], [c.fwd(f.samples) for f in V], s2p1)
+    yh = [c.fwd(f.samples) for f in Y]
+    got = lag._state_monitors(c, lag._grad_hat(c, *yh), yh, [c.fwd(f.samples) for f in V], s2p1)
 
     t, tv = lag.gradient_tensor(Y), lag.gradient_tensor(V)
 
@@ -376,7 +377,7 @@ def test_step_linear_reduction_matches_evolve_linear(grid32, rng):
     dt = 0.37
     c = half_spectrum(grid32)
     z = [(c.fwd(Y0[j].samples), c.fwd(Y1[j].samples)) for j in range(2)]
-    out = etd2rk_step(lag._etd(grid32, dt), z, lambda z, s: [(None, None)] * len(z), dt)
+    out = etd2rk_step(etd_entries(lag._etd(grid32, dt)), z, lambda z, s: [(None, None)] * len(z), dt)
     ref = evolve_linear(Y0, Y1, [0.0, dt])
     n = grid32.nx * grid32.ny
     assert np.max(np.abs(out[0][0] - ref.yhat[1, 0])) / n < 1e-13

@@ -22,7 +22,7 @@ from mhd2d.linear import (
     mode_solution,
     regime,
 )
-from mhd2d.propagators import apply2, etd2rk_step, etd_tables
+from mhd2d.propagators import apply2, etd2rk_step, etd_entries, etd_tables
 
 import full_lattice as fl
 
@@ -199,7 +199,7 @@ def _forced_march(g, y0, v0, forcing, h, n_steps):
     ``forcing(t)`` (half-spectrum coefficients of both components)."""
     hs = half_spectrum(g)
     # the first ny/2 + 1 full-lattice columns carry the half spectrum's |xi|
-    tables = etd_tables(fl.companion_matrices(g)[:, : g.ny // 2 + 1], h)
+    tables = etd_entries(etd_tables(fl.companion_matrices(g)[:, : g.ny // 2 + 1], h))
     z = [(hs.fwd(y.samples), hs.fwd(v.samples)) for y, v in zip(y0, v0)]
     t, out = 0.0, []
     for _ in range(n_steps):
@@ -420,6 +420,26 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 # ---------------------------------------------------------------------------
 
 
+def test_etd_entries_are_contiguous_complex_copies_of_the_tables():
+    """Three 4-tuples (T00, T01, T10, T11), each entry C-contiguous complex128
+    and equal to the real table entry; the in-place step on them writes
+    neither the state it starts from nor the forcing slots it is given."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 4, 2, 2)) - 2.0 * np.eye(2)
+    tables = etd_tables(m, 0.05)
+    entries = etd_entries(tables)
+    assert [len(e) for e in entries] == [4, 4, 4]
+    for table, four in zip(tables, entries):
+        for (i, j), entry in zip([(0, 0), (0, 1), (1, 0), (1, 1)], four):
+            assert entry.dtype == complex and entry.flags.c_contiguous
+            assert np.array_equal(entry, table[..., i, j]) and not np.any(entry.imag)
+    z = [tuple(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)) for _ in range(2))]
+    slots = [[tuple(rng.standard_normal((6, 4)) + 0j for _ in range(2))] for _ in range(2)]
+    kept = [a.copy() for a in (*z[0], *slots[0][0], *slots[1][0])]
+    etd2rk_step(entries, z, lambda _, s: slots[0] if s == 0.0 else slots[1], 0.05)
+    assert all(np.array_equal(a, b) for a, b in zip((*z[0], *slots[0][0], *slots[1][0]), kept))
+
+
 def test_etd2rk_step_matches_written_out_scheme():
     """Bit-equal to the predictor-corrector written term by term, for full
     forcing pairs and for pairs whose first slot is None (zero)."""
@@ -432,7 +452,7 @@ def test_etd2rk_step_matches_written_out_scheme():
     def full(za, zb):
         return za * zb, za**2 - zb
 
-    [got] = etd2rk_step(tables, [(z0, z1)], lambda z, s: [full(*z[0])], dt)
+    [got] = etd2rk_step(etd_entries(tables), [(z0, z1)], lambda z, s: [full(*z[0])], dt)
     f = full(z0, z1)
     h0, h1 = apply2(p, z0, z1)
     a0 = h0 + r1[..., 0, 0] * f[0] + r1[..., 0, 1] * f[1]
@@ -451,7 +471,7 @@ def test_etd2rk_step_matches_written_out_scheme():
         stages.append(s)
         return [(None, z[0][0] * z[1][1]), (None, z[1][0] * z[0][1])]
 
-    got = etd2rk_step(tables, [(z0, z1), (z2, z1)], second_slot, dt)
+    got = etd2rk_step(etd_entries(tables), [(z0, z1), (z2, z1)], second_slot, dt)
     assert stages == [0.0, dt]
     f = (z0 * z1, z2 * z1)
     h = [apply2(p, z0, z1), apply2(p, z2, z1)]

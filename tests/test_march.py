@@ -10,7 +10,7 @@ from mhd2d import eulerian as eul
 from mhd2d import lagrangian as lag
 from mhd2d.fields import random_band_field, random_solenoidal
 from mhd2d.grid import RealField
-from mhd2d.propagators import MarchError
+from mhd2d.propagators import MarchError, apply2
 
 DT = 0.01
 FAILING_STEP = 4
@@ -99,6 +99,10 @@ def _distorted(forcing, self, args):
     return forcing(self, [(1e6 * y, v) for y, v in z], s)
 
 
+def _huge(forcing, self, args):
+    return [(None, 1e10 * fv) for _, fv in forcing(self, *args)]
+
+
 K = FAILING_STEP
 CASES = {
     # NaN forcing in the first stage spoils the second stage and the result
@@ -115,6 +119,13 @@ CASES = {
     ),
     "lagrangian-distortion": (
         lambda mp: _poison(mp, lag._Stepper, "_forcing", 2 * K - 1, _distorted),
+        lambda g, rng, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), DT, t_end),
+        lag.StateBlowupError, "not <= 1/2", lambda st: (*st.Y, *st.Y_t, st.q),
+    ),
+    # a huge second-stage forcing throws the finite result out of the small-data
+    # regime: the step that made it fails, not the next one
+    "lagrangian-distorted-result": (
+        lambda mp: _poison(mp, lag._Stepper, "_forcing", 2 * K, _huge),
         lambda g, rng, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), DT, t_end),
         lag.StateBlowupError, "not <= 1/2", lambda st: (*st.Y, *st.Y_t, st.q),
     ),
@@ -176,3 +187,90 @@ def test_initial_state_failure_is_step_0(grid32, case):
     assert isinstance(err.value, MarchError)
     assert str(err.value) == f"step 0, t = 0.0000: {cause}"
     assert err.value.last_state is None
+
+
+# ---------------------------------------------------------------------------
+# both steppers against an out-of-place ETD2RK loop
+# ---------------------------------------------------------------------------
+
+
+def _out_of_place_etd2rk(tables, z, forcing, dt):
+    """One ETD2RK step on the real (..., 2, 2) tables, every sum a new array,
+    in the term order of ``etd2rk_step``."""
+    p, r1, r2 = tables
+
+    def add(w, table, f):
+        out = list(w)
+        for i in range(2):
+            for j in range(2):
+                if f[j] is not None:
+                    out[i] = out[i] + table[..., i, j] * f[j]
+        return tuple(out)
+
+    f = forcing(z, 0.0)
+    pred = [add(apply2(p, *zi), r1, fi) for zi, fi in zip(z, f)]
+    g = forcing(pred, dt)
+    slope = [tuple(None if fk is None else (gk - fk) / dt for fk, gk in zip(fi, gi)) for fi, gi in zip(f, g)]
+    return [add(ai, r2, si) for ai, si in zip(pred, slope)]
+
+
+def _euler_nonlinear_out_of_place(c, psih, ah):
+    """The Eulerian forcing written out, with the real e1, e2 numpy casts per product."""
+    u1, u2 = c.inv(c.e1.real * ah), c.inv(c.e2.real * ah)
+    d1, d2 = c.inv(c.ik1 * psih), c.inv(c.ik2 * psih)
+    n_psi = -(c.fwd(u1 * d1 + u2 * d2) * c.deal)
+    n_psi[0, 0] = 0.0
+    sd = c.fwd((u1 * u1 + d1 * d1) - (u2 * u2 + d2 * d2)) * c.deal
+    s12 = c.fwd(u1 * u2 + d1 * d2) * c.deal
+    return n_psi, -(c.wd * sd + c.w12 * s12)
+
+
+def _lagrangian_forcing_out_of_place(c, qh):
+    """The Lagrangian forcing written out: grad Y taken at every stage, grad Y_t
+    taken again for the viscous term; the pressure warm-starts from ``qh[0]``."""
+
+    def forcing(z, s):
+        yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
+        t = lag._small(lag._grad_hat(c, *yh))
+        v_phys = (c.inv(vh[0]), c.inv(vh[1]))
+        qh[0], _ = lag._pressure_spectral(c, t, lag._grad_hat(c, *vh), v_phys, *yh, qh[0], False)
+        adj = lag.adjugate(t)
+        out = []
+        for ch in vh:
+            (w1h, w2h), _ = lag._grad_y_hat(c, adj, ch)
+            w1, w2 = c.inv(w1h), c.inv(w2h)
+            u1h = c.fwd(adj.b11 * w1 + adj.b12 * w2) * c.deal
+            u2h = c.fwd(adj.b21 * w1 + adj.b22 * w2) * c.deal
+            out.append(c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch)
+        return [(None, f) for f in lag._minus_grad_y_q(c, adj, out, qh[0])]
+
+    return forcing
+
+
+def test_steppers_match_an_out_of_place_etd2rk_loop_bit_for_bit(grid32):
+    """20 steps of each stepper equal the written-out out-of-place loop: the
+    in-place update on the complex entry tables, the in-place Eulerian sums and
+    the Lagrangian reuse of grad Y and grad Y_t move no bit."""
+    rng = np.random.default_rng(5)
+    psi0, u0 = _euler_data(grid32, rng)
+    es = eul._EulerStepper(grid32, DT)
+    es.load(eul.make_euler_state(psi0, u0))
+    z = [(es.psih, es.ah)]
+
+    def euler_forcing(z, s):
+        return [_euler_nonlinear_out_of_place(es.c, *z[0])]
+
+    for _ in range(20):
+        es.advance()
+        z = _out_of_place_etd2rk(eul._etd(grid32, DT), z, euler_forcing, DT)
+    assert np.array_equal(es.psih, z[0][0]) and np.array_equal(es.ah, z[0][1])
+
+    ls = lag._Stepper(grid32, DT)
+    ls.load(lag.make_state(*_lagrangian_data(grid32, rng)))
+    z, qh = [(ls.yh[0], ls.vh[0]), (ls.yh[1], ls.vh[1])], [ls.qh]
+    forcing = _lagrangian_forcing_out_of_place(ls.c, qh)
+    for _ in range(20):
+        ls.advance()
+        z = _out_of_place_etd2rk(lag._etd(grid32, DT), z, forcing, DT)
+    want = (z[0][0], z[1][0], z[0][1], z[1][1], qh[0])
+    assert all(np.array_equal(a, b) for a, b in zip((*ls.yh, *ls.vh, ls.qh), want))
