@@ -254,6 +254,45 @@ class PressureInfo:
     identity_residual: float | None = None
 
 
+def _pressure_source(
+    c: HalfSpectrum,
+    t: GradTensor,
+    tv: GradTensor,
+    v: tuple[np.ndarray, np.ndarray],
+    y1h: np.ndarray,
+    y2h: np.ndarray,
+    check_identity: bool,
+) -> tuple[np.ndarray, float | None]:
+    """The q-independent part of the pressure equation's right side,
+    div(dA/dt Y_t) + div_Y d1^2 Y, in coefficients, and the relative
+    residual of the conservative-form identity when ``check_identity``."""
+    # dA/dt has the adjugate entry pattern applied to grad Y_t
+    w1h = c.dh(tv.d2y2 * v[0] - tv.d2y1 * v[1])
+    w2h = c.dh(tv.d1y1 * v[1] - tv.d1y2 * v[0])
+    form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=check_identity)
+    ident = None
+    if check_identity:
+        scale = max(1.0, float(np.max(np.abs(form_a))))
+        ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / scale
+    return c.ik1 * w1h + c.ik2 * w2h + form_a, ident
+
+
+def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh: np.ndarray):
+    """One step q -> q_new of the pressure fixed point, in coefficients; its
+    work arrays die when it returns."""
+    wh, (q1, q2) = _grad_y_hat(c, adj, qh)
+    w1q, w2q = c.inv(wh[0]), c.inv(wh[1])
+    del wh
+    # (A - I) A^T grad q + (A^T - I) grad q, with A - I read off grad Y; each
+    # component is transformed before the next is formed
+    h1 = c.ik1 * c.dh(t.d2y2 * w1q - t.d2y1 * w2q + t.d2y2 * q1 - t.d1y2 * q2)
+    h2 = c.ik2 * c.dh(t.d1y1 * w2q - t.d1y2 * w1q + t.d1y1 * q2 - t.d2y1 * q1)
+    rhs = -(h1 + h2) + const
+    qh_new = -rhs * c.inv_ksq
+    qh_new[0, 0] = 0.0
+    return qh_new
+
+
 def _pressure_spectral(
     c: HalfSpectrum,
     t: GradTensor,
@@ -264,31 +303,15 @@ def _pressure_spectral(
     qh0: np.ndarray | None,
     check_identity: bool,
 ) -> tuple[np.ndarray, PressureInfo]:
+    const, ident = _pressure_source(c, t, tv, v, y1h, y2h, check_identity)
     adj = adjugate(t)
-    # dA/dt has the adjugate entry pattern applied to grad Y_t
-    w1h = c.dh(tv.d2y2 * v[0] - tv.d2y1 * v[1])
-    w2h = c.dh(tv.d1y1 * v[1] - tv.d1y2 * v[0])
-    form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=check_identity)
-    ident = None
-    if check_identity:
-        scale = max(1.0, float(np.max(np.abs(form_a))))
-        ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / scale
-    const = c.ik1 * w1h + c.ik2 * w2h + form_a
-    qh = np.zeros_like(const) if qh0 is None else qh0.copy()
+    qh = np.zeros_like(const) if qh0 is None else qh0  # never written in place
     area = c.grid.lx * c.grid.ly
     inc_prev = math.inf
     contraction = 0.0
     for it in range(1, _PRESSURE_MAX_ITERATIONS + 1):
-        (w1h, w2h), (q1, q2) = _grad_y_hat(c, adj, qh)
-        w1q, w2q = c.inv(w1h), c.inv(w2h)
-        # (A - I) A^T grad q + (A^T - I) grad q, with A - I read off grad Y
-        s1 = t.d2y2 * w1q - t.d2y1 * w2q + t.d2y2 * q1 - t.d1y2 * q2
-        s2 = t.d1y1 * w2q - t.d1y2 * w1q + t.d1y1 * q2 - t.d2y1 * q1
-        rhs = -(c.ik1 * c.dh(s1) + c.ik2 * c.dh(s2)) + const
-        qh_new = -rhs * c.inv_ksq
-        qh_new[0, 0] = 0.0
-        diff = (qh_new - qh) / (c.grid.nx * c.grid.ny)
-        inc = math.sqrt(area * c.lattice_sum(np.abs(diff) ** 2))
+        qh_new = _pressure_map(c, t, adj, const, qh)
+        inc = math.sqrt(area * c.lattice_sum(np.abs((qh_new - qh) / (c.grid.nx * c.grid.ny)) ** 2))
         qh = qh_new
         if inc < _PRESSURE_TOL:
             return qh, PressureInfo(it, inc, contraction, ident)
@@ -344,19 +367,26 @@ def _minus_grad_y_q(c: HalfSpectrum, adj: AdjugateField, out: list, qh: np.ndarr
     return out[0], out[1]
 
 
+def _viscous_hat(c: HalfSpectrum, adj: AdjugateField, g1: np.ndarray, g2: np.ndarray, ch: np.ndarray):
+    """(div A A^T grad - Lap) of one component of Y_t, with coefficients ``ch``
+    and gradient (g1, g2) at the nodes; its work arrays die when it returns."""
+    w1h, w2h = _adj_t_hat(c, adj, g1, g2)
+    w1, w2 = c.inv(w1h), c.inv(w2h)
+    u1h = c.dh(adj.b11 * w1 + adj.b12 * w2)
+    u2h = c.dh(adj.b21 * w1 + adj.b22 * w2)
+    return c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch
+
+
 def _rhs_f_spectral(
     c: HalfSpectrum, t: GradTensor, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray
 ):
     """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct),
     given grad Y_t (``tv``) at the nodes."""
     adj = adjugate(t)
-    out = []
-    for ch, grad_ch in zip(vh, ((tv.d1y1, tv.d2y1), (tv.d1y2, tv.d2y2))):
-        w1h, w2h = _adj_t_hat(c, adj, *grad_ch)
-        w1, w2 = c.inv(w1h), c.inv(w2h)
-        u1h = c.dh(adj.b11 * w1 + adj.b12 * w2)
-        u2h = c.dh(adj.b21 * w1 + adj.b22 * w2)
-        out.append(c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch)
+    out = [
+        _viscous_hat(c, adj, tv.d1y1, tv.d2y1, vh[0]),
+        _viscous_hat(c, adj, tv.d1y2, tv.d2y2, vh[1]),
+    ]
     return _minus_grad_y_q(c, adj, out, qh)
 
 

@@ -114,8 +114,9 @@ def etd_entries(tables: tuple) -> tuple:
     )
 
 
-def _add_products(w: list, entries: tuple, f: tuple, tmp: np.ndarray) -> None:
+def _add_products(w: list, entries: tuple, f: tuple) -> None:
     """w[i] += T_ij f[j] in place, one term at a time; a None slot of f is zero."""
+    tmp = np.empty_like(w[0])
     for i in range(2):
         for j in range(2):
             if f[j] is not None:
@@ -140,13 +141,12 @@ def etd2rk_step(tables: tuple, z: list, forcing, dt: float) -> list:
     pred = []
     for (z0, z1), fi in zip(z, f):
         w = [np.multiply(p[0], z0), np.multiply(p[2], z0)]
-        tmp = np.empty_like(w[0])
-        _add_products(w, p, (None, z1), tmp)
-        _add_products(w, r1, fi, tmp)
+        _add_products(w, p, (None, z1))
+        _add_products(w, r1, fi)
         pred.append(w)
     g = forcing(pred, dt)
     for w, fi, gi in zip(pred, f, g):
-        _add_products(w, r2, [None if fk is None else _slope(gk, fk, dt) for fk, gk in zip(fi, gi)], tmp)
+        _add_products(w, r2, [None if fk is None else _slope(gk, fk, dt) for fk, gk in zip(fi, gi)])
     return [tuple(w) for w in pred]
 
 
