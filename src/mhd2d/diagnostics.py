@@ -2,7 +2,8 @@
 
 The composite functional for exponent s collects eleven squared channels of
 the flow-map solution (time-sup norms are of Chemin-Lerner type: the sup is
-taken per dyadic block before the weighted block sum):
+taken per dyadic block before the weighted block sum, ``lp.chemin_lerner_norm``
+on the per-block tables):
 
     E_T^s = ||Y_t||^2_{CL-inf, H^s} + ||Y_t||^2_{CL-inf, H^{s+1}}
           + ||d1 Y||^2_{CL-inf, H^s} + ||Y^2||^2_{CL-inf, H^{s+1}}
@@ -31,12 +32,11 @@ import numpy as np
 from mhd2d.grid import HalfSpectrum, half_spectrum
 from mhd2d.io import write_rows_csv
 from mhd2d.linear import eigenvalues
-from mhd2d.lp import _homogeneous_weight, block_sq_norms
+from mhd2d.lp import _homogeneous_weight, block_sq_norms, chemin_lerner_norm
 
 __all__ = [
     "EnergyLedger",
     "functional_E",
-    "initial_energy",
     "smallness_margin",
     "decay_table",
     "DecayRow",
@@ -73,11 +73,6 @@ def _weights(keys: tuple, s: float) -> np.ndarray:
     return np.array([2.0 ** (2.0 * j * s) for j in keys])
 
 
-def _cl_inf_sq(block_sq: np.ndarray, w: np.ndarray) -> float:
-    """Chemin-Lerner L-inf norm squared: block-wise time sup, then weighted sum."""
-    return float(np.sum(w * np.max(block_sq, axis=1)))
-
-
 def _quad_sq(block_sq: np.ndarray, w: np.ndarray, times: np.ndarray) -> float:
     """int_0^T ||.||^2_{H^s-type} dt from the per-block table."""
     series = w @ block_sq
@@ -99,8 +94,6 @@ def _block_tables(states):
     (rows = isotropic blocks j, cols = states).  The last entry holds the
     half-spectrum coefficients (Y, Y_t) of the first state.
     """
-    if len(states) < 2:
-        raise ValueError("need at least two stored states")
     for st in states:
         if st.q is None:
             raise ValueError("trajectory is missing the pressure channel")
@@ -135,12 +128,15 @@ def _functional(keys: tuple, times: np.ndarray, tabs: dict, s: float) -> tuple[f
     def w(expo):
         return _weights(keys, expo)
 
+    def clinf_sq(tab, expo):
+        return chemin_lerner_norm(keys, times, tab, math.inf, expo, 2)
+
     parts = {
-        "yt_clinf_s": _cl_inf_sq(tabs["yt"], w(s)),
-        "yt_clinf_s1": _cl_inf_sq(tabs["yt"], w(s + 1)),
-        "d1y_clinf_s": _cl_inf_sq(tabs["d1y"], w(s)),
-        "y2_clinf_s1": _cl_inf_sq(tabs["y2"], w(s + 1)),
-        "y_clinf_s2": _cl_inf_sq(tabs["y"], w(s + 2)),
+        "yt_clinf_s": clinf_sq(tabs["yt"], s),
+        "yt_clinf_s1": clinf_sq(tabs["yt"], s + 1),
+        "d1y_clinf_s": clinf_sq(tabs["d1y"], s),
+        "y2_clinf_s1": clinf_sq(tabs["y2"], s + 1),
+        "y_clinf_s2": clinf_sq(tabs["y"], s + 2),
         "yt_l2_s1": _quad_sq(tabs["yt"], w(s + 1), times),
         "yt_l2_s2": _quad_sq(tabs["yt"], w(s + 2), times),
         "d1y_l2_s1": _quad_sq(tabs["d1y"], w(s + 1), times),
@@ -169,18 +165,6 @@ def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:
     return c.norm_sq(w * ((1.0 + c.ksq) * y1_sq + (np.abs(c.ik1) ** 2 + c.ksq**2) * y0_sq))
 
 
-def initial_energy(Y0, Y1, s: float) -> float:
-    """E_0^s from the data alone."""
-    c = half_spectrum(Y0[0].grid)
-    return _initial_energy_hat(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1], s)
-
-
-def _cl_besov_inf(keys: tuple, tab: np.ndarray, s: float) -> float:
-    """Tilde L-inf in time of the homogeneous Besov (2,1) norm, from a
-    per-block table."""
-    return sum(2.0 ** (j * s) * math.sqrt(float(m)) for j, m in zip(keys, np.max(tab, axis=1)))
-
-
 def smallness_margin(states, s1: float, s2: float) -> dict:
     """Sup-in-time functionals and the bootstrap-inequality bookkeeping.
 
@@ -197,10 +181,10 @@ def smallness_margin(states, s1: float, s2: float) -> dict:
         "script_E_T": script_e,
         "script_E_0": e0,
         "ratio_E_T_over_E_0": script_e / e0 if e0 > 0 else 0.0,
-        "gradY_clinf_B1": _cl_besov_inf(keys, tabs["grad_y"], 1.0),
-        "gradY_clinf_B2": _cl_besov_inf(keys, tabs["grad_y"], 2.0),
-        "Y_clinf_Hs1p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(keys, s1 + 2.0))),
-        "Y_clinf_Hs2p2": math.sqrt(_cl_inf_sq(tabs["y"], _weights(keys, s2 + 2.0))),
+        "gradY_clinf_B1": chemin_lerner_norm(keys, times, tabs["grad_y"], math.inf, 1.0),
+        "gradY_clinf_B2": chemin_lerner_norm(keys, times, tabs["grad_y"], math.inf, 2.0),
+        "Y_clinf_Hs1p2": math.sqrt(chemin_lerner_norm(keys, times, tabs["y"], math.inf, s1 + 2.0, 2)),
+        "Y_clinf_Hs2p2": math.sqrt(chemin_lerner_norm(keys, times, tabs["y"], math.inf, s2 + 2.0, 2)),
     }
     denom = e0 + (math.sqrt(e0) + math.sqrt(script_e) + script_e) * script_e
     rep["bootstrap_constant"] = script_e / denom if denom > 0 else 0.0

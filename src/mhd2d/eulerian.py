@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_entries, etd_tables
 from mhd2d.propagators import apply2  # noqa: F401  (perfbench checks apply2 is rebound here)
 
@@ -51,10 +51,8 @@ __all__ = [
     "step_euler",
     "run_euler",
     "make_euler_state",
-    "energy_ledger_update",
     "blowup_integrand",
     "pressure_euler",
-    "momentum_divergence_residual",
 ]
 
 
@@ -246,31 +244,6 @@ def run_euler(
     return EulerRun(states, times, es, ds, aux_t, divs, blow)
 
 
-def energy_ledger_update(state: EulerState, previous: dict | None = None) -> dict:
-    """E, D and (given the previous record) the discrete balance residual
-    |dE/dt + mean(D)| over the elapsed interval."""
-    g = state.psi.grid
-    c = half_spectrum(g)
-    gpsi1, gpsi2 = c.grad(c.fwd(state.psi.samples))
-    e = 0.5 * (
-        l2_norm(RealField(g, gpsi1)) ** 2
-        + l2_norm(RealField(g, gpsi2)) ** 2
-        + l2_norm(state.u[0]) ** 2
-        + l2_norm(state.u[1]) ** 2
-    )
-    d = 0.0
-    for comp in state.u:
-        for dc in c.grad(c.fwd(comp.samples)):
-            d += l2_norm(RealField(g, dc)) ** 2
-    rec = {"t": state.t, "energy": e, "dissipation": d, "residual": None}
-    if previous is not None:
-        h = state.t - previous["t"]
-        if h <= 0:
-            raise ValueError("states must be time-ordered")
-        rec["residual"] = abs((e - previous["energy"]) / h + 0.5 * (d + previous["dissipation"]))
-    return rec
-
-
 def blowup_integrand(state: EulerState) -> float:
     """||grad u||_Linf + ||grad psi||_Linf^2 on the 2x oversampled grid."""
     c = half_spectrum(state.psi.grid)
@@ -307,23 +280,3 @@ def pressure_euler(state: EulerState) -> RealField:
     ph = -2.0 * c.ik2 * psih + acc * c.inv_ksq
     ph[0, 0] = 0.0
     return RealField(g, c.inv(ph))
-
-
-def momentum_divergence_residual(state: EulerState) -> float:
-    """L2 norm of div(momentum tendency) with the recovered pressure; the
-    time derivative drops because div u = 0."""
-    g = state.psi.grid
-    c = half_spectrum(g)
-    psih = c.fwd(state.psi.samples)
-    ph = c.fwd(pressure_euler(state).samples)
-    # advection + magnetic tensor divergence per component
-    s11, s12, s22 = _stress_hat(c, state.u[0].samples, state.u[1].samples, psih)
-    f1 = c.ik1 * s11 + c.ik2 * s12
-    f2 = c.ik1 * s12 + c.ik2 * s22
-    # linear coupling (d1 d2 psi, (Lap + d2^2) psi)
-    l1 = c.ik1 * c.ik2 * psih
-    l2 = (-c.ksq + c.ik2 * c.ik2) * psih
-    r1 = f1 + l1 + c.ik1 * ph
-    r2 = f2 + l2 + c.ik2 * ph
-    div = c.inv(c.ik1 * r1 + c.ik2 * r2)
-    return float(np.sqrt(g.cell_area * np.sum(div**2)))

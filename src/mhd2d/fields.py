@@ -9,7 +9,6 @@ from mhd2d.grid import Grid, RealField, half_spectrum, l2_norm
 __all__ = [
     "gaussian_bump",
     "bump_dx1",
-    "single_mode",
     "random_band_field",
     "random_solenoidal",
     "mode_field",
@@ -37,13 +36,6 @@ def bump_dx1(grid: Grid, amplitude: float, center: tuple[float, float] | None = 
     d1, d2 = _wrapped_offsets(grid, center)
     env = np.exp(-(d1**2 + d2**2) / (2.0 * width**2))
     return RealField(grid, -amplitude * d1 / width * env)
-
-
-def single_mode(grid: Grid, m: int, n: int) -> RealField:
-    """Real mode cos(xi . x) at integer mode (m, n)."""
-    k1 = 2.0 * np.pi * m / grid.lx
-    k2 = 2.0 * np.pi * n / grid.ly
-    return RealField(grid, np.cos(k1 * grid.x1 + k2 * grid.x2))
 
 
 def mode_field(grid: Grid, m: int, n: int, coeff: complex) -> RealField:

@@ -38,7 +38,6 @@ __all__ = [
     "CompanionInfo",
     "FlowMapSeedInfo",
     "solve_companion_potential",
-    "det_U0",
     "build_flow_map_initial",
     "seed_lagrangian_velocity",
     "smallness_report",
@@ -147,15 +146,6 @@ def solve_companion_potential(psi0: RealField, tol: float = 1e-6) -> tuple[RealF
             f"det U0 residual {det_residual:.3e} exceeds tolerance {tol:.1e}; refine the grid"
         )
     return RealField(g, tilde), info
-
-
-def det_U0(psi0: RealField, psitilde0: RealField) -> RealField:
-    """Pointwise det U0 with spectral derivatives (smooth periodic inputs)."""
-    d1p = spectral_derivative(psi0, 1).samples
-    d2p = spectral_derivative(psi0, 2).samples
-    d1t = spectral_derivative(psitilde0, 1).samples
-    d2t = spectral_derivative(psitilde0, 2).samples
-    return RealField(psi0.grid, (1.0 + d2p) * (1.0 - d1t) + d2t * d1p)
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,18 @@ def _pressure_spectral(
     check_identity: bool,
 ) -> tuple[np.ndarray, PressureInfo]:
     const, ident = _pressure_source(c, t, tv, v, y1h, y2h, check_identity)
-    adj = adjugate(t)
+    return _pressure_fixed_point(c, t, adjugate(t), const, qh0, ident)
+
+
+def _pressure_fixed_point(
+    c: HalfSpectrum,
+    t: GradTensor,
+    adj: AdjugateField,
+    const: np.ndarray,
+    qh0: np.ndarray | None,
+    ident: float | None,
+) -> tuple[np.ndarray, PressureInfo]:
+    """The fixed point q = ``_pressure_map``(q) from ``qh0`` (zero when None)."""
     qh = np.zeros_like(const) if qh0 is None else qh0  # never written in place
     area = c.grid.lx * c.grid.ly
     inc_prev = math.inf
@@ -378,11 +389,10 @@ def _viscous_hat(c: HalfSpectrum, adj: AdjugateField, g1: np.ndarray, g2: np.nda
 
 
 def _rhs_f_spectral(
-    c: HalfSpectrum, t: GradTensor, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray
+    c: HalfSpectrum, adj: AdjugateField, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray
 ):
     """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct),
-    given grad Y_t (``tv``) at the nodes."""
-    adj = adjugate(t)
+    given the adjugate of I + grad Y and grad Y_t (``tv``) at the nodes."""
     out = [
         _viscous_hat(c, adj, tv.d1y1, tv.d2y1, vh[0]),
         _viscous_hat(c, adj, tv.d1y2, tv.d2y2, vh[1]),
@@ -415,7 +425,7 @@ def rhs_f(
     t = gradient_tensor(Y)
     vh = (c.fwd(Y_t[0].samples), c.fwd(Y_t[1].samples))
     qh = c.fwd(q.samples)
-    f1h, f2h = _rhs_f_spectral(c, t, _grad_hat(c, *vh), vh, qh)
+    f1h, f2h = _rhs_f_spectral(c, adjugate(t), _grad_hat(c, *vh), vh, qh)
     f = (RealField(g, c.inv(f1h)), RealField(g, c.inv(f2h)))
     if not cross_check:
         return f
@@ -473,15 +483,19 @@ class _Stepper:
     def _forcing(self, z, s):
         """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
         (Y^2, Y^2_t)] at time t + s; the pressure is warm-started from, and
-        stored back into, ``self.qh``.  The held state reuses its grad Y."""
+        stored back into, ``self.qh``.  The held state reuses its grad Y; one
+        adjugate serves the pressure and the forcing, and Y_t at the nodes
+        dies with the pressure source, ahead of the fixed point."""
         c = self.c
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
         held = yh[0] is self.yh[0] and yh[1] is self.yh[1]
         tgrad = self.ty if held else _small(_grad_hat(c, *yh))
         tv = _grad_hat(c, *vh)
-        v_phys = (c.inv(vh[0]), c.inv(vh[1]))
-        self.qh, self.last_pressure = _pressure_spectral(c, tgrad, tv, v_phys, *yh, self.qh, False)
-        f1h, f2h = _rhs_f_spectral(c, tgrad, tv, vh, self.qh)
+        const, _ = _pressure_source(c, tgrad, tv, (c.inv(vh[0]), c.inv(vh[1])), *yh, False)
+        adj = adjugate(tgrad)
+        self.qh, self.last_pressure = _pressure_fixed_point(c, tgrad, adj, const, self.qh, None)
+        del const
+        f1h, f2h = _rhs_f_spectral(c, adj, tv, vh, self.qh)
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:

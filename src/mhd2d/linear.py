@@ -37,7 +37,6 @@ __all__ = [
     "regime",
     "mode_solution",
     "evolve_linear",
-    "block_energy",
     "block_energy_series",
     "measured_decay_rate",
 ]
@@ -160,15 +159,6 @@ def _gsq_density(c: HalfSpectrum, yh, vh) -> np.ndarray:
     v_sq = np.abs(vh[0]) ** 2 + np.abs(vh[1]) ** 2
     cross = np.real(vh[0] * np.conj(yh[0]) + vh[1] * np.conj(yh[1]))
     return 0.5 * (v_sq + (c.k1**2 + 0.25 * c.ksq**2) * y_sq) + 0.25 * c.ksq * cross
-
-
-def block_energy(Y: tuple[RealField, RealField], Y_t: tuple[RealField, RealField], j: int, k: int) -> float:
-    """Anisotropic block energy g_{j,k}^2 of the state (Y, Y_t); 0 for a pair
-    outside the resolved blocks."""
-    c = half_spectrum(Y[0].grid)
-    dens = _gsq_density(c, [c.fwd(f.samples) for f in Y], [c.fwd(f.samples) for f in Y_t])
-    keys, tab = block_sq_norms(c.grid, dens, aniso=True)
-    return float(dict(zip(keys, tab)).get((j, k), 0.0))
 
 
 def block_energy_series(traj: LinearTrajectory) -> dict[tuple[int, int], np.ndarray]:

@@ -17,11 +17,12 @@ use |xi_1| / |xi_2|.  Out-of-range indices give the zero field.
 
 Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
 homogeneous norms drop the mean (the torus surrogate of "modulo constants";
-phi(0) = 0, so every dyadic block does); L-infinity block norms are evaluated
-on a 2x zero-padded grid.  Every per-block squared L2 norm, here and in
-``linear`` and ``diagnostics``, is one product of a cached block-weight matrix
-(squared masks times the Plancherel lattice weights) with a per-mode density
-on the half spectrum (``block_sq_norms``).
+phi(0) = 0, so every dyadic block does); block norms are L2 norms.  Every
+per-block squared L2 norm, here and in ``linear`` and ``diagnostics``, is one
+product of a cached block-weight matrix (squared masks times the Plancherel
+lattice weights) with a per-mode density on the half spectrum
+(``block_sq_norms``), and the Chemin-Lerner norms are taken from the
+(blocks x times) tables of those products (``chemin_lerner_norm``).
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ __all__ = [
     "make_cutoffs",
     "block_iso",
     "block_h",
-    "block_v",
     "low_pass",
     "low_pass_h",
-    "low_pass_v",
     "resolved_range",
     "block_sq_norms",
     "sobolev_norm",
@@ -54,7 +53,6 @@ __all__ = [
     "chemin_lerner_norm",
     "a_ks_norm",
     "bony_decompose",
-    "oversample",
     "ANISO_N0",
 ]
 
@@ -103,14 +101,12 @@ _CUTOFFS = make_cutoffs()
 
 
 def _tau(grid: Grid, kind: str) -> np.ndarray:
-    """|xi|, |xi_1| or |xi_2| on the half spectrum."""
+    """|xi| or |xi_1| on the half spectrum."""
     c = half_spectrum(grid)
     if kind == "iso":
         return np.sqrt(c.ksq)
     if kind == "h":
         return np.abs(c.k1)
-    if kind == "v":
-        return np.abs(c.k2)
     raise ValueError(f"unknown block kind {kind!r}")
 
 
@@ -130,13 +126,8 @@ def resolved_range(grid: Grid, kind: str = "iso") -> tuple[int, int]:
     Chosen so the telescoping sum of phi over the bracket is exactly 1 on all
     resolved magnitudes: chi(2^-j_min tau) = 0 and chi(2^-(j_max+1) tau) = 1.
     """
-    if kind == "iso":
-        tau_min = 2.0 * math.pi * min(1.0 / grid.lx, 1.0 / grid.ly)
-    elif kind == "h":
-        tau_min = 2.0 * math.pi / grid.lx
-    else:
-        tau_min = 2.0 * math.pi / grid.ly
-    tau = _tau(grid, kind)
+    tau = _tau(grid, kind)  # ValueError naming an unknown kind
+    tau_min = 2.0 * math.pi * min(1.0 / grid.lx, 1.0 / grid.ly) if kind == "iso" else 2.0 * math.pi / grid.lx
     tau_max = float(np.max(tau))
     j_min = math.floor(math.log2(0.75 * tau_min) + 1e-12)
     j_max = math.ceil(math.log2(4.0 / 3.0 * tau_max) - 1e-12) - 1
@@ -163,11 +154,6 @@ def block_h(u: RealField, k: int) -> RealField:
     return _apply_mask(u, "h", k, low=False)
 
 
-def block_v(u: RealField, ell: int) -> RealField:
-    """Vertical block on |xi_2| ~ 2^ell."""
-    return _apply_mask(u, "v", ell, low=False)
-
-
 def low_pass(u: RealField, j: int) -> RealField:
     """Isotropic low-pass on |xi| <~ 2^j (mean mode included)."""
     return _apply_mask(u, "iso", j, low=True)
@@ -175,10 +161,6 @@ def low_pass(u: RealField, j: int) -> RealField:
 
 def low_pass_h(u: RealField, k: int) -> RealField:
     return _apply_mask(u, "h", k, low=True)
-
-
-def low_pass_v(u: RealField, ell: int) -> RealField:
-    return _apply_mask(u, "v", ell, low=True)
 
 
 # one matrix per grid and block family; at 128^2 the anisotropic one is
@@ -247,47 +229,17 @@ def sobolev_norm_hat(c: HalfSpectrum, uh: np.ndarray, s: float, homogeneous: boo
     return math.sqrt(c.norm_sq(w * np.abs(uh) ** 2))
 
 
-def oversample(u: RealField, factor: int = 2) -> RealField:
-    """Spectrally exact upsampling by zero padding (``HalfSpectrum.inv_fine``)."""
-    g = u.grid
-    if not np.all(np.isfinite(u.samples)):
-        raise ValueError("non-finite samples")
-    c = half_spectrum(g)
-    samples = c.inv_fine(c.fwd(u.samples), factor)
-    return RealField(Grid(factor * g.nx, factor * g.ny, g.lx, g.ly), samples)
-
-
 def _ell_r(values: np.ndarray, r: float) -> float:
     if r == math.inf:
         return float(np.max(values)) if values.size else 0.0
     return float(np.sum(values**r) ** (1.0 / r))
 
 
-def _block_norms(c: HalfSpectrum, uh: np.ndarray, p: float) -> np.ndarray:
-    """||D_j u||_{L^p} over the resolved isotropic blocks j of the field with
-    half-spectrum coefficients ``uh``: L2 from ``block_sq_norms``, other p
-    from the samples of each block on the 2x finer grid, taken straight from
-    its masked coefficients (``HalfSpectrum.inv_fine``)."""
-    if p == 2:
-        return np.sqrt(block_sq_norms(c.grid, np.abs(uh) ** 2)[1])
-    j0, j1 = resolved_range(c.grid, "iso")
-    g = c.grid
-    norms = []
-    for j in range(j0, j1 + 1):
-        fine = np.abs(c.inv_fine(uh * _mask(g, "iso", j, low=False)))
-        if p == math.inf:
-            norms.append(float(np.max(fine)))
-        else:
-            norms.append(float((0.25 * g.cell_area * np.sum(fine**p)) ** (1.0 / p)))
-    return np.array(norms)
-
-
-def besov_norm(u: RealField, s: float, p: float = 2, r: float = 1) -> float:
-    """Homogeneous Besov norm: ell^r over j of 2^{js} ||D_j u||_{L^p}."""
+def besov_norm(u: RealField, s: float, r: float = 1) -> float:
+    """Homogeneous Besov norm B^s_{2,r}: ell^r over j of 2^{js} ||D_j u||_{L2}."""
     c = half_spectrum(u.grid)
-    j0, j1 = resolved_range(u.grid, "iso")
-    norms = _block_norms(c, c.fwd(u.samples), p)
-    return _ell_r(np.array([2.0 ** (j * s) for j in range(j0, j1 + 1)]) * norms, r)
+    keys, tab = block_sq_norms(u.grid, np.abs(c.fwd(u.samples)) ** 2)
+    return _ell_r(np.array([2.0 ** (j * s) for j in keys]) * np.sqrt(tab), r)
 
 
 def aniso_norm(u: RealField, s1: float, s2: float) -> float:
@@ -301,34 +253,31 @@ def aniso_norm(u: RealField, s1: float, s2: float) -> float:
 
 
 def chemin_lerner_norm(
-    fields: Sequence[RealField],
-    times: Sequence[float],
-    lam: float,
-    s: float,
-    p: float = 2,
-    r: float = 1,
+    keys: tuple, times: Sequence[float], tab: np.ndarray, lam: float, s: float, r: float = 1
 ) -> float:
-    """Time-integrated Besov norm with the time integral inside the block sum.
+    """r-th power of the Chemin-Lerner norm of u in L~^lam_T(B^s_{2,r}), the
+    time norm taken inside the block sum,
 
-    Per block j: w_j = (int_0^T ||D_j u(t)||_{L^p}^lam dt)^{1/lam} by trapezoid
-    (max over samples when lam = inf), then ell^r of 2^{js} w_j.
+        sum_j (2^{js} ||D_j u||_{L^lam_T L2})^r,
+
+    from the (blocks x times) table ``tab`` of squared block norms
+    ||D_j u(t)||_{L2}^2 over the isotropic ``keys`` j (``block_sq_norms``).
+
+    The time norm runs over the squared table: by trapezoid over
+    ``tab ** (lam / 2)``, or as the max of ``tab`` when lam = inf.  r = 2 gives
+    the squared norm, with no square root taken and one numpy sum over the
+    blocks; other r add the blocks one at a time in key order.
     """
-    times = np.asarray(times, dtype=float)
-    if len(fields) != times.size or times.size < 2:
-        raise ValueError("need at least two uniformly spaced time samples")
-    dt = np.diff(times)
-    if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-14):
-        raise ValueError("time samples must be uniform")
-    c = half_spectrum(fields[0].grid)
-    j0, j1 = resolved_range(c.grid, "iso")
-    js = range(j0, j1 + 1)
-    block_series = np.array([_block_norms(c, c.fwd(f.samples), p) for f in fields]).T
+    if np.ndim(tab) != 2 or np.shape(tab)[1] < 2:
+        raise ValueError("need at least two time samples")
     if lam == math.inf:
-        w = np.max(block_series, axis=1)
+        sq = np.max(tab, axis=1)
     else:
-        w = np.trapezoid(block_series**lam, times, axis=1) ** (1.0 / lam)
-    vals = np.array([2.0 ** (j * s) for j in js]) * w
-    return _ell_r(vals, r)
+        sq = np.trapezoid(tab ** (lam / 2.0), times, axis=1) ** (2.0 / lam)
+    w = np.array([2.0 ** (r * j * s) for j in keys])
+    if r == 2:
+        return float(np.sum(w * sq))
+    return float(sum(w * np.sqrt(sq) ** r))
 
 
 def a_ks_norm(f: RealField, k: int, s: float) -> float:

@@ -5,7 +5,8 @@ The library runs every spectral operation on the ``rfft2`` half spectrum
 over the whole ``nx x ny`` lattice in FFT order: the 1/N-normalised transforms
 (a pure mode ``exp(i xi . x)`` has coefficient 1), the mode-index and
 wavenumber tables, the 2/3 mask, the dealiased product and the per-mode
-companion matrices of the linear flow-map system.
+companion matrices of the linear flow-map system, and the closed-form real
+mode ``single_mode`` sampled at the nodes.
 """
 
 from functools import lru_cache
@@ -65,3 +66,10 @@ def companion_matrices(g: Grid) -> np.ndarray:
     m[..., 1, 0] = -(t.k1**2)
     m[..., 1, 1] = -t.k_sq
     return m
+
+
+def single_mode(grid: Grid, m: int, n: int) -> RealField:
+    """Real mode cos(xi . x) at integer mode (m, n)."""
+    k1 = 2.0 * np.pi * m / grid.lx
+    k2 = 2.0 * np.pi * n / grid.ly
+    return RealField(grid, np.cos(k1 * grid.x1 + k2 * grid.x2))

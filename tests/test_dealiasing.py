@@ -129,7 +129,7 @@ def test_rhs_f_fused_matches_pairwise(seed, n):
     t = lag._grad_hat(c, c.fwd(field()), c.fwd(field()))
     vh = (c.fwd(field()), c.fwd(field()))
     qh = c.fwd(field(1.0))
-    fused = lag._rhs_f_spectral(c, t, lag._grad_hat(c, *vh), vh, qh)
+    fused = lag._rhs_f_spectral(c, lag.adjugate(t), lag._grad_hat(c, *vh), vh, qh)
 
     adj = lag.adjugate(t)
     ref = []
@@ -235,6 +235,32 @@ def test_lagrangian_forcing_costs_29_plus_8_per_pressure_iteration(rng, fft_fiel
     s._forcing([(1.01 * y, v) for y, v in z], 0.01)
     assert s.last_pressure.iterations >= 2
     assert fft_fields["fields"] == 33 + 8 * s.last_pressure.iterations
+
+
+def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):
+    """The pressure fixed point and the forcing share one adjugate of
+    I + grad Y per forcing evaluation: one step of ETD2RK evaluates the
+    forcing twice and builds two adjugates."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    s = lag._Stepper(g, 0.01)
+    s.load(lag.FlowMapState(Y, V, RealField(g, np.zeros(g.shape)), 0.0))
+    calls = Counter()
+    adjugate, forcing = lag.adjugate, s._forcing
+
+    def counted_adjugate(t):
+        calls["adjugate"] += 1
+        return adjugate(t)
+
+    def counted_forcing(z, t):
+        calls["forcing"] += 1
+        return forcing(z, t)
+
+    monkeypatch.setattr(lag, "adjugate", counted_adjugate)
+    monkeypatch.setattr(s, "_forcing", counted_forcing)
+    s.advance()
+    assert calls == {"forcing": 2, "adjugate": 2}
 
 
 def test_euler_step_costs_14_fields(rng, fft_fields):

@@ -9,7 +9,6 @@ from mhd2d.grid import RealField, make_grid, spectral_derivative
 from mhd2d.initial_data import (
     ConstructionError,
     build_flow_map_initial,
-    det_U0,
     seed_lagrangian_velocity,
     smallness_report,
     solve_companion_potential,
@@ -70,29 +69,6 @@ def test_companion_rejects_large_gradient(grid128):
     psi0 = gaussian_bump(grid128, 0.8, width=0.8)
     with pytest.raises(ConstructionError):
         solve_companion_potential(psi0)
-
-
-# ---------------------------------------------------------------------------
-# det U0
-# ---------------------------------------------------------------------------
-
-
-def test_det_u0_identity(grid128):
-    z = RealField(grid128, np.zeros(grid128.shape))
-    assert np.max(np.abs(det_U0(z, z).samples - 1.0)) == 0.0
-
-
-def test_det_u0_matches_expansion(grid128, rng):
-    from mhd2d.fields import random_band_field
-
-    a = random_band_field(grid128, rng, 1.0, 6.0, amplitude=0.01)
-    b = random_band_field(grid128, rng, 1.0, 6.0, amplitude=0.01)
-    d1a = spectral_derivative(a, 1).samples
-    d2a = spectral_derivative(a, 2).samples
-    d1b = spectral_derivative(b, 1).samples
-    d2b = spectral_derivative(b, 2).samples
-    expected = (1.0 + d2a) * (1.0 - d1b) + d2b * d1a
-    assert np.max(np.abs(det_U0(a, b).samples - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

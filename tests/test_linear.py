@@ -11,10 +11,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from mhd2d import eulerian, lagrangian, lp
-from mhd2d.fields import mode_field, random_band_field, single_mode
+from mhd2d.fields import mode_field, random_band_field
 from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid
 from mhd2d.linear import (
-    block_energy,
+    LinearTrajectory,
     block_energy_series,
     eigenvalues,
     evolve_linear,
@@ -261,14 +261,23 @@ def test_forced_evolution_exact_for_forcing_linear_in_time(grid32):
 # ---------------------------------------------------------------------------
 
 
+def _block_energy(Y, Y_t, j, k):
+    """g_{j,k}^2 of the state (Y, Y_t), 0 for a pair with no energy: the one
+    entry of the block-energy series of a one-sample trajectory."""
+    c = half_spectrum(Y[0].grid)
+    fwd = [np.stack([c.fwd(f.samples) for f in pair])[None] for pair in (Y, Y_t)]
+    series = block_energy_series(LinearTrajectory(c.grid, np.array([0.0]), *fwd))
+    return float(series[(j, k)][0]) if (j, k) in series else 0.0
+
+
 def test_block_energy_zero(grid32):
     z = _zero_pair(grid32)
-    assert block_energy(z, z, 1, 1) == 0.0
+    assert _block_energy(z, z, 1, 1) == 0.0
 
 
 def test_block_energy_single_mode_value(grid64):
     """xi = (1, 0), yhat = 1, vhat = 0: g^2 = (5/8) x block mass."""
-    u = single_mode(grid64, 1, 0)
+    u = fl.single_mode(grid64, 1, 0)
     Y = (u, RealField(grid64, np.zeros(grid64.shape)))
     V = _zero_pair(grid64)
     cut = lp.make_cutoffs()
@@ -278,7 +287,7 @@ def test_block_energy_single_mode_value(grid64):
             wk = float(cut.phi(2.0 ** (-k)))
             mass = (wj * wk) ** 2 * l2_norm(u) ** 2
             expected = (5.0 / 8.0) * mass
-            assert block_energy(Y, V, j, k) == pytest.approx(expected, abs=1e-12)
+            assert _block_energy(Y, V, j, k) == pytest.approx(expected, abs=1e-12)
 
 
 def test_block_energy_equivalence_bounds(grid32, rng):
@@ -294,7 +303,7 @@ def test_block_energy_equivalence_bounds(grid32, rng):
         vb = lp.block_h(lp.block_iso(v, j), k)
         Y = (yb, RealField(grid32, np.zeros(grid32.shape)))
         V = (vb, RealField(grid32, np.zeros(grid32.shape)))
-        gsq = block_energy(Y, V, j, k)
+        gsq = _block_energy(Y, V, j, k)
         # block-localize once more to match the double-block in g
         ybb = lp.block_h(lp.block_iso(yb, j), k)
         vbb = lp.block_h(lp.block_iso(vb, j), k)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhd2d import lp
-from mhd2d.fields import random_band_field, single_mode
+from mhd2d.fields import random_band_field
 from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, spectral_derivative
 
-from full_lattice import dealiased_product
+from full_lattice import dealiased_product, single_mode
 
 TWO_PI = 2.0 * np.pi
 
@@ -82,6 +82,10 @@ def test_out_of_range_blocks_are_zero(grid64, rng):
     f = random_band_field(grid64, rng, 1.0, 20.0)
     assert l2_norm(lp.block_iso(f, 40)) == 0.0
     assert l2_norm(lp.block_iso(f, -30)) == 0.0
+    # the block families are "iso" and "h"; any other kind is rejected by name
+    for kind in ("v", "vertical"):
+        with pytest.raises(ValueError, match=repr(kind)):
+            lp.resolved_range(grid64, kind)
 
 
 def test_blockset_reconstruction(grid64, rng):
@@ -173,12 +177,12 @@ def test_besov_single_mode_two_block_value(grid64):
     u = RealField(grid64, u.samples / l2_norm(u))
     w = [float(cut.phi(2.0 ** (-j))) for j in (-1, 0)]
     expected = math.sqrt(w[0] ** 2 + w[1] ** 2)
-    assert lp.besov_norm(u, 0.0, 2, 2) == pytest.approx(expected, abs=1e-10)
+    assert lp.besov_norm(u, 0.0, 2) == pytest.approx(expected, abs=1e-10)
     assert 0.70 < expected < 1.0
 
 
 def test_besov_zero_field(grid32):
-    assert lp.besov_norm(RealField(grid32, np.zeros(grid32.shape)), 0.7, 2, 1) == 0.0
+    assert lp.besov_norm(RealField(grid32, np.zeros(grid32.shape)), 0.7, 1) == 0.0
 
 
 def test_besov_interpolation_ratio_bounded(grid64):
@@ -189,7 +193,7 @@ def test_besov_interpolation_ratio_bounded(grid64):
     worst = 0.0
     for _ in range(100):
         f = random_band_field(grid64, rng, 1.0, 20.0)
-        b = lp.besov_norm(f, s, 2, 1)
+        b = lp.besov_norm(f, s, 1)
         h1 = lp.sobolev_norm(f, s1)
         h2 = lp.sobolev_norm(f, s2)
         worst = max(worst, b / (h1**theta * h2 ** (1.0 - theta)))
@@ -212,7 +216,7 @@ def test_besov22_equivalent_to_sobolev(grid64, rng):
     ratios = []
     for _ in range(100):
         f = random_band_field(grid64, rng, 1.0, 20.0)
-        ratios.append(lp.besov_norm(f, 0.7, 2, 2) / lp.sobolev_norm(f, 0.7))
+        ratios.append(lp.besov_norm(f, 0.7, 2) / lp.sobolev_norm(f, 0.7))
     lo, hi = min(ratios), max(ratios)
     # two-block overlap and 2^j vs |xi| distortion bound the ratio
     assert 0.2 < lo <= hi < 4.0
@@ -246,7 +250,7 @@ def test_aniso_embedding_ratio(grid64, rng):
     worst = 0.0
     for _ in range(20):
         f = random_band_field(grid64, rng, 1.0, 20.0)
-        ratio = lp.aniso_norm(f, 0.25, 0.25) / lp.besov_norm(f, 0.5, 2, 1)
+        ratio = lp.aniso_norm(f, 0.25, 0.25) / lp.besov_norm(f, 0.5, 1)
         worst = max(worst, ratio)
     assert worst < 15.0
 
@@ -261,13 +265,20 @@ def test_aniso_no_horizontal_content(grid64):
 # ---------------------------------------------------------------------------
 
 
+def _block_table(fields):
+    """Isotropic keys and the (blocks x times) table of squared L2 block
+    norms of a series of fields."""
+    c = half_spectrum(fields[0].grid)
+    return lp.block_sq_norms(c.grid, np.stack([np.abs(c.fwd(f.samples)) ** 2 for f in fields]))
+
+
 def test_chemin_lerner_time_constant():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     u = single_mode(g, 2, 1)
     times = np.linspace(0.0, 3.0, 61)
-    fields = [u] * times.size
-    got = lp.chemin_lerner_norm(fields, times, lam=2.0, s=0.5, p=2, r=1)
-    expected = 3.0 ** (1.0 / 2.0) * lp.besov_norm(u, 0.5, 2, 1)
+    keys, tab = _block_table([u] * times.size)
+    got = lp.chemin_lerner_norm(keys, times, tab, lam=2.0, s=0.5, r=1)
+    expected = 3.0 ** (1.0 / 2.0) * lp.besov_norm(u, 0.5, 1)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -277,21 +288,22 @@ def test_chemin_lerner_exponential_decay():
     u0 = single_mode(g, 2, 1)
     u0 = RealField(g, u0.samples / l2_norm(u0))
     times = np.linspace(0.0, 20.0, 20001)
-    fields = [RealField(g, math.exp(-t) * u0.samples) for t in times]
-    got = lp.chemin_lerner_norm(fields, times, lam=1.0, s=0.5, p=2, r=1)
-    expected = (1.0 - math.exp(-20.0)) * lp.besov_norm(u0, 0.5, 2, 1)
+    keys, tab = _block_table([RealField(g, math.exp(-t) * u0.samples) for t in times])
+    got = lp.chemin_lerner_norm(keys, times, tab, lam=1.0, s=0.5, r=1)
+    expected = (1.0 - math.exp(-20.0)) * lp.besov_norm(u0, 0.5, 1)
     assert abs(got - expected) < 1e-6
 
 
 def test_chemin_lerner_rejects_short_series(grid32):
-    u = single_mode(grid32, 1, 0)
+    keys, tab = _block_table([single_mode(grid32, 1, 0)])
     with pytest.raises(ValueError):
-        lp.chemin_lerner_norm([u], [0.0], lam=1.0, s=0.0)
+        lp.chemin_lerner_norm(keys, [0.0], tab, lam=1.0, s=0.0)
 
 
 def test_chemin_lerner_zero_series(grid32):
     z = RealField(grid32, np.zeros(grid32.shape))
-    assert lp.chemin_lerner_norm([z, z], [0.0, 1.0], lam=2.0, s=0.3) == 0.0
+    keys, tab = _block_table([z, z])
+    assert lp.chemin_lerner_norm(keys, [0.0, 1.0], tab, lam=2.0, s=0.3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -421,39 +433,8 @@ def test_paraproduct_support(grid64, rng):
 
 def test_oversample_exact(grid32):
     f = RealField.from_function(grid32, lambda x, y: np.sin(3 * x) * np.cos(2 * y) + np.cos(16 * x))
-    fine = lp.oversample(f)
-    g2 = fine.grid
+    c = half_spectrum(grid32)
+    fine = c.inv_fine(c.fwd(f.samples))
+    g2 = make_grid(2 * grid32.nx, 2 * grid32.ny, grid32.lx, grid32.ly)
     expected = np.sin(3 * g2.x1) * np.cos(2 * g2.x2) + np.cos(16 * g2.x1) + 0 * g2.x2
-    assert np.max(np.abs(fine.samples - expected)) < 1e-12
-
-
-def test_block_lp_norms_sample_each_block_from_the_coefficients(grid32, rng, monkeypatch):
-    """p != 2 block norms take each block's samples on the 2x grid straight
-    from the masked coefficients: one forward transform and no inverse one,
-    with the values of the inverse-transform-then-oversample formula."""
-    u = random_band_field(grid32, rng, 1.0, 12.0)
-    j0, j1 = lp.resolved_range(grid32, "iso")
-
-    def former(p):
-        total = 0.0
-        for j in range(j0, j1 + 1):
-            fine = lp.oversample(lp.block_iso(u, j))
-            a = np.abs(fine.samples)
-            norm = np.max(a) if p == math.inf else (fine.grid.cell_area * np.sum(a**p)) ** (1.0 / p)
-            total += 2.0 ** (0.5 * j) * norm
-        return total
-
-    expected = {p: former(p) for p in (math.inf, 3.0)}
-    count = {"rfft2": 0, "irfft2": 0}
-    for name in count:
-        real = getattr(np.fft, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            count[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    got = lp.besov_norm(u, 0.5, math.inf)
-    assert count == {"rfft2": 1, "irfft2": 0}
-    assert got == pytest.approx(expected[math.inf], rel=1e-13)
-    assert lp.besov_norm(u, 0.5, 3.0) == pytest.approx(expected[3.0], rel=1e-13)
+    assert np.max(np.abs(fine - expected)) < 1e-12
