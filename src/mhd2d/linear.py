@@ -28,7 +28,7 @@ import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.lp import block_sq_norms
-from mhd2d.propagators import apply2, expm2
+from mhd2d.propagators import apply2, mode_exponential
 
 __all__ = [
     "ModeEigen",
@@ -93,16 +93,24 @@ def _flow_map_matrix(k1, ksq) -> np.ndarray:
     return m
 
 
+def _check_times(t: np.ndarray) -> None:
+    """ValueError naming the first time that is not finite or is negative."""
+    bad = t[~(np.isfinite(t) & (t >= 0))]
+    if bad.size:
+        raise ValueError(f"t = {float(bad[0])!r}: times must be finite and nonnegative")
+
+
 def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple[np.ndarray, np.ndarray]:
-    """Unforced mode evolution (yhat(t), yhat_t(t)); t may be an array."""
+    """Unforced mode evolution (yhat(t), yhat_t(t)); t may be an array of
+    finite nonnegative times.  The mode's propagator is set up once
+    (``mode_exponential``) and evaluated at each t."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    m = _flow_map_matrix(xi[0], xi[0] ** 2 + xi[1] ** 2)
+    _check_times(t_arr)
+    prop = mode_exponential(_flow_map_matrix(xi[0], xi[0] ** 2 + xi[1] ** 2))
     y = np.empty(t_arr.shape, dtype=complex)
     v = np.empty(t_arr.shape, dtype=complex)
     for i, ti in enumerate(t_arr):
-        y[i], v[i] = apply2(expm2(m, float(ti)), y0, y1)
+        y[i], v[i] = apply2(prop(float(ti)), y0, y1)
     if np.isscalar(t) or np.ndim(t) == 0:
         return y[0], v[0]
     return y, v
@@ -127,20 +135,21 @@ def evolve_linear(
     """Evolve the unforced linear system, storing states at the requested times.
 
     Every stored state is the exact per-mode propagator ``exp(M t)`` applied
-    to the initial data, so it carries no time-step error.
+    to the initial data, so it carries no time-step error.  The propagator of
+    the whole mode stack is set up once (``mode_exponential``) and evaluated
+    at each of the (finite, nonnegative) times.
     """
     g = Y0[0].grid
     c = half_spectrum(g)
     times = np.asarray(sorted(float(t) for t in times))
-    if times[0] < 0:
-        raise ValueError("times must be nonnegative")
-    m = _flow_map_matrix(c.k1, c.ksq)
+    _check_times(times)
+    prop = mode_exponential(_flow_map_matrix(c.k1, c.ksq))
     y0 = np.stack([c.fwd(f.samples) for f in Y0])
     v0 = np.stack([c.fwd(f.samples) for f in Y1])
     ny = np.empty((times.size, 2) + c.ksq.shape, dtype=complex)
     nv = np.empty_like(ny)
     for i, t in enumerate(times):
-        p = expm2(m, float(t))
+        p = prop(float(t))
         for comp in range(2):
             ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
     return LinearTrajectory(g, times, ny, nv)

@@ -9,6 +9,13 @@ exact at double roots and free of overflow for strongly damped modes:
     C = (e^{l-} + e^{l+})/2,   S = (e^{l-} - e^{l+}) / (l- - l+),
 
 with l+- = mu -+ nu the eigenvalues (both with nonpositive real part here).
+``mode_exponential(M)`` computes what does not depend on t (mu, det M, nu,
+mu -+ nu, 2 nu) once per stack and returns ``t -> exp(M t)``.  Each
+evaluation takes the difference quotient S above only on the modes with
+|nu t| >= 1/2, and exp(mu t) (cosh nu t, t sinch nu t) only on the rest, so
+a mode's bits do not depend on the other modes of its stack.  ``expm2`` is
+one such evaluation.
+
 The inhomogeneous responses for a forcing linear in time over one step come
 with exp(M h) from scaling and squaring on the 2x2 blocks, and ``etd2rk_step``
 uses them for the exponential trapezoidal (ETD2RK) step of both nonlinear
@@ -30,47 +37,75 @@ import math
 
 import numpy as np
 
-__all__ = ["expm2", "etd_tables", "etd_entries", "apply2", "etd2rk_step", "MarchError"]
+__all__ = ["mode_exponential", "expm2", "etd_tables", "etd_entries", "apply2", "etd2rk_step", "MarchError"]
 
 _SMALL = 0.5
 
 
-def expm2(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(m * t) for a stack of real 2x2 matrices, shape (..., 2, 2)."""
+def mode_exponential(m: np.ndarray):
+    """``t -> exp(m * t)`` for a stack of real 2x2 matrices, shape (..., 2, 2),
+    with the t-independent algebra done here once (see the module docstring).
+    ValueError unless ``m`` ends in (2, 2) and every entry is finite."""
     m = np.asarray(m, dtype=float)
-    mu = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"m has shape {m.shape}: a stack of 2x2 matrices has shape (..., 2, 2)")
+    bad = m.size - np.count_nonzero(np.isfinite(m))
+    if bad:
+        raise ValueError(f"m has {bad} non-finite entries")
+    shape = m.shape
+    m00, m01, m10, m11 = (m.reshape(-1, 2, 2)[:, i, j] for i in (0, 1) for j in (0, 1))
+    mu = 0.5 * (m00 + m11)
+    det = m00 * m11 - m01 * m10
     nusq = mu * mu - det
     nu = np.sqrt(nusq.astype(complex))
-    z = nu * t
-    big = np.abs(z) >= _SMALL
-    lam_plus = (mu - nu) * t
     # mu + nu cancels for strongly damped slow branches; rationalize via
     # lam_- lam_+ = det  (exact when mu - nu != 0)
-    denom = mu - nu
-    safe = np.abs(denom) > 0
-    lam_minus = np.where(safe, det * t / np.where(safe, denom, 1.0), (mu + nu) * t)
-    # large |nu t|: difference quotient of well-separated exponentials
-    c_big = 0.5 * (np.exp(lam_minus) + np.exp(lam_plus))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_big = np.where(big, (np.exp(lam_minus) - np.exp(lam_plus)) / np.where(big, 2.0 * nu, 1.0), 0.0)
-    # small |nu t|: exp(mu t) (cosh z, t sinch z); sinch by series near 0
-    e_mu = np.exp(np.clip(mu * t, -745.0, 50.0))
-    zs = np.where(big, 0.0, z)
-    zsq = zs * zs
-    tiny = np.abs(zs) < 1e-2
-    denom = np.where(tiny, 1.0, zs)
-    sinch = np.where(tiny, 1.0 + zsq / 6.0 + zsq * zsq / 120.0, np.sinh(denom) / denom)
-    c_small = e_mu * np.cosh(zs)
-    s_small = e_mu * t * sinch
-    c = np.where(big, c_big, c_small)
-    s = np.where(big, s_big, s_small)
-    out = np.empty(m.shape, dtype=complex)
-    out[..., 0, 0] = c + s * (m[..., 0, 0] - mu)
-    out[..., 0, 1] = s * m[..., 0, 1]
-    out[..., 1, 0] = s * m[..., 1, 0]
-    out[..., 1, 1] = c + s * (m[..., 1, 1] - mu)
-    return np.real(out)
+    mu_minus_nu = mu - nu
+    safe = np.abs(mu_minus_nu) > 0
+    denom = np.where(safe, mu_minus_nu, 1.0)
+    mu_plus_nu = mu + nu
+    two_nu = 2.0 * nu
+    # the real entries numpy would cast to complex in every product below
+    d00, e01, e10, d11 = (x.astype(complex) for x in (m00 - mu, m01, m10, m11 - mu))
+
+    def at(t: float) -> np.ndarray:
+        z = nu * t
+        big = np.abs(z) >= _SMALL
+        c = np.empty(z.shape, dtype=complex)
+        s = np.empty_like(c)
+        # large |nu t|: difference quotient of well-separated exponentials
+        i = np.flatnonzero(big)
+        lam_plus = mu_minus_nu[i] * t
+        lam_minus = np.where(safe[i], det[i] * t / denom[i], mu_plus_nu[i] * t)
+        e_minus, e_plus = np.exp(lam_minus), np.exp(lam_plus)
+        c[i] = 0.5 * (e_minus + e_plus)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s[i] = (e_minus - e_plus) / two_nu[i]
+        # small |nu t|: exp(mu t) (cosh z, t sinch z); sinch by series near 0
+        i = np.flatnonzero(~big)
+        zs = z[i]
+        e_mu = np.exp(np.clip(mu[i] * t, -745.0, 50.0))
+        zsq = zs * zs
+        tiny = np.abs(zs) < 1e-2
+        zd = np.where(tiny, 1.0, zs)
+        sinch = np.where(tiny, 1.0 + zsq / 6.0 + zsq * zsq / 120.0, np.sinh(zd) / zd)
+        c[i] = e_mu * np.cosh(zs)
+        s[i] = e_mu * t * sinch
+        out = np.empty(shape, dtype=complex)
+        o = out.reshape(-1, 2, 2)
+        np.add(c, s * d00, out=o[:, 0, 0])
+        np.multiply(s, e01, out=o[:, 0, 1])
+        np.multiply(s, e10, out=o[:, 1, 0])
+        np.add(c, s * d11, out=o[:, 1, 1])
+        return np.real(out)
+
+    return at
+
+
+def expm2(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(m * t) for a stack of real 2x2 matrices, shape (..., 2, 2):
+    ``mode_exponential(m)(t)``."""
+    return mode_exponential(m)(t)
 
 
 def etd_tables(m: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
