@@ -13,9 +13,13 @@ Low frequencies (|xi|^2 <= 2 |xi1|) carry a conjugate pair decaying like
 exp(-t |xi|^2 / 2); high frequencies split into a fast branch ~ exp(-t |xi|^2)
 and a slow branch whose rate ~ xi1^2 / |xi|^2 degenerates as xi1 -> 0.
 
-Trajectories hold half-spectrum coefficients (``grid.half_spectrum``), the
-Lagrangian stepper's layout; block energies are the product of ``lp``'s
-anisotropic block-weight matrix with a per-mode density (``lp.block_sq_norms``).
+A trajectory holds the initial half-spectrum coefficients
+(``grid.half_spectrum``, the Lagrangian stepper's layout) and its times, and
+makes the state at each time from the exact propagator as it is read
+(``LinearTrajectory.states``), so no stack of states is ever stored.  Block
+energies reduce each state as it arrives, as the product of ``lp``'s
+anisotropic block-weight matrix with a per-mode density (``lp.block_sq_norms``);
+a decay fit propagates only its own mode.
 """
 
 from __future__ import annotations
@@ -116,15 +120,35 @@ def mode_solution(xi: tuple[float, float], y0: complex, y1: complex, t) -> tuple
     return y, v
 
 
+def _states(k1, ksq, y0h: np.ndarray, v0h: np.ndarray, times: np.ndarray):
+    """Yield (yh, vh) at each of ``times``: the exact propagator of the mode
+    stack (k1, ksq), set up once, applied to each component of (y0h, v0h)."""
+    prop = mode_exponential(_flow_map_matrix(k1, ksq))
+    for t in times:
+        p = prop(float(t))
+        yh, vh = np.empty_like(y0h), np.empty_like(v0h)
+        for comp in range(2):
+            yh[comp], vh[comp] = apply2(p, y0h[comp], v0h[comp])
+        yield yh, vh
+
+
 @dataclass(frozen=True)
 class LinearTrajectory:
-    """Stored spectral evolution of a vector field pair (Y, Y_t), as
-    half-spectrum coefficients (``HalfSpectrum.fwd`` of each component)."""
+    """Unforced linear evolution of a vector field pair (Y, Y_t) at the stored
+    times, held as the initial half-spectrum coefficients (``HalfSpectrum.fwd``
+    of each component); the states are made as ``states`` is read."""
 
     grid: Grid
-    times: np.ndarray  # (M,)
-    yhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
-    vhat: np.ndarray  # (M, 2, nx, ny // 2 + 1) complex
+    times: np.ndarray  # (M,) sorted, finite, nonnegative
+    y0h: np.ndarray  # (2, nx, ny // 2 + 1) complex
+    v0h: np.ndarray  # (2, nx, ny // 2 + 1) complex
+
+    def states(self):
+        """Yield (yh, vh), each (2, nx, ny // 2 + 1) complex, at each stored
+        time in order.  Each pass sets up the propagator of the whole mode
+        stack once (``mode_exponential``) and holds one state at a time."""
+        c = half_spectrum(self.grid)
+        return _states(c.k1, c.ksq, self.y0h, self.v0h, self.times)
 
 
 def evolve_linear(
@@ -132,27 +156,20 @@ def evolve_linear(
     Y1: tuple[RealField, RealField],
     times: Sequence[float],
 ) -> LinearTrajectory:
-    """Evolve the unforced linear system, storing states at the requested times.
+    """The unforced linear evolution of (Y0, Y1) at the requested times.
 
-    Every stored state is the exact per-mode propagator ``exp(M t)`` applied
-    to the initial data, so it carries no time-step error.  The propagator of
-    the whole mode stack is set up once (``mode_exponential``) and evaluated
-    at each of the (finite, nonnegative) times.
+    The times are checked (finite, nonnegative) and sorted, and the data
+    transformed once; every state the trajectory yields is the exact per-mode
+    propagator ``exp(M t)`` applied to the initial data, so it carries no
+    time-step error.
     """
     g = Y0[0].grid
     c = half_spectrum(g)
     times = np.asarray(sorted(float(t) for t in times))
     _check_times(times)
-    prop = mode_exponential(_flow_map_matrix(c.k1, c.ksq))
     y0 = np.stack([c.fwd(f.samples) for f in Y0])
     v0 = np.stack([c.fwd(f.samples) for f in Y1])
-    ny = np.empty((times.size, 2) + c.ksq.shape, dtype=complex)
-    nv = np.empty_like(ny)
-    for i, t in enumerate(times):
-        p = prop(float(t))
-        for comp in range(2):
-            ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
-    return LinearTrajectory(g, times, ny, nv)
+    return LinearTrajectory(g, times, y0, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +189,14 @@ def _gsq_density(c: HalfSpectrum, yh, vh) -> np.ndarray:
 
 def block_energy_series(traj: LinearTrajectory) -> dict[tuple[int, int], np.ndarray]:
     """g_{j,k}^2 over stored times for every resolved (j, k) pair with a
-    nonzero series; one block-table product per stored time."""
+    nonzero series; one block-table product per stored time, taken as the
+    trajectory yields each state.  An empty trajectory gives ``{}``."""
     c = half_spectrum(traj.grid)
-    dens = (_gsq_density(c, yh, vh) for yh, vh in zip(traj.yhat, traj.vhat))
-    keys, cols = zip(*(block_sq_norms(c.grid, d, aniso=True) for d in dens))
+    dens = (_gsq_density(c, yh, vh) for yh, vh in traj.states())
+    norms = [block_sq_norms(c.grid, d, aniso=True) for d in dens]
+    if not norms:
+        return {}
+    keys, cols = zip(*norms)
     return {key: row for key, row in zip(keys[0], np.column_stack(cols)) if row.max() > 0.0}
 
 
@@ -188,14 +209,21 @@ class DecayFit:
 def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> DecayFit:
     """Least-squares tail slope of log |yhat^1(t)| at one integer mode.
 
+    Only that mode is propagated: the trajectory's states restricted to the
+    one-mode slice of its stack, whose bits are those of the full stack.
     Uses the last half of the stored samples (past the fast transient) and
-    flags windows that span less than one e-folding of decay.  A mode with
-    n < 0 is read off the half spectrum as the conjugate of (-m, -n).
+    flags windows that span less than one e-folding of decay; fewer than 3
+    samples above the round-off floor (an empty trajectory included) give
+    ``DecayFit(nan, False)``.  A mode with n < 0 is read off the half spectrum
+    as the conjugate of (-m, -n).
     """
-    i, j, _ = half_spectrum(traj.grid).mode_index(*xi_mode)
-    series = np.abs(traj.yhat[:, 0, i, j])
+    c = half_spectrum(traj.grid)
+    i, j, _ = c.mode_index(*xi_mode)
+    one = (..., slice(i, i + 1), slice(j, j + 1))
+    states = _states(c.k1[one], c.ksq[one], traj.y0h[one], traj.v0h[one], traj.times)
+    series = np.abs(np.array([yh[0, 0, 0] for yh, _ in states], dtype=complex))
     # discard the round-off floor left by branch contamination at eps level
-    keep = series > max(1e-300, float(series.max()) * 1e-13)
+    keep = series > max(1e-300, float(series.max(initial=0.0)) * 1e-13)
     t, s = traj.times[keep], series[keep]
     if t.size < 3:
         return DecayFit(rate=float("nan"), window_ok=False)

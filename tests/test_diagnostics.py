@@ -6,7 +6,7 @@ from mhd2d import lagrangian as lag
 from mhd2d import lp
 from mhd2d.fields import mode_field, random_band_field, random_solenoidal
 from mhd2d.grid import RealField, half_spectrum
-from mhd2d.linear import block_energy_series, evolve_linear
+from mhd2d.linear import block_energy_series, evolve_linear, measured_decay_rate
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,8 +133,13 @@ def test_smallness_margin_scaling(grid32, rng):
 
 def test_decay_table_zero_mass_skipped(grid32):
     z = (_zeros(grid32), _zeros(grid32))
-    traj = evolve_linear(z, z, [0.0, 1.0, 2.0])
-    assert diag.decay_table(traj.times, block_energy_series(traj)) == []
+    for times in ([0.0, 1.0, 2.0], []):  # zero data, and no times at all
+        traj = evolve_linear(z, z, times)
+        table = block_energy_series(traj)
+        assert table == {}
+        assert diag.decay_table(traj.times, table) == []
+        fit = measured_decay_rate(traj, (1, 2))
+        assert np.isnan(fit.rate) and not fit.window_ok
 
 
 def test_decay_table_regime_rates(grid64, rng):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from mhd2d import eulerian, lagrangian, lp
+from mhd2d import eulerian, lagrangian, linear, lp
 from mhd2d.fields import mode_field, random_band_field
 from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid
 from mhd2d.linear import (
-    LinearTrajectory,
+    _flow_map_matrix,
     block_energy_series,
     eigenvalues,
     evolve_linear,
@@ -22,7 +23,7 @@ from mhd2d.linear import (
     mode_solution,
     regime,
 )
-from mhd2d.propagators import apply2, etd2rk_step, etd_entries, etd_tables
+from mhd2d.propagators import apply2, etd2rk_step, etd_entries, etd_tables, mode_exponential
 
 import full_lattice as fl
 
@@ -148,23 +149,104 @@ def test_mode_solution_vs_ode_oracle(m, n, seed):
 # ---------------------------------------------------------------------------
 
 
+def _evolve_linear_stacked(Y0, Y1, times):
+    """(yhat, vhat), each (M, 2, nx, ny // 2 + 1): the stacked loop of the
+    former ``evolve_linear``, kept verbatim as the reference for the states
+    a trajectory yields."""
+    g = Y0[0].grid
+    c = half_spectrum(g)
+    times = np.asarray(sorted(float(t) for t in times))
+    prop = mode_exponential(_flow_map_matrix(c.k1, c.ksq))
+    y0 = np.stack([c.fwd(f.samples) for f in Y0])
+    v0 = np.stack([c.fwd(f.samples) for f in Y1])
+    ny = np.empty((times.size, 2) + c.ksq.shape, dtype=complex)
+    nv = np.empty_like(ny)
+    for i, t in enumerate(times):
+        p = prop(float(t))
+        for comp in range(2):
+            ny[i, comp], nv[i, comp] = apply2(p, y0[comp], v0[comp])
+    return ny, nv
+
+
+def _stacked(traj):
+    """(yhat, vhat), each (M, 2, nx, ny // 2 + 1): every state of ``traj``."""
+    ys, vs = zip(*traj.states())
+    return np.stack(ys), np.stack(vs)
+
+
+def _same_bits(a, b):
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _band_pair(g, rng):
+    return tuple(random_band_field(g, rng, 1.0, g.nx / 3.0) for _ in range(2))
+
+
+# the 121 times of the linear-blocks benchmark workload (t_end = 20)
+BLOCK_TIMES = np.unique(np.concatenate([[0.0], np.geomspace(1e-4, 20.0, 120)]))
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("times", [BLOCK_TIMES, [0.0, 0.37]], ids=["block-times", "one-step"])
+def test_states_match_the_stacked_loop_bit_for_bit(n, times, rng):
+    g = make_grid(n, n, TWO_PI, TWO_PI)
+    y0, v0 = _band_pair(g, rng), _band_pair(g, rng)
+    ref_y, ref_v = _evolve_linear_stacked(y0, v0, times)
+    traj = evolve_linear(y0, v0, times)
+    count = 0
+    for (yh, vh), want_y, want_v in zip(traj.states(), ref_y, ref_v):
+        assert _same_bits(yh, want_y) and _same_bits(vh, want_v)
+        count += 1
+    assert count == len(times)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_decay_fit_propagates_its_mode_with_the_bits_of_the_full_stack(n, rng, monkeypatch):
+    """measured_decay_rate's one-mode series equals the full stack's series
+    for the modes the linear-decay and dispersion experiments fit, and for a
+    mode with n < 0, read off its stored mirror."""
+    g = make_grid(n, n, TWO_PI, TWO_PI)
+    y0, v0 = _band_pair(g, rng), _band_pair(g, rng)
+    ref_y, _ = _evolve_linear_stacked(y0, v0, BLOCK_TIMES)
+    traj = evolve_linear(y0, v0, BLOCK_TIMES)
+    states = linear._states
+    seen = []
+
+    def spy(*args):
+        for yh, vh in states(*args):
+            seen.append(yh)
+            yield yh, vh
+
+    monkeypatch.setattr(linear, "_states", spy)
+    for mode in ((2, 2), (2, 3), (5, 0), (0, 4), (1, 2), (4, 0), (0, 3), (2, -3)):
+        seen.clear()
+        measured_decay_rate(traj, mode)
+        i, j, _ = half_spectrum(g).mode_index(*mode)
+        assert {yh.shape for yh in seen} == {(2, 1, 1)}
+        assert _same_bits(np.array([yh[0, 0, 0] for yh in seen]), ref_y[:, 0, i, j])
+
+
 def test_evolve_zero_data(grid32):
-    traj = evolve_linear(_zero_pair(grid32), _zero_pair(grid32), [0.0, 1.0, 2.0])
-    assert np.max(np.abs(traj.yhat)) == 0.0 and np.max(np.abs(traj.vhat)) == 0.0
+    yhat, vhat = _stacked(evolve_linear(_zero_pair(grid32), _zero_pair(grid32), [0.0, 1.0, 2.0]))
+    assert np.max(np.abs(yhat)) == 0.0 and np.max(np.abs(vhat)) == 0.0
 
 
 def test_evolve_single_mode_matches_mode_solution(grid32):
     y0 = (mode_field(grid32, 3, 1, 0.5 - 0.25j), RealField(grid32, np.zeros(grid32.shape)))
     v0 = (mode_field(grid32, 3, 1, 0.1 + 0.2j), RealField(grid32, np.zeros(grid32.shape)))
     times = [0.0, 0.7, 1.9]
-    traj = evolve_linear(y0, v0, times)
+    yhat, vhat = _stacked(evolve_linear(y0, v0, times))
     xi = (3.0, 1.0)
     i, j, _ = half_spectrum(grid32).mode_index(3, 1)
     n = grid32.nx * grid32.ny
     for idx, t in enumerate(times):
         y_ref, v_ref = mode_solution(xi, 0.5 - 0.25j, 0.1 + 0.2j, t)
-        assert abs(traj.yhat[idx, 0, i, j] / n - y_ref) < 1e-12
-        assert abs(traj.vhat[idx, 0, i, j] / n - v_ref) < 1e-12
+        assert abs(yhat[idx, 0, i, j] / n - y_ref) < 1e-12
+        assert abs(vhat[idx, 0, i, j] / n - v_ref) < 1e-12
 
 
 def test_evolve_multimode_energy_is_mode_sum(grid32, rng):
@@ -172,10 +254,10 @@ def test_evolve_multimode_energy_is_mode_sum(grid32, rng):
     y0 = (random_band_field(grid32, rng, 1.0, 8.0), random_band_field(grid32, rng, 1.0, 8.0))
     v0 = (random_band_field(grid32, rng, 1.0, 8.0), random_band_field(grid32, rng, 1.0, 8.0))
     t = 0.8
-    traj = evolve_linear(y0, v0, [0.0, t])
+    yhat, _ = _stacked(evolve_linear(y0, v0, [0.0, t]))
     area = grid32.lx * grid32.ly
     n = grid32.nx * grid32.ny
-    direct = area * half_spectrum(grid32).lattice_sum(np.sum(np.abs(traj.yhat[1] / n) ** 2, axis=0))
+    direct = area * half_spectrum(grid32).lattice_sum(np.sum(np.abs(yhat[1] / n) ** 2, axis=0))
     acc = 0.0
     c0 = [fl.fwd(grid32, f.samples) for f in y0]
     c1 = [fl.fwd(grid32, f.samples) for f in v0]
@@ -264,9 +346,7 @@ def test_forced_evolution_exact_for_forcing_linear_in_time(grid32):
 def _block_energy(Y, Y_t, j, k):
     """g_{j,k}^2 of the state (Y, Y_t), 0 for a pair with no energy: the one
     entry of the block-energy series of a one-sample trajectory."""
-    c = half_spectrum(Y[0].grid)
-    fwd = [np.stack([c.fwd(f.samples) for f in pair])[None] for pair in (Y, Y_t)]
-    series = block_energy_series(LinearTrajectory(c.grid, np.array([0.0]), *fwd))
+    series = block_energy_series(evolve_linear(Y, Y_t, [0.0]))
     return float(series[(j, k)][0]) if (j, k) in series else 0.0
 
 
@@ -327,6 +407,24 @@ def test_block_energy_monotone_zero_forcing(grid32, rng):
     for series in block_energy_series(traj).values():
         growth = np.diff(series)
         assert np.all(growth <= 1e-10 * np.maximum(series[:-1], 1e-300))
+
+
+def test_block_energy_series_holds_one_state_at_a_time(rng):
+    """At 128^2 over the 121 block-energy times the stored stacks alone would
+    take 2 x 121 x 2 x 128 x 65 x 16 B = 64 MB; reduced state by state the
+    traced peak stays below 8 MB.  A one-time call first fills the per-grid
+    caches (half-spectrum tables, block weights), which are not per-state."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    y0, v0 = _band_pair(g, rng), _band_pair(g, rng)
+    block_energy_series(evolve_linear(y0, v0, [0.0]))
+    tracemalloc.start()
+    try:
+        table = block_energy_series(evolve_linear(y0, v0, BLOCK_TIMES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table and {row.shape for row in table.values()} == {BLOCK_TIMES.shape}
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
