@@ -11,8 +11,8 @@ Every spectral operation on real fields runs on the real-to-half-spectrum
 frequencies, through one ``HalfSpectrum`` context per grid from
 ``half_spectrum``; Plancherel sums them over the full lattice (``lattice_sum``,
 ``norm_sq``).  Each quadratic sum is dealiased once (``dh``) and nested
-products at each level; sup norms are sampled on a finer grid by zero padding
-(``inv_fine``), with the unpaired Nyquist modes split evenly.  The
+products at each level; sup norms are sampled on the 2x finer grid by zero
+padding (``inv_fine``), with the unpaired Nyquist modes split evenly.  The
 ``HalfSpectrum`` owns every wavenumber and mode-index table; ``Grid`` holds
 only the nodes.
 
@@ -216,24 +216,22 @@ class HalfSpectrum:
         """d1 f and d2 f at the nodes from the half-spectrum coefficients of f."""
         return self.inv(self.ik1 * fh), self.inv(self.ik2 * fh)
 
-    def inv_fine(self, ah: np.ndarray, factor: int = 2) -> np.ndarray:
-        """Real samples on the ``factor``-times finer grid of a stack of
-        half-spectrum coefficient arrays ``(..., nx, ny // 2 + 1)``, by zero
-        padding: the unpaired Nyquist row ``m1 = -nx/2`` is split evenly across
-        ``+-nx/2`` and the Nyquist column ``ny/2`` is halved.  The all-zero
-        upper x2 columns are never transformed."""
-        if not isinstance(factor, (int, np.integer)) or factor < 2:
-            raise ValueError(f"oversampling factor must be an integer >= 2, got {factor!r}")
+    def inv_fine(self, ah: np.ndarray) -> np.ndarray:
+        """Real samples on the 2-times finer grid of a stack of half-spectrum
+        coefficient arrays ``(..., nx, ny // 2 + 1)``, by zero padding: the
+        unpaired Nyquist row ``m1 = -nx/2`` is split evenly across ``+-nx/2``
+        and the Nyquist column ``ny/2`` is halved.  The all-zero upper x2
+        columns are never transformed."""
         nx, ny = self.grid.shape
-        h, fx = nx // 2, factor * nx
-        a = (factor * factor) * ah
+        h, fx = nx // 2, 2 * nx
+        a = 4 * ah
         rows = np.zeros(ah.shape[:-2] + (fx, ny // 2 + 1), dtype=complex)
         rows[..., :h, :] = a[..., :h, :]
         rows[..., fx - h :, :] = a[..., h:, :]
         rows[..., fx - h, :] *= 0.5
         rows[..., h, :] = rows[..., fx - h, :]
         rows[..., -1] *= 0.5
-        return np.fft.irfft(np.fft.ifft(rows, axis=-2), n=factor * ny, axis=-1)
+        return np.fft.irfft(np.fft.ifft(rows, axis=-2), n=2 * ny, axis=-1)
 
     def dh(self, a: np.ndarray) -> np.ndarray:
         """Dealiased half-spectrum coefficients of a physical sum of products

@@ -54,17 +54,14 @@ def window_derivative_x1(arr: np.ndarray, dx: float) -> np.ndarray:
 
     Used on marched quantities whose wake breaks periodicity at the seam;
     near the ends it falls back to one-sided second order (the fields are
-    locally constant there by construction).
+    locally constant there by construction).  Needs at least 6 rows.
     """
     n = arr.shape[0]
     out = np.empty_like(arr)
     c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-    for s in range(3, n - 3):
-        out[s] = sum(c[m] * arr[s - 3 + m] for m in range(7)) / dx
-    for s in (0, 1, 2):
-        out[s] = (-3.0 * arr[s] + 4.0 * arr[s + 1] - arr[s + 2]) / (2.0 * dx)
-    for s in (n - 3, n - 2, n - 1):
-        out[s] = (3.0 * arr[s] - 4.0 * arr[s - 1] + arr[s - 2]) / (2.0 * dx)
+    out[3 : n - 3] = sum(c[m] * arr[m : n - 6 + m] for m in range(7)) / dx
+    out[:3] = (-3.0 * arr[:3] + 4.0 * arr[1:4] - arr[2:5]) / (2.0 * dx)
+    out[n - 3 :] = (3.0 * arr[n - 3 :] - 4.0 * arr[n - 4 : n - 1] + arr[n - 5 : n - 2]) / (2.0 * dx)
     return out
 
 

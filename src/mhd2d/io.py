@@ -37,29 +37,19 @@ def load_field(path_base: str) -> tuple[RealField, dict]:
     return RealField(g, arr.astype(float)), meta
 
 
-def save_flow_snapshot(directory: str, state, prefix: str = "") -> None:
+def _save_snapshot(directory: str, prefix: str, t: float, names: tuple, fields: tuple) -> None:
+    """Each field as ``<directory>/<prefix><name>``, with ``time`` and ``name`` in its sidecar."""
     os.makedirs(directory, exist_ok=True)
-    t = state.t
-    for name, f in (
-        ("Y1", state.Y[0]),
-        ("Y2", state.Y[1]),
-        ("Yt1", state.Y_t[0]),
-        ("Yt2", state.Y_t[1]),
-        ("q", state.q),
-    ):
+    for name, f in zip(names, fields, strict=True):
         save_field(os.path.join(directory, prefix + name), f, time=t, name=name)
+
+
+def save_flow_snapshot(directory: str, state, prefix: str = "") -> None:
+    _save_snapshot(directory, prefix, state.t, ("Y1", "Y2", "Yt1", "Yt2", "q"), (*state.Y, *state.Y_t, state.q))
 
 
 def save_euler_snapshot(directory: str, state, prefix: str = "") -> None:
-    os.makedirs(directory, exist_ok=True)
-    t = state.t
-    for name, f in (
-        ("psi", state.psi),
-        ("u1", state.u[0]),
-        ("u2", state.u[1]),
-        ("p", state.p),
-    ):
-        save_field(os.path.join(directory, prefix + name), f, time=t, name=name)
+    _save_snapshot(directory, prefix, state.t, ("psi", "u1", "u2", "p"), (state.psi, *state.u, state.p))
 
 
 def write_rows_csv(path: str, rows, header: list[str]) -> None:

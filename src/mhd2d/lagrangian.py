@@ -128,7 +128,6 @@ class GradTensor:
 class AdjugateField:
     """Adjugate of I + grad Y: [[1 + d2Y2, -d2Y1], [-d1Y2, 1 + d1Y1]]."""
 
-    grid: Grid
     b11: np.ndarray
     b12: np.ndarray
     b21: np.ndarray
@@ -137,13 +136,7 @@ class AdjugateField:
 
 def _grad_hat(c: HalfSpectrum, y1h: np.ndarray, y2h: np.ndarray) -> GradTensor:
     """grad Y at the nodes from the half-spectrum coefficients of Y^1, Y^2."""
-    return GradTensor(
-        c.grid,
-        d1y1=c.inv(c.ik1 * y1h),
-        d2y1=c.inv(c.ik2 * y1h),
-        d1y2=c.inv(c.ik1 * y2h),
-        d2y2=c.inv(c.ik2 * y2h),
-    )
+    return GradTensor(c.grid, *c.grad(y1h), *c.grad(y2h))
 
 
 def _small(grad: GradTensor) -> GradTensor:
@@ -160,7 +153,6 @@ def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
 
 def adjugate(grad: GradTensor) -> AdjugateField:
     return AdjugateField(
-        grad.grid,
         b11=1.0 + grad.d2y2,
         b12=-grad.d2y1,
         b21=-grad.d1y2,
@@ -603,9 +595,11 @@ def _check_invertible(displacement: tuple[RealField, RealField]) -> None:
 
 def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
     """u(y + Psi(y)) by periodic bicubic interpolation; raises ValueError
-    unless ||grad Psi||_inf < 1."""
-    _check_invertible(displacement)
+    unless Psi lies on the grid of u and ||grad Psi||_inf < 1."""
     g = u.grid
+    if bad := [d.grid for d in displacement if d.grid != g]:
+        raise ValueError(f"displacement on {bad[0]}, u on {g}: both must lie on one grid")
+    _check_invertible(displacement)
     return RealField(g, PeriodicInterpolator(u)(g.x1 + displacement[0].samples, g.x2 + displacement[1].samples))
 
 

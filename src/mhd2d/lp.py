@@ -339,11 +339,8 @@ def bony_decompose(a: RealField, b: RealField, direction: str = "iso"):
     c = half_spectrum(g)
     ca, cb = c.fwd(a.samples), c.fwd(b.samples)
 
-    def blk(ch, j):
-        return c.inv(ch * _mask(g, kind, j, low=False))
-
-    def low(ch, j):
-        return c.inv(ch * _mask(g, kind, j, low=True))
+    def blk(ch, j, low=False):
+        return c.inv(ch * _mask(g, kind, j, low=low))
 
     t_part = np.zeros(g.shape)
     tbar_part = np.zeros(g.shape)
@@ -351,8 +348,8 @@ def bony_decompose(a: RealField, b: RealField, direction: str = "iso"):
     blocks_a = {j: blk(ca, j) for j in range(j0 - 1, j1 + 2)}
     blocks_b = {j: blk(cb, j) for j in range(j0 - 1, j1 + 2)}
     for j in range(j0, j1 + 1):
-        t_part += low(ca, j - 1) * blocks_b[j]
-        tbar_part += low(cb, j - 1) * blocks_a[j]
+        t_part += blk(ca, j - 1, low=True) * blocks_b[j]
+        tbar_part += blk(cb, j - 1, low=True) * blocks_a[j]
         r_part += blocks_a[j] * (blocks_b[j - 1] + blocks_b[j] + blocks_b[j + 1])
     if direction == "iso":
         r_part += np.mean(a.samples) * np.mean(b.samples)

@@ -13,8 +13,7 @@ with l+- = mu -+ nu the eigenvalues (both with nonpositive real part here).
 mu -+ nu, 2 nu) once per stack and returns ``t -> exp(M t)``.  Each
 evaluation takes the difference quotient S above only on the modes with
 |nu t| >= 1/2, and exp(mu t) (cosh nu t, t sinch nu t) only on the rest, so
-a mode's bits do not depend on the other modes of its stack.  ``expm2`` is
-one such evaluation.
+a mode's bits do not depend on the other modes of its stack.
 
 The inhomogeneous responses for a forcing linear in time over one step come
 with exp(M h) from scaling and squaring on the 2x2 blocks, and ``etd2rk_step``
@@ -37,7 +36,7 @@ import math
 
 import numpy as np
 
-__all__ = ["mode_exponential", "expm2", "etd_tables", "etd_entries", "apply2", "etd2rk_step", "MarchError"]
+__all__ = ["mode_exponential", "etd_tables", "etd_entries", "apply2", "etd2rk_step", "MarchError"]
 
 _SMALL = 0.5
 
@@ -100,12 +99,6 @@ def mode_exponential(m: np.ndarray):
         return np.real(out)
 
     return at
-
-
-def expm2(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(m * t) for a stack of real 2x2 matrices, shape (..., 2, 2):
-    ``mode_exponential(m)(t)``."""
-    return mode_exponential(m)(t)
 
 
 def etd_tables(m: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from mhd2d.fields import gaussian_bump, random_band_field, random_solenoidal
 from mhd2d.grid import RealField, l2_norm, make_grid, spectral_derivative
 from mhd2d.initial_data import build_flow_map_initial, solve_companion_potential
 from mhd2d.linear import block_energy_series, eigenvalues, evolve_linear, mode_solution
-from mhd2d.propagators import expm2
+from mhd2d.propagators import mode_exponential
 
 import full_lattice as fl
 
@@ -83,7 +83,7 @@ def test_c01_dispersion_exactness():
         z = sol.y[:, -1]
         t_prev = t
         oracle_at[t] = z.copy()
-        p = expm2(m, t)
+        p = mode_exponential(m)(t)
         y_exact = p[..., 0, 0] * y0 + p[..., 0, 1] * v0
         v_exact = p[..., 1, 0] * y0 + p[..., 1, 1] * v0
         y_ode = z[: y0.size].reshape(g.shape)

@@ -12,6 +12,7 @@ from mhd2d.initial_data import (
     seed_lagrangian_velocity,
     smallness_report,
     solve_companion_potential,
+    window_derivative_x1,
     InitialDatum,
 )
 
@@ -125,6 +126,33 @@ def test_seed_rejects_large_data(grid128):
     tilde = gaussian_bump(grid128, 0.2, width=0.8)
     with pytest.raises(ConstructionError):
         build_flow_map_initial(psi0, tilde)
+
+
+def _window_derivative_x1_rows(arr: np.ndarray, dx: float) -> np.ndarray:
+    """The former row loops of ``window_derivative_x1``, kept verbatim."""
+    n = arr.shape[0]
+    out = np.empty_like(arr)
+    c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    for s in range(3, n - 3):
+        out[s] = sum(c[m] * arr[s - 3 + m] for m in range(7)) / dx
+    for s in (0, 1, 2):
+        out[s] = (-3.0 * arr[s] + 4.0 * arr[s + 1] - arr[s + 2]) / (2.0 * dx)
+    for s in (n - 3, n - 2, n - 1):
+        out[s] = (3.0 * arr[s] - 4.0 * arr[s - 1] + arr[s - 2]) / (2.0 * dx)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 512])
+def test_window_derivative_x1_matches_its_row_loops(n):
+    """Random rows, so a slice off by one row gives other values; signed
+    zeros and constant columns, so the signs of zero results are compared."""
+    arr = np.random.default_rng(n).standard_normal((n, 6))
+    arr[:, 1], arr[:, 2], arr[:, 3] = 0.0, -0.0, 0.7
+    arr[::3, 4] = -0.0
+    for a, dx in ((arr, 0.1), (arr[:, 0], TWO_PI / n), (arr[:, 5].copy(), 3.0)):
+        got, ref = window_derivative_x1(a, dx), _window_derivative_x1_rows(a, dx)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ import pytest
 
 from mhd2d import cli
 from mhd2d import diagnostics as diag
+from mhd2d import eulerian as eul
 from mhd2d import io as mio
+from mhd2d import lagrangian as lag
 from mhd2d import linear as lin
 from mhd2d.fields import random_band_field
 
@@ -31,6 +33,27 @@ def test_field_roundtrip(tmp_path, grid32, rng):
     assert meta["nx"] == 32 and meta["time"] == 1.5
     raw = (tmp_path / "field.bin").read_bytes()
     assert len(raw) == 32 * 32 * 8  # little-endian f8 row-major
+
+
+def test_snapshot_writers_write_each_field_and_its_sidecar(tmp_path, grid32, rng):
+    f = [random_band_field(grid32, rng, 1.0, 8.0) for _ in range(9)]
+    f[0].samples[0, 0] = -0.0
+    flow = lag.FlowMapState((f[0], f[1]), (f[2], f[3]), f[4], 0.25)
+    euler = eul.EulerState(f[5], (f[6], f[7]), f[8], 1.5)
+    mio.save_flow_snapshot(str(tmp_path / "flow"), flow, prefix="final_")
+    mio.save_euler_snapshot(str(tmp_path / "euler"), euler)
+    cases = (
+        ("flow", "final_", 0.25, dict(zip(("Y1", "Y2", "Yt1", "Yt2", "q"), f[:5]))),
+        ("euler", "", 1.5, dict(zip(("psi", "u1", "u2", "p"), f[5:]))),
+    )
+    for directory, prefix, t, fields in cases:
+        written = sorted(os.listdir(tmp_path / directory))
+        assert written == sorted(prefix + name + ext for name in fields for ext in (".bin", ".json"))
+        for name, field in fields.items():
+            back, meta = mio.load_field(str(tmp_path / directory / (prefix + name)))
+            assert meta["time"] == t and meta["name"] == name
+            assert back.grid == grid32
+            assert back.samples.tobytes() == field.samples.tobytes()
 
 
 def test_cli_list_experiments(capsys):

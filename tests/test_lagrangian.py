@@ -506,6 +506,18 @@ def test_compose_rejects_large_displacement(grid32):
         lag.compose(big, (big, _zeros(grid32)))
 
 
+@pytest.mark.parametrize(
+    "other", [make_grid(32, 32, TWO_PI, 3.0), make_grid(64, 64, TWO_PI, TWO_PI)], ids=["other-box", "other-shape"]
+)
+def test_compose_rejects_a_displacement_on_another_grid(grid32, other):
+    """Same shape on another box would be read at the nodes of u; another
+    shape would fail inside numpy.  Either component on ``other`` is named."""
+    message = re.escape(f"displacement on {other}, u on {grid32}")
+    for displacement in (_pair(other), (_zeros(grid32), _zeros(other))):
+        with pytest.raises(ValueError, match=message):
+            lag.compose(_zeros(grid32), displacement)
+
+
 def flow_displacement(chi, n_steps=64):
     """Time-1 flow of the divergence-free field grad^perp chi (RK4; both
     velocity components are one interpolated stack)."""

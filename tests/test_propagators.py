@@ -14,7 +14,7 @@ import pytest
 
 from mhd2d.grid import RealField, half_spectrum, make_grid
 from mhd2d.linear import _flow_map_matrix, evolve_linear, mode_solution
-from mhd2d.propagators import expm2, mode_exponential
+from mhd2d.propagators import mode_exponential
 
 TWO_PI = 2.0 * np.pi
 _SMALL = 0.5
@@ -114,18 +114,10 @@ def test_branch_edges_cover_both_branches():
     assert counts[0] < counts[2]
 
 
-def test_expm2_is_mode_exponential():
-    for m in STACKS.values():
-        for t in (0.0, 1e-4, 0.37, 20.0):
-            assert np.array_equal(expm2(m, t), mode_exponential(m)(t))
-
-
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4, 2), (2,), ()])
 def test_mode_exponential_rejects_a_stack_not_of_2x2_matrices(shape):
     with pytest.raises(ValueError, match=f"shape {re.escape(str(shape))}"):
         mode_exponential(np.zeros(shape))
-    with pytest.raises(ValueError, match="shape"):
-        expm2(np.zeros(shape), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -136,7 +128,7 @@ def test_mode_exponential_rejects_non_finite_entries(bad):
         mode_exponential(m)
     m[0, 0, 0, 0] = bad
     with pytest.raises(ValueError, match="2 non-finite"):
-        expm2(m, 1.0)
+        mode_exponential(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
