@@ -190,7 +190,7 @@ def build_flow_map_initial(
     iterations = 0
     for iterations in range(1, 61):
         new1, new2 = potentials(g.x1 + y1, g.x2 + y2)
-        new2 = -new2
+        np.negative(new2, out=new2)  # in place: y1 and y2 are the two planes of one stack
         inc = max(float(np.max(np.abs(new1 - y1))), float(np.max(np.abs(new2 - y2))))
         y1, y2 = new1, new2
         if inc < 1e-12:
@@ -201,6 +201,7 @@ def build_flow_map_initial(
         prev_inc = inc
     else:
         raise ConstructionError(f"no convergence within 60 iterations (inc={inc:.2e})")
+    del potentials
 
     # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
     #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0

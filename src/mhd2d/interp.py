@@ -7,7 +7,8 @@ condition, whose symbol on the half spectrum is
 one point set, in chunks of points: each point's base node and its 4 + 4
 B-spline weights are formed once, and each of the 16 gathers from the
 wrap-padded coefficient planes serves every field.  Fields are prefiltered
-one at a time, so no temporary spans the stack.
+one at a time, and the points are scaled to grid units chunk by chunk, so no
+temporary spans the stack or the point set.  The fields must lie on one grid.
 """
 
 from __future__ import annotations
@@ -33,10 +34,15 @@ class PeriodicInterpolator:
     """Cubic-spline evaluator for a stack of periodic fields on one grid,
     prefiltered once.  ``self(x1, x2)`` evaluates every field at the
     broadcast points, with shape ``(k, ...)`` for k fields and ``(...)`` for
-    one; a non-finite point raises ValueError."""
+    one; a non-finite point raises ValueError, as do no fields or fields on
+    different grids."""
 
     def __init__(self, *fields: RealField):
+        if not fields:
+            raise ValueError("no fields to interpolate")
         g = self.grid = fields[0].grid
+        if bad := [f.grid for f in fields if f.grid != g]:
+            raise ValueError(f"fields on {g} and {bad[0]}: all must lie on one grid")
         c = half_spectrum(g)
         nx, ny = g.shape
         symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi / nx * c.m1)) * (4.0 + 2.0 * np.cos(2.0 * np.pi / ny * c.m2)) / 36.0
@@ -51,16 +57,18 @@ class PeriodicInterpolator:
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         g = self.grid
         nx, ny = g.shape
-        t1, t2 = np.broadcast_arrays(np.asarray(x1) / g.dx, np.asarray(x2) / g.dy)
-        shape = t1.shape
-        t1, t2 = t1.ravel(), t2.ravel()
-        bad = np.count_nonzero(~(np.isfinite(t1) & np.isfinite(t2)))
-        if bad:
-            raise ValueError(f"{bad} non-finite interpolation points")
+        x1, x2 = np.broadcast_arrays(x1, x2)
+        shape = x1.shape
+        x1, x2 = x1.ravel(), x2.ravel()
         row = ny + 3
-        out = np.empty((self._coeffs.shape[0], t1.size))
-        for lo in range(0, t1.size, _CHUNK):
-            s1, s2 = t1[lo : lo + _CHUNK], t2[lo : lo + _CHUNK]
+        out = np.empty((self._coeffs.shape[0], x1.size))
+        bad = 0
+        for lo in range(0, x1.size, _CHUNK):
+            s1, s2 = x1[lo : lo + _CHUNK] / g.dx, x2[lo : lo + _CHUNK] / g.dy
+            # after the first bad chunk, only count: the message names them all
+            bad += np.count_nonzero(~(np.isfinite(s1) & np.isfinite(s2)))
+            if bad:
+                continue
             f1, f2 = np.floor(s1), np.floor(s2)
             # flat index of the padded node base - 1 (padded index = node + 1)
             base = (f1.astype(np.intp) % nx) * row + f2.astype(np.intp) % ny
@@ -75,4 +83,6 @@ class PeriodicInterpolator:
                     gathered *= w1[a] * w2[b]
                     acc += gathered
             out[:, lo : lo + _CHUNK] = acc
+        if bad:
+            raise ValueError(f"{bad} non-finite interpolation points")
         return out.reshape(shape) if out.shape[0] == 1 else out.reshape(-1, *shape)

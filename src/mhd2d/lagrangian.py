@@ -607,29 +607,58 @@ def invert_flow_map(Y: tuple[RealField, RealField]):
     """Displacement of the inverse map: X^{-1}(x) = x + D(x), by Newton
     (at most 60 iterations, to sup residual 1e-12); raises StateBlowupError
     unless ||grad Y||_inf <= 1/2."""
-    return _invert(Y, _small(gradient_tensor(Y)))
+    return _invert(Y, _gradient_interpolator(Y))
 
 
-def _invert(Y: tuple[RealField, RealField], t: GradTensor):
-    """``invert_flow_map`` given grad Y (checked small) for the Newton Jacobian."""
+def _gradient_interpolator(Y: tuple[RealField, RealField]) -> PeriodicInterpolator:
+    """Interpolator of grad Y (checked small), planes (d1y1, d2y1, d1y2, d2y2)."""
+    t = _small(gradient_tensor(Y))
+    return PeriodicInterpolator(*(RealField(t.grid, a) for a in (t.d1y1, t.d2y1, t.d1y2, t.d2y2)))
+
+
+def _invert(Y: tuple[RealField, RealField], i_g: PeriodicInterpolator):
+    """``invert_flow_map`` given the interpolator of grad Y for the Newton Jacobian."""
     g = Y[0].grid
     i_y = PeriodicInterpolator(*Y)
-    i_g = PeriodicInterpolator(*(RealField(g, a) for a in (t.d1y1, t.d2y1, t.d1y2, t.d2y2)))
     d1 = -Y[0].samples
     d2 = -Y[1].samples
     for _ in range(60):
-        y1, y2 = g.x1 + d1, g.x2 + d2
-        e1, e2 = i_y(y1, y2)
-        r1, r2 = d1 + e1, d2 + e2
-        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        res = _newton_step(g, i_y, i_g, d1, d2)
         if res < 1e-12:
             return RealField(g, d1), RealField(g, d2)
-        j11, j12, j21, j22 = i_g(y1, y2)
-        j11, j22 = 1.0 + j11, 1.0 + j22
-        det = j11 * j22 - j12 * j21
-        d1 = d1 - (j22 * r1 - j12 * r2) / det
-        d2 = d2 - (-j21 * r1 + j11 * r2) / det
     raise RuntimeError(f"flow-map inversion stalled at residual {res:.3e}")
+
+
+def _newton_step(
+    g: Grid, i_y: PeriodicInterpolator, i_g: PeriodicInterpolator, d1: np.ndarray, d2: np.ndarray
+) -> float:
+    """Sup residual of d + Y(x + d); unless it is below 1e-12, one Newton
+    correction of d in place.  Its temporaries die on return."""
+    y1, y2 = g.x1 + d1, g.x2 + d2
+    r = i_y(y1, y2)
+    r[0] += d1
+    r[1] += d2
+    res = max(float(np.max(np.abs(r[0]))), float(np.max(np.abs(r[1]))))
+    if res < 1e-12:
+        return res
+    j = i_g(y1, y2)  # planes j11, j12, j21, j22 of grad Y; j11, j22 += 1 below
+    del y1, y2
+    j[0] += 1.0
+    j[3] += 1.0
+    det = j[0] * j[3]
+    det -= j[1] * j[2]
+    # d1 -= (j22 r1 - j12 r2) / det and d2 -= (j11 r2 - j21 r1) / det, in the planes of j
+    j[3] *= r[0]
+    j[1] *= r[1]
+    j[3] -= j[1]
+    j[3] /= det
+    d1 -= j[3]
+    j[0] *= r[1]
+    j[2] *= r[0]
+    j[0] -= j[2]
+    j[0] /= det
+    d2 -= j[0]
+    return res
 
 
 def magnetic_pullback_check(Y: tuple[RealField, RealField]) -> tuple[RealField, RealField]:
@@ -651,23 +680,21 @@ def to_eulerian(state: FlowMapState):
 
     Returns (EulerState, psitilde, info) where info reports the curl residual
     of the reconstructed gradient fields and the divergence of u.  The
-    inverse displacement is checked once, and the seven fields composed with
-    it are one interpolated stack; grad Y is taken once, for the inversion and
-    the stream-like scalars.
+    inverse displacement is checked once.  grad Y is taken once: its
+    interpolator serves the Newton inversion and then the stream-like scalars
+    at X^{-1}.  The fields composed with X^{-1} are evaluated in the groups
+    their consumers read (Y_t, grad Y, q), so no stack outlives its use.
     """
     from mhd2d.eulerian import EulerState
 
     g = state.Y[0].grid
     c = half_spectrum(g)
-    t = _small(gradient_tensor(state.Y))
-    dinv = _invert(state.Y, t)
+    i_g = _gradient_interpolator(state.Y)
+    dinv = _invert(state.Y, i_g)
     _check_invertible(dinv)
-    grads = (-t.d1y2, t.d1y1, -t.d2y2, t.d2y1)
-    at_dinv = PeriodicInterpolator(*state.Y_t, *(RealField(g, a) for a in grads), state.q)(
-        g.x1 + dinv[0].samples, g.x2 + dinv[1].samples
-    )
-    # the velocity is returned: copied, so it does not hold the whole stack
-    u1, u2 = (RealField(g, a) for a in at_dinv[:2].copy())
+    x1, x2 = g.x1 + dinv[0].samples, g.x2 + dinv[1].samples
+    del dinv
+    u1, u2 = (RealField(g, a) for a in PeriodicInterpolator(*state.Y_t)(x1, x2))
 
     def integrate_gradient(g1: np.ndarray, g2: np.ndarray):
         g1h, g2h = c.fwd(g1), c.fwd(g2)
@@ -677,11 +704,17 @@ def to_eulerian(state: FlowMapState):
         # psi_hat solves i xi . (i xi psi) = div g  =>  -|xi|^2 psi = div g
         return RealField(g, c.inv(ph)), float(np.sqrt(g.cell_area * np.sum(curl**2)))
 
-    psi, curl_psi = integrate_gradient(at_dinv[2], at_dinv[3])
-    psitilde, curl_til = integrate_gradient(at_dinv[4], at_dinv[5])
+    # grad psi = (-d1Y2, d1Y1) and grad psitilde = (-d2Y2, d2Y1) at X^{-1}
+    j = i_g(x1, x2)
+    del i_g
+    np.negative(j[2], out=j[2])
+    np.negative(j[3], out=j[3])
+    psi, curl_psi = integrate_gradient(j[2], j[0])
+    psitilde, curl_til = integrate_gradient(j[3], j[1])
+    del j
 
     dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))
-    p_raw = at_dinv[6] - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    p_raw = PeriodicInterpolator(state.q)(x1, x2) - (dpsi1**2 + (1.0 + dpsi2) ** 2)
     p = RealField(g, p_raw - float(np.mean(p_raw)))
     div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
     info = {

@@ -351,11 +351,12 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
 
 
 def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
-    """Two gradient tensors (the displacement's, shared by the inversion and
-    the stream-like scalars, and the check of the inverse displacement, 6
-    fields each), 14 fields of its own, and the spline prefilter's forward
-    and inverse transform of each interpolated field: Y and grad Y for the
-    inversion (6), and the 7 fields composed with the inverse displacement."""
+    """Two gradient tensors (the displacement's and the check of the inverse
+    displacement, 6 fields each), 14 fields of its own, and the spline
+    prefilter's forward and inverse transform of each interpolated field: Y
+    and grad Y for the inversion (6; grad Y's interpolator also gives the
+    stream-like scalars at the inverse), and Y_t and q composed with the
+    inverse displacement (3)."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y, V = (tuple(random_band_field(g, rng, 1.0, 4.0, 0.02) for _ in range(2)) for _ in range(2))
     state = lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 4.0, 0.02), 0.0)
@@ -370,7 +371,7 @@ def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monke
     fft_fields.clear()
     lag.to_eulerian(state)
     assert calls["gradient_tensor"] == 2
-    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26 + 2 * (6 + 7), 0, 0)
+    assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26 + 2 * (6 + 3), 0, 0)
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):

@@ -2,6 +2,8 @@
 reference (cubic spline prefilter and ``map_coordinates``, both in
 ``grid-wrap`` mode)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,20 @@ def test_non_finite_points_raise(box, bad):
         PeriodicInterpolator(fields[0])(x1, x2)
     with pytest.raises(ValueError, match="^3 non-finite interpolation points"):
         PeriodicInterpolator(*fields[:2])(x1, x2)
+
+
+def test_no_fields_raise():
+    with pytest.raises(ValueError, match="^no fields to interpolate"):
+        PeriodicInterpolator()
+
+
+@pytest.mark.parametrize(
+    "other", [make_grid(64, 48, 2.0 * np.pi, 4.0), make_grid(32, 48, 2.0 * np.pi, 3.0)], ids=["other-box", "other-shape"]
+)
+def test_fields_on_another_grid_raise(box, other):
+    """Same shape on another box would be read on the first field's nodes;
+    another shape would fail inside numpy.  Both grids are named."""
+    g, fields, _, _ = box
+    message = re.escape(f"fields on {g} and {other}: all must lie on one grid")
+    with pytest.raises(ValueError, match=message):
+        PeriodicInterpolator(fields[0], RealField(other, np.zeros(other.shape)), fields[1])

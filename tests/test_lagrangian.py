@@ -601,6 +601,102 @@ def test_to_eulerian_trivial_map(grid64, rng):
     assert info["div_u_l2"] < 1e-10
 
 
+def _whole_stack_invert(Y, t):
+    """Reference Newton inversion: whole-stack temporaries, one expression per update."""
+    g = Y[0].grid
+    i_y = PeriodicInterpolator(*Y)
+    i_g = PeriodicInterpolator(*(RealField(g, a) for a in (t.d1y1, t.d2y1, t.d1y2, t.d2y2)))
+    d1 = -Y[0].samples
+    d2 = -Y[1].samples
+    for _ in range(60):
+        y1, y2 = g.x1 + d1, g.x2 + d2
+        e1, e2 = i_y(y1, y2)
+        r1, r2 = d1 + e1, d2 + e2
+        res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        if res < 1e-12:
+            return RealField(g, d1), RealField(g, d2)
+        j11, j12, j21, j22 = i_g(y1, y2)
+        j11, j22 = 1.0 + j11, 1.0 + j22
+        det = j11 * j22 - j12 * j21
+        d1 = d1 - (j22 * r1 - j12 * r2) / det
+        d2 = d2 - (-j21 * r1 + j11 * r2) / det
+    raise RuntimeError(f"flow-map inversion stalled at residual {res:.3e}")
+
+
+def _whole_stack_to_eulerian(state):
+    """Reference reconstruction: the seven fields composed with X^{-1} as one
+    interpolated stack, gradients negated by copy."""
+    g = state.Y[0].grid
+    c = half_spectrum(g)
+    t = lag._small(lag.gradient_tensor(state.Y))
+    dinv = _whole_stack_invert(state.Y, t)
+    lag._check_invertible(dinv)
+    grads = (-t.d1y2, t.d1y1, -t.d2y2, t.d2y1)
+    at_dinv = PeriodicInterpolator(*state.Y_t, *(RealField(g, a) for a in grads), state.q)(
+        g.x1 + dinv[0].samples, g.x2 + dinv[1].samples
+    )
+    u1, u2 = (RealField(g, a) for a in at_dinv[:2].copy())
+
+    def integrate_gradient(g1, g2):
+        g1h, g2h = c.fwd(g1), c.fwd(g2)
+        curl = c.inv(c.ik1 * g2h - c.ik2 * g1h)
+        num = c.ik1 * g1h + c.ik2 * g2h
+        ph = np.where(c.ksq > 0, num / np.where(c.ksq > 0, -c.ksq, 1.0), 0.0)
+        return RealField(g, c.inv(ph)), float(np.sqrt(g.cell_area * np.sum(curl**2)))
+
+    psi, curl_psi = integrate_gradient(at_dinv[2], at_dinv[3])
+    psitilde, curl_til = integrate_gradient(at_dinv[4], at_dinv[5])
+    dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))
+    p_raw = at_dinv[6] - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    p = RealField(g, p_raw - float(np.mean(p_raw)))
+    div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
+    info = {
+        "curl_residual_psi": curl_psi,
+        "curl_residual_psitilde": curl_til,
+        "div_u_l2": float(np.sqrt(g.cell_area * np.sum(div_u**2))),
+    }
+    return dinv, psi, (u1, u2), p, psitilde, info
+
+
+def _random_flow_state(g, rng, amp):
+    Y, V = (_small_vector(g, rng, amp=amp, kmax=6.0) for _ in range(2))
+    return lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 6.0, amp), 0.0)
+
+
+def test_to_eulerian_is_bit_identical_to_the_whole_stack_formula(rng):
+    """The in-place Newton step and the grouped compositions reorder no
+    operation: the inverse displacement, every returned field and every info
+    float equal the whole-stack reference bit for bit."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    state = _random_flow_state(g, rng, 0.05)
+    dinv, psi, u, p, psitilde, info = _whole_stack_to_eulerian(state)
+    got = lag.invert_flow_map(state.Y)
+    assert all(np.array_equal(a.samples, b.samples) for a, b in zip(got, dinv))
+    est, got_psitilde, got_info = lag.to_eulerian(state)
+    pairs = [(est.psi, psi), (est.u[0], u[0]), (est.u[1], u[1]), (est.p, p), (got_psitilde, psitilde)]
+    assert all(np.array_equal(a.samples, b.samples) for a, b in pairs)
+    assert got_info == info
+
+
+def test_to_eulerian_peak_memory_is_bounded_in_fields():
+    """Above its entry, a warm to_eulerian at 256^2 peaks at no more than 24
+    real fields: no temporary spans the whole composed stack, and no Newton
+    iterate outlives its step (the whole-stack reference reads about 35)."""
+    import tracemalloc
+
+    g = make_grid(256, 256, TWO_PI, TWO_PI)
+    state = _random_flow_state(g, np.random.default_rng(7), 0.02)
+    lag.to_eulerian(state)  # fills the per-grid caches
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        lag.to_eulerian(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * g.nx * g.ny) <= 24.0
+
+
 def test_to_eulerian_roundtrip_through_initial_data(rng):
     """initial data -> t=0 flow state -> Eulerian reconstruction returns the
     inputs within interpolation error at 256^2.
