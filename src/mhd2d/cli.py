@@ -288,8 +288,8 @@ def _exp_dispersion(cfg: ExperimentConfig, out: dict) -> list[dict]:
         e = lin.eigenvalues((float(m), float(n)))
         lam = e.lambda_plus if branch == "fast" else e.lambda_minus
         y0f = recipes.mode_field(g, m, n, 1.0)
-        v0f = recipes.mode_field(g, m, n, lam) if branch == "fast" else RealField(g, np.zeros(g.shape))
-        zero = RealField(g, np.zeros(g.shape))
+        v0f = recipes.mode_field(g, m, n, lam) if branch == "fast" else RealField.zeros(g)
+        zero = RealField.zeros(g)
         traj = lin.evolve_linear((y0f, zero), (v0f, zero), np.linspace(0.0, 8.0, 60))
         fit = lin.measured_decay_rate(traj, (m, n))
         analytic = lam.real
@@ -411,7 +411,7 @@ def _exp_energy_identity(cfg: ExperimentConfig, out: dict) -> list[dict]:
 
 def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g, y0, y1 = _linear_data(cfg)
-    zero = (RealField(g, np.zeros(g.shape)), RealField(g, np.zeros(g.shape)))
+    zero = (RealField.zeros(g), RealField.zeros(g))
     run = lag.run_lagrangian(zero, y1, cfg.dt, cfg.t_end, store_every=max(1, int(round(cfg.t_end / cfg.dt)) // 8), s2_plus_1=cfg.s2 + 1.0)
     ledger = diag.EnergyLedger(run.monitor_times)
     for name in ("det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq"):
@@ -455,8 +455,8 @@ def _exp_eulerian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
 
 def _exp_cross_validate(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g, _, u0 = _euler_data(cfg)
-    psi0 = RealField(g, np.zeros(g.shape))
-    zero = (RealField(g, np.zeros(g.shape)), RealField(g, np.zeros(g.shape)))
+    psi0 = RealField.zeros(g)
+    zero = (RealField.zeros(g), RealField.zeros(g))
     erun = eul.run_euler(psi0, u0, cfg.dt, cfg.t_end)
     lrun = lag.run_lagrangian(zero, u0, cfg.dt, cfg.t_end, store_every=10**9, s2_plus_1=cfg.s2 + 1.0)
     est = erun.states[-1]
@@ -490,13 +490,14 @@ def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     mio.write_json(os.path.join(out["root"], "smallness_report.json"), rep)
     for name, f in (("psi0", psi0), ("psitilde0", psitilde0), ("Y0_1", Y0[0]), ("Y0_2", Y0[1])):
         mio.save_field(os.path.join(out["fields"], name), f, name=name)
+    del psitilde0, datum  # nothing below reads them; they would live through to_eulerian
     recs = [
         _bounded("companion_det_residual", cinfo.det_residual_max, cfg.tol("det_u0")),
         _assert_rec("seed_iterations", "<= 30", finfo.iterations, 30, finfo.iterations <= 30),
         _bounded("seed_gradient_residual_linf", max(finfo.gradient_residuals_linf), cfg.tol("app_grad")),
     ]
     # round trip: t = 0 flow-map state back to Eulerian variables
-    state = lag.FlowMapState(Y0, Y1, RealField(g, np.zeros(g.shape)), 0.0)
+    state = lag.FlowMapState(Y0, Y1, RealField.zeros(g), 0.0)
     est, _, rinfo = lag.to_eulerian(state)
     u_err = max(
         float(np.max(np.abs(est.u[0].samples - u0[0].samples))),

@@ -70,13 +70,14 @@ class EulerState:
 
 @lru_cache(maxsize=8)
 def _etd(grid: Grid, dt: float):
-    """ETD tables of the projected mode matrix [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]]."""
+    """ETD entry tables (``etd_entries``) of the projected mode matrix
+    [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]]."""
     c = half_spectrum(grid)
     m = np.zeros(c.ksq.shape + (2, 2))
     m[..., 0, 1] = -c.e2.real
     m[..., 1, 0] = c.k1 * np.sqrt(c.ksq)
     m[..., 1, 1] = -c.ksq
-    return etd_tables(m, dt)
+    return etd_entries(etd_tables(m, dt))
 
 
 def leray_project(v: tuple[RealField, RealField]) -> tuple[RealField, RealField]:
@@ -112,7 +113,7 @@ def _state_hat(c: HalfSpectrum, psih: np.ndarray, ah: np.ndarray, t: float) -> E
     u1h, u2h = _velocity(c, ah)
     psi = RealField(g, c.inv(psih))
     u = (RealField(g, c.inv(u1h)), RealField(g, c.inv(u2h)))
-    return EulerState(psi, u, pressure_euler(EulerState(psi, u, RealField(g, np.zeros(g.shape)), t)), t)
+    return EulerState(psi, u, pressure_euler(EulerState(psi, u, RealField.zeros(g), t)), t)
 
 
 def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerState:
@@ -125,7 +126,7 @@ class _EulerStepper:
     def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
         self.dt = dt
-        self.tables = etd_entries(_etd(grid, dt))
+        self.tables = _etd(grid, dt)
 
     def load(self, state: EulerState) -> None:
         c = self.c
@@ -190,8 +191,6 @@ class _EulerStepper:
 
     def state(self) -> EulerState:
         return _state_hat(self.c, self.psih, self.ah, self.t)
-
-    held_state = state
 
 
 def step_euler(state: EulerState, dt: float) -> EulerState:

@@ -23,22 +23,22 @@ Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
 (A - I) A^T grad q is dealiased at each level.  The spectral work runs on the
 grid's shared ``half_spectrum`` context, and each step is one
-``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).  The stepper takes
-grad Y of each state it commits once and holds it: the first forcing stage
-of the next step, the monitors and the stored state read it, and the
-forcing passes the pressure's grad Y_t on to its viscous term.
-``run_lagrangian`` monitors each step from the coefficients the stepper
-holds: ``det_err`` and ``||grad Y||_inf`` at the nodes, the constraint
-residual, the energy, the dissipation and the H^{s2+1} norms of d_i Y by
-Plancherel.
+``propagators.etd2rk_step`` on the pairs (Y^j, Y^j_t).  As in the system,
+q belongs to the state: the stepper commits each state with its grad Y,
+grad Y_t and q, solved at the state's own (Y, Y_t) from the predictor's q.
+The first forcing stage of the next step reads all three and solves
+nothing, the monitors read grad Y, and a stored state is inverse transforms
+of the held coefficients.  ``run_lagrangian`` monitors each step from those
+coefficients: ``det_err`` and ``||grad Y||_inf`` at the nodes, the
+constraint residual, the energy, the dissipation and the H^{s2+1} norms of
+d_i Y by Plancherel.
 
 ``run_lagrangian`` and ``step`` march through the loop
-``propagators._march``.  A step is committed only when its result is finite
-and inside the small-data regime (``||grad Y||_inf <= 1/2``, one guard, on
-the held grad Y).  A step whose result leaves the regime, or whose pressure
-fixed point stops, raises ``StateBlowupError`` or
-``PressureConvergenceError`` naming that step and its time, with the state
-the step started from and the stepper's latest pressure.
+``propagators._march``.  A step is committed only when its result is finite,
+inside the small-data regime (``||grad Y||_inf <= 1/2``, one guard) and its
+pressure fixed point converges.  Otherwise it raises ``StateBlowupError``
+or ``PressureConvergenceError`` naming that step and its time, with the
+state the step started from, q included.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ _PRESSURE_TOL = 1e-10  # L2 size of the last fixed-point increment, for every so
 
 @lru_cache(maxsize=8)
 def _etd(grid: Grid, dt: float):
-    """ETD tables of the flow-map mode matrix [[0, 1], [-xi1^2, -|xi|^2]]."""
+    """ETD entry tables (``etd_entries``) of the flow-map mode matrix
+    [[0, 1], [-xi1^2, -|xi|^2]]."""
     c = half_spectrum(grid)
-    return etd_tables(_flow_map_matrix(c.k1, c.ksq), dt)
+    return etd_entries(etd_tables(_flow_map_matrix(c.k1, c.ksq), dt))
 
 
 # ---------------------------------------------------------------------------
@@ -447,74 +448,72 @@ def make_state(Y0: tuple[RealField, RealField], Y1: tuple[RealField, RealField])
 
 
 class _Stepper:
-    """Internal spectral state marcher (``etd2rk_step`` on the pairs (Y^j, Y^j_t))."""
+    """Internal spectral state marcher (``etd2rk_step`` on the pairs (Y^j, Y^j_t)).
+
+    Each state is committed with grad Y, grad Y_t and its pressure q, so the
+    first stage of a step solves nothing and ``state`` only transforms."""
 
     def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
         self.grid = grid
         self.dt = dt
-        self.tables = etd_entries(_etd(grid, dt))
-        self.qh = None
+        self.tables = _etd(grid, dt)
         self.last_pressure: PressureInfo | None = None
 
     def load(self, state: FlowMapState) -> None:
         c = self.c
-        self.qh = c.fwd(state.q.samples)
+        qh = c.fwd(state.q.samples)
         yh = [c.fwd(f.samples) for f in state.Y]
         _small(_grad_hat(c, *yh))  # ahead of _hold: a NaN displacement fails this guard, naming the NaN
-        self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t)
+        self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t, qh)
 
-    def _hold(self, yh: list, vh: list, t: float) -> None:
-        """Hold (Y, Y_t) at time t with grad Y at the nodes (``ty``);
-        StateBlowupError unless they and q are finite and ||grad Y||_inf <= 1/2."""
-        if not all(np.all(np.isfinite(h)) for h in (*yh, *vh, self.qh)):
+    def _stage(self, yh, vh, qh0: np.ndarray):
+        """grad Y (checked small), grad Y_t, the adjugate and the pressure at
+        (Y, Y_t), the fixed point warm-started from ``qh0``; Y_t at the nodes
+        dies with the pressure source, ahead of the fixed point."""
+        c = self.c
+        t = _small(_grad_hat(c, *yh))
+        tv = _grad_hat(c, *vh)
+        const, _ = _pressure_source(c, t, tv, (c.inv(vh[0]), c.inv(vh[1])), *yh, False)
+        adj = adjugate(t)
+        qh, self.last_pressure = _pressure_fixed_point(c, t, adj, const, qh0, None)
+        return t, tv, adj, qh
+
+    def _hold(self, yh: list, vh: list, t: float, qh0: np.ndarray) -> None:
+        """Commit (Y, Y_t) at time t with grad Y (``ty``), grad Y_t (``tv``) and
+        q (``qh``) from ``_stage``: StateBlowupError unless they are finite and
+        ||grad Y||_inf <= 1/2, PressureConvergenceError if the fixed point stops."""
+        if not all(np.all(np.isfinite(h)) for h in (*yh, *vh)):
             raise StateBlowupError("non-finite state")
-        ty = _small(_grad_hat(self.c, *yh))
-        self.yh, self.vh, self.ty, self.t = yh, vh, ty, t
+        ty, tv, _, qh = self._stage(yh, vh, qh0)
+        self.yh, self.vh, self.ty, self.tv, self.qh, self.t = yh, vh, ty, tv, qh, t
 
     def _forcing(self, z, s):
         """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
-        (Y^2, Y^2_t)] at time t + s; the pressure is warm-started from, and
-        stored back into, ``self.qh``.  The held state reuses its grad Y; one
-        adjugate serves the pressure and the forcing, and Y_t at the nodes
-        dies with the pressure source, ahead of the fixed point."""
-        c = self.c
+        (Y^2, Y^2_t)] at time t + s.  The held state brings its own grad Y_t and
+        q; another stage runs ``_stage`` from the held q and keeps its q in
+        ``stage_qh``, the commit's warm start.  One adjugate serves the
+        pressure and the forcing."""
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
-        held = yh[0] is self.yh[0] and yh[1] is self.yh[1]
-        tgrad = self.ty if held else _small(_grad_hat(c, *yh))
-        tv = _grad_hat(c, *vh)
-        const, _ = _pressure_source(c, tgrad, tv, (c.inv(vh[0]), c.inv(vh[1])), *yh, False)
-        adj = adjugate(tgrad)
-        self.qh, self.last_pressure = _pressure_fixed_point(c, tgrad, adj, const, self.qh, None)
-        del const
-        f1h, f2h = _rhs_f_spectral(c, adj, tv, vh, self.qh)
+        if yh[0] is self.yh[0] and yh[1] is self.yh[1]:
+            adj, tv, qh = adjugate(self.ty), self.tv, self.qh
+        else:
+            _, tv, adj, qh = self._stage(yh, vh, self.qh)
+            self.stage_qh = qh
+        f1h, f2h = _rhs_f_spectral(self.c, adj, tv, vh, qh)
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
-        """One step, committed only when its result is finite."""
+        """One step, committed with its pressure only when ``_hold`` passes."""
         z = [(self.yh[0], self.vh[0]), (self.yh[1], self.vh[1])]
         (y1, v1), (y2, v2) = etd2rk_step(self.tables, z, self._forcing, self.dt)
-        self._hold([y1, y2], [v1, v2], self.t + self.dt)
-
-    def fields(self) -> tuple[tuple[RealField, RealField], tuple[RealField, RealField]]:
-        c = self.c
-        Y = tuple(RealField(self.grid, c.inv(h)) for h in self.yh)
-        V = tuple(RealField(self.grid, c.inv(h)) for h in self.vh)
-        return Y, V
+        self._hold([y1, y2], [v1, v2], self.t + self.dt, self.stage_qh)
 
     def state(self) -> FlowMapState:
-        """The held state as real fields, with its pressure solved from the
-        held coefficients, warm-started from ``self.qh``."""
-        c = self.c
-        Y, V = self.fields()
-        qh, _ = _pressure_spectral(c, self.ty, _grad_hat(c, *self.vh), (V[0].samples, V[1].samples), *self.yh,
-                                   self.qh, False)
-        return FlowMapState(Y, V, RealField(self.grid, c.inv(qh)), self.t)
-
-    def held_state(self) -> FlowMapState:
-        """The held state with the latest pressure, without a new solve."""
-        Y, V = self.fields()
-        return FlowMapState(Y, V, RealField(self.grid, self.c.inv(self.qh)), self.t)
+        """The committed state as real fields, q included; no solve."""
+        c, g = self.c, self.grid
+        Y, V = (tuple(RealField(g, c.inv(h)) for h in hs) for hs in (self.yh, self.vh))
+        return FlowMapState(Y, V, RealField(g, c.inv(self.qh)), self.t)
 
 
 def step(state: FlowMapState, dt: float) -> FlowMapState:

@@ -51,7 +51,6 @@ class ModeEigen:
     xi: tuple[float, float]
     lambda_plus: complex
     lambda_minus: complex
-    regime: str  # "parabolic_pair" (low) or "slow_fast" (high)
 
 
 def regime(xi: tuple[float, float]) -> str:
@@ -82,8 +81,7 @@ def eigenvalues(xi: tuple[float, float]) -> ModeEigen:
         root = 1j * math.sqrt(-disc)
         lam_p = -(ksq + root) / 2.0
         lam_m = -(ksq - root) / 2.0
-    kind = "parabolic_pair" if regime(xi) == "low" else "slow_fast"
-    return ModeEigen((x1, x2), lam_p, lam_m, kind)
+    return ModeEigen((x1, x2), lam_p, lam_m)
 
 
 def _flow_map_matrix(k1, ksq) -> np.ndarray:

@@ -18,8 +18,8 @@ a mode's bits do not depend on the other modes of its stack.
 The inhomogeneous responses for a forcing linear in time over one step come
 with exp(M h) from scaling and squaring on the 2x2 blocks, and ``etd2rk_step``
 uses them for the exponential trapezoidal (ETD2RK) step of both nonlinear
-solvers (Cox & Matthews 2002).  A stepper converts its tables once
-(``etd_entries``) into C-contiguous complex entry arrays, and the step sums
+solvers (Cox & Matthews 2002).  Each solver caches its tables in the form
+of ``etd_entries``, C-contiguous complex entry arrays, and the step sums
 each product into the new state in place, in the order of the written-out
 scheme, so the arithmetic is that of the out-of-place sums bit for bit.
 
@@ -205,16 +205,15 @@ def _step_count(dt: float, t_end: float) -> int:
 
 def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
     """March ``state = initial()`` by ``n_steps`` steps of a stepper (``load``
-    and ``advance`` holding only finite states, ``state``, ``held_state``,
-    ``t``, ``dt``).
+    and ``advance`` holding only finite states, ``state``, ``t``, ``dt``).
 
     Returns the stored states (``state``, then ``stepper.state()`` every
     ``store_every`` steps and after the last) and, per ``(name, every,
     sample)`` monitor, the arrays (t, *sample()) sampled at the start, every
     ``every`` steps (a whole number >= 1, else ValueError) and after the last.
     A MarchError in step n is raised again as its own class, naming n and the
-    step's time, with ``held_state()``: the state step n started from (or its
-    result, if storing it failed); building or loading ``state`` is step 0.
+    step's time, with ``stepper.state()``: the state step n started from;
+    building or loading ``state`` is step 0.
     """
     for name, every, *_ in [("store_every", store_every), *monitors]:
         if not (every >= 1 and every % 1 == 0):
@@ -232,10 +231,10 @@ def _march(stepper, initial, n_steps: int, store_every: int, monitors=()):
         t_n = stepper.t + stepper.dt
         try:
             stepper.advance()
-            if n % store_every == 0 or n == n_steps:
-                states.append(stepper.state())
         except MarchError as err:
-            raise type(err)(f"step {n}, t = {t_n:.4f}: {err}", last_state=stepper.held_state()) from err
+            raise type(err)(f"step {n}, t = {t_n:.4f}: {err}", last_state=stepper.state()) from err
+        if n % store_every == 0 or n == n_steps:
+            states.append(stepper.state())
         for (_, every, sample), r in zip(monitors, rows):
             if n % every == 0 or n == n_steps:
                 r.append((stepper.t, *sample()))

@@ -218,34 +218,39 @@ def fft_fields(monkeypatch):
 
 
 def test_lagrangian_forcing_costs_29_plus_8_per_pressure_iteration(rng, fft_fields):
-    """On the held state the forcing reuses the grad Y that ``_hold`` took,
-    and the viscous term the grad Y_t the pressure took; at a predictor stage
-    it takes grad Y itself, 4 fields more."""
+    """The held state's 29 + 8n fields are split: its commit solves q from the
+    predictor's (13 + 8n, after the 4 of the grad Y it holds), so its forcing
+    stage solves nothing and makes only the other 16.  A predictor stage takes
+    grad Y itself and solves: 33 + 8n."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     s = lag._Stepper(g, 0.01)
-    s.load(lag.FlowMapState(Y, V, RealField(g, np.zeros(g.shape)), 0.0))
+    s.load(lag.FlowMapState(Y, V, RealField.zeros(g), 0.0))
     z = [(s.yh[0], s.vh[0]), (s.yh[1], s.vh[1])]
     fft_fields["fields"] = 0
     s._forcing(z, 0.0)
-    assert s.last_pressure.iterations >= 2
-    assert fft_fields["fields"] == 29 + 8 * s.last_pressure.iterations
+    assert fft_fields["fields"] == 16
     fft_fields["fields"] = 0
     s._forcing([(1.01 * y, v) for y, v in z], 0.01)
     assert s.last_pressure.iterations >= 2
     assert fft_fields["fields"] == 33 + 8 * s.last_pressure.iterations
+    fft_fields["fields"] = 0
+    s._hold([1.02 * y for y, _ in z], [v for _, v in z], 0.01, s.stage_qh)
+    assert s.last_pressure.iterations >= 2
+    assert fft_fields["fields"] == 4 + 13 + 8 * s.last_pressure.iterations
 
 
 def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):
     """The pressure fixed point and the forcing share one adjugate of
-    I + grad Y per forcing evaluation: one step of ETD2RK evaluates the
-    forcing twice and builds two adjugates."""
+    I + grad Y per stage: one step of ETD2RK evaluates the forcing twice and
+    commits once, and builds three adjugates (the held state's forcing
+    rebuilds its own from the held grad Y)."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     s = lag._Stepper(g, 0.01)
-    s.load(lag.FlowMapState(Y, V, RealField(g, np.zeros(g.shape)), 0.0))
+    s.load(lag.FlowMapState(Y, V, RealField.zeros(g), 0.0))
     calls = Counter()
     adjugate, forcing = lag.adjugate, s._forcing
 
@@ -260,7 +265,7 @@ def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):
     monkeypatch.setattr(lag, "adjugate", counted_adjugate)
     monkeypatch.setattr(s, "_forcing", counted_forcing)
     s.advance()
-    assert calls == {"forcing": 2, "adjugate": 2}
+    assert calls == {"forcing": 2, "adjugate": 3}
 
 
 def test_euler_step_costs_14_fields(rng, fft_fields):
@@ -375,27 +380,19 @@ def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monke
 
 
 def test_stored_state_transforms_no_field_forward_outside_the_pressure_solve(rng, fft_fields, monkeypatch):
-    """state() solves the pressure from the held coefficients: its only
-    forward transforms are the pressure fixed point's dealiased sums, and
-    outside the solve it makes the 4 real fields it returns, grad Y_t at the
-    nodes (4; grad Y is the one the stepper holds) and q (1)."""
+    """state() reads the pressure the stepper committed with the state: it
+    solves nothing and makes no forward field, only the 5 real fields it
+    returns (Y, Y_t and q)."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     s = lag._Stepper(g, 0.01)
     s.load(lag.make_state(Y, V))
     s.advance()
-    inside = Counter()
-    solve = lag._pressure_spectral
-
-    def counted(*args, **kwargs):
-        before = Counter(fft_fields)
-        out = solve(*args, **kwargs)
-        inside.update(Counter(fft_fields) - before)
-        return out
-
-    monkeypatch.setattr(lag, "_pressure_spectral", counted)
+    solves = []
+    solve = lag._pressure_fixed_point
+    monkeypatch.setattr(lag, "_pressure_fixed_point", lambda *args: solves.append(1) or solve(*args))
     fft_fields.clear()
     s.state()
-    assert inside["rfft2"] > 0
-    assert (fft_fields["rfft2"] - inside["rfft2"], fft_fields["irfft2"] - inside["irfft2"]) == (0, 9)
+    assert solves == []
+    assert (fft_fields["rfft2"], fft_fields["irfft2"]) == (0, 5)

@@ -61,8 +61,6 @@ def test_regime_split():
     assert regime((1.0, 1.0)) == "low"  # boundary |xi|^2 = 2 |xi1| inclusive
     assert regime((0.0, 3.0)) == "high"
     assert regime((1.0, 0.0)) == "low"
-    assert eigenvalues((1.0, 1.0)).regime == "parabolic_pair"
-    assert eigenvalues((0.0, 3.0)).regime == "slow_fast"
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,6 +477,7 @@ def _augmented_expm_tables(m, h):
 def _solver_matrices(module, grid, monkeypatch):
     """The mode matrices a solver's cached ``_etd`` hands to ``etd_tables``."""
     monkeypatch.setattr(module, "etd_tables", lambda m, h: m)
+    monkeypatch.setattr(module, "etd_entries", lambda tables: tables)
     return module._etd.__wrapped__(grid, 1.0)
 
 

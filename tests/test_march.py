@@ -10,7 +10,7 @@ from mhd2d import eulerian as eul
 from mhd2d import lagrangian as lag
 from mhd2d.fields import random_band_field, random_solenoidal
 from mhd2d.grid import RealField
-from mhd2d.propagators import MarchError, apply2
+from mhd2d.propagators import MarchError, apply2, etd_tables
 
 DT = 0.01
 FAILING_STEP = 4
@@ -149,10 +149,47 @@ def test_failing_step_reports_step_time_and_last_state(grid32, case, monkeypatch
     last = err.value.last_state
     assert last.t == times[2 * FAILING_STEP - 2] == before.t > 0
     assert all(np.all(np.isfinite(f.samples)) for f in fields(last))
-    # the state the failing step started from, bit for bit (the Lagrangian q
-    # is the latest pressure of the march, not a new solve)
-    for a, b in list(zip(fields(last), fields(before)))[:-1]:
+    # the state the failing step started from, bit for bit
+    for a, b in zip(fields(last), fields(before)):
         assert np.array_equal(a.samples, b.samples)
+
+
+def test_pressure_failure_at_a_commit_names_its_own_step(grid32, monkeypatch):
+    """A result whose pressure fixed point stops is not committed: the error
+    names the step that made it, with the state that step started from, q
+    included, bit for bit."""
+    before = lag.run_lagrangian(*_lagrangian_data(grid32, np.random.default_rng(5)), DT, (K - 1) * DT).states[-1]
+    solve, calls = lag._pressure_fixed_point, []
+
+    def stopping(*args):
+        # make_state and load solve once each; every step solves its predictor, then its result
+        calls.append(len(calls) + 1)
+        if calls[-1] == 2 * K + 2:  # one iteration that cannot converge
+            monkeypatch.setattr(lag, "_PRESSURE_MAX_ITERATIONS", 1)
+            monkeypatch.setattr(lag, "_PRESSURE_TOL", 0.0)
+        return solve(*args)
+
+    monkeypatch.setattr(lag, "_pressure_fixed_point", stopping)
+    with pytest.raises(lag.PressureConvergenceError) as err:
+        lag.run_lagrangian(*_lagrangian_data(grid32, np.random.default_rng(5)), DT, 10 * DT)
+    assert str(err.value).startswith(f"step {K}, t = {K * DT:.4f}: pressure fixed point stopped at iteration 1 of 1")
+    assert len(calls) == 2 * K + 2
+    last = err.value.last_state
+    assert last.t == before.t
+    for a, b in zip((*last.Y, *last.Y_t, last.q), (*before.Y, *before.Y_t, before.q)):
+        assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("store_every", [1, 20])
+def test_run_lagrangian_solves_the_pressure_2n_plus_2_times(grid32, monkeypatch, store_every):
+    """N steps solve the pressure 2N + 2 times at any store cadence: make_state
+    and load once each, then each step its predictor and its result; a stored
+    state solves nothing."""
+    solve, calls = lag._pressure_fixed_point, []
+    monkeypatch.setattr(lag, "_pressure_fixed_point", lambda *args: calls.append(1) or solve(*args))
+    run = lag.run_lagrangian(*_lagrangian_data(grid32, np.random.default_rng(5)), DT, 20 * DT, store_every=store_every)
+    assert len(run.states) == 1 + 20 // store_every
+    assert len(calls) == 2 * 20 + 2
 
 
 def _nan_psi(g):
@@ -247,10 +284,20 @@ def _lagrangian_forcing_out_of_place(c, qh):
     return forcing
 
 
-def test_steppers_match_an_out_of_place_etd2rk_loop_bit_for_bit(grid32):
-    """20 steps of each stepper equal the written-out out-of-place loop: the
-    in-place update on the complex entry tables, the in-place Eulerian sums and
-    the Lagrangian reuse of grad Y and grad Y_t move no bit."""
+def _real_tables(module, grid, monkeypatch):
+    """``etd_tables`` on the mode matrix a solver's cached ``_etd`` builds."""
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "etd_tables", lambda m, h: m)
+        mp.setattr(module, "etd_entries", lambda tables: tables)
+        m = module._etd.__wrapped__(grid, DT)
+    return etd_tables(m, DT)
+
+
+def test_steppers_match_an_out_of_place_etd2rk_loop_bit_for_bit(grid32, monkeypatch):
+    """20 steps of each stepper equal the written-out out-of-place loop on the
+    real tables: the in-place update on the complex entry tables, the in-place
+    Eulerian sums and the Lagrangian commit of grad Y, grad Y_t and q move no
+    bit.  The reference solves q at every stage, and finally at the result."""
     rng = np.random.default_rng(5)
     psi0, u0 = _euler_data(grid32, rng)
     es = eul._EulerStepper(grid32, DT)
@@ -260,17 +307,21 @@ def test_steppers_match_an_out_of_place_etd2rk_loop_bit_for_bit(grid32):
     def euler_forcing(z, s):
         return [_euler_nonlinear_out_of_place(es.c, *z[0])]
 
+    tables = _real_tables(eul, grid32, monkeypatch)
     for _ in range(20):
         es.advance()
-        z = _out_of_place_etd2rk(eul._etd(grid32, DT), z, euler_forcing, DT)
+        z = _out_of_place_etd2rk(tables, z, euler_forcing, DT)
     assert np.array_equal(es.psih, z[0][0]) and np.array_equal(es.ah, z[0][1])
 
     ls = lag._Stepper(grid32, DT)
-    ls.load(lag.make_state(*_lagrangian_data(grid32, rng)))
-    z, qh = [(ls.yh[0], ls.vh[0]), (ls.yh[1], ls.vh[1])], [ls.qh]
+    state = lag.make_state(*_lagrangian_data(grid32, rng))
+    ls.load(state)
+    z, qh = [(ls.yh[0], ls.vh[0]), (ls.yh[1], ls.vh[1])], [ls.c.fwd(state.q.samples)]
     forcing = _lagrangian_forcing_out_of_place(ls.c, qh)
+    tables = _real_tables(lag, grid32, monkeypatch)
     for _ in range(20):
         ls.advance()
-        z = _out_of_place_etd2rk(lag._etd(grid32, DT), z, forcing, DT)
+        z = _out_of_place_etd2rk(tables, z, forcing, DT)
+    forcing(z, DT)  # q of the result, from the predictor's
     want = (z[0][0], z[1][0], z[0][1], z[1][1], qh[0])
     assert all(np.array_equal(a, b) for a, b in zip((*ls.yh, *ls.vh, ls.qh), want))
