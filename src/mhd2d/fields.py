@@ -60,8 +60,8 @@ def random_band_field(
     amplitude: float = 1.0,
     decay: float = 0.0,
 ) -> RealField:
-    """Zero-mean random field band-limited to kmin <= |m| <= kmax, with L2
-    norm ``amplitude``; ``decay`` applies a spectral envelope exp(-decay |m|^2)."""
+    """Zero-mean random field band-limited to kmin <= |m| <= kmax, with L2 norm ``amplitude``
+    (ValueError if the band holds no nonzero mode); ``decay`` applies a spectral envelope exp(-decay |m|^2)."""
     c = half_spectrum(grid)
     ch = c.fwd(rng.standard_normal(grid.shape))
     mm = np.sqrt(c.m1.astype(float) ** 2 + c.m2.astype(float) ** 2)
@@ -71,7 +71,7 @@ def random_band_field(
     f = RealField(grid, c.inv(ch))
     scale = l2_norm(f)
     if scale == 0.0:
-        return RealField(grid, f.samples)
+        raise ValueError(f"kmin = {kmin}, kmax = {kmax}: the band holds no nonzero mode of the {grid.nx} x {grid.ny} grid")
     return RealField(grid, amplitude * f.samples / scale)
 
 
@@ -83,15 +83,16 @@ def random_solenoidal(
     amplitude: float = 1.0,
     decay: float = 0.0,
 ) -> tuple[RealField, RealField]:
-    """Divergence-free pair from a random stream function: (d2 chi, -d1 chi)."""
+    """Divergence-free pair from a random stream function: (d2 chi, -d1 chi);
+    ValueError if the band holds no mode with a nonzero derivative."""
     chi = random_band_field(grid, rng, kmin, kmax, 1.0, decay)
     c = half_spectrum(grid)
     ch = c.fwd(chi.samples)
     u1 = RealField(grid, c.inv(c.ik2 * ch))
     u2 = RealField(grid, c.inv(-c.ik1 * ch))
     scale = float(np.sqrt(l2_norm(u1) ** 2 + l2_norm(u2) ** 2))
-    if scale == 0.0:
-        return u1, u2
+    if scale == 0.0:  # the band holds only Nyquist modes, whose derivatives are zeroed
+        raise ValueError(f"kmin = {kmin}, kmax = {kmax}: no band mode of the {grid.nx} x {grid.ny} grid has a derivative")
     return (
         RealField(grid, amplitude * u1.samples / scale),
         RealField(grid, amplitude * u2.samples / scale),

@@ -14,10 +14,11 @@ by taking grad_Y-divergence of the momentum equation, as a fixed point of
     q  <-  InvLap[ -div((A - I) A^T grad q) - div((A^T - I) grad q)
                    + div(dA/dt Y_t) + div_Y d1^2 Y ],
 
-which contracts while ||grad Y||_inf stays small; every solve and every step
-runs it, to the L2 increment ``_PRESSURE_TOL`` = 1e-10.  The source term
-``div_Y d1^2 Y`` is assembled in its conservative form
-``div((A - I) d1^2 Y) + d1^2 rho(Y)`` so the right side has exactly zero mean.
+which contracts while ||grad Y||_inf stays small, to the L2 increment
+``_PRESSURE_TOL`` = 1e-10; its source ``div_Y d1^2 Y`` is assembled in the
+conservative form ``div((A - I) d1^2 Y) + d1^2 rho(Y)``, whose mean is exactly
+zero.  One stage, ``_stage``, runs grad Y (checked small), the source, the
+adjugate and the fixed point; ``pressure_solve`` and the stepper both call it.
 
 Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
@@ -44,7 +45,7 @@ state the step started from, q included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -248,26 +249,15 @@ class PressureInfo:
 
 
 def _pressure_source(
-    c: HalfSpectrum,
-    t: GradTensor,
-    tv: GradTensor,
-    v: tuple[np.ndarray, np.ndarray],
-    y1h: np.ndarray,
-    y2h: np.ndarray,
-    check_identity: bool,
-) -> tuple[np.ndarray, float | None]:
+    c: HalfSpectrum, t: GradTensor, tv: GradTensor, v: tuple[np.ndarray, np.ndarray], y1h: np.ndarray, y2h: np.ndarray
+) -> np.ndarray:
     """The q-independent part of the pressure equation's right side,
-    div(dA/dt Y_t) + div_Y d1^2 Y, in coefficients, and the relative
-    residual of the conservative-form identity when ``check_identity``."""
+    div(dA/dt Y_t) + div_Y d1^2 Y, in coefficients."""
     # dA/dt has the adjugate entry pattern applied to grad Y_t
     w1h = c.dh(tv.d2y2 * v[0] - tv.d2y1 * v[1])
     w2h = c.dh(tv.d1y1 * v[1] - tv.d1y2 * v[0])
-    form_a, form_b = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=check_identity)
-    ident = None
-    if check_identity:
-        scale = max(1.0, float(np.max(np.abs(form_a))))
-        ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / scale
-    return c.ik1 * w1h + c.ik2 * w2h + form_a, ident
+    form_a, _ = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=False)
+    return c.ik1 * w1h + c.ik2 * w2h + form_a
 
 
 def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh: np.ndarray):
@@ -286,27 +276,8 @@ def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.
     return qh_new
 
 
-def _pressure_spectral(
-    c: HalfSpectrum,
-    t: GradTensor,
-    tv: GradTensor,
-    v: tuple[np.ndarray, np.ndarray],
-    y1h: np.ndarray,
-    y2h: np.ndarray,
-    qh0: np.ndarray | None,
-    check_identity: bool,
-) -> tuple[np.ndarray, PressureInfo]:
-    const, ident = _pressure_source(c, t, tv, v, y1h, y2h, check_identity)
-    return _pressure_fixed_point(c, t, adjugate(t), const, qh0, ident)
-
-
 def _pressure_fixed_point(
-    c: HalfSpectrum,
-    t: GradTensor,
-    adj: AdjugateField,
-    const: np.ndarray,
-    qh0: np.ndarray | None,
-    ident: float | None,
+    c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh0: np.ndarray | None
 ) -> tuple[np.ndarray, PressureInfo]:
     """The fixed point q = ``_pressure_map``(q) from ``qh0`` (zero when None)."""
     qh = np.zeros_like(const) if qh0 is None else qh0  # never written in place
@@ -318,7 +289,7 @@ def _pressure_fixed_point(
         inc = math.sqrt(area * c.lattice_sum(np.abs((qh_new - qh) / (c.grid.nx * c.grid.ny)) ** 2))
         qh = qh_new
         if inc < _PRESSURE_TOL:
-            return qh, PressureInfo(it, inc, contraction, ident)
+            return qh, PressureInfo(it, inc, contraction)
         contraction = inc / inc_prev if inc_prev < math.inf else 0.0
         if not (contraction < 1.0):
             break
@@ -327,6 +298,18 @@ def _pressure_fixed_point(
         f"pressure fixed point stopped at iteration {it} of {_PRESSURE_MAX_ITERATIONS}: increment {inc:.3e}, "
         f"contraction {contraction:.3f}, ||grad Y||_inf = {t.sup_norm:.3f}"
     )
+
+
+def _stage(c: HalfSpectrum, yh, tv: GradTensor, v: tuple[np.ndarray, np.ndarray], qh0: np.ndarray | None):
+    """(grad Y checked small, adjugate, q coefficients, PressureInfo) at (Y, Y_t),
+    given Y's coefficients and grad Y_t (``tv``) and Y_t (``v``) at the nodes;
+    ``v`` dies with the source, ahead of the fixed point from ``qh0``."""
+    t = _small(_grad_hat(c, *yh))
+    const = _pressure_source(c, t, tv, v, *yh)
+    del v
+    adj = adjugate(t)
+    qh, info = _pressure_fixed_point(c, t, adj, const, qh0)
+    return t, adj, qh, info
 
 
 def pressure_solve(
@@ -339,21 +322,21 @@ def pressure_solve(
 
     The fixed point, warm-started from ``q0``, stops when the successive L2
     difference drops below ``_PRESSURE_TOL`` (1e-10), within 200 iterations.
-    The conservative-form identity for div_Y d1^2 Y is evaluated alongside
-    when ``check_identity`` and its relative sup residual is reported in the
-    info record.
+    When ``check_identity``, the relative sup residual of the
+    conservative-form identity for div_Y d1^2 Y is evaluated after the solve
+    and reported in the info record; PressureConvergenceError above 1e-6.
     """
     g = Y[0].grid
     c = half_spectrum(g)
-    y1h, y2h = c.fwd(Y[0].samples), c.fwd(Y[1].samples)
-    t = _small(_grad_hat(c, y1h, y2h))
-    tv = gradient_tensor(Y_t)
+    yh = (c.fwd(Y[0].samples), c.fwd(Y[1].samples))
     qh0 = c.fwd(q0.samples) if q0 is not None else None
-    qh, info = _pressure_spectral(c, t, tv, (Y_t[0].samples, Y_t[1].samples), y1h, y2h, qh0, check_identity)
-    if info.identity_residual is not None and info.identity_residual > 1e-6:
-        raise PressureConvergenceError(
-            f"conservative-form identity residual {info.identity_residual:.2e} out of bounds"
-        )
+    t, _, qh, info = _stage(c, yh, gradient_tensor(Y_t), (Y_t[0].samples, Y_t[1].samples), qh0)
+    if check_identity:
+        form_a, form_b = _div_y_d11_forms(c, t, *yh)
+        ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / max(1.0, float(np.max(np.abs(form_a))))
+        if ident > 1e-6:
+            raise PressureConvergenceError(f"conservative-form identity residual {ident:.2e} out of bounds")
+        info = replace(info, identity_residual=ident)
     return RealField(g, c.inv(qh)), info
 
 
@@ -463,27 +446,20 @@ class _Stepper:
     def load(self, state: FlowMapState) -> None:
         c = self.c
         qh = c.fwd(state.q.samples)
-        yh = [c.fwd(f.samples) for f in state.Y]
-        _small(_grad_hat(c, *yh))  # ahead of _hold: a NaN displacement fails this guard, naming the NaN
-        self._hold(yh, [c.fwd(f.samples) for f in state.Y_t], state.t, qh)
+        self._hold([c.fwd(f.samples) for f in state.Y], [c.fwd(f.samples) for f in state.Y_t], state.t, qh)
 
     def _stage(self, yh, vh, qh0: np.ndarray):
-        """grad Y (checked small), grad Y_t, the adjugate and the pressure at
-        (Y, Y_t), the fixed point warm-started from ``qh0``; Y_t at the nodes
-        dies with the pressure source, ahead of the fixed point."""
-        c = self.c
-        t = _small(_grad_hat(c, *yh))
-        tv = _grad_hat(c, *vh)
-        const, _ = _pressure_source(c, t, tv, (c.inv(vh[0]), c.inv(vh[1])), *yh, False)
-        adj = adjugate(t)
-        qh, self.last_pressure = _pressure_fixed_point(c, t, adj, const, qh0, None)
+        """(grad Y, grad Y_t, adjugate, q) by ``_stage``; keeps its PressureInfo."""
+        tv = _grad_hat(self.c, *vh)
+        t, adj, qh, self.last_pressure = _stage(self.c, yh, tv, (self.c.inv(vh[0]), self.c.inv(vh[1])), qh0)
         return t, tv, adj, qh
 
     def _hold(self, yh: list, vh: list, t: float, qh0: np.ndarray) -> None:
         """Commit (Y, Y_t) at time t with grad Y (``ty``), grad Y_t (``tv``) and
-        q (``qh``) from ``_stage``: StateBlowupError unless they are finite and
-        ||grad Y||_inf <= 1/2, PressureConvergenceError if the fixed point stops."""
-        if not all(np.all(np.isfinite(h)) for h in (*yh, *vh)):
+        q (``qh``) from ``_stage``: StateBlowupError unless Y_t is finite and
+        ||grad Y||_inf <= 1/2 (NaN-safe, so a non-finite Y fails it by name),
+        PressureConvergenceError if the fixed point stops."""
+        if not all(np.all(np.isfinite(h)) for h in vh):
             raise StateBlowupError("non-finite state")
         ty, tv, _, qh = self._stage(yh, vh, qh0)
         self.yh, self.vh, self.ty, self.tv, self.qh, self.t = yh, vh, ty, tv, qh, t

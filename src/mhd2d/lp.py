@@ -12,8 +12,8 @@ with S the standard C-infinity step (0 below 0, 1 above 1).  Then
 
 exactly once the dyadic range [a, b] brackets tau.  Blocks are coefficient
 masks on the half spectrum, shape ``(nx, ny // 2 + 1)``:
-``D_j u = inv(phi(2^-j |xi|) fwd(u))`` and the horizontal / vertical variants
-use |xi_1| / |xi_2|.  Out-of-range indices give the zero field.
+``D_j u = inv(phi(2^-j |xi|) fwd(u))`` and the horizontal variants use
+|xi_1|.  Out-of-range indices give the zero field.
 
 Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
 homogeneous norms drop the mean (the torus surrogate of "modulo constants";

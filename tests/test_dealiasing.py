@@ -103,7 +103,7 @@ def test_pressure_update_fused_matches_pairwise(seed, n):
     v = (c.inv(vh[0]), c.inv(vh[1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lag, "_PRESSURE_TOL", math.inf)
-        fused, info = lag._pressure_spectral(c, t, tv, v, y1h, y2h, qh0, False)
+        fused, info = lag._pressure_fixed_point(c, t, lag.adjugate(t), lag._pressure_source(c, t, tv, v, y1h, y2h), qh0)
     assert info.iterations == 1
 
     adj = lag.adjugate(t)
@@ -239,6 +239,21 @@ def test_lagrangian_forcing_costs_29_plus_8_per_pressure_iteration(rng, fft_fiel
     s._hold([1.02 * y for y, _ in z], [v for _, v in z], 0.01, s.stage_qh)
     assert s.last_pressure.iterations >= 2
     assert fft_fields["fields"] == 4 + 13 + 8 * s.last_pressure.iterations
+
+
+def test_lagrangian_load_costs_22_plus_8_per_pressure_iteration(rng, fft_fields):
+    """Loading a state transforms q, Y and Y_t forward (5 fields) and stages
+    it once: grad Y_t and Y_t at the nodes (6), then grad Y, checked small,
+    and the pressure (11 + 8n); grad Y is taken once."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
+    state = lag.FlowMapState(Y, V, RealField.zeros(g), 0.0)
+    s = lag._Stepper(g, 0.01)
+    fft_fields.clear()
+    s.load(state)
+    assert s.last_pressure.iterations >= 2
+    assert fft_fields["fields"] == 22 + 8 * s.last_pressure.iterations
 
 
 def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):

@@ -112,6 +112,28 @@ def test_tolerance_values_are_checked_when_the_config_is_built(value):
         cli.ExperimentConfig(experiment="dispersion", tolerances={"vieta": value})
 
 
+_EMPTY = "kmin = 5, kmax = 1: the band holds no nonzero mode of the 32 x 32 grid"
+
+
+@pytest.mark.parametrize(
+    "name, kmin, kmax, message",
+    [
+        ("lagrangian-smalldata", 5, 1, _EMPTY),
+        ("eulerian-smalldata", 5, 1, _EMPTY),
+        ("cross-validate", 5, 1, _EMPTY),
+        ("lagrangian-smalldata", 16, 16, "kmin = 16, kmax = 16: no band mode of the 32 x 32 grid has a derivative"),
+    ],
+    ids=["lagrangian-empty", "eulerian-empty", "cross-validate-empty", "lagrangian-nyquist-only"],
+)
+def test_wavenumber_band_without_data_exits_2_with_a_message(tmp_path, capsys, name, kmin, kmax, message):
+    """A band that leaves the random data no mode (kmin > kmax), or only
+    Nyquist modes for a stream function, stops the run with a message naming
+    the band and the grid, not with zero data or a crash."""
+    argv = ["--set", "nx=32", "--set", "ny=32", "--set", f"kmin={kmin}", "--set", f"kmax={kmax}"]
+    assert cli.main([name, "--outdir", str(tmp_path / "o"), *argv]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 @pytest.mark.parametrize(
     "content, argv",
     [(None, []), ("[1, 2]", []), ("{}", ["--set", "lx=Infinity"])],

@@ -305,6 +305,19 @@ def test_pressure_identity_check_runs(grid32, rng):
     assert info.identity_residual is not None and info.identity_residual < 1e-10
 
 
+def test_pressure_identity_check_leaves_q_alone(grid32, rng):
+    """The identity residual is evaluated after the solve: q and the
+    iteration count are those of the unchecked solve, bit for bit."""
+    Y = _small_vector(grid32, rng, amp=0.02, kmax=5)
+    V = _small_vector(grid32, rng, amp=0.02, kmax=5)
+    q0 = random_band_field(grid32, rng, 1.0, 5.0, 0.01)
+    q, info = lag.pressure_solve(Y, V, q0=q0, check_identity=False)
+    q_checked, info_checked = lag.pressure_solve(Y, V, q0=q0, check_identity=True)
+    assert np.array_equal(q_checked.samples, q.samples)
+    assert info_checked.iterations == info.iterations and info.identity_residual is None
+    assert math.isfinite(info_checked.identity_residual) and info_checked.identity_residual <= 1e-6
+
+
 def test_pressure_rejects_distorted_state(grid32):
     big = RealField.from_function(grid32, lambda x, y: 0.8 * np.sin(x))
     with pytest.raises(lag.StateBlowupError):
@@ -324,7 +337,7 @@ def test_pressure_stops_when_not_contracting(grid32, rng):
     zero = np.zeros(grid32.shape)
     tv = lag._grad_hat(c, c.fwd(zero), c.fwd(zero))
     with pytest.raises(lag.PressureConvergenceError, match=r"contraction .*grad Y\|\|_inf") as err:
-        lag._pressure_spectral(c, t, tv, (zero, zero), y1h, y2h, None, False)
+        lag._pressure_fixed_point(c, t, lag.adjugate(t), lag._pressure_source(c, t, tv, (zero, zero), y1h, y2h), None)
     it = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
     assert it <= 5
 

@@ -270,8 +270,8 @@ def _lagrangian_forcing_out_of_place(c, qh):
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
         t = lag._small(lag._grad_hat(c, *yh))
         v_phys = (c.inv(vh[0]), c.inv(vh[1]))
-        qh[0], _ = lag._pressure_spectral(c, t, lag._grad_hat(c, *vh), v_phys, *yh, qh[0], False)
         adj = lag.adjugate(t)
+        qh[0], _ = lag._pressure_fixed_point(c, t, adj, lag._pressure_source(c, t, lag._grad_hat(c, *vh), v_phys, *yh), qh[0])
         out = []
         for ch in vh:
             (w1h, w2h), _ = lag._grad_y_hat(c, adj, ch)
