@@ -19,6 +19,7 @@ wording.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -601,9 +602,17 @@ def run(cfg: ExperimentConfig) -> tuple[int, str]:
         "fields": os.path.join(root, "fields"),
         "ledgers": os.path.join(root, "ledgers"),
     }
-    for d in out.values():
-        os.makedirs(d, exist_ok=True)
-    assertions = EXPERIMENTS[cfg.experiment](cfg, out)
+    made = [d for d in out.values() if not os.path.isdir(d)]
+    for d in made:
+        os.makedirs(d)
+    try:
+        assertions = EXPERIMENTS[cfg.experiment](cfg, out)
+    except ValueError:
+        # data the recipe rejects leaves no empty output tree behind
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
     ok = all(a["pass"] for a in assertions)
     report = {
         "experiment": cfg.experiment,

@@ -73,7 +73,7 @@ def _etd(grid: Grid, dt: float):
     """ETD entry tables (``etd_entries``) of the projected mode matrix
     [[0, -xi1/|xi|], [xi1 |xi|, -|xi|^2]]."""
     c = half_spectrum(grid)
-    m = np.zeros(c.ksq.shape + (2, 2))
+    m = np.zeros(c.shape + (2, 2))
     m[..., 0, 1] = -c.e2.real
     m[..., 1, 0] = c.k1 * np.sqrt(c.ksq)
     m[..., 1, 1] = -c.ksq

@@ -45,7 +45,7 @@ def mode_field(grid: Grid, m: int, n: int, coeff: complex) -> RealField:
     i, j, mirrored = c.mode_index(m, n)
     if mirrored:
         coeff = np.conj(coeff)
-    ch = np.zeros(c.ksq.shape, dtype=complex)
+    ch = np.zeros(c.shape, dtype=complex)
     ch[i, j] = grid.nx * grid.ny * coeff
     if j in (0, grid.ny // 2):  # the mirror lies in the same column
         ch[-i % grid.nx, j] = grid.nx * grid.ny * np.conj(coeff)

@@ -14,7 +14,9 @@ frequencies, through one ``HalfSpectrum`` context per grid from
 products at each level; sup norms are sampled on the 2x finer grid by zero
 padding (``inv_fine``), with the unpaired Nyquist modes split evenly.  The
 ``HalfSpectrum`` owns every wavenumber and mode-index table; ``Grid`` holds
-only the nodes.
+only the nodes.  The mode indices and wavenumbers are 1-D axes (shapes
+(nx, 1) and (1, ny // 2 + 1)); the tables that hot products multiply have the
+full half-spectrum shape; each is built on its first read.
 
 All operations are pure functions of immutable inputs.
 """
@@ -154,38 +156,80 @@ class HalfSpectrum:
     Coefficients are the unnormalised ``rfft2`` output (``nx * ny`` times
     ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  The integer
     mode indices ``m1`` (FFT order, shape (nx, 1)) and ``m2`` (shape
-    (1, ny // 2 + 1)) label them; every other table has the full shape:
-    ``k1``/``k2``; ``ik1``/``ik2`` with the unpaired
-    Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean mode); the
-    2/3 mask ``deal`` (complex 1 or 0); the solenoidal unit vector
+    (1, ny // 2 + 1)) label them, and the wavenumbers ``k1``/``k2`` are held
+    on the same 1-D axes.  Every other table has the full ``shape``, so the
+    hot products read it without a broadcast: ``ik1``/``ik2`` with the
+    unpaired Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean
+    mode); the 2/3 mask ``deal`` (complex 1 or 0); the solenoidal unit vector
     ``e = (-xi2, xi1)/|xi|`` as complex ``e1``/``e2`` (zero at the mean mode);
     and the weights ``wd``/``w12`` of ``e . div S = wd (S11 - S22) + w12 S12``
     for a symmetric tensor S, which holds wherever ``e . ik = 0``: everywhere
     but the Nyquist modes outside the 2/3 set (the trace of S, a gradient,
-    drops out).
+    drops out).  Each table is built on its first read, so a context holds
+    only the tables its workload uses.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        nx, ny = grid.nx, grid.ny
-        self.m1 = m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
-        self.m2 = m2 = np.arange(ny // 2 + 1)[None, :]
-        k1 = 2.0 * np.pi / grid.lx * m1.astype(float) + 0.0 * m2
-        k2 = 2.0 * np.pi / grid.ly * m2.astype(float) + 0.0 * m1
-        self.k1, self.k2 = k1, k2
-        self.ik1 = np.where(m1 == -nx // 2, 0.0, 1j * k1)
-        self.ik2 = np.where(m2 == ny // 2, 0.0, 1j * k2)
-        self.ksq = k1**2 + k2**2
-        kmag = np.sqrt(self.ksq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_ksq = np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
-            inv_kmag = np.where(kmag > 0, 1.0 / kmag, 0.0)
-        # complex, like every coefficient array they multiply: no cast per product
-        self.e1 = (-k2 * inv_kmag).astype(complex)
-        self.e2 = (k1 * inv_kmag).astype(complex)
-        self.deal = ((np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)).astype(complex)
+        self.m1 = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx).astype(int)[:, None]
+        self.m2 = np.arange(grid.ny // 2 + 1)[None, :]
 
-    # built on first use: only the Eulerian stepper reads them
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(nx, ny // 2 + 1), the shape of the full tables; builds none."""
+        return (self.grid.nx, self.grid.ny // 2 + 1)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        return 2.0 * np.pi / self.grid.lx * self.m1.astype(float)
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return 2.0 * np.pi / self.grid.ly * self.m2.astype(float)
+
+    # 1j times the broadcast axis, not plus 0j: that would flip -0.0 real parts.
+    # The shape is read off ksq, so the first read of ik1 or ik2 builds ksq
+    # ahead of them: the three tables every workload reads are allocated
+    # together, before a run's large transients.  Built at its own first read
+    # (inside smallness_report), ksq left initial-data's peak RSS 2 MB higher
+    # at 512^2, with the same tracemalloc peak: a heap-layout effect.
+    @cached_property
+    def ik1(self) -> np.ndarray:
+        return np.where(self.m1 == -self.grid.nx // 2, 0.0, 1j * np.broadcast_to(self.k1, self.ksq.shape))
+
+    @cached_property
+    def ik2(self) -> np.ndarray:
+        return np.where(self.m2 == self.grid.ny // 2, 0.0, 1j * np.broadcast_to(self.k2, self.ksq.shape))
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return self.k1**2 + self.k2**2
+
+    @cached_property
+    def inv_ksq(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.where(self.ksq > 0, 1.0 / self.ksq, 0.0)
+
+    def _over_kmag(self, k: np.ndarray) -> np.ndarray:
+        """``k / |xi|`` (zero at the mean mode), complex like every coefficient
+        array it multiplies: no cast per product."""
+        kmag = np.sqrt(self.ksq)
+        with np.errstate(divide="ignore"):
+            return (k * np.where(kmag > 0, 1.0 / kmag, 0.0)).astype(complex)
+
+    @cached_property
+    def e1(self) -> np.ndarray:
+        return self._over_kmag(-self.k2)
+
+    @cached_property
+    def e2(self) -> np.ndarray:
+        return self._over_kmag(self.k1)
+
+    @cached_property
+    def deal(self) -> np.ndarray:
+        nx, ny = self.grid.shape
+        return ((np.abs(self.m1) <= nx / 3.0) & (self.m2 <= ny / 3.0)).astype(complex)
+
     @cached_property
     def wd(self) -> np.ndarray:
         return 0.5 * (self.e1 * self.ik1 - self.e2 * self.ik2)

@@ -121,9 +121,10 @@ class GradTensor:
 
     @property
     def sup_norm(self) -> float:
-        return float(
-            np.max(np.sqrt(self.d1y1**2 + self.d2y1**2 + self.d1y2**2 + self.d2y2**2))
-        )
+        acc = self.d1y1**2  # one buffer, summed in the order d1y1, d2y1, d1y2, d2y2
+        for d in (self.d2y1, self.d1y2, self.d2y2):
+            acc += d**2
+        return float(np.max(np.sqrt(acc, out=acc)))
 
 
 @dataclass(frozen=True)

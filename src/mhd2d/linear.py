@@ -218,7 +218,7 @@ def measured_decay_rate(traj: LinearTrajectory, xi_mode: tuple[int, int]) -> Dec
     c = half_spectrum(traj.grid)
     i, j, _ = c.mode_index(*xi_mode)
     one = (..., slice(i, i + 1), slice(j, j + 1))
-    states = _states(c.k1[one], c.ksq[one], traj.y0h[one], traj.v0h[one], traj.times)
+    states = _states(np.broadcast_to(c.k1, c.shape)[one], c.ksq[one], traj.y0h[one], traj.v0h[one], traj.times)
     series = np.abs(np.array([yh[0, 0, 0] for yh, _ in states], dtype=complex))
     # discard the round-off floor left by branch contamination at eps level
     keep = series > max(1e-300, float(series.max(initial=0.0)) * 1e-13)

@@ -106,7 +106,7 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
     if kind == "iso":
         return np.sqrt(c.ksq)
     if kind == "h":
-        return np.abs(c.k1)
+        return np.abs(np.broadcast_to(c.k1, c.shape))  # masks keep the full shape
     raise ValueError(f"unknown block kind {kind!r}")
 
 

@@ -11,10 +11,18 @@ import math
 import numpy as np
 import pytest
 
+from mhd2d import cli, fields, lp
 from mhd2d import diagnostics as diag
-from mhd2d import fields, lp
 from mhd2d import lagrangian as lag
-from mhd2d.grid import RealField, half_spectrum, inverse_laplacian, make_grid, spectral_derivative
+from mhd2d.grid import (
+    HalfSpectrum,
+    RealField,
+    _deriv_symbol,
+    half_spectrum,
+    inverse_laplacian,
+    make_grid,
+    spectral_derivative,
+)
 from mhd2d.linear import block_energy_series, eigenvalues, evolve_linear, measured_decay_rate
 from mhd2d.propagators import apply2, mode_exponential
 
@@ -66,6 +74,85 @@ def _d1_symbol(g):
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
+
+
+def _eager_tables(grid):
+    """Every table of the context as the former constructor built it, each
+    at the full (nx, ny // 2 + 1) shape."""
+    nx, ny = grid.nx, grid.ny
+    m1 = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)[:, None]
+    m2 = np.arange(ny // 2 + 1)[None, :]
+    k1 = 2.0 * np.pi / grid.lx * m1.astype(float) + 0.0 * m2
+    k2 = 2.0 * np.pi / grid.ly * m2.astype(float) + 0.0 * m1
+    ik1 = np.where(m1 == -nx // 2, 0.0, 1j * k1)
+    ik2 = np.where(m2 == ny // 2, 0.0, 1j * k2)
+    ksq = k1**2 + k2**2
+    kmag = np.sqrt(ksq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_ksq = np.where(ksq > 0, 1.0 / ksq, 0.0)
+        inv_kmag = np.where(kmag > 0, 1.0 / kmag, 0.0)
+    e1 = (-k2 * inv_kmag).astype(complex)
+    e2 = (k1 * inv_kmag).astype(complex)
+    deal = ((np.abs(m1) <= nx / 3.0) & (m2 <= ny / 3.0)).astype(complex)
+    tables = dict(k1=k1, k2=k2, ik1=ik1, ik2=ik2, ksq=ksq, inv_ksq=inv_ksq, e1=e1, e2=e2, deal=deal)
+    tables["wd"] = 0.5 * (e1 * ik1 - e2 * ik2)
+    tables["w12"] = e1 * ik2 + e2 * ik1
+    return tables
+
+
+TABLE_GRIDS = [(8, 8, TWO_PI, TWO_PI), (64, 32, 3.0, TWO_PI), (128, 128, TWO_PI, TWO_PI)]
+
+
+@pytest.mark.parametrize("params", TABLE_GRIDS, ids=lambda p: f"{p[0]}x{p[1]}")
+def test_tables_are_byte_equal_to_the_eager_formulas(params):
+    """Built on first read, the 1-D wavenumber axes and the full-shape tables
+    carry the former tables' bits (sign bits of zeros included) once
+    broadcast; so do the derivative symbols formed from them."""
+    g = make_grid(*params)
+    c, ref = HalfSpectrum(g), _eager_tables(g)
+    shape = (g.nx, g.ny // 2 + 1)
+    assert c.k1.shape == (g.nx, 1) and c.k2.shape == (1, g.ny // 2 + 1)
+    for name, want in ref.items():
+        got = getattr(c, name)
+        assert got.dtype == want.dtype and want.shape == shape, name
+        assert np.broadcast_to(got, shape).tobytes() == want.tobytes(), name
+    for name in ("ik1", "ik2", "ksq", "inv_ksq", "e1", "e2", "deal", "wd", "w12"):
+        assert getattr(c, name).shape == shape, name
+    for axis, k, ik in ((1, ref["k1"], ref["ik1"]), (2, ref["k2"], ref["ik2"])):
+        for order in (1, 2, 3, 4):
+            want = ik**order if order % 2 else (1j * k) ** order
+            assert np.broadcast_to(_deriv_symbol(c, axis, order), shape).tobytes() == want.tobytes(), (axis, order)
+
+
+def test_a_fresh_context_holds_no_table():
+    """The constructor keeps the grid and the two 1-D mode-index axes only;
+    every other table waits for its first read."""
+    c = HalfSpectrum(make_grid(64, 32, 3.0, TWO_PI))
+    assert set(vars(c)) == {"grid", "m1", "m2"}
+    assert all(sum(n > 1 for n in a.shape) <= 1 for a in vars(c).values() if isinstance(a, np.ndarray))
+
+
+def test_the_first_read_of_ik1_builds_ksq_ahead_of_it():
+    """ik1 and ik2 take their shape from ksq, so the three hot tables are
+    allocated together (initial-data's peak RSS depends on that order)."""
+    c = HalfSpectrum(make_grid(16, 16, TWO_PI, TWO_PI))
+    c.ik1
+    assert list(vars(c)) == ["grid", "m1", "m2", "k1", "k2", "ksq", "ik1"]
+
+
+def test_initial_data_leaves_the_tables_it_never_reads_unbuilt(tmp_path):
+    """build-initial-data reads the wavenumbers, ik1/ik2 and ksq, never the
+    solenoidal unit vector, the 2/3 mask or the inverse Laplacian."""
+    half_spectrum.cache_clear()
+    args = ["build-initial-data", "--outdir", str(tmp_path / "o")]
+    for ov in ("nx=128", "ny=128", "amplitude=1e-4", 'shape="bump_dx1"', "width=0.6"):
+        args += ["--set", ov]
+    assert cli.main(args) == 0
+    cfg = cli.load_config("build-initial-data", None, {"nx": 128, "ny": 128})
+    built = set(vars(half_spectrum(make_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly))))
+    assert {"k1", "ik1", "ksq"} <= built
+    assert not built & {"e1", "e2", "deal", "inv_ksq", "wd", "w12"}
+
 
 
 @pytest.mark.parametrize("axis", [1, 2])

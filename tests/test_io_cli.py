@@ -151,6 +151,25 @@ def test_bad_config_exits_2_with_a_message(tmp_path, capsys, content, argv):
     assert not out.exists()
 
 
+def test_band_without_data_leaves_no_output_tree(tmp_path, capsys):
+    """Data the recipe rejects exits 2 and removes the directories the run
+    made, as a bad config writes nothing."""
+    out = tmp_path / "o"
+    assert cli.main(["lagrangian-smalldata", "--set", "kmin=5", "--set", "kmax=1", "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("kmin = 5, kmax = 1: ")
+    assert not out.exists()
+
+
+def test_rejected_data_keeps_a_directory_that_was_there(tmp_path):
+    """Only the directories the run made are removed: an outdir that existed,
+    and a file in it, stay."""
+    out = tmp_path / "o"
+    (out / "fields").mkdir(parents=True)
+    (out / "fields" / "keep.txt").write_text("x")
+    assert cli.main(["lagrangian-smalldata", "--set", "kmin=5", "--set", "kmax=1", "--outdir", str(out)]) == 2
+    assert sorted(p.name for p in out.rglob("*")) == ["fields", "keep.txt"]
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
