@@ -18,8 +18,8 @@ The package provides, on a periodic box:
   they write.
 """
 
-from mhd2d.grid import Grid, RealField, inverse_laplacian, make_grid, spectral_derivative
+from mhd2d.grid import Grid, RealField, make_grid, spectral_derivative
 
-__all__ = ["Grid", "RealField", "make_grid", "spectral_derivative", "inverse_laplacian"]
+__all__ = ["Grid", "RealField", "make_grid", "spectral_derivative"]
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ Usage:
 Each experiment writes ``report.json`` ({assertion, expected, observed,
 tolerance, pass} records), CSV ledgers under ``ledgers/`` and binary field
 snapshots under ``fields/`` into the output directory.  Reruns with the same
-config and seed are bit-identical.
+config and seed are bit-identical.  Exit status: 0 every assertion passes, 1
+one fails, 2 a rejected config, data or outdir, 3 a solver or construction failure.
 
 Every config is checked against ``CONFIG_SCHEMA`` when it is built, by a
 check of the keywords that schema uses (no schema library is imported); a
@@ -39,12 +40,14 @@ from mhd2d import io as mio
 from mhd2d import lp
 from mhd2d.grid import RealField, half_spectrum, l2_norm, make_grid, spectral_derivative
 from mhd2d.initial_data import (
+    ConstructionError,
     build_flow_map_initial,
     seed_lagrangian_velocity,
     smallness_report,
     solve_companion_potential,
     InitialDatum,
 )
+from mhd2d.propagators import MarchError
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "EXPERIMENTS", "run", "main"]
 
@@ -603,12 +606,15 @@ def run(cfg: ExperimentConfig) -> tuple[int, str]:
         "ledgers": os.path.join(root, "ledgers"),
     }
     made = [d for d in out.values() if not os.path.isdir(d)]
-    for d in made:
-        os.makedirs(d)
+    try:
+        for d in made:
+            os.makedirs(d)
+    except OSError as exc:
+        raise ValueError(f"outdir = {root!r}: {exc.strerror}") from exc
     try:
         assertions = EXPERIMENTS[cfg.experiment](cfg, out)
-    except ValueError:
-        # data the recipe rejects leaves no empty output tree behind
+    except BaseException:
+        # a run that fails leaves no empty output tree behind
         for d in reversed(made):
             with contextlib.suppress(OSError):
                 os.rmdir(d)
@@ -676,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
         return 0
     overrides = _parse_set(args.set)
-    if args.outdir:
+    if args.outdir is not None:
         overrides["outdir"] = args.outdir
     try:
         cfg = load_config(args.experiment, args.config, overrides)
@@ -684,6 +690,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (MarchError, ConstructionError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(f"report: {os.path.join(root, 'report.json')}")
     return status
 

@@ -36,7 +36,6 @@ from mhd2d.lp import _homogeneous_weight, block_sq_norms, chemin_lerner_norm
 
 __all__ = [
     "EnergyLedger",
-    "functional_E",
     "smallness_margin",
     "decay_table",
     "DecayRow",
@@ -145,15 +144,6 @@ def _functional(keys: tuple, times: np.ndarray, tabs: dict, s: float) -> tuple[f
         "gradq_l1_s": _l1_sq(tabs["gq"], w(s), times),
     }
     return float(sum(parts.values())), parts
-
-
-def functional_E(states, s: float, return_breakdown: bool = False):
-    """E_T^s over a stored flow-map trajectory (list of FlowMapState)."""
-    keys, times, tabs, _ = _block_tables(states)
-    total, parts = _functional(keys, times, tabs, s)
-    if return_breakdown:
-        return total, parts
-    return total
 
 
 def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:

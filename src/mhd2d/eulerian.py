@@ -51,7 +51,6 @@ __all__ = [
     "step_euler",
     "run_euler",
     "make_euler_state",
-    "blowup_integrand",
     "pressure_euler",
 ]
 
@@ -243,14 +242,9 @@ def run_euler(
     return EulerRun(states, times, es, ds, aux_t, divs, blow)
 
 
-def blowup_integrand(state: EulerState) -> float:
-    """||grad u||_Linf + ||grad psi||_Linf^2 on the 2x oversampled grid."""
-    c = half_spectrum(state.psi.grid)
-    return _blowup_hat(c, *(c.fwd(f.samples) for f in (state.psi, *state.u)))
-
-
 def _blowup_hat(c: HalfSpectrum, psih: np.ndarray, u1h: np.ndarray, u2h: np.ndarray) -> float:
-    """``blowup_integrand`` from the half-spectrum coefficients of psi, u^1, u^2.
+    """The continuation integrand ||grad u||_Linf + ||grad psi||_Linf^2 on the
+    2x oversampled grid, from the half-spectrum coefficients of psi, u^1, u^2.
 
     The six derivatives go to the finer grid one field at a time (a stack of
     six falls out of cache), each squared in place; the velocity's squares

@@ -33,7 +33,6 @@ __all__ = [
     "RealField",
     "make_grid",
     "spectral_derivative",
-    "inverse_laplacian",
     "l2_norm",
     "HalfSpectrum",
     "half_spectrum",
@@ -137,12 +136,6 @@ def spectral_derivative(u: RealField, axis: int, order: int = 1) -> RealField:
     half spectrum.  Odd-order derivatives zero the Nyquist mode."""
     c = half_spectrum(u.grid)
     return RealField(u.grid, c.inv(_finite_fwd(u) * _deriv_symbol(c, axis, order)))
-
-
-def inverse_laplacian(u: RealField) -> RealField:
-    """Solve ``Lap(v) = u - mean(u)`` with zero-mean ``v``."""
-    c = half_spectrum(u.grid)
-    return RealField(u.grid, c.inv(-_finite_fwd(u) * c.inv_ksq))
 
 
 def l2_norm(u: RealField) -> float:

@@ -63,8 +63,6 @@ __all__ = [
     "GradTensor",
     "adjugate",
     "gradient_tensor",
-    "rho",
-    "lagrangian_gradient",
     "pressure_solve",
     "rhs_f",
     "div_y_d11",
@@ -169,14 +167,8 @@ def det_i_plus_grad(grad: GradTensor) -> RealField:
 
 
 def _rho_hat(c: HalfSpectrum, t: GradTensor) -> np.ndarray:
-    """Dealiased half-spectrum coefficients of rho(Y) from grad Y."""
+    """Dealiased coefficients of rho(Y) = d1Y2 d2Y1 - d1Y1 d2Y2 from grad Y."""
     return c.dh(t.d1y2 * t.d2y1 - t.d1y1 * t.d2y2)
-
-
-def rho(Y: tuple[RealField, RealField]) -> RealField:
-    """rho(Y) = d1Y2 d2Y1 - d1Y1 d2Y2, products dealiased."""
-    c = half_spectrum(Y[0].grid)
-    return RealField(c.grid, c.inv(_rho_hat(c, gradient_tensor(Y))))
 
 
 def _adj_t_hat(c: HalfSpectrum, adj: AdjugateField, q1: np.ndarray, q2: np.ndarray):
@@ -188,13 +180,6 @@ def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
     """Dealiased coefficients of grad_Y q = A^T grad q, and grad q at the nodes."""
     q1, q2 = c.grad(qh)
     return _adj_t_hat(c, adj, q1, q2), (q1, q2)
-
-
-def lagrangian_gradient(q: RealField, adj: AdjugateField) -> tuple[RealField, RealField]:
-    """grad_Y q = A^T grad q (component i sums b_{ji} d_j q)."""
-    c = half_spectrum(q.grid)
-    (out1, out2), _ = _grad_y_hat(c, adj, c.fwd(q.samples))
-    return RealField(c.grid, c.inv(out1)), RealField(c.grid, c.inv(out2))
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,14 @@ def test_ledger_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _functional(states, s):
+    """(E_T^s, its eleven channels) over a stored flow-map trajectory."""
+    return diag._functional(*diag._block_tables(states)[:3], s)
+
+
 def test_functional_zero_trajectory(grid32):
     states = _zero_states(grid32, [0.0, 0.5, 1.0])
-    assert diag.functional_E(states, 1.5) == 0.0
+    assert _functional(states, 1.5)[0] == 0.0
 
 
 def test_functional_frozen_mode(grid32):
@@ -60,7 +65,7 @@ def test_functional_frozen_mode(grid32):
     z = _zeros(grid32)
     q = z
     states = [lag.FlowMapState((y, z), (z, z), q, t) for t in (0.0, 1.0, 2.0)]
-    total, parts = diag.functional_E(states, 1.5, return_breakdown=True)
+    total, parts = _functional(states, 1.5)
     assert parts["yt_clinf_s"] == 0.0 and parts["gradq_l2_s"] == 0.0
     assert parts["d1y_clinf_s"] == 0.0 and parts["d1y_l2_s1"] == 0.0
     # Besov-type CL channel of Y at s+2 equals the (block-weighted) t=0 value
@@ -73,8 +78,8 @@ def test_functional_frozen_mode(grid32):
 def test_functional_requires_pressure(grid32):
     z = _zeros(grid32)
     states = [lag.FlowMapState((z, z), (z, z), None, t) for t in (0.0, 1.0)]
-    with pytest.raises(ValueError):
-        diag.functional_E(states, 1.5)
+    with pytest.raises(ValueError, match="missing the pressure"):
+        diag.smallness_margin(states, 1.5, 2.5)
 
 
 def test_functional_monotone_in_horizon(grid32, rng):
@@ -82,8 +87,8 @@ def test_functional_monotone_in_horizon(grid32, rng):
     y1 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-2)
     run = lag.run_lagrangian((_zeros(grid32), _zeros(grid32)), y1, 0.05, 1.0, store_every=5)
     states = run.states
-    e_half = diag.functional_E(states[: len(states) // 2 + 1], 1.5)
-    e_full = diag.functional_E(states, 1.5)
+    e_half = _functional(states[: len(states) // 2 + 1], 1.5)[0]
+    e_full = _functional(states, 1.5)[0]
     assert e_half <= e_full * (1.0 + 1e-12)
 
 
@@ -91,8 +96,8 @@ def test_functional_two_way_bookkeeping(grid32, rng):
     """Recomputing channels from the stored snapshots reproduces the total."""
     y1 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-2)
     run = lag.run_lagrangian((_zeros(grid32), _zeros(grid32)), y1, 0.05, 0.5, store_every=2)
-    total, parts = diag.functional_E(run.states, 1.5, return_breakdown=True)
-    total2 = diag.functional_E(run.states, 1.5)
+    total, parts = _functional(run.states, 1.5)
+    total2 = _functional(run.states, 1.5)[0]
     assert total == pytest.approx(sum(parts.values()), rel=1e-12)
     assert total == pytest.approx(total2, rel=1e-10)
 

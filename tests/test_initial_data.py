@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erf
 
 from mhd2d.fields import bump_dx1, gaussian_bump, random_solenoidal
-from mhd2d.grid import RealField, make_grid, spectral_derivative
+from mhd2d.grid import RealField, make_grid
 from mhd2d.initial_data import (
     ConstructionError,
     build_flow_map_initial,

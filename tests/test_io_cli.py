@@ -171,6 +171,44 @@ def test_rejected_data_keeps_a_directory_that_was_there(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, outdir",
+    [(["--outdir", ""], ""), (["--set", "outdir="], ""), (["--outdir", "afile"], "afile")],
+    ids=["empty-outdir", "empty-set-outdir", "outdir-is-a-file"],
+)
+def test_unusable_outdir_exits_2_with_a_message(tmp_path, monkeypatch, capsys, argv, outdir):
+    """An empty outdir, given either way, or one that names a file is
+    rejected by name: not replaced by the default, not a traceback, and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("x")
+    assert cli.main(["norms-selftest", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"outdir = {outdir!r}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "x"
+
+
+@pytest.mark.parametrize(
+    "name, n, amplitude, message",
+    [
+        ("lagrangian-smalldata", 16, 10, "StateBlowupError: step 6, t = 0.0600: ||grad Y||_inf = 0.509, not <= 1/2"),
+        ("eulerian-smalldata", 16, 1e3, "EulerBlowupError: step 6, t = 0.0600: non-finite state"),
+        ("build-initial-data", 32, 1, "ConstructionError: companion march requires max |grad psi0| < 1/2"),
+    ],
+    ids=["lagrangian-blowup", "eulerian-blowup", "construction"],
+)
+def test_solver_failure_exits_3_with_a_message_and_no_output_tree(tmp_path, capsys, name, n, amplitude, message):
+    """Data too large for the small-data regime stops the march or the
+    construction: the run exits 3 with the failure's message and removes the
+    directories it made."""
+    out = tmp_path / "o"
+    argv = ["--set", f"nx={n}", "--set", f"ny={n}", "--set", f"amplitude={amplitude}", "--outdir", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([name, *argv]) == 3
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("shape", "random"), ("nx", 64.7), ("width", -1), ("k", 0), ("dt", 0), ("seed", 1.5), ("nx", "64"),

@@ -35,3 +35,32 @@ def test_sweep_sizes_name_experiments_and_build_valid_configs(tmp_path):
     assert set(sweep.SIZES) <= set(EXPERIMENTS)
     for name, sizes in sweep.SIZES.items():
         ExperimentConfig(experiment=name, outdir=str(tmp_path / name), **sizes)
+
+
+def _compare(a, b):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_tree.py"), "compare", str(a), str(b)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def _tree(top, files):
+    for rel, data in files.items():
+        (top / rel).parent.mkdir(parents=True, exist_ok=True)
+        (top / rel).write_bytes(data)
+    return top
+
+
+def test_output_tree_compare_names_each_differing_or_missing_file(tmp_path):
+    files = {"report.json": b'{"pass": true}\n', "ledgers/energy.csv": b"t,value\n0.0,1.5\n"}
+    a = _tree(tmp_path / "a", files)
+    equal = _compare(a, _tree(tmp_path / "b", files))
+    assert (equal.returncode, equal.stdout) == (0, "2 files, byte-identical\n")
+
+    changed = _tree(tmp_path / "c", dict(files, **{"ledgers/energy.csv": b"t,value\n0.0,1.6\n"}))
+    proc = _compare(a, changed)
+    assert (proc.returncode, proc.stdout) == (1, "differs: ledgers/energy.csv\n")
+
+    missing = _tree(tmp_path / "d", {"report.json": files["report.json"]})
+    proc = _compare(a, missing)
+    assert (proc.returncode, proc.stdout) == (1, f"only in {a}: ledgers/energy.csv\n")
