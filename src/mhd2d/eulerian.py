@@ -29,7 +29,9 @@ dissipation by Plancherel, ``div_u_linf`` from the velocity ``e a`` at the
 nodes, and the continuation integrand on the finer grid.  ``run_euler`` and ``step_euler`` march through
 the loop ``propagators._march``; a step whose result is not finite is not
 committed and raises ``EulerBlowupError`` naming the step and its time, with
-the state the step started from.
+the state the step started from.  The stepper's stages, monitors and states
+ignore numpy's overflow and invalid-value warnings, so that check alone
+reports a blow-up.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ def make_euler_state(psi0: RealField, u0: tuple[RealField, RealField]) -> EulerS
     return _state_hat(c, c.fwd(psi0.samples) * c.deal, _amplitude(c, leray_project(u0)) * c.deal, 0.0)
 
 
+# A step whose result overflows is rejected by name in ``_hold`` (non-finite
+# state, at its step and time); the stages, monitors and report state that
+# run on the growing fields before that check stay quiet.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 class _EulerStepper:
     def __init__(self, grid: Grid, dt: float):
         self.c = half_spectrum(grid)
@@ -167,6 +175,7 @@ class _EulerStepper:
         np.negative(n_a, out=n_a)
         return n_psi, n_a
 
+    @_quiet
     def advance(self) -> None:
         """One ETD2RK step, committed only when its result is finite."""
         [(psih, ah)] = etd2rk_step(
@@ -174,12 +183,14 @@ class _EulerStepper:
         )
         self._hold(psih, ah, self.t + self.dt)
 
+    @_quiet
     def energy(self) -> tuple[float, float]:
         """E = (||grad psi||^2 + ||u||^2)/2 and D = ||grad u||^2 (Plancherel)."""
         c = self.c
         a_sq = np.abs(self.ah) ** 2
         return 0.5 * (c.norm_sq(c.ksq * np.abs(self.psih) ** 2) + c.norm_sq(a_sq)), c.norm_sq(c.ksq * a_sq)
 
+    @_quiet
     def sup_monitors(self) -> tuple[float, float]:
         """||div u||_inf of the velocity e a at the nodes, and the continuation
         integrand on the 2x finer grid."""
@@ -188,6 +199,7 @@ class _EulerStepper:
         div_linf = float(np.max(np.abs(c.inv(c.ik1 * u1h + c.ik2 * u2h))))
         return div_linf, _blowup_hat(c, self.psih, u1h, u2h)
 
+    @_quiet
     def state(self) -> EulerState:
         return _state_hat(self.c, self.psih, self.ah, self.t)
 

@@ -264,28 +264,36 @@ class InitialDatum:
 def smallness_report(datum: InitialDatum, k: int, s: float, s1: float, s2: float) -> dict:
     """All hypothesis norms of the smallness assumptions, bundled as a dict.
 
-    u0, Y0 and Y1 are transformed once each; the d1 Y0 and Lap Y0 norms come
-    from Y0's coefficients."""
+    The psi0 and psitilde0 norms run first; then u0, Y0 and Y1 are
+    transformed once each, one vector at a time, and each vector's
+    coefficients are dropped once its norms are taken (the d1 Y0 and Lap Y0
+    norms come from Y0's), so at most one vector's coefficients are held."""
     c = half_spectrum(datum.Y0[0].grid)
-    lap = _deriv_symbol(c, 1, 2) + _deriv_symbol(c, 2, 2)
-    u0h, y0h, y1h = ([c.fwd(f.samples) for f in v] for v in (datum.u0, datum.Y0, datum.Y1))
-
-    def vec_hdot(vh, expo, symbol=1.0):
-        return math.hypot(*(sobolev_norm_hat(c, symbol * h, expo) for h in vh))
-
     psi_a = a_ks_norm(datum.psi0, k + 1, s)
     til_hk = sobolev_norm(datum.psitilde0, float(k), homogeneous=False)
+
+    def vec_hdot(v, *norms):
+        """For each (exponent, symbol) in ``norms``, the homogeneous norm of the
+        vector field ``v`` with its coefficients multiplied by the symbol."""
+        vh = [c.fwd(f.samples) for f in v]
+        return [math.hypot(*(sobolev_norm_hat(c, symbol * h, expo) for h in vh)) for expo, symbol in norms]
+
+    u0_km1, u0_s2 = vec_hdot(datum.u0, (float(k - 1), 1.0), (s2, 1.0))
+    lap = _deriv_symbol(c, 1, 2) + _deriv_symbol(c, 2, 2)
+    d1y0_s2, lapy0_s1, lapy0_s2 = vec_hdot(datum.Y0, (s2, c.ik1), (s1, lap), (s2, lap))
+    del lap
+    y1_s1p1, y1_s2 = vec_hdot(datum.Y1, (s1 + 1.0, 1.0), (s2, 1.0))
     rep = {
         "psi0_A_k1_s": psi_a,
         "psitilde0_Hk": til_hk,
         "companion_ratio_Hk_over_A": (til_hk / psi_a if psi_a > 0 else 0.0),
-        "u0_Hdot_km1": vec_hdot(u0h, float(k - 1)),
-        "u0_Hdot_s2": vec_hdot(u0h, s2),
-        "d1Y0_Hdot_s2": vec_hdot(y0h, s2, c.ik1),
-        "lapY0_Hdot_s1": vec_hdot(y0h, s1, lap),
-        "lapY0_Hdot_s2": vec_hdot(y0h, s2, lap),
-        "Y1_Hdot_s1p1": vec_hdot(y1h, s1 + 1.0),
-        "Y1_Hdot_s2": vec_hdot(y1h, s2),
+        "u0_Hdot_km1": u0_km1,
+        "u0_Hdot_s2": u0_s2,
+        "d1Y0_Hdot_s2": d1y0_s2,
+        "lapY0_Hdot_s1": lapy0_s1,
+        "lapY0_Hdot_s2": lapy0_s2,
+        "Y1_Hdot_s1p1": y1_s1p1,
+        "Y1_Hdot_s2": y1_s2,
     }
     rep["hypothesis_sum_flowmap"] = rep["d1Y0_Hdot_s2"] + rep["lapY0_Hdot_s1"] + rep["lapY0_Hdot_s2"] + rep["Y1_Hdot_s1p1"] + rep["Y1_Hdot_s2"]
     rep["hypothesis_sum_scalar"] = rep["psi0_A_k1_s"] + rep["u0_Hdot_km1"] + rep["u0_Hdot_s2"]

@@ -7,8 +7,9 @@ condition, whose symbol on the half spectrum is
 one point set, in chunks of points: each point's base node and its 4 + 4
 B-spline weights are formed once, and each of the 16 gathers from the
 wrap-padded coefficient planes serves every field.  Fields are prefiltered
-one at a time, and the points are scaled to grid units chunk by chunk, so no
-temporary spans the stack or the point set.  The fields must lie on one grid.
+one at a time, and may be handed over one at a time (``planes=``), and the
+points are scaled to grid units chunk by chunk, so no temporary spans the
+stack or the point set.  The fields must lie on one grid.
 """
 
 from __future__ import annotations
@@ -35,24 +36,34 @@ class PeriodicInterpolator:
     prefiltered once.  ``self(x1, x2)`` evaluates every field at the
     broadcast points, with shape ``(k, ...)`` for k fields and ``(...)`` for
     one; a non-finite point raises ValueError, as do no fields or fields on
-    different grids."""
+    different grids.  ``PeriodicInterpolator(planes=(grid, n, it))`` stands
+    for n fields on grid whose samples the iterator ``it`` makes one at a
+    time, each taken only when the last is prefiltered."""
 
-    def __init__(self, *fields: RealField):
-        if not fields:
-            raise ValueError("no fields to interpolate")
-        g = self.grid = fields[0].grid
-        if bad := [f.grid for f in fields if f.grid != g]:
-            raise ValueError(f"fields on {g} and {bad[0]}: all must lie on one grid")
+    def __init__(self, *fields: RealField, planes: tuple | None = None):
+        if planes is not None:
+            # (grid, n, iterator of n sample planes): a caller that makes each
+            # plane on demand and drops it once yielded holds one plane, not a stack
+            g, n, samples = planes
+        else:
+            if not fields:
+                raise ValueError("no fields to interpolate")
+            g = fields[0].grid
+            if bad := [f.grid for f in fields if f.grid != g]:
+                raise ValueError(f"fields on {g} and {bad[0]}: all must lie on one grid")
+            n, samples = len(fields), (f.samples for f in fields)
+        self.grid = g
         c = half_spectrum(g)
         nx, ny = g.shape
         symbol = (4.0 + 2.0 * np.cos(2.0 * np.pi / nx * c.m1)) * (4.0 + 2.0 * np.cos(2.0 * np.pi / ny * c.m2)) / 36.0
-        # one padded plane per field, wrapped 1 node before and 2 after on each axis
-        pad = np.empty((len(fields), nx + 3, ny + 3))
-        for k, f in enumerate(fields):
-            pad[k, 1 : nx + 1, 1 : ny + 1] = c.inv(c.fwd(f.samples) / symbol)
+        # one padded plane per field, wrapped 1 node before and 2 after on each
+        # axis; no name holds a plane while the next is taken
+        pad = np.empty((n, nx + 3, ny + 3))
+        for k in range(n):
+            pad[k, 1 : nx + 1, 1 : ny + 1] = c.inv(c.fwd(next(samples)) / symbol)
         pad[:, 0], pad[:, nx + 1 :] = pad[:, nx], pad[:, 1:3]
         pad[:, :, 0], pad[:, :, ny + 1 :] = pad[:, :, ny], pad[:, :, 1:3]
-        self._coeffs = pad.reshape(len(fields), -1)
+        self._coeffs = pad.reshape(n, -1)
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         g = self.grid

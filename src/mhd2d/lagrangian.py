@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
-from mhd2d.interp import PeriodicInterpolator
+from mhd2d.interp import _CHUNK, PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
 from mhd2d.lp import _homogeneous_weight
 from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_entries, etd_tables
@@ -142,9 +142,31 @@ def _grad_hat(c: HalfSpectrum, y1h: np.ndarray, y2h: np.ndarray) -> GradTensor:
 
 def _small(grad: GradTensor) -> GradTensor:
     """``grad``; raises StateBlowupError unless ||grad Y||_inf <= 1/2 (NaN-safe)."""
-    if not (grad.sup_norm <= 0.5):
-        raise StateBlowupError(f"||grad Y||_inf = {grad.sup_norm:.3f}, not <= 1/2")
+    _check_small(grad.sup_norm)
     return grad
+
+
+def _check_small(sup: float) -> None:
+    if not (sup <= 0.5):
+        raise StateBlowupError(f"||grad Y||_inf = {sup:.3f}, not <= 1/2")
+
+
+def _grad_planes(c: HalfSpectrum, Y: tuple[RealField, RealField], sq: np.ndarray):
+    """grad Y at the nodes one plane at a time, d1y1, d2y1, d1y2, d2y2, each
+    made after the consumer has dropped the last; the generator keeps no
+    reference to a plane it has yielded.  Their squares are summed into
+    ``sq`` (zeros on entry) in that order, ``GradTensor.sup_norm``'s, so
+    ``sqrt(max(sq))`` is its value bit for bit."""
+
+    def summed(d: np.ndarray) -> np.ndarray:
+        np.add(sq, d**2, out=sq)
+        return d
+
+    for f in Y:
+        fh = c.fwd(f.samples)
+        for ik in (c.ik1, c.ik2):
+            yield summed(c.inv(ik * fh))
+        del fh
 
 
 def gradient_tensor(Y: tuple[RealField, RealField]) -> GradTensor:
@@ -549,9 +571,14 @@ def run_lagrangian(
 
 
 def _check_invertible(displacement: tuple[RealField, RealField]) -> None:
-    t = gradient_tensor(displacement)
-    if not (t.sup_norm < 1.0):
-        raise ValueError(f"displacement gradient {t.sup_norm:.3f}, not < 1, breaks local invertibility")
+    """ValueError unless ||grad D||_inf < 1; holds one plane of grad D at a time."""
+    g = displacement[0].grid
+    sq = np.zeros(g.shape)
+    for d in _grad_planes(half_spectrum(g), displacement, sq):
+        del d  # only the summed squares are read
+    sup = float(np.max(np.sqrt(sq, out=sq)))
+    if not (sup < 1.0):
+        raise ValueError(f"displacement gradient {sup:.3f}, not < 1, breaks local invertibility")
 
 
 def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealField:
@@ -572,53 +599,77 @@ def invert_flow_map(Y: tuple[RealField, RealField]):
 
 
 def _gradient_interpolator(Y: tuple[RealField, RealField]) -> PeriodicInterpolator:
-    """Interpolator of grad Y (checked small), planes (d1y1, d2y1, d1y2, d2y2)."""
-    t = _small(gradient_tensor(Y))
-    return PeriodicInterpolator(*(RealField(t.grid, a) for a in (t.d1y1, t.d2y1, t.d1y2, t.d2y2)))
+    """Interpolator of grad Y (checked small), planes (d1y1, d2y1, d1y2, d2y2).
+
+    Each plane is made, summed into ||grad Y||_inf's squares and prefiltered
+    before the next is made, so it holds the interpolator, one buffer of
+    squares, one component's coefficients and one plane, never the whole
+    GradTensor."""
+    g = Y[0].grid
+    sq = np.zeros(g.shape)
+    i_g = PeriodicInterpolator(planes=(g, 4, _grad_planes(half_spectrum(g), Y, sq)))
+    _check_small(float(np.max(np.sqrt(sq, out=sq))))
+    return i_g
+
+
+def _row_blocks(g: Grid) -> list[slice]:
+    """Row slices of at most one evaluation chunk (``interp._CHUNK`` points)."""
+    rows = max(1, _CHUNK // g.ny)
+    return [slice(lo, lo + rows) for lo in range(0, g.nx, rows)]
 
 
 def _invert(Y: tuple[RealField, RealField], i_g: PeriodicInterpolator):
-    """``invert_flow_map`` given the interpolator of grad Y for the Newton Jacobian."""
+    """``invert_flow_map`` given the interpolator of grad Y for the Newton
+    Jacobian; holds the interpolator of Y, d and the residual r (2 planes
+    each), and the Newton steps' row blocks."""
     g = Y[0].grid
     i_y = PeriodicInterpolator(*Y)
     d1 = -Y[0].samples
     d2 = -Y[1].samples
+    r = np.empty((2,) + g.shape)
     for _ in range(60):
-        res = _newton_step(g, i_y, i_g, d1, d2)
+        res = _newton_step(g, i_y, i_g, d1, d2, r)
         if res < 1e-12:
             return RealField(g, d1), RealField(g, d2)
     raise RuntimeError(f"flow-map inversion stalled at residual {res:.3e}")
 
 
 def _newton_step(
-    g: Grid, i_y: PeriodicInterpolator, i_g: PeriodicInterpolator, d1: np.ndarray, d2: np.ndarray
+    g: Grid, i_y: PeriodicInterpolator, i_g: PeriodicInterpolator, d1: np.ndarray, d2: np.ndarray, r: np.ndarray
 ) -> float:
-    """Sup residual of d + Y(x + d); unless it is below 1e-12, one Newton
-    correction of d in place.  Its temporaries die on return."""
-    y1, y2 = g.x1 + d1, g.x2 + d2
-    r = i_y(y1, y2)
-    r[0] += d1
-    r[1] += d2
-    res = max(float(np.max(np.abs(r[0]))), float(np.max(np.abs(r[1]))))
+    """Sup residual of d + Y(x + d), written into ``r``; unless it is below
+    1e-12, one Newton correction of d in place.  Two passes over row blocks
+    (``_row_blocks``), the residual and its max, then the Jacobian update:
+    the points x + d, the Jacobian and its determinant exist one block at a
+    time.  A NaN residual is its own max, so it never passes."""
+    blocks = _row_blocks(g)
+    peaks = []
+    for b in blocks:
+        rb = r[:, b]
+        rb[...] = i_y(g.x1[b] + d1[b], g.x2 + d2[b])
+        rb[0] += d1[b]
+        rb[1] += d2[b]
+        peaks.append(np.max(np.abs(rb)))
+    res = float(np.max(peaks))
     if res < 1e-12:
         return res
-    j = i_g(y1, y2)  # planes j11, j12, j21, j22 of grad Y; j11, j22 += 1 below
-    del y1, y2
-    j[0] += 1.0
-    j[3] += 1.0
-    det = j[0] * j[3]
-    det -= j[1] * j[2]
-    # d1 -= (j22 r1 - j12 r2) / det and d2 -= (j11 r2 - j21 r1) / det, in the planes of j
-    j[3] *= r[0]
-    j[1] *= r[1]
-    j[3] -= j[1]
-    j[3] /= det
-    d1 -= j[3]
-    j[0] *= r[1]
-    j[2] *= r[0]
-    j[0] -= j[2]
-    j[0] /= det
-    d2 -= j[0]
+    for b in blocks:
+        j = i_g(g.x1[b] + d1[b], g.x2 + d2[b])  # planes j11, j12, j21, j22 of grad Y; j11, j22 += 1 below
+        j[0] += 1.0
+        j[3] += 1.0
+        det = j[0] * j[3]
+        det -= j[1] * j[2]
+        # d1 -= (j22 r1 - j12 r2) / det and d2 -= (j11 r2 - j21 r1) / det, in the planes of j
+        j[3] *= r[0, b]
+        j[1] *= r[1, b]
+        j[3] -= j[1]
+        j[3] /= det
+        d1[b] -= j[3]
+        j[0] *= r[1, b]
+        j[2] *= r[0, b]
+        j[0] -= j[2]
+        j[0] /= det
+        d2[b] -= j[0]
     return res
 
 
@@ -635,16 +686,39 @@ def magnetic_pullback_check(Y: tuple[RealField, RealField]) -> tuple[RealField, 
     return RealField(g, r1), RealField(g, r2)
 
 
+def _at_inverse(i: PeriodicInterpolator, dinv: tuple[RealField, RealField]) -> list[np.ndarray]:
+    """The fields of ``i`` at X^{-1}(x) = x + D(x), one plane each, evaluated
+    in row blocks (``_row_blocks``): no whole-field points."""
+    g = i.grid
+    d1, d2 = dinv[0].samples, dinv[1].samples
+    out = None
+    for b in _row_blocks(g):
+        v = i(g.x1[b] + d1[b], g.x2 + d2[b])
+        v = v.reshape((-1,) + v.shape[-2:])
+        if out is None:
+            out = [np.empty(g.shape) for _ in v]
+        for o, vk in zip(out, v):
+            o[b] = vk
+    return out
+
+
 def to_eulerian(state: FlowMapState):
     """Reconstruct the Eulerian state: u = Y_t o X^{-1}, stream-like scalars
     from the displacement gradient, p = q o X^{-1} - |grad(x2 + psi)|^2.
 
     Returns (EulerState, psitilde, info) where info reports the curl residual
-    of the reconstructed gradient fields and the divergence of u.  The
-    inverse displacement is checked once.  grad Y is taken once: its
-    interpolator serves the Newton inversion and then the stream-like scalars
-    at X^{-1}.  The fields composed with X^{-1} are evaluated in the groups
-    their consumers read (Y_t, grad Y, q), so no stack outlives its use.
+    of the reconstructed gradient fields and the divergence of u.  It runs
+    in a bounded working set:
+
+    - grad Y is made and prefiltered one plane at a time
+      (``_gradient_interpolator``); its interpolator serves the Newton
+      inversion (``_invert``, in row blocks) and then the stream-like scalars;
+    - the inverse displacement D is checked once, one plane of grad D at a
+      time (``_check_invertible``);
+    - every field composed with X^{-1} is evaluated in row blocks at x + D
+      (``_at_inverse``), so no whole-field points exist: grad Y first, then
+      its interpolator is dropped and ``integrate_gradient`` transforms and
+      drops each plane it reads, ahead of the Y_t and q prefilters.
     """
     from mhd2d.eulerian import EulerState
 
@@ -653,29 +727,36 @@ def to_eulerian(state: FlowMapState):
     i_g = _gradient_interpolator(state.Y)
     dinv = _invert(state.Y, i_g)
     _check_invertible(dinv)
-    x1, x2 = g.x1 + dinv[0].samples, g.x2 + dinv[1].samples
-    del dinv
-    u1, u2 = (RealField(g, a) for a in PeriodicInterpolator(*state.Y_t)(x1, x2))
+    # d1Y1, d2Y1, d1Y2, d2Y2 at X^{-1}, then the interpolator is dropped
+    grad_at = _at_inverse(i_g, dinv)
+    del i_g
 
-    def integrate_gradient(g1: np.ndarray, g2: np.ndarray):
-        g1h, g2h = c.fwd(g1), c.fwd(g2)
+    def integrate_gradient(k1: int, k2: int):
+        """psi with grad psi = (-grad_at[k1], grad_at[k2]) and its curl
+        residual; both planes are transformed and dropped from ``grad_at``."""
+        np.negative(grad_at[k1], out=grad_at[k1])
+        g1h, g2h = c.fwd(grad_at[k1]), c.fwd(grad_at[k2])
+        grad_at[k1] = grad_at[k2] = None
         curl = c.inv(c.ik1 * g2h - c.ik2 * g1h)
-        num = c.ik1 * g1h + c.ik2 * g2h
-        ph = np.where(c.ksq > 0, num / np.where(c.ksq > 0, -c.ksq, 1.0), 0.0)
+        curl_res = float(np.sqrt(g.cell_area * np.sum(curl**2)))
+        del curl
         # psi_hat solves i xi . (i xi psi) = div g  =>  -|xi|^2 psi = div g
-        return RealField(g, c.inv(ph)), float(np.sqrt(g.cell_area * np.sum(curl**2)))
+        ph = c.ik1 * g1h + c.ik2 * g2h
+        del g1h, g2h
+        ph /= np.where(c.ksq > 0, -c.ksq, 1.0)
+        ph[~(c.ksq > 0)] = 0.0
+        return RealField(g, c.inv(ph)), curl_res
 
     # grad psi = (-d1Y2, d1Y1) and grad psitilde = (-d2Y2, d2Y1) at X^{-1}
-    j = i_g(x1, x2)
-    del i_g
-    np.negative(j[2], out=j[2])
-    np.negative(j[3], out=j[3])
-    psi, curl_psi = integrate_gradient(j[2], j[0])
-    psitilde, curl_til = integrate_gradient(j[3], j[1])
-    del j
+    psi, curl_psi = integrate_gradient(2, 0)
+    psitilde, curl_til = integrate_gradient(3, 1)
+    u1, u2 = (RealField(g, a) for a in _at_inverse(PeriodicInterpolator(*state.Y_t), dinv))
+    [q_at] = _at_inverse(PeriodicInterpolator(state.q), dinv)
+    del dinv
 
     dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))
-    p_raw = PeriodicInterpolator(state.q)(x1, x2) - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    p_raw = q_at - (dpsi1**2 + (1.0 + dpsi2) ** 2)
+    del q_at, dpsi1, dpsi2
     p = RealField(g, p_raw - float(np.mean(p_raw)))
     div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
     info = {

@@ -371,9 +371,10 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
 
 
 def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
-    """Two gradient tensors (the displacement's and the check of the inverse
-    displacement, 6 fields each), 14 fields of its own, and the spline
-    prefilter's forward and inverse transform of each interpolated field: Y
+    """Two gradients, each made one plane at a time (the displacement's and
+    the check of the inverse displacement, 6 fields each), 14 fields of its
+    own, and the spline prefilter's forward and inverse transform of each
+    interpolated field: Y
     and grad Y for the inversion (6; grad Y's interpolator also gives the
     stream-like scalars at the inverse), and Y_t and q composed with the
     inverse displacement (3)."""
@@ -381,16 +382,16 @@ def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monke
     Y, V = (tuple(random_band_field(g, rng, 1.0, 4.0, 0.02) for _ in range(2)) for _ in range(2))
     state = lag.FlowMapState(Y, V, random_band_field(g, rng, 1.0, 4.0, 0.02), 0.0)
     calls = Counter()
-    gradient_tensor = lag.gradient_tensor
+    grad_planes = lag._grad_planes
 
-    def counted(displacement):
-        calls["gradient_tensor"] += 1
-        return gradient_tensor(displacement)
+    def counted(c, displacement, sq):
+        calls["_grad_planes"] += 1
+        return grad_planes(c, displacement, sq)
 
-    monkeypatch.setattr(lag, "gradient_tensor", counted)
+    monkeypatch.setattr(lag, "_grad_planes", counted)
     fft_fields.clear()
     lag.to_eulerian(state)
-    assert calls["gradient_tensor"] == 2
+    assert calls["_grad_planes"] == 2
     assert (fft_fields["fields"], fft_fields["fft2"], fft_fields["ifft2"]) == (26 + 2 * (6 + 3), 0, 0)
 
 

@@ -5,7 +5,7 @@ from mhd2d import diagnostics as diag
 from mhd2d import lagrangian as lag
 from mhd2d import lp
 from mhd2d.fields import mode_field, random_band_field, random_solenoidal
-from mhd2d.grid import RealField, half_spectrum
+from mhd2d.grid import RealField, half_spectrum, l2_norm, spectral_derivative
 from mhd2d.linear import block_energy_series, evolve_linear, measured_decay_rate
 
 TWO_PI = 2.0 * np.pi
@@ -92,14 +92,62 @@ def test_functional_monotone_in_horizon(grid32, rng):
     assert e_half <= e_full * (1.0 + 1e-12)
 
 
+def _functional_from_blocks(states, s):
+    """(E_T^s, its eleven channels) by a second route: each channel's fields
+    are cut into isotropic blocks by ``lp.block_iso`` and measured by
+    quadrature at the nodes (``l2_norm``), and the time norms are taken per
+    block (Chemin-Lerner sup) or after the weighted block sum (L2_T, L1_T)."""
+    g = states[0].Y[0].grid
+    j0, j1 = lp.resolved_range(g, "iso")
+    js = np.arange(j0, j1 + 1)
+    times = np.array([st.t for st in states])
+
+    def blocks(fields):  # (blocks, states) squared block norms, summed over the components
+        return np.array([[sum(l2_norm(lp.block_iso(f, j)) ** 2 for f in fs) for fs in fields] for j in js])
+
+    fields = {
+        "yt": [st.Y_t for st in states],
+        "y": [st.Y for st in states],
+        "d1y": [[spectral_derivative(f, 1) for f in st.Y] for st in states],
+        "y2": [[st.Y[1]] for st in states],
+        "gq": [[spectral_derivative(st.q, 1), spectral_derivative(st.q, 2)] for st in states],
+    }
+    tab = {name: blocks(fs) for name, fs in fields.items()}
+
+    def sup(name, expo):
+        return sum(4.0 ** (j * expo) * row.max() for j, row in zip(js, tab[name]))
+
+    def series(name, expo):
+        return sum(4.0 ** (j * expo) * row for j, row in zip(js, tab[name]))
+
+    parts = {
+        "yt_clinf_s": sup("yt", s),
+        "yt_clinf_s1": sup("yt", s + 1),
+        "d1y_clinf_s": sup("d1y", s),
+        "y2_clinf_s1": sup("y2", s + 1),
+        "y_clinf_s2": sup("y", s + 2),
+        "yt_l2_s1": np.trapezoid(series("yt", s + 1), times),
+        "yt_l2_s2": np.trapezoid(series("yt", s + 2), times),
+        "d1y_l2_s1": np.trapezoid(series("d1y", s + 1), times),
+        "y2_l2_s2": np.trapezoid(series("y2", s + 2), times),
+        "gradq_l2_s": np.trapezoid(series("gq", s), times),
+        "gradq_l1_s": np.trapezoid(np.sqrt(series("gq", s)), times) ** 2,
+    }
+    return sum(parts.values()), parts
+
+
 def test_functional_two_way_bookkeeping(grid32, rng):
-    """Recomputing channels from the stored snapshots reproduces the total."""
+    """The functional and each of its eleven channels, from the per-block
+    tables of the stored snapshots, match a second route through per-block
+    norms of each stored field (``_functional_from_blocks``)."""
     y1 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-2)
     run = lag.run_lagrangian((_zeros(grid32), _zeros(grid32)), y1, 0.05, 0.5, store_every=2)
     total, parts = _functional(run.states, 1.5)
-    total2 = _functional(run.states, 1.5)[0]
+    total2, parts2 = _functional_from_blocks(run.states, 1.5)
     assert total == pytest.approx(sum(parts.values()), rel=1e-12)
     assert total == pytest.approx(total2, rel=1e-10)
+    assert all(v > 0.0 for v in parts2.values())
+    assert parts == pytest.approx(parts2, rel=1e-10)
 
 
 def _initial_energy(Y0, Y1, s):

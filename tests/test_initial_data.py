@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from mhd2d import lagrangian as lag
 from mhd2d.fields import bump_dx1, gaussian_bump, random_solenoidal
 from mhd2d.grid import RealField, make_grid
 from mhd2d.initial_data import (
@@ -221,3 +223,51 @@ def test_smallness_linear_scaling(grid128):
     assert rep1["companion_ratio_Hk_over_A"] == pytest.approx(
         rep2["companion_ratio_Hk_over_A"], rel=2e-2
     )
+
+
+# ---------------------------------------------------------------------------
+# memory budget of the round trip, in fields (one 128^2 field = 128 KiB)
+# ---------------------------------------------------------------------------
+
+FIELD_BYTES = 128 * 128 * 8
+
+
+@pytest.fixture(scope="module")
+def datum128(grid128):
+    psi0 = bump_dx1(grid128, 1e-4, width=0.6)
+    tilde, _ = solve_companion_potential(psi0)
+    Y0, _ = build_flow_map_initial(psi0, tilde)
+    u0 = random_solenoidal(grid128, np.random.default_rng(12345), 1.0, 4.0, 1e-4)
+    Y1, _ = seed_lagrangian_velocity(u0, Y0)
+    return InitialDatum(psi0, tilde, u0, Y0, Y1)
+
+
+def _peak_fields(call) -> float:
+    """The tracemalloc peak of ``call()`` above its entry, in fields, after
+    one untraced call has built every table it reads on first use."""
+    call()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - entry) / FIELD_BYTES
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("phase, budget", [("_invert", 22.7), ("to_eulerian", 26.9), ("smallness_report", 6.2)])
+def test_round_trip_phases_stay_within_their_memory_budget(datum128, phase, budget):
+    """Peak working set above entry of the 128^2 round trip's phases, pinned
+    like the transform counts: a budget may only go down.  Before the row
+    blocks and the one-plane gradients they read 29.13 (``_invert``, with
+    grad Y's interpolator built), 33.33 (``to_eulerian``) and 13.23 fields
+    (``smallness_report``, all six vectors transformed at once).  At 128^2 a
+    row block is half the field, so evaluation temporaries weigh more here
+    than at 512^2."""
+    state = lag.FlowMapState(datum128.Y0, datum128.Y1, RealField.zeros(datum128.Y0[0].grid), 0.0)
+    calls = {
+        "_invert": lambda i_g=lag._gradient_interpolator(datum128.Y0): lag._invert(datum128.Y0, i_g),
+        "to_eulerian": lambda: lag.to_eulerian(state),
+        "smallness_report": lambda: smallness_report(datum128, 4, 2.0, 1.5, -0.75),
+    }
+    assert _peak_fields(calls[phase]) <= budget

@@ -208,6 +208,17 @@ def test_solver_failure_exits_3_with_a_message_and_no_output_tree(tmp_path, caps
     assert not out.exists()
 
 
+def test_euler_blowup_is_named_by_the_finiteness_check_alone(tmp_path, capsys):
+    """The Euler stepper's stages, monitors and the state it builds for the
+    report run on the overflowing fields without a numpy warning: with
+    RuntimeWarning an error, the run still exits 3 with the failure's message."""
+    argv = ["--set", "nx=16", "--set", "ny=16", "--set", "amplitude=1e3", "--outdir", str(tmp_path / "o")]
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["eulerian-smalldata", *argv]) == 3
+    assert capsys.readouterr().err.strip() == "EulerBlowupError: step 6, t = 0.0600: non-finite state"
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -64,3 +65,39 @@ def test_output_tree_compare_names_each_differing_or_missing_file(tmp_path):
     missing = _tree(tmp_path / "d", {"report.json": files["report.json"]})
     proc = _compare(a, missing)
     assert (proc.returncode, proc.stdout) == (1, f"only in {a}: ledgers/energy.csv\n")
+
+
+def _phase_memory(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "phase_memory.py"), "initial-data", "--set", "nx=32", "--set", "ny=32", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_phase_memory_prints_each_phase_of_a_32_grid_build():
+    """Every named phase appears, nested under the whole run; each traced
+    peak is at least its entry and exit, and ru_maxrss never falls."""
+    proc = _phase_memory()
+    assert proc.returncode == 0, proc.stderr
+    head, *rows, last = proc.stdout.splitlines()
+    assert head.split() == ["phase", "entry_MiB", "peak_MiB", "exit_MiB", "rss_before_MB", "rss_after_MB"]
+    assert last == "initial-data seed 3: exit 0"
+    assert rows[0].startswith("cli.run build-initial-data ")
+    names = {re.split(r"\s{2,}", row.strip())[0] for row in rows}
+    for phase in (
+        "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
+        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
+        "interp build (4 fields)", "interp call (4 fields, 1024 points)",
+    ):
+        assert phase in names
+    for row in rows:
+        entry, peak, exit_, rss0, rss1 = map(float, row.split()[-5:])
+        assert peak >= max(entry, exit_) and rss1 >= rss0
+        assert row.startswith("  ") == (row is not rows[0])
+
+
+def test_phase_memory_untraced_prints_only_rss():
+    proc = _phase_memory("--untraced")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:-1]
+    assert rows and all(row.split()[-5:-2] == ["-", "-", "-"] for row in rows)
