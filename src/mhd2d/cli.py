@@ -479,11 +479,19 @@ def _exp_cross_validate(cfg: ExperimentConfig, out: dict) -> list[dict]:
 
 def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g = cfg.grid()
-    psi0 = _SHAPES[cfg.shape](g, cfg.amplitude, cfg.center, cfg.width)
+
+    # psi0 and u0 are deterministic in cfg; they are rebuilt after the round
+    # trip rather than held through it
+    def make_psi0() -> RealField:
+        return _SHAPES[cfg.shape](g, cfg.amplitude, cfg.center, cfg.width)
+
+    def make_u0() -> tuple[RealField, RealField]:
+        return recipes.random_solenoidal(g, cfg.rng(), cfg.kmin, cfg.kmax, cfg.amplitude)
+
+    psi0 = make_psi0()
     psitilde0, cinfo = solve_companion_potential(psi0, tol=cfg.tol("det_u0"))
     Y0, finfo = build_flow_map_initial(psi0, psitilde0)
-    rng = cfg.rng()
-    u0 = recipes.random_solenoidal(g, rng, cfg.kmin, cfg.kmax, cfg.amplitude)
+    u0 = make_u0()
     Y1, div_res = seed_lagrangian_velocity(u0, Y0)
     datum = InitialDatum(psi0, psitilde0, u0, Y0, Y1)
     rep = smallness_report(datum, cfg.k, cfg.s, cfg.s1, cfg.s2)
@@ -494,21 +502,25 @@ def _exp_build_initial_data(cfg: ExperimentConfig, out: dict) -> list[dict]:
     mio.write_json(os.path.join(out["root"], "smallness_report.json"), rep)
     for name, f in (("psi0", psi0), ("psitilde0", psitilde0), ("Y0_1", Y0[0]), ("Y0_2", Y0[1])):
         mio.save_field(os.path.join(out["fields"], name), f, name=name)
-    del psitilde0, datum  # nothing below reads them; they would live through to_eulerian
+    del psi0, psitilde0, u0, datum  # nothing reads them during to_eulerian
     recs = [
         _bounded("companion_det_residual", cinfo.det_residual_max, cfg.tol("det_u0")),
         _assert_rec("seed_iterations", "<= 30", finfo.iterations, 30, finfo.iterations <= 30),
         _bounded("seed_gradient_residual_linf", max(finfo.gradient_residuals_linf), cfg.tol("app_grad")),
     ]
     # round trip: t = 0 flow-map state back to Eulerian variables
-    state = lag.FlowMapState(Y0, Y1, RealField.zeros(g), 0.0)
-    est, _, rinfo = lag.to_eulerian(state)
+    est, psitilde_est, rinfo = lag.to_eulerian(lag.FlowMapState(Y0, Y1, RealField.zeros(g), 0.0))
+    del Y0, Y1, psitilde_est
+    u0 = make_u0()
     u_err = max(
         float(np.max(np.abs(est.u[0].samples - u0[0].samples))),
         float(np.max(np.abs(est.u[1].samples - u0[1].samples))),
     ) / max(float(np.max(np.abs(u0[0].samples))), 1e-300)
+    del u0
+    psi0 = make_psi0()
     psi_ref = psi0.samples - psi0.samples.mean()
     psi_err = float(np.max(np.abs(est.psi.samples - psi_ref))) / max(float(np.max(np.abs(psi_ref))), 1e-300)
+    del psi0, psi_ref
     mio.save_euler_snapshot(out["fields"], est, prefix="roundtrip_")
     recs.append(_bounded("roundtrip_u_rel_sup", u_err, cfg.tol("roundtrip")))
     recs.append(_bounded("roundtrip_psi_rel_sup", psi_err, cfg.tol("roundtrip_psi")))

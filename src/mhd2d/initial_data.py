@@ -31,6 +31,7 @@ import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
+from mhd2d.lagrangian import _at_displaced, _row_blocks
 from mhd2d.lp import a_ks_norm, sobolev_norm, sobolev_norm_hat
 
 __all__ = [
@@ -168,12 +169,20 @@ def build_flow_map_initial(
 
     Needs max |grad psi0| + max |grad psitilde0| <= 0.1, and converges when
     successive iterates differ by less than 1e-12 in sup norm (at most 60
-    iterations).  Also returns the residuals of the four gradient relations
-    (second-order centred differences against interpolated gradients of the
-    potentials), measured away from the marching seam at the quiet column of
-    psi0.  psi0 and psitilde0 are transformed once each for their gradients;
-    the Picard iterates interpolate the pair as one stack, and the four
-    gradients are one stack at the converged seed.
+    iterations); a non-finite iterate raises ConstructionError at once,
+    naming its iteration.  Also returns the residuals of the four gradient
+    relations (second-order centred differences against interpolated
+    gradients of the potentials), measured away from the marching seam at
+    the quiet column of psi0.
+
+    It runs in a bounded working set.  psi0 and psitilde0 are transformed
+    once each for their gradients, whose four relation planes are
+    prefiltered one at a time before the iteration starts, and the
+    gradients are dropped.  Each Picard iterate is updated in place, one
+    row block (``lagrangian._row_blocks``) at a time, which is exact because
+    the fixed point is pointwise; the residual planes are filled block by
+    block, the centred x1 differences reading the wrap rows.  No
+    whole-field points exist.
     """
     g = psi0.grid
     c = half_spectrum(g)
@@ -182,17 +191,35 @@ def build_flow_map_initial(
     size = float(np.max(np.hypot(d1p, d2p))) + float(np.max(np.hypot(d1t, d2t)))
     if size > 0.1:
         raise ConstructionError(f"gradient size {size:.3e} exceeds contraction threshold 0.1")
+    del d1t
+
+    # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
+    #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0
+    # d1 psitilde0 through the transport relation (seam-safe closed form)
+    def relations():
+        yield from (d2p, d2t, d1p)
+        yield (d2p + d1p * d2t) / (1.0 + d2p)
+
+    # the fourth plane is made only once the first three are prefiltered
+    grads = PeriodicInterpolator(planes=(g, 4, relations()))
+    del d1p, d2p, d2t, relations
     potentials = PeriodicInterpolator(psitilde0, psi0)
-    y1 = np.zeros(g.shape)
-    y2 = np.zeros(g.shape)
+    blocks = _row_blocks(g)
+    y = np.zeros((2,) + g.shape)
     prev_inc = math.inf
     grow = 0
     iterations = 0
     for iterations in range(1, 61):
-        new1, new2 = potentials(g.x1 + y1, g.x2 + y2)
-        np.negative(new2, out=new2)  # in place: y1 and y2 are the two planes of one stack
-        inc = max(float(np.max(np.abs(new1 - y1))), float(np.max(np.abs(new2 - y2))))
-        y1, y2 = new1, new2
+        peaks = []
+        for b in blocks:
+            v = potentials(g.x1[b] + y[0, b], g.x2 + y[1, b])
+            np.negative(v[1], out=v[1])
+            peaks.append(np.max(np.abs(v - y[:, b])))
+            y[:, b] = v
+        # a NaN anywhere is its own max
+        inc = float(np.max(peaks))
+        if not math.isfinite(inc):
+            raise ConstructionError(f"Picard iteration {iterations}: non-finite iterate")
         if inc < 1e-12:
             break
         grow = grow + 1 if inc > prev_inc else 0
@@ -203,21 +230,17 @@ def build_flow_map_initial(
         raise ConstructionError(f"no convergence within 60 iterations (inc={inc:.2e})")
     del potentials
 
-    # gradient relations: d1 Y0^1 = d2psi0 o X0, d2 Y0^1 = d2psitilde0 o X0,
-    #                     d1 Y0^2 = -d1psi0 o X0, d2 Y0^2 = -d1psitilde0 o X0
-    # d1 psitilde0 through the transport relation (seam-safe closed form)
-    grads = (d2p, d2t, d1p, (d2p + d1p * d2t) / (1.0 + d2p))
-    at_x0 = PeriodicInterpolator(*(RealField(g, a) for a in grads))(g.x1 + y1, g.x2 + y2)
-
-    def cd(arr: np.ndarray, axis: int, d: float) -> np.ndarray:
-        return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
-
-    r = (
-        cd(y1, 0, g.dx) - at_x0[0],
-        cd(y1, 1, g.dy) - at_x0[1],
-        cd(y2, 0, g.dx) + at_x0[2],
-        cd(y2, 1, g.dy) + at_x0[3],
-    )
+    y1, y2 = y
+    rows = np.arange(g.nx)
+    r = np.empty((4,) + g.shape)
+    for b in blocks:
+        at_x0 = grads(g.x1[b] + y1[b], g.x2 + y2[b])
+        nxt, prv = (rows[b] + 1) % g.nx, (rows[b] - 1) % g.nx
+        r[0, b] = (y1[nxt] - y1[prv]) / (2.0 * g.dx) - at_x0[0]
+        r[1, b] = (np.roll(y1[b], -1, 1) - np.roll(y1[b], 1, 1)) / (2.0 * g.dy) - at_x0[1]
+        r[2, b] = (y2[nxt] - y2[prv]) / (2.0 * g.dx) + at_x0[2]
+        r[3, b] = (np.roll(y2[b], -1, 1) - np.roll(y2[b], 1, 1)) / (2.0 * g.dy) + at_x0[3]
+    del grads
     # fixed physical width: the wake wiggle of the spline prefilter decays
     # per CELL, so a cell-count margin would shrink physically
     seam_margin = max(6, g.nx // 16)
@@ -238,18 +261,26 @@ def seed_lagrangian_velocity(
     u0: tuple[RealField, RealField], Y0: tuple[RealField, RealField]
 ) -> tuple[tuple[RealField, RealField], float]:
     """Y1 = u0(y + Y0), with the transported-divergence residual
-    ||div(A_{Y0} Y1)||_{L2} reported (zero for exact data)."""
-    g = u0[0].grid
-    y1s, y2s = Y0[0].samples, Y0[1].samples
-    v1, v2 = PeriodicInterpolator(*u0)(g.x1 + y1s, g.x2 + y2s)
-    Y1 = (RealField(g, v1), RealField(g, v2))
-    from mhd2d.lagrangian import adjugate, gradient_tensor
+    ||div(A_{Y0} Y1)||_{L2} reported (zero for exact data).
 
-    adj = adjugate(gradient_tensor(Y0))
-    w1 = adj.b11 * v1 + adj.b12 * v2
-    w2 = adj.b21 * v1 + adj.b22 * v2
-    div = spectral_derivative(RealField(g, w1), 1).samples + spectral_derivative(RealField(g, w2), 2).samples
-    return Y1, float(np.sqrt(g.cell_area * np.sum(div**2)))
+    u0 is evaluated at y + Y0 in row blocks (``lagrangian._at_displaced``).
+    Y0 is transformed once per component, and the rows w1, w2 of A_{Y0} Y1
+    are formed one after the other, each from the two grad Y0 planes it
+    reads, in the order of ``adj.b11 * v1 + adj.b12 * v2``: neither grad Y0
+    nor the adjugate is held whole."""
+    g = u0[0].grid
+    c = half_spectrum(g)
+    v1, v2 = _at_displaced(PeriodicInterpolator(*u0), Y0)
+    y1h, y2h = c.fwd(Y0[0].samples), c.fwd(Y0[1].samples)
+    # A_{Y0} = [[1 + d2 Y0^2, -d2 Y0^1], [-d1 Y0^2, 1 + d1 Y0^1]]
+    w1 = (1.0 + c.inv(c.ik2 * y2h)) * v1 + (-c.inv(c.ik2 * y1h)) * v2
+    div = spectral_derivative(RealField(g, w1), 1).samples
+    del w1
+    w2 = (-c.inv(c.ik1 * y2h)) * v1 + (1.0 + c.inv(c.ik1 * y1h)) * v2
+    del y1h, y2h
+    div += spectral_derivative(RealField(g, w2), 2).samples
+    del w2
+    return (RealField(g, v1), RealField(g, v2)), float(np.sqrt(g.cell_area * np.sum(div**2)))
 
 
 @dataclass(frozen=True)

@@ -686,11 +686,12 @@ def magnetic_pullback_check(Y: tuple[RealField, RealField]) -> tuple[RealField, 
     return RealField(g, r1), RealField(g, r2)
 
 
-def _at_inverse(i: PeriodicInterpolator, dinv: tuple[RealField, RealField]) -> list[np.ndarray]:
-    """The fields of ``i`` at X^{-1}(x) = x + D(x), one plane each, evaluated
-    in row blocks (``_row_blocks``): no whole-field points."""
+def _at_displaced(i: PeriodicInterpolator, disp: tuple[RealField, RealField]) -> list[np.ndarray]:
+    """The fields of ``i`` at x + D(x) for the displacement D = ``disp``, one
+    plane each, evaluated in row blocks (``_row_blocks``): no whole-field
+    points.  With D the inverse displacement, x + D(x) = X^{-1}(x)."""
     g = i.grid
-    d1, d2 = dinv[0].samples, dinv[1].samples
+    d1, d2 = disp[0].samples, disp[1].samples
     out = None
     for b in _row_blocks(g):
         v = i(g.x1[b] + d1[b], g.x2 + d2[b])
@@ -716,7 +717,7 @@ def to_eulerian(state: FlowMapState):
     - the inverse displacement D is checked once, one plane of grad D at a
       time (``_check_invertible``);
     - every field composed with X^{-1} is evaluated in row blocks at x + D
-      (``_at_inverse``), so no whole-field points exist: grad Y first, then
+      (``_at_displaced``), so no whole-field points exist: grad Y first, then
       its interpolator is dropped and ``integrate_gradient`` transforms and
       drops each plane it reads, ahead of the Y_t and q prefilters.
     """
@@ -728,7 +729,7 @@ def to_eulerian(state: FlowMapState):
     dinv = _invert(state.Y, i_g)
     _check_invertible(dinv)
     # d1Y1, d2Y1, d1Y2, d2Y2 at X^{-1}, then the interpolator is dropped
-    grad_at = _at_inverse(i_g, dinv)
+    grad_at = _at_displaced(i_g, dinv)
     del i_g
 
     def integrate_gradient(k1: int, k2: int):
@@ -750,8 +751,8 @@ def to_eulerian(state: FlowMapState):
     # grad psi = (-d1Y2, d1Y1) and grad psitilde = (-d2Y2, d2Y1) at X^{-1}
     psi, curl_psi = integrate_gradient(2, 0)
     psitilde, curl_til = integrate_gradient(3, 1)
-    u1, u2 = (RealField(g, a) for a in _at_inverse(PeriodicInterpolator(*state.Y_t), dinv))
-    [q_at] = _at_inverse(PeriodicInterpolator(state.q), dinv)
+    u1, u2 = (RealField(g, a) for a in _at_displaced(PeriodicInterpolator(*state.Y_t), dinv))
+    [q_at] = _at_displaced(PeriodicInterpolator(state.q), dinv)
     del dinv
 
     dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))

@@ -370,6 +370,20 @@ def test_initial_data_transforms_each_potential_once(fft_fields, monkeypatch):
     assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2 + 6, 4 + 6, 0, 0)
 
 
+def test_seed_velocity_transforms_each_component_of_y0_once(rng, fft_fields):
+    """The spline prefilter transforms u0 forward and back (2 + 2), each
+    component of Y0 is transformed once for its two gradient planes (2 + 4)
+    and the divergence transforms each row of A_{Y0} Y1 (2 + 2)."""
+    g = make_grid(64, 64, TWO_PI, TWO_PI)
+    psi0 = bump_dx1(g, 1e-4, width=0.6)
+    tilde, _ = solve_companion_potential(psi0)
+    Y0, _ = build_flow_map_initial(psi0, tilde)
+    u0 = random_solenoidal(g, rng, 1.0, 4.0, 1e-4)
+    fft_fields.clear()
+    seed_lagrangian_velocity(u0, Y0)
+    assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (6, 8, 0, 0)
+
+
 def test_to_eulerian_checks_the_inverse_displacement_once(rng, fft_fields, monkeypatch):
     """Two gradients, each made one plane at a time (the displacement's and
     the check of the inverse displacement, 6 fields each), 14 fields of its

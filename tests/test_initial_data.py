@@ -7,9 +7,12 @@ from scipy.special import erf
 
 from mhd2d import lagrangian as lag
 from mhd2d.fields import bump_dx1, gaussian_bump, random_solenoidal
-from mhd2d.grid import RealField, make_grid
+from mhd2d.grid import RealField, half_spectrum, make_grid, spectral_derivative
 from mhd2d.initial_data import (
     ConstructionError,
+    FlowMapSeedInfo,
+    _seam_mask,
+    quiet_column,
     build_flow_map_initial,
     seed_lagrangian_velocity,
     smallness_report,
@@ -17,6 +20,7 @@ from mhd2d.initial_data import (
     window_derivative_x1,
     InitialDatum,
 )
+from mhd2d.interp import PeriodicInterpolator
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,8 +94,6 @@ def test_seed_zero_data(grid128):
 def test_seed_first_order_oracle(grid128):
     """eps = 1e-4: Y0 = (psitilde0, -psi0) + O(eps^2) column-wise, away from
     the marching seam (the wake band is outside the plane surrogate)."""
-    from mhd2d.initial_data import _seam_mask, quiet_column
-
     eps = 1e-4
     psi0 = gaussian_bump(grid128, eps, width=0.6)
     tilde, _ = solve_companion_potential(psi0)
@@ -110,8 +112,6 @@ def test_seed_gradient_relations(grid128):
     assert max(info.gradient_residuals_linf) < 3e-5  # O(h^2) at 128^2
     # det(I + grad Y0) = 1 with the same local (centred-difference) gradients
     # the residuals use; spectral gradients would ring off the wake seam
-    from mhd2d.initial_data import _seam_mask, quiet_column
-
     def cd(arr, axis, d):
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
 
@@ -128,6 +128,98 @@ def test_seed_rejects_large_data(grid128):
     tilde = gaussian_bump(grid128, 0.2, width=0.8)
     with pytest.raises(ConstructionError):
         build_flow_map_initial(psi0, tilde)
+
+
+@pytest.mark.parametrize("plane, value", [(0, np.nan), (1, np.nan), (1, np.inf)])
+def test_seed_stops_at_a_non_finite_iterate(grid128, monkeypatch, plane, value):
+    """A non-finite value in either plane of a Picard iterate raises
+    ConstructionError in the iteration that made it.  Taking the increment
+    as ``max`` of two Python floats dropped a NaN in the second plane: zero
+    potentials then "converged" and the gradient check failed on the NaN
+    points with a ValueError."""
+    import mhd2d.initial_data as idm
+
+    class Spoiled(PeriodicInterpolator):
+        def __call__(self, x1, x2):
+            out = super().__call__(x1, x2)
+            if out.shape[0] == 2:  # the potentials, not the four gradients
+                out[plane].flat[0] = value
+            return out
+
+    monkeypatch.setattr(idm, "PeriodicInterpolator", Spoiled)
+    z = RealField(grid128, np.zeros(grid128.shape))
+    with pytest.raises(ConstructionError, match=r"^Picard iteration 1: non-finite iterate$"):
+        build_flow_map_initial(z, z)
+
+
+def _seed_whole_field(psi0, psitilde0):
+    """Y0 and the residuals of ``build_flow_map_initial`` by its former
+    whole-field formulas: each iterate evaluated at whole-field points, the
+    four gradients as one stack at the seed and the x1 and x2 differences
+    by ``np.roll``."""
+    g = psi0.grid
+    c = half_spectrum(g)
+    d1p, d2p = c.grad(c.fwd(psi0.samples))
+    d2t = c.grad(c.fwd(psitilde0.samples))[1]
+    potentials = PeriodicInterpolator(psitilde0, psi0)
+    y1 = np.zeros(g.shape)
+    y2 = np.zeros(g.shape)
+    for iterations in range(1, 61):
+        new1, new2 = potentials(g.x1 + y1, g.x2 + y2)
+        np.negative(new2, out=new2)
+        inc = max(float(np.max(np.abs(new1 - y1))), float(np.max(np.abs(new2 - y2))))
+        y1, y2 = new1, new2
+        if inc < 1e-12:
+            break
+    grads = (d2p, d2t, d1p, (d2p + d1p * d2t) / (1.0 + d2p))
+    at_x0 = PeriodicInterpolator(*(RealField(g, a) for a in grads))(g.x1 + y1, g.x2 + y2)
+
+    def cd(arr, axis, d):
+        return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * d)
+
+    r = (
+        cd(y1, 0, g.dx) - at_x0[0],
+        cd(y1, 1, g.dy) - at_x0[1],
+        cd(y2, 0, g.dx) + at_x0[2],
+        cd(y2, 1, g.dy) + at_x0[3],
+    )
+    seam_margin = max(6, g.nx // 16)
+    mask = _seam_mask(g, quiet_column(psi0), seam_margin)
+    linf = tuple(float(np.max(np.abs(ri[mask]))) for ri in r)
+    l2 = tuple(float(np.sqrt(g.cell_area * np.sum(ri[mask] ** 2))) for ri in r)
+    return (y1, y2), FlowMapSeedInfo(iterations, inc, linf, l2, seam_margin)
+
+
+def _velocity_whole_field(u0, Y0):
+    """Y1 and the residual of ``seed_lagrangian_velocity`` by its former
+    formulas: u0 at whole-field points, the whole GradTensor and adjugate."""
+    g = u0[0].grid
+    v1, v2 = PeriodicInterpolator(*u0)(g.x1 + Y0[0].samples, g.x2 + Y0[1].samples)
+    adj = lag.adjugate(lag.gradient_tensor(Y0))
+    w1 = adj.b11 * v1 + adj.b12 * v2
+    w2 = adj.b21 * v1 + adj.b22 * v2
+    div = spectral_derivative(RealField(g, w1), 1).samples + spectral_derivative(RealField(g, w2), 2).samples
+    return (v1, v2), float(np.sqrt(g.cell_area * np.sum(div**2)))
+
+
+def test_row_block_seed_and_velocity_match_the_whole_field_formulas(rng):
+    """Bit for bit, on a grid whose row blocks (85 rows of 96) do not divide
+    nx = 200: blocks of 85, 85 and 30 rows, so the centred x1 differences
+    read wrap rows across every block edge and across the periodic seam."""
+    g = make_grid(200, 96, TWO_PI, TWO_PI)
+    assert [len(range(g.nx)[b]) for b in lag._row_blocks(g)] == [85, 85, 30]
+    psi0 = bump_dx1(g, 1e-3, width=0.6)
+    tilde, _ = solve_companion_potential(psi0)
+    Y0, info = build_flow_map_initial(psi0, tilde)
+    (r1, r2), ref_info = _seed_whole_field(psi0, tilde)
+    assert info.iterations > 2
+    assert Y0[0].samples.tobytes() == r1.tobytes() and Y0[1].samples.tobytes() == r2.tobytes()
+    assert info == ref_info
+    u0 = random_solenoidal(g, rng, 1.0, 4.0, 1e-3)
+    Y1, res = seed_lagrangian_velocity(u0, Y0)
+    (v1, v2), ref_res = _velocity_whole_field(u0, Y0)
+    assert Y1[0].samples.tobytes() == v1.tobytes() and Y1[1].samples.tobytes() == v2.tobytes()
+    assert res == ref_res and res > 0.0
 
 
 def _window_derivative_x1_rows(arr: np.ndarray, dx: float) -> np.ndarray:
@@ -253,6 +345,21 @@ def _peak_fields(call) -> float:
         return (tracemalloc.get_traced_memory()[1] - entry) / FIELD_BYTES
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("phase, budget", [("build_flow_map_initial", 27.3), ("seed_lagrangian_velocity", 16.2)])
+def test_seed_phases_stay_within_their_memory_budget(datum128, phase, budget):
+    """Peak working set above entry of the 128^2 Picard seed and seed
+    velocity, pinned like the round trip's.  With whole-field points, the
+    four gradients at the seed as one stack and ``np.roll`` residuals, the
+    seed read 34.24 fields; with whole-field points and the whole GradTensor
+    and adjugate, the seed velocity read 21.13."""
+    d = datum128
+    calls = {
+        "build_flow_map_initial": lambda: build_flow_map_initial(d.psi0, d.psitilde0),
+        "seed_lagrangian_velocity": lambda: seed_lagrangian_velocity(d.u0, d.Y0),
+    }
+    assert _peak_fields(calls[phase]) <= budget
 
 
 @pytest.mark.parametrize("phase, budget", [("_invert", 22.7), ("to_eulerian", 26.9), ("smallness_report", 6.2)])

@@ -8,6 +8,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from mhd2d.cli import EXPERIMENTS, ExperimentConfig
 from mhd2d.diagnostics import DecayRow
 
@@ -65,6 +68,42 @@ def test_output_tree_compare_names_each_differing_or_missing_file(tmp_path):
     missing = _tree(tmp_path / "d", {"report.json": files["report.json"]})
     proc = _compare(a, missing)
     assert (proc.returncode, proc.stdout) == (1, f"only in {a}: ledgers/energy.csv\n")
+
+
+def test_output_tree_roundoff_prints_each_numeric_files_drift(tmp_path):
+    """Drift of B from A per numeric file, against the reference rule
+    ``|b - a| <= 1e-9 |a| + 1e-15``; exit 0 whatever it finds."""
+    field = np.array([0.0, 1.0, 2.0, -3.0])
+    files = {
+        "x/report.json": b'{"name": "x", "pass": true, "value": 1.0}',
+        "x/ledgers/energy.csv": b"t,value\n0.0,1.5\n0.5,2.5\n",
+        "x/fields/f.bin": field.astype("<f8").tobytes(),
+        "x/fields/f.json": b'{"nx": 2, "name": "f"}',
+    }
+    a = _tree(tmp_path / "a", files)
+    spoiled = dict(files)
+    spoiled["x/ledgers/energy.csv"] = b"t,value\n0.0,1.5\n0.5,2.5000000000025\n"  # rel 1e-12: within
+    spoiled["x/fields/f.bin"] = (field + np.array([0.0, 0.0, 1e-6, 0.0])).astype("<f8").tobytes()  # beyond
+    spoiled["x/fields/f.json"] = b'{"nx": 2, "name": "g"}'  # not a number
+    b = _tree(tmp_path / "b", spoiled)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_tree.py"), "compare", "--roundoff", str(a), str(b)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rule, head, *rows, tail = proc.stdout.splitlines()
+    assert rule.startswith("rule: |b - a| <= 1e-09 |a| + 1e-15")
+    assert head.split() == ["file", "values", "max_abs", "max_rel", "within"]
+    table = {row.split()[0]: row.split()[1:] for row in rows if not row.startswith("differs")}
+    assert table["x/report.json"] == ["1", "0", "0", "yes"]
+    values, max_abs, max_rel, within = table["x/ledgers/energy.csv"]
+    assert (values, within) == ("4", "yes") and 0 < float(max_abs) < 1e-11
+    assert float(max_rel) == pytest.approx(1e-12, rel=1e-2)
+    values, max_abs, max_rel, within = table["x/fields/f.bin"]
+    assert (values, within) == ("4", "NO") and float(max_abs) == pytest.approx(1e-6, rel=1e-3)
+    assert float(max_rel) == pytest.approx(5e-7, rel=1e-3)
+    assert "differs beyond its numbers: x/fields/f.json" in rows
+    assert tail == "3 numeric files, 1 beyond the rule; 1 other differences"
 
 
 def _phase_memory(*args):
