@@ -13,8 +13,10 @@ whole ``cli.run`` call:
   ``build_flow_map_initial`` (the Picard seed), ``seed_lagrangian_velocity``
   and ``smallness_report``;
 - the change of variables back to Eulerian form: ``to_eulerian``,
-  ``_gradient_interpolator``, ``_invert``, each ``_newton_step`` and
-  ``_check_invertible``;
+  ``_gradient_interpolator``, ``_invert``, each ``_newton_step``,
+  ``_check_invertible`` and each row-block evaluation at displaced points
+  (``_at_displaced``: the seed velocity's u0 at y + Y0, then grad Y, Y_t and
+  q at X^{-1});
 - each ``PeriodicInterpolator`` build (``interp build``, with its field
   count) and call (``interp call``, with its field and point counts); a run
   of consecutive calls, such as the row blocks of one evaluation, is one
@@ -42,7 +44,9 @@ PHASES = {
     "initial_data": (
         "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
     ),
-    "lagrangian": ("to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible"),
+    "lagrangian": (
+        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible", "_at_displaced",
+    ),
 }
 
 

@@ -14,9 +14,10 @@ frequencies, through one ``HalfSpectrum`` context per grid from
 products at each level; sup norms are sampled on the 2x finer grid by zero
 padding (``inv_fine``), with the unpaired Nyquist modes split evenly.  The
 ``HalfSpectrum`` owns every wavenumber and mode-index table; ``Grid`` holds
-only the nodes.  The mode indices and wavenumbers are 1-D axes (shapes
-(nx, 1) and (1, ny // 2 + 1)); the tables that hot products multiply have the
-full half-spectrum shape; each is built on its first read.
+only the nodes.  The mode indices, the wavenumbers and the derivative
+symbols ``ik1``/``ik2`` are 1-D axes (shapes (nx, 1) and (1, ny // 2 + 1)),
+so products with them broadcast; the other tables have the full
+half-spectrum shape; each is built on its first read.
 
 All operations are pure functions of immutable inputs.
 """
@@ -149,17 +150,18 @@ class HalfSpectrum:
     Coefficients are the unnormalised ``rfft2`` output (``nx * ny`` times
     ``chat``) on the ``ny // 2 + 1`` non-negative x2 frequencies.  The integer
     mode indices ``m1`` (FFT order, shape (nx, 1)) and ``m2`` (shape
-    (1, ny // 2 + 1)) label them, and the wavenumbers ``k1``/``k2`` are held
-    on the same 1-D axes.  Every other table has the full ``shape``, so the
-    hot products read it without a broadcast: ``ik1``/``ik2`` with the
-    unpaired Nyquist modes zeroed; ``ksq``; ``inv_ksq`` (zero at the mean
-    mode); the 2/3 mask ``deal`` (complex 1 or 0); the solenoidal unit vector
-    ``e = (-xi2, xi1)/|xi|`` as complex ``e1``/``e2`` (zero at the mean mode);
-    and the weights ``wd``/``w12`` of ``e . div S = wd (S11 - S22) + w12 S12``
-    for a symmetric tensor S, which holds wherever ``e . ik = 0``: everywhere
-    but the Nyquist modes outside the 2/3 set (the trace of S, a gradient,
-    drops out).  Each table is built on its first read, so a context holds
-    only the tables its workload uses.
+    (1, ny // 2 + 1)) label them.  The wavenumbers ``k1``/``k2`` and the
+    derivative symbols ``ik1``/``ik2`` (with the unpaired Nyquist modes
+    zeroed) are held on the same 1-D axes: a product with them broadcasts,
+    and each element is the same complex multiply as with a full table.
+    Every other table has the full ``shape``: ``ksq``; ``inv_ksq`` (zero at
+    the mean mode); the 2/3 mask ``deal`` (complex 1 or 0); the solenoidal
+    unit vector ``e = (-xi2, xi1)/|xi|`` as complex ``e1``/``e2`` (zero at
+    the mean mode); and the weights ``wd``/``w12`` of
+    ``e . div S = wd (S11 - S22) + w12 S12`` for a symmetric tensor S, which
+    holds wherever ``e . ik = 0``: everywhere but the Nyquist modes outside
+    the 2/3 set (the trace of S, a gradient, drops out).  Each table is built
+    on its first read, so a context holds only the tables its workload uses.
     """
 
     def __init__(self, grid: Grid):
@@ -180,19 +182,14 @@ class HalfSpectrum:
     def k2(self) -> np.ndarray:
         return 2.0 * np.pi / self.grid.ly * self.m2.astype(float)
 
-    # 1j times the broadcast axis, not plus 0j: that would flip -0.0 real parts.
-    # The shape is read off ksq, so the first read of ik1 or ik2 builds ksq
-    # ahead of them: the three tables every workload reads are allocated
-    # together, before a run's large transients.  Built at its own first read
-    # (inside smallness_report), ksq left initial-data's peak RSS 2 MB higher
-    # at 512^2, with the same tracemalloc peak: a heap-layout effect.
+    # 1j times the axis, not plus 0j: that would flip -0.0 real parts.
     @cached_property
     def ik1(self) -> np.ndarray:
-        return np.where(self.m1 == -self.grid.nx // 2, 0.0, 1j * np.broadcast_to(self.k1, self.ksq.shape))
+        return np.where(self.m1 == -self.grid.nx // 2, 0.0, 1j * self.k1)
 
     @cached_property
     def ik2(self) -> np.ndarray:
-        return np.where(self.m2 == self.grid.ny // 2, 0.0, 1j * np.broadcast_to(self.k2, self.ksq.shape))
+        return np.where(self.m2 == self.grid.ny // 2, 0.0, 1j * self.k2)
 
     @cached_property
     def ksq(self) -> np.ndarray:

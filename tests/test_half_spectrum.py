@@ -104,23 +104,29 @@ TABLE_GRIDS = [(8, 8, TWO_PI, TWO_PI), (64, 32, 3.0, TWO_PI), (128, 128, TWO_PI,
 
 @pytest.mark.parametrize("params", TABLE_GRIDS, ids=lambda p: f"{p[0]}x{p[1]}")
 def test_tables_are_byte_equal_to_the_eager_formulas(params):
-    """Built on first read, the 1-D wavenumber axes and the full-shape tables
-    carry the former tables' bits (sign bits of zeros included) once
-    broadcast; so do the derivative symbols formed from them."""
+    """Built on first read, the 1-D axes (the wavenumbers and ik1/ik2) and
+    the full-shape tables carry the former tables' bits (sign bits of zeros
+    included) once broadcast; so do the derivative symbols formed from them,
+    and so does each symbol's broadcast product with white-noise
+    coefficients."""
     g = make_grid(*params)
     c, ref = HalfSpectrum(g), _eager_tables(g)
     shape = (g.nx, g.ny // 2 + 1)
-    assert c.k1.shape == (g.nx, 1) and c.k2.shape == (1, g.ny // 2 + 1)
+    axes = {"k1": (g.nx, 1), "k2": (1, shape[1]), "ik1": (g.nx, 1), "ik2": (1, shape[1])}
     for name, want in ref.items():
         got = getattr(c, name)
         assert got.dtype == want.dtype and want.shape == shape, name
+        assert got.shape == axes.get(name, shape), name
         assert np.broadcast_to(got, shape).tobytes() == want.tobytes(), name
-    for name in ("ik1", "ik2", "ksq", "inv_ksq", "e1", "e2", "deal", "wd", "w12"):
-        assert getattr(c, name).shape == shape, name
+    fh = np.fft.rfft2(np.random.default_rng(0).standard_normal(g.shape))
+    for name in ("ik1", "ik2"):
+        assert (getattr(c, name) * fh).tobytes() == (ref[name] * fh).tobytes(), name
     for axis, k, ik in ((1, ref["k1"], ref["ik1"]), (2, ref["k2"], ref["ik2"])):
         for order in (1, 2, 3, 4):
             want = ik**order if order % 2 else (1j * k) ** order
-            assert np.broadcast_to(_deriv_symbol(c, axis, order), shape).tobytes() == want.tobytes(), (axis, order)
+            got = _deriv_symbol(c, axis, order)
+            assert np.broadcast_to(got, shape).tobytes() == want.tobytes(), (axis, order)
+            assert (got * fh).tobytes() == (want * fh).tobytes(), (axis, order)
 
 
 def test_a_fresh_context_holds_no_table():
@@ -131,12 +137,13 @@ def test_a_fresh_context_holds_no_table():
     assert all(sum(n > 1 for n in a.shape) <= 1 for a in vars(c).values() if isinstance(a, np.ndarray))
 
 
-def test_the_first_read_of_ik1_builds_ksq_ahead_of_it():
-    """ik1 and ik2 take their shape from ksq, so the three hot tables are
-    allocated together (initial-data's peak RSS depends on that order)."""
+def test_reading_ik1_and_ik2_builds_no_2d_table():
+    """ik1 and ik2 are formed from the 1-D wavenumber axes alone: reading
+    them builds neither ksq nor any other table of the full shape."""
     c = HalfSpectrum(make_grid(16, 16, TWO_PI, TWO_PI))
-    c.ik1
-    assert list(vars(c)) == ["grid", "m1", "m2", "k1", "k2", "ksq", "ik1"]
+    c.ik1, c.ik2
+    assert set(vars(c)) == {"grid", "m1", "m2", "k1", "k2", "ik1", "ik2"}
+    assert all(sum(n > 1 for n in a.shape) <= 1 for a in vars(c).values() if isinstance(a, np.ndarray))
 
 
 def test_initial_data_leaves_the_tables_it_never_reads_unbuilt(tmp_path):

@@ -362,6 +362,26 @@ def test_seed_phases_stay_within_their_memory_budget(datum128, phase, budget):
     assert _peak_fields(calls[phase]) <= budget
 
 
+def test_companion_march_stays_within_its_memory_budget(grid128):
+    """Peak working set above entry of the 128^2 companion march from a cold
+    table cache (after one call has loaded what numpy builds once), and what
+    it leaves held on return (its result and the tables it built), in
+    fields.  With ik1/ik2 built as full tables, ksq ahead of them, the march
+    read 15.67 at its peak and held 3.58."""
+    psi0 = bump_dx1(grid128, 1e-4, width=0.6)
+    solve_companion_potential(psi0)
+    half_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = solve_companion_potential(psi0)
+        held, peak = ((m - entry) / FIELD_BYTES for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    del result
+    assert peak <= 13.7 and held <= 1.3
+
+
 @pytest.mark.parametrize("phase, budget", [("_invert", 22.7), ("to_eulerian", 26.9), ("smallness_report", 6.2)])
 def test_round_trip_phases_stay_within_their_memory_budget(datum128, phase, budget):
     """Peak working set above entry of the 128^2 round trip's phases, pinned

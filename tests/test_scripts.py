@@ -125,7 +125,7 @@ def test_phase_memory_prints_each_phase_of_a_32_grid_build():
     names = {re.split(r"\s{2,}", row.strip())[0] for row in rows}
     for phase in (
         "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
-        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
+        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible", "_at_displaced",
         "interp build (4 fields)", "interp call (4 fields, 1024 points)",
     ):
         assert phase in names
