@@ -11,7 +11,8 @@ at 32 x 32 (``build-initial-data`` at 128 x 128, width 0.6), each into
 DIR/<name>/ through ``cli.load_config`` and ``cli.run`` of this checkout.
 
 ``compare`` names each file that is in only one tree and each file whose
-bytes differ, and exits 0 only when there is none.
+bytes differ, and exits 0 only when there is none, 1 when there is, and 2
+when an argument is not a directory.
 
 ``compare --roundoff`` prints, for each numeric file in both trees (JSON
 numbers, CSV values and ``.bin`` float64 fields), the number of values and
@@ -19,7 +20,8 @@ the largest absolute drift |b - a| and relative drift |b - a| / |a| of B
 from A, and whether every value keeps the benchmark's reference rule
 ``|b - a| <= rel |a| + abs`` (``perfbench/design.json``: rel 1e-9, abs
 1e-15).  A file whose non-numeric content or shape differs, or that is in
-one tree only, is named instead.  It reports and gates nothing: it exits 0.
+one tree only, is named instead.  It reports and gates nothing: it exits 0
+(2, as ``compare`` does, when an argument is not a directory).
 """
 
 import argparse
@@ -57,7 +59,8 @@ def write(base: str) -> int:
 
 def _files(top: str) -> set[str]:
     if not os.path.isdir(top):
-        raise SystemExit(f"{top}: not a directory")
+        print(f"{top}: not a directory", file=sys.stderr)
+        raise SystemExit(2)
     return {p.relative_to(top).as_posix() for p in Path(top).rglob("*") if p.is_file()}
 
 

@@ -14,9 +14,9 @@ whole ``cli.run`` call:
   and ``smallness_report``;
 - the change of variables back to Eulerian form: ``to_eulerian``,
   ``_gradient_interpolator``, ``_invert``, each ``_newton_step``,
-  ``_check_invertible`` and each row-block evaluation at displaced points
-  (``_at_displaced``: the seed velocity's u0 at y + Y0, then grad Y, Y_t and
-  q at X^{-1});
+  ``_check_invertible`` and each whole-plane evaluation at displaced points
+  (``PeriodicInterpolator.at_displaced``, row ``at_displaced``: the seed
+  velocity's u0 at y + Y0, then grad Y, Y_t and q at X^{-1});
 - each ``PeriodicInterpolator`` build (``interp build``, with its field
   count) and call (``interp call``, with its field and point counts); a run
   of consecutive calls, such as the row blocks of one evaluation, is one
@@ -45,7 +45,7 @@ PHASES = {
         "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
     ),
     "lagrangian": (
-        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible", "_at_displaced",
+        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
     ),
 }
 
@@ -119,7 +119,7 @@ class PhaseTable:
 
 def install(table: PhaseTable) -> None:
     """Wrap each phase in every loaded ``mhd2d`` module that holds it by name,
-    and the interpolator's build and call."""
+    and the interpolator's build, call and ``at_displaced``."""
     import importlib
 
     import numpy as np
@@ -144,6 +144,7 @@ def install(table: PhaseTable) -> None:
         lambda self, x1, x2: f"interp call ({self._coeffs.shape[0]} fields, {np.broadcast(x1, x2).size} points)",
         PeriodicInterpolator.__call__,
     )
+    PeriodicInterpolator.at_displaced = table.wrap("at_displaced", PeriodicInterpolator.at_displaced)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every named experiment into out/<name>/ and summarize pass/fail."""
+"""Run every named experiment into out/<name>/ and summarize pass/fail.
+
+An experiment that raises (bad config, a failed march or construction) is
+reported as ``[ERROR] <name>: <Type>: <message>`` and the sweep goes on;
+the exit code is 1 unless every experiment ran and passed."""
 
 import json
 import os
@@ -9,6 +13,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mhd2d.cli import EXPERIMENTS, ExperimentConfig, run
+from mhd2d.initial_data import ConstructionError
+from mhd2d.propagators import MarchError
 
 # per-experiment overrides keeping the full sweep under ~10 minutes
 SIZES = {
@@ -31,7 +37,12 @@ def main() -> int:
     for name in sorted(EXPERIMENTS):
         cfg = ExperimentConfig(experiment=name, outdir=os.path.join(base, name), **SIZES.get(name, {}))
         t0 = time.time()
-        status, root = run(cfg)
+        try:
+            status, root = run(cfg)
+        except (ValueError, MarchError, ConstructionError) as exc:
+            overall = False
+            print(f"[ERROR] {name}: {type(exc).__name__}: {exc}")
+            continue
         with open(os.path.join(root, "report.json")) as fh:
             report = json.load(fh)
         ok = report["pass"]

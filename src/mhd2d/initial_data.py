@@ -31,7 +31,6 @@ import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
-from mhd2d.lagrangian import _at_displaced, _row_blocks
 from mhd2d.lp import a_ks_norm, sobolev_norm, sobolev_norm_hat
 
 __all__ = [
@@ -179,9 +178,9 @@ def build_flow_map_initial(
     once each for their gradients, whose four relation planes are
     prefiltered one at a time before the iteration starts, and the
     gradients are dropped.  Each Picard iterate is updated in place, one
-    row block (``lagrangian._row_blocks``) at a time, which is exact because
-    the fixed point is pointwise; the residual planes are filled block by
-    block, the centred x1 differences reading the wrap rows.  No
+    row block (``PeriodicInterpolator.displaced``) at a time, which is exact
+    because the fixed point is pointwise; the residual planes are filled
+    block by block, the centred x1 differences reading the wrap rows.  No
     whole-field points exist.
     """
     g = psi0.grid
@@ -204,15 +203,13 @@ def build_flow_map_initial(
     grads = PeriodicInterpolator(planes=(g, 4, relations()))
     del d1p, d2p, d2t, relations
     potentials = PeriodicInterpolator(psitilde0, psi0)
-    blocks = _row_blocks(g)
     y = np.zeros((2,) + g.shape)
     prev_inc = math.inf
     grow = 0
     iterations = 0
     for iterations in range(1, 61):
         peaks = []
-        for b in blocks:
-            v = potentials(g.x1[b] + y[0, b], g.x2 + y[1, b])
+        for b, v in potentials.displaced(y[0], y[1]):
             np.negative(v[1], out=v[1])
             peaks.append(np.max(np.abs(v - y[:, b])))
             y[:, b] = v
@@ -233,8 +230,7 @@ def build_flow_map_initial(
     y1, y2 = y
     rows = np.arange(g.nx)
     r = np.empty((4,) + g.shape)
-    for b in blocks:
-        at_x0 = grads(g.x1[b] + y1[b], g.x2 + y2[b])
+    for b, at_x0 in grads.displaced(y1, y2):
         nxt, prv = (rows[b] + 1) % g.nx, (rows[b] - 1) % g.nx
         r[0, b] = (y1[nxt] - y1[prv]) / (2.0 * g.dx) - at_x0[0]
         r[1, b] = (np.roll(y1[b], -1, 1) - np.roll(y1[b], 1, 1)) / (2.0 * g.dy) - at_x0[1]
@@ -263,14 +259,14 @@ def seed_lagrangian_velocity(
     """Y1 = u0(y + Y0), with the transported-divergence residual
     ||div(A_{Y0} Y1)||_{L2} reported (zero for exact data).
 
-    u0 is evaluated at y + Y0 in row blocks (``lagrangian._at_displaced``).
+    u0 is evaluated at y + Y0 in row blocks (``PeriodicInterpolator.at_displaced``).
     Y0 is transformed once per component, and the rows w1, w2 of A_{Y0} Y1
     are formed one after the other, each from the two grad Y0 planes it
     reads, in the order of ``adj.b11 * v1 + adj.b12 * v2``: neither grad Y0
     nor the adjugate is held whole."""
     g = u0[0].grid
     c = half_spectrum(g)
-    v1, v2 = _at_displaced(PeriodicInterpolator(*u0), Y0)
+    v1, v2 = PeriodicInterpolator(*u0).at_displaced(Y0)
     y1h, y2h = c.fwd(Y0[0].samples), c.fwd(Y0[1].samples)
     # A_{Y0} = [[1 + d2 Y0^2, -d2 Y0^1], [-d1 Y0^2, 1 + d1 Y0^1]]
     w1 = (1.0 + c.inv(c.ik2 * y2h)) * v1 + (-c.inv(c.ik2 * y1h)) * v2

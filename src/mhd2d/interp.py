@@ -4,12 +4,13 @@
 once: the periodic cubic B-spline coefficients solve the interpolation
 condition, whose symbol on the half spectrum is
 ``(4 + 2 cos th1)(4 + 2 cos th2) / 36``.  A call evaluates the whole stack at
-one point set, in chunks of points: each point's base node and its 4 + 4
-B-spline weights are formed once, and each of the 16 gathers from the
-wrap-padded coefficient planes serves every field.  Fields are prefiltered
-one at a time, and may be handed over one at a time (``planes=``), and the
-points are scaled to grid units chunk by chunk, so no temporary spans the
-stack or the point set.  The fields must lie on one grid.
+one point set: each point's base node and its 4 + 4 B-spline weights are
+formed once, and each of the 16 gathers from the wrap-padded coefficient
+planes serves every field.  Fields are prefiltered one at a time, and may be
+handed over one at a time (``planes=``).  At displaced grid nodes x + d,
+``displaced`` and ``at_displaced`` evaluate row blocks of at most ``_CHUNK``
+points, so no temporary spans the stack or the grid.  The fields must lie
+on one grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from mhd2d.grid import RealField, half_spectrum
 
 __all__ = ["PeriodicInterpolator"]
 
-# points per chunk of an evaluation: bounds the gather temporaries
+# points per row block of an evaluation at displaced nodes: bounds the gather temporaries
 _CHUNK = 8192
 
 
@@ -70,30 +71,42 @@ class PeriodicInterpolator:
         nx, ny = g.shape
         x1, x2 = np.broadcast_arrays(x1, x2)
         shape = x1.shape
-        x1, x2 = x1.ravel(), x2.ravel()
-        row = ny + 3
-        out = np.empty((self._coeffs.shape[0], x1.size))
-        bad = 0
-        for lo in range(0, x1.size, _CHUNK):
-            s1, s2 = x1[lo : lo + _CHUNK] / g.dx, x2[lo : lo + _CHUNK] / g.dy
-            # after the first bad chunk, only count: the message names them all
-            bad += np.count_nonzero(~(np.isfinite(s1) & np.isfinite(s2)))
-            if bad:
-                continue
-            f1, f2 = np.floor(s1), np.floor(s2)
-            # flat index of the padded node base - 1 (padded index = node + 1)
-            base = (f1.astype(np.intp) % nx) * row + f2.astype(np.intp) % ny
-            w1, w2 = _bspline_weights(s1 - f1), _bspline_weights(s2 - f2)
-            acc = np.zeros((out.shape[0], base.size))
-            gathered = np.empty_like(acc)
-            for a in range(4):
-                for b in range(4):
-                    # indices lie in range by construction; "clip" lets take
-                    # write into out without the copy its "raise" mode makes
-                    np.take(self._coeffs, base + (a * row + b), axis=1, out=gathered, mode="clip")
-                    gathered *= w1[a] * w2[b]
-                    acc += gathered
-            out[:, lo : lo + _CHUNK] = acc
-        if bad:
+        s1, s2 = x1.ravel() / g.dx, x2.ravel() / g.dy
+        if bad := np.count_nonzero(~(np.isfinite(s1) & np.isfinite(s2))):
             raise ValueError(f"{bad} non-finite interpolation points")
+        f1, f2 = np.floor(s1), np.floor(s2)
+        row = ny + 3
+        # flat index of the padded node base - 1 (padded index = node + 1)
+        base = (f1.astype(np.intp) % nx) * row + f2.astype(np.intp) % ny
+        w1, w2 = _bspline_weights(s1 - f1), _bspline_weights(s2 - f2)
+        out = np.zeros((self._coeffs.shape[0], base.size))
+        gathered = np.empty_like(out)
+        for a in range(4):
+            for b in range(4):
+                # indices lie in range by construction; "clip" lets take
+                # write into gathered without the copy its "raise" mode makes
+                np.take(self._coeffs, base + (a * row + b), axis=1, out=gathered, mode="clip")
+                gathered *= w1[a] * w2[b]
+                out += gathered
         return out.reshape(shape) if out.shape[0] == 1 else out.reshape(-1, *shape)
+
+    def displaced(self, d1: np.ndarray, d2: np.ndarray):
+        """Yield ``(rows, self(x1 + d1, x2 + d2) on rows)`` for the grid nodes
+        x, by blocks of whole rows of at most ``_CHUNK`` points, in order.  A
+        block's points are formed only when it is asked for, so a caller may
+        update d on the rows it was given before it takes the next block."""
+        g = self.grid
+        step = max(1, _CHUNK // g.ny)
+        for lo in range(0, g.nx, step):
+            rows = slice(lo, lo + step)
+            yield rows, self(g.x1[rows] + d1[rows], g.x2 + d2[rows])
+
+    def at_displaced(self, disp: tuple[RealField, RealField]) -> list[np.ndarray]:
+        """The fields at x + D(x) for the displacement D = ``disp``, one whole
+        plane each, filled block by block (``displaced``).  With D the
+        inverse displacement, x + D(x) = X^{-1}(x)."""
+        out = [np.empty(self.grid.shape) for _ in range(self._coeffs.shape[0])]
+        for rows, v in self.displaced(disp[0].samples, disp[1].samples):
+            for o, vk in zip(out, v.reshape((len(out), -1, self.grid.ny))):
+                o[rows] = vk
+        return out

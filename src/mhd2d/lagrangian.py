@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
-from mhd2d.interp import _CHUNK, PeriodicInterpolator
+from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
 from mhd2d.lp import _homogeneous_weight
 from mhd2d.propagators import MarchError, _march, _running_trapezoid, _step_count, etd2rk_step, etd_entries, etd_tables
@@ -588,7 +588,7 @@ def compose(u: RealField, displacement: tuple[RealField, RealField]) -> RealFiel
     if bad := [d.grid for d in displacement if d.grid != g]:
         raise ValueError(f"displacement on {bad[0]}, u on {g}: both must lie on one grid")
     _check_invertible(displacement)
-    return RealField(g, PeriodicInterpolator(u)(g.x1 + displacement[0].samples, g.x2 + displacement[1].samples))
+    return RealField(g, PeriodicInterpolator(u).at_displaced(displacement)[0])
 
 
 def invert_flow_map(Y: tuple[RealField, RealField]):
@@ -612,12 +612,6 @@ def _gradient_interpolator(Y: tuple[RealField, RealField]) -> PeriodicInterpolat
     return i_g
 
 
-def _row_blocks(g: Grid) -> list[slice]:
-    """Row slices of at most one evaluation chunk (``interp._CHUNK`` points)."""
-    rows = max(1, _CHUNK // g.ny)
-    return [slice(lo, lo + rows) for lo in range(0, g.nx, rows)]
-
-
 def _invert(Y: tuple[RealField, RealField], i_g: PeriodicInterpolator):
     """``invert_flow_map`` given the interpolator of grad Y for the Newton
     Jacobian; holds the interpolator of Y, d and the residual r (2 planes
@@ -628,33 +622,31 @@ def _invert(Y: tuple[RealField, RealField], i_g: PeriodicInterpolator):
     d2 = -Y[1].samples
     r = np.empty((2,) + g.shape)
     for _ in range(60):
-        res = _newton_step(g, i_y, i_g, d1, d2, r)
+        res = _newton_step(i_y, i_g, d1, d2, r)
         if res < 1e-12:
             return RealField(g, d1), RealField(g, d2)
     raise RuntimeError(f"flow-map inversion stalled at residual {res:.3e}")
 
 
 def _newton_step(
-    g: Grid, i_y: PeriodicInterpolator, i_g: PeriodicInterpolator, d1: np.ndarray, d2: np.ndarray, r: np.ndarray
+    i_y: PeriodicInterpolator, i_g: PeriodicInterpolator, d1: np.ndarray, d2: np.ndarray, r: np.ndarray
 ) -> float:
     """Sup residual of d + Y(x + d), written into ``r``; unless it is below
     1e-12, one Newton correction of d in place.  Two passes over row blocks
-    (``_row_blocks``), the residual and its max, then the Jacobian update:
-    the points x + d, the Jacobian and its determinant exist one block at a
-    time.  A NaN residual is its own max, so it never passes."""
-    blocks = _row_blocks(g)
+    (``PeriodicInterpolator.displaced``), the residual and its max, then the
+    Jacobian update of each block of d: the points x + d, the Jacobian and
+    its determinant exist one block at a time.  A NaN residual is its own
+    max, so it never passes."""
     peaks = []
-    for b in blocks:
-        rb = r[:, b]
-        rb[...] = i_y(g.x1[b] + d1[b], g.x2 + d2[b])
+    for b, rb in i_y.displaced(d1, d2):
         rb[0] += d1[b]
         rb[1] += d2[b]
+        r[:, b] = rb
         peaks.append(np.max(np.abs(rb)))
     res = float(np.max(peaks))
     if res < 1e-12:
         return res
-    for b in blocks:
-        j = i_g(g.x1[b] + d1[b], g.x2 + d2[b])  # planes j11, j12, j21, j22 of grad Y; j11, j22 += 1 below
+    for b, j in i_g.displaced(d1, d2):  # planes j11, j12, j21, j22 of grad Y; j11, j22 += 1 below
         j[0] += 1.0
         j[3] += 1.0
         det = j[0] * j[3]
@@ -686,23 +678,6 @@ def magnetic_pullback_check(Y: tuple[RealField, RealField]) -> tuple[RealField, 
     return RealField(g, r1), RealField(g, r2)
 
 
-def _at_displaced(i: PeriodicInterpolator, disp: tuple[RealField, RealField]) -> list[np.ndarray]:
-    """The fields of ``i`` at x + D(x) for the displacement D = ``disp``, one
-    plane each, evaluated in row blocks (``_row_blocks``): no whole-field
-    points.  With D the inverse displacement, x + D(x) = X^{-1}(x)."""
-    g = i.grid
-    d1, d2 = disp[0].samples, disp[1].samples
-    out = None
-    for b in _row_blocks(g):
-        v = i(g.x1[b] + d1[b], g.x2 + d2[b])
-        v = v.reshape((-1,) + v.shape[-2:])
-        if out is None:
-            out = [np.empty(g.shape) for _ in v]
-        for o, vk in zip(out, v):
-            o[b] = vk
-    return out
-
-
 def to_eulerian(state: FlowMapState):
     """Reconstruct the Eulerian state: u = Y_t o X^{-1}, stream-like scalars
     from the displacement gradient, p = q o X^{-1} - |grad(x2 + psi)|^2.
@@ -717,9 +692,10 @@ def to_eulerian(state: FlowMapState):
     - the inverse displacement D is checked once, one plane of grad D at a
       time (``_check_invertible``);
     - every field composed with X^{-1} is evaluated in row blocks at x + D
-      (``_at_displaced``), so no whole-field points exist: grad Y first, then
-      its interpolator is dropped and ``integrate_gradient`` transforms and
-      drops each plane it reads, ahead of the Y_t and q prefilters.
+      (``PeriodicInterpolator.at_displaced``), so no whole-field points
+      exist: grad Y first, then its interpolator is dropped and
+      ``integrate_gradient`` transforms and drops each plane it reads, ahead
+      of the Y_t and q prefilters.
     """
     from mhd2d.eulerian import EulerState
 
@@ -729,7 +705,7 @@ def to_eulerian(state: FlowMapState):
     dinv = _invert(state.Y, i_g)
     _check_invertible(dinv)
     # d1Y1, d2Y1, d1Y2, d2Y2 at X^{-1}, then the interpolator is dropped
-    grad_at = _at_displaced(i_g, dinv)
+    grad_at = i_g.at_displaced(dinv)
     del i_g
 
     def integrate_gradient(k1: int, k2: int):
@@ -751,8 +727,8 @@ def to_eulerian(state: FlowMapState):
     # grad psi = (-d1Y2, d1Y1) and grad psitilde = (-d2Y2, d2Y1) at X^{-1}
     psi, curl_psi = integrate_gradient(2, 0)
     psitilde, curl_til = integrate_gradient(3, 1)
-    u1, u2 = (RealField(g, a) for a in _at_displaced(PeriodicInterpolator(*state.Y_t), dinv))
-    [q_at] = _at_displaced(PeriodicInterpolator(state.q), dinv)
+    u1, u2 = (RealField(g, a) for a in PeriodicInterpolator(*state.Y_t).at_displaced(dinv))
+    [q_at] = PeriodicInterpolator(state.q).at_displaced(dinv)
     del dinv
 
     dpsi1, dpsi2 = c.grad(c.fwd(psi.samples))

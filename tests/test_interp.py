@@ -9,6 +9,7 @@ import pytest
 
 from mhd2d.grid import RealField, make_grid
 from mhd2d.interp import PeriodicInterpolator
+from mhd2d.lagrangian import compose
 
 ndimage = pytest.importorskip("scipy.ndimage")
 
@@ -88,3 +89,64 @@ def test_fields_on_another_grid_raise(box, other):
     message = re.escape(f"fields on {g} and {other}: all must lie on one grid")
     with pytest.raises(ValueError, match=message):
         PeriodicInterpolator(fields[0], RealField(other, np.zeros(other.shape)), fields[1])
+
+
+@pytest.fixture()
+def displaced_box():
+    """A 200 x 96 grid, whose row blocks of at most 8192 points are 85, 85
+    and 30 rows, three random fields and a random displacement of up to
+    three cells per axis."""
+    g = make_grid(200, 96, 2.0 * np.pi, 3.0)
+    rng = np.random.default_rng(5)
+    fields = [RealField(g, rng.standard_normal(g.shape)) for _ in range(3)]
+    d1 = rng.uniform(-3.0 * g.dx, 3.0 * g.dx, g.shape)
+    d2 = rng.uniform(-3.0 * g.dy, 3.0 * g.dy, g.shape)
+    return g, fields, d1, d2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_at_displaced_is_the_whole_field_call_bit_for_bit(displaced_box, k):
+    g, fields, d1, d2 = displaced_box
+    i = PeriodicInterpolator(*fields[:k])
+    got = i.at_displaced((RealField(g, d1), RealField(g, d2)))
+    want = i(g.x1 + d1, g.x2 + d2).reshape(k, *g.shape)
+    assert len(got) == k
+    for a, b in zip(got, want):
+        assert a.shape == g.shape and a.tobytes() == b.tobytes()
+
+
+def test_displaced_covers_each_row_once_in_order(displaced_box):
+    g, fields, d1, d2 = displaced_box
+    blocks = [(rows, v.shape) for rows, v in PeriodicInterpolator(*fields).displaced(d1, d2)]
+    assert [range(g.nx)[rows] for rows, _ in blocks] == [range(0, 85), range(85, 170), range(170, 200)]
+    assert [shape for _, shape in blocks] == [(3, 85, 96), (3, 85, 96), (3, 30, 96)]
+
+
+def test_displaced_reads_d_as_it_stands_when_each_block_is_taken(displaced_box):
+    """A caller that updates d on the rows it was given, as the Newton and
+    Picard loops do, gets every block at d as it stood before the update;
+    a change to rows not yet given is read by their block."""
+    g, fields, d1, d2 = displaced_box
+    i = PeriodicInterpolator(*fields)
+    want = i(g.x1 + d1, g.x2 + d2)
+    e1, e2 = d1.copy(), d2.copy()
+    for rows, v in i.displaced(e1, e2):
+        assert v.tobytes() == want[:, rows].tobytes()
+        e1[rows] += 0.5
+        e2[rows] -= 0.25
+    assert e1.tobytes() == (d1 + 0.5).tobytes()
+    blocks = i.displaced(e1, e2)
+    next(blocks)
+    e1[85:] += 0.125
+    rows, v = next(blocks)
+    assert v.tobytes() == i(g.x1[rows] + e1[rows], g.x2 + e2[rows]).tobytes()
+    assert v.tobytes() != want[:, rows].tobytes()
+
+
+def test_compose_is_the_whole_field_formula_bit_for_bit(displaced_box):
+    g, fields, _, _ = displaced_box
+    x1, x2 = np.broadcast_arrays(g.x1, g.x2)
+    disp = (RealField(g, 0.05 * np.sin(x1) * np.cos(2.0 * np.pi * x2 / g.ly)), RealField(g, 0.04 * np.cos(x1)))
+    got = compose(fields[0], disp)
+    want = PeriodicInterpolator(fields[0])(g.x1 + disp[0].samples, g.x2 + disp[1].samples)
+    assert got.grid == g and got.samples.tobytes() == want.tobytes()

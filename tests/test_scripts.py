@@ -13,6 +13,8 @@ import pytest
 
 from mhd2d.cli import EXPERIMENTS, ExperimentConfig
 from mhd2d.diagnostics import DecayRow
+from mhd2d.initial_data import ConstructionError
+from mhd2d.propagators import MarchError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -30,15 +32,51 @@ def test_decay_portrait_writes_the_decay_table(tmp_path):
     assert len(rows) > 1
 
 
-def test_sweep_sizes_name_experiments_and_build_valid_configs(tmp_path):
-    """Every SIZES entry of the sweep script names an experiment and makes a
-    config that validates; nothing is run."""
+def _sweep():
     spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPTS / "run_all_experiments.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_sizes_name_experiments_and_build_valid_configs(tmp_path):
+    """Every SIZES entry of the sweep script names an experiment and makes a
+    config that validates; nothing is run."""
+    sweep = _sweep()
     assert set(sweep.SIZES) <= set(EXPERIMENTS)
     for name, sizes in sweep.SIZES.items():
         ExperimentConfig(experiment=name, outdir=str(tmp_path / name), **sizes)
+
+
+def test_sweep_reports_each_raising_experiment_and_goes_on(tmp_path, monkeypatch, capsys):
+    """An experiment whose run raises is an [ERROR] line naming the exception,
+    the sweep runs the rest, and it exits 1; ``run`` is replaced, so no
+    experiment runs."""
+    sweep = _sweep()
+    names = sorted(EXPERIMENTS)
+    errors = {
+        names[0]: ValueError("bad config"),
+        names[2]: MarchError("step 3: non-finite state"),
+        names[-1]: ConstructionError("no convergence"),
+    }
+
+    def run(cfg):
+        if cfg.experiment in errors:
+            raise errors[cfg.experiment]
+        Path(cfg.outdir).mkdir(parents=True)
+        Path(cfg.outdir, "report.json").write_text('{"pass": true, "assertions": []}')
+        return 0, cfg.outdir
+
+    monkeypatch.setattr(sweep, "run", run)
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", str(tmp_path)])
+    assert sweep.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["[ERROR]" if n in errors else "[PASS]", f"{n}:" if n in errors else n] for n in names
+    ]
+    assert lines[0] == f"[ERROR] {names[0]}: ValueError: bad config"
+    assert lines[2] == f"[ERROR] {names[2]}: MarchError: step 3: non-finite state"
+    assert lines[-1] == f"[ERROR] {names[-1]}: ConstructionError: no convergence"
 
 
 def _compare(a, b):
@@ -68,6 +106,20 @@ def test_output_tree_compare_names_each_differing_or_missing_file(tmp_path):
     missing = _tree(tmp_path / "d", {"report.json": files["report.json"]})
     proc = _compare(a, missing)
     assert (proc.returncode, proc.stdout) == (1, f"only in {a}: ledgers/energy.csv\n")
+
+
+@pytest.mark.parametrize("roundoff", [False, True], ids=["bytes", "roundoff"])
+def test_output_tree_compare_exits_2_when_an_argument_is_not_a_directory(tmp_path, roundoff):
+    """A missing tree is a usage error (2), not a difference (1)."""
+    tree = _tree(tmp_path / "a", {"report.json": b"{}\n"})
+    flag = ["--roundoff"] if roundoff else []
+    for a, b in ((tmp_path / "none", tree), (tree, tree / "report.json")):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "output_tree.py"), "compare", *flag, str(a), str(b)],
+            capture_output=True, text=True, timeout=60,
+        )
+        bad = b if a == tree else a
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"{bad}: not a directory\n")
 
 
 def test_output_tree_roundoff_prints_each_numeric_files_drift(tmp_path):
@@ -125,7 +177,7 @@ def test_phase_memory_prints_each_phase_of_a_32_grid_build():
     names = {re.split(r"\s{2,}", row.strip())[0] for row in rows}
     for phase in (
         "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
-        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible", "_at_displaced",
+        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible", "at_displaced",
         "interp build (4 fields)", "interp call (4 fields, 1024 points)",
     ):
         assert phase in names
