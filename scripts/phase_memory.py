@@ -17,6 +17,9 @@ whole ``cli.run`` call:
   ``_check_invertible`` and each whole-plane evaluation at displaced points
   (``PeriodicInterpolator.at_displaced``, row ``at_displaced``: the seed
   velocity's u0 at y + Y0, then grad Y, Y_t and q at X^{-1});
+- the flow-map march and what the Lagrangian experiment does with it:
+  ``run_lagrangian`` (the margin's tables are sampled inside it),
+  ``smallness_margin`` and ``save_flow_snapshot``;
 - each ``PeriodicInterpolator`` build (``interp build``, with its field
   count) and call (``interp call``, with its field and point counts); a run
   of consecutive calls, such as the row blocks of one evaluation, is one
@@ -45,8 +48,10 @@ PHASES = {
         "solve_companion_potential", "build_flow_map_initial", "seed_lagrangian_velocity", "smallness_report",
     ),
     "lagrangian": (
-        "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
+        "run_lagrangian", "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
     ),
+    "diagnostics": ("smallness_margin",),
+    "io": ("save_flow_snapshot",),
 }
 
 

@@ -416,9 +416,14 @@ def _exp_energy_identity(cfg: ExperimentConfig, out: dict) -> list[dict]:
 def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
     g, y0, y1 = _linear_data(cfg)
     zero = (RealField.zeros(g), RealField.zeros(g))
-    run = lag.run_lagrangian(zero, y1, cfg.dt, cfg.t_end, store_every=max(1, int(round(cfg.t_end / cfg.dt)) // 8), s2_plus_1=cfg.s2 + 1.0)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    run = lag.run_lagrangian(
+        zero, y1, cfg.dt, cfg.t_end, store_every=n_steps, s2_plus_1=cfg.s2 + 1.0, margin_every=max(1, n_steps // 8)
+    )
     ledger = diag.EnergyLedger(run.monitor_times)
-    for name in ("det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq"):
+    for name in (
+        "det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq", "grad_yt_inf"
+    ):
         ledger.add(name, getattr(run, name))
     ledger.to_csv(os.path.join(out["ledgers"], "monitors.csv"))
     mio.save_flow_snapshot(out["fields"], run.states[-1], prefix="final_")
@@ -427,7 +432,13 @@ def _exp_lagrangian_smalldata(cfg: ExperimentConfig, out: dict) -> list[dict]:
         _bounded("max_constraint_residual_l2", float(np.max(run.constraint_err)), cfg.tol("constraint")),
         _bounded("max_grad_inf", float(np.max(run.grad_inf)), 0.5),
     ]
-    margins = diag.smallness_margin(run.states, cfg.s1, cfg.s2)
+    margins = diag.smallness_margin(run.margin, cfg.s1, cfg.s2)
+    # the a priori estimate: ||grad Y_t||_inf integrated in time, and the share of its late half
+    yt_l1 = run.running_integral("grad_yt_inf")
+    total = float(yt_l1[-1])
+    late = total - float(np.interp(0.5 * run.monitor_times[-1], run.monitor_times, yt_l1))
+    margins["Yt_L1_Lip"] = total
+    margins["Yt_L1_Lip_late_half_fraction"] = late / total if total > 0 else 0.0
     mio.write_json(os.path.join(out["root"], "smallness_margin.json"), margins)
     recs.append(
         _assert_rec("script_E_finite", "finite", margins["script_E_T"], None, math.isfinite(margins["script_E_T"]))

@@ -1,4 +1,5 @@
-"""Energy-functional bookkeeping over stored trajectories.
+"""Energy-functional bookkeeping over flow-map trajectories, sampled in the
+march or stored.
 
 The composite functional for exponent s collects eleven squared channels of
 the flow-map solution (time-sup norms are of Chemin-Lerner type: the sup is
@@ -14,29 +15,37 @@ on the per-block tables):
 
 and the two-exponent functional is E_T^{s1} + E_T^{s2} with the matching
 initial quantity E_0^s = ||Y1||^2_{H^s} + ||Y1||^2_{H^{s+1}}
-+ ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.  Each stored Y, Y_t and q is
-transformed once per call onto the half spectrum, with the Nyquist-zeroing
-derivative symbols ``HalfSpectrum.ik1``/``ik2``; the per-block tables of every
-channel are one product per state with ``lp``'s isotropic block-weight matrix
-(``lp.block_sq_norms``), and E_0 is a Plancherel sum (``HalfSpectrum.norm_sq``)
-of the t = 0 coefficients.
++ ||d1 Y0||^2_{H^s} + ||Y0||^2_{H^{s+2}}.
+
+``smallness_margin`` reads one ``MarginTables``: per channel a (blocks x
+samples) table of squared block norms, and the t = 0 density of E_0.  One
+kernel, ``_block_column``, makes a sample's column from the half-spectrum
+coefficients of Y, Y_t and q (one product with ``lp``'s isotropic
+block-weight matrix, ``lp.block_sq_norms``), with the Nyquist-zeroing
+derivative symbols ``HalfSpectrum.ik1``/``ik2`` and no transform.
+``run_lagrangian(margin_every=...)`` calls it on the coefficients its
+stepper holds, so a march samples its margin without storing a state;
+``_block_tables`` transforms each stored Y, Y_t and q once into it.  E_0 is
+a Plancherel sum (``HalfSpectrum.norm_sq``) of the first sample's density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from mhd2d.grid import HalfSpectrum, half_spectrum
+from mhd2d.grid import Grid, HalfSpectrum, half_spectrum
 from mhd2d.io import write_rows_csv
 from mhd2d.linear import eigenvalues
-from mhd2d.lp import _homogeneous_weight, block_sq_norms, chemin_lerner_norm
+from mhd2d.lp import _block_weights, _homogeneous_weight, block_sq_norms, chemin_lerner_norm
 
 __all__ = [
     "EnergyLedger",
     "smallness_margin",
+    "MarginTables",
     "decay_table",
     "DecayRow",
 ]
@@ -83,42 +92,69 @@ def _l1_sq(block_sq: np.ndarray, w: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(series, times)) ** 2
 
 
-def _block_tables(states):
-    """(block keys, times, per-block tables, t = 0 coefficients) of a stored
-    flow-map trajectory.
+_CHANNELS = ("yt", "y", "d1y", "y2", "gq", "grad_y")
 
-    Each stored Y, Y_t and q is transformed once, one state at a time; the
-    tables ``yt``, ``y``, ``d1y``, ``y2``, ``gq`` and ``grad_y`` hold the
-    per-block squared L2 norms of Y_t, Y, d1 Y, Y^2, grad q and grad Y
-    (rows = isotropic blocks j, cols = states).  The last entry holds the
-    half-spectrum coefficients (Y, Y_t) of the first state.
-    """
+
+class MarginTables(NamedTuple):
+    """The per-block tables of a flow-map trajectory (rows = isotropic blocks
+    ``keys``, cols = sample ``times``) of the channels ``_CHANNELS``, and the
+    weight-free E_0 density of the first sample on ``grid``'s half spectrum."""
+
+    keys: tuple
+    times: np.ndarray
+    tabs: dict
+    e0_density: np.ndarray
+    grid: Grid
+
+
+def _block_column(c: HalfSpectrum, yh, vh, qh: np.ndarray) -> np.ndarray:
+    """Per-block squared L2 norms of Y_t, Y, d1 Y, Y^2, grad q and grad Y
+    (``_CHANNELS``; shape blocks x channels) of one state held as
+    half-spectrum coefficients; no transform."""
+    ik1, ik2 = c.ik1, c.ik2
+    vectors = (
+        vh,
+        yh,
+        [ik1 * h for h in yh],
+        [yh[1]],
+        [ik1 * qh, ik2 * qh],
+        [ik1 * yh[0], ik2 * yh[0], ik1 * yh[1], ik2 * yh[1]],
+    )
+    dens = np.stack([sum(np.abs(h) ** 2 for h in comps) for comps in vectors])
+    return block_sq_norms(c.grid, dens)[1]
+
+
+def _e0_density(c: HalfSpectrum, y0h, y1h) -> np.ndarray:
+    """The per-mode density of E_0 from the coefficients of Y0 and Y1, before
+    the homogeneous weight ksq^s: |ik1|^2 for d1 Y0."""
+    y0_sq = np.abs(y0h[0]) ** 2 + np.abs(y0h[1]) ** 2
+    y1_sq = np.abs(y1h[0]) ** 2 + np.abs(y1h[1]) ** 2
+    return (1.0 + c.ksq) * y1_sq + (np.abs(c.ik1) ** 2 + c.ksq**2) * y0_sq
+
+
+def _margin_tables(grid: Grid, times, columns, e0_density: np.ndarray) -> MarginTables:
+    """``MarginTables`` from the sample times and one ``_block_column`` per sample."""
+    keys = _block_weights(grid, False)[0]
+    tabs = np.stack(list(columns), axis=-1)  # (blocks, channels, samples)
+    tabs = {name: tabs[:, i] for i, name in enumerate(_CHANNELS)}
+    return MarginTables(keys, np.asarray(times), tabs, e0_density, grid)
+
+
+def _block_tables(states) -> MarginTables:
+    """``MarginTables`` of a stored flow-map trajectory: each stored Y, Y_t and
+    q is transformed once, one state at a time, into ``_block_column``."""
     for st in states:
         if st.q is None:
             raise ValueError("trajectory is missing the pressure channel")
     c = half_spectrum(states[0].Y[0].grid)
-    ik1, ik2 = c.ik1, c.ik2
     cols = []
     for n, st in enumerate(states):
         yh = [c.fwd(f.samples) for f in st.Y]
         vh = [c.fwd(f.samples) for f in st.Y_t]
-        qh = c.fwd(st.q.samples)
         if n == 0:
-            first = (yh, vh)
-        vectors = {
-            "yt": vh,
-            "y": yh,
-            "d1y": [ik1 * h for h in yh],
-            "y2": [yh[1]],
-            "gq": [ik1 * qh, ik2 * qh],
-            "grad_y": [ik1 * yh[0], ik2 * yh[0], ik1 * yh[1], ik2 * yh[1]],
-        }
-        dens = np.stack([sum(np.abs(h) ** 2 for h in comps) for comps in vectors.values()])
-        keys, tab = block_sq_norms(c.grid, dens)
-        cols.append(tab)
-    tabs = np.stack(cols, axis=-1)  # (blocks, channels, states)
-    times = np.array([st.t for st in states])
-    return keys, times, {name: tabs[:, i] for i, name in enumerate(vectors)}, first
+            e0 = _e0_density(c, yh, vh)
+        cols.append(_block_column(c, yh, vh, c.fwd(st.q.samples)))
+    return _margin_tables(c.grid, [st.t for st in states], cols, e0)
 
 
 def _functional(keys: tuple, times: np.ndarray, tabs: dict, s: float) -> tuple[float, dict]:
@@ -146,27 +182,25 @@ def _functional(keys: tuple, times: np.ndarray, tabs: dict, s: float) -> tuple[f
     return float(sum(parts.values())), parts
 
 
-def _initial_energy_hat(c: HalfSpectrum, y0h, y1h, s: float) -> float:
-    """E_0^s from the half-spectrum coefficients of Y0 and Y1: homogeneous
-    weights ksq^s (zero at the mean mode), and |ik1|^2 for d1 Y0."""
-    w = _homogeneous_weight(c, s)
-    y0_sq = np.abs(y0h[0]) ** 2 + np.abs(y0h[1]) ** 2
-    y1_sq = np.abs(y1h[0]) ** 2 + np.abs(y1h[1]) ** 2
-    return c.norm_sq(w * ((1.0 + c.ksq) * y1_sq + (np.abs(c.ik1) ** 2 + c.ksq**2) * y0_sq))
+def _initial_energy(c: HalfSpectrum, e0_density: np.ndarray, s: float) -> float:
+    """E_0^s: homogeneous weights ksq^s (zero at the mean mode) on ``_e0_density``."""
+    return c.norm_sq(_homogeneous_weight(c, s) * e0_density)
 
 
-def smallness_margin(states, s1: float, s2: float) -> dict:
-    """Sup-in-time functionals and the bootstrap-inequality bookkeeping.
+def smallness_margin(tables: MarginTables, s1: float, s2: float) -> dict:
+    """Sup-in-time functionals and the bootstrap-inequality bookkeeping, from
+    the ``MarginTables`` of a trajectory (sampled in the march by
+    ``run_lagrangian(margin_every=...)``, or ``_block_tables`` of stored states).
 
     Records the empirical counterparts of the absorption argument: the
     two-exponent functional, its data value, the four gradient norms used as
     working assumptions, and the implied constant in
     E_T <= C (E_0 + (E_0^{1/2} + E_T^{1/2} + E_T) E_T).
     """
-    keys, times, tabs, (y0h, y1h) = _block_tables(states)
+    keys, times, tabs = tables.keys, tables.times, tables.tabs
     script_e = _functional(keys, times, tabs, s1)[0] + _functional(keys, times, tabs, s2)[0]
-    c = half_spectrum(states[0].Y[0].grid)
-    e0 = _initial_energy_hat(c, y0h, y1h, s1) + _initial_energy_hat(c, y0h, y1h, s2)
+    c = half_spectrum(tables.grid)
+    e0 = _initial_energy(c, tables.e0_density, s1) + _initial_energy(c, tables.e0_density, s2)
     rep = {
         "script_E_T": script_e,
         "script_E_0": e0,

@@ -4,13 +4,13 @@
 once: the periodic cubic B-spline coefficients solve the interpolation
 condition, whose symbol on the half spectrum is
 ``(4 + 2 cos th1)(4 + 2 cos th2) / 36``.  A call evaluates the whole stack at
-one point set: each point's base node and its 4 + 4 B-spline weights are
-formed once, and each of the 16 gathers from the wrap-padded coefficient
-planes serves every field.  Fields are prefiltered one at a time, and may be
-handed over one at a time (``planes=``).  At displaced grid nodes x + d,
-``displaced`` and ``at_displaced`` evaluate row blocks of at most ``_CHUNK``
-points, so no temporary spans the stack or the grid.  The fields must lie
-on one grid.
+one point set, ``_CHUNK`` points at a time: each point's base node and its
+4 + 4 B-spline weights are formed once, and each of the 16 gathers from the
+wrap-padded coefficient planes serves every field.  Fields are prefiltered
+one at a time, and may be handed over one at a time (``planes=``).  At
+displaced grid nodes x + d, ``displaced`` and ``at_displaced`` evaluate row
+blocks of at most ``_CHUNK`` points, so no temporary spans the stack or the
+grid.  The fields must lie on one grid.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mhd2d.grid import RealField, half_spectrum
 
 __all__ = ["PeriodicInterpolator"]
 
-# points per row block of an evaluation at displaced nodes: bounds the gather temporaries
+# points per block of an evaluation: bounds the gather temporaries
 _CHUNK = 8192
 
 
@@ -68,19 +68,26 @@ class PeriodicInterpolator:
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         g = self.grid
-        nx, ny = g.shape
         x1, x2 = np.broadcast_arrays(x1, x2)
         shape = x1.shape
         s1, s2 = x1.ravel() / g.dx, x2.ravel() / g.dy
         if bad := np.count_nonzero(~(np.isfinite(s1) & np.isfinite(s2))):
             raise ValueError(f"{bad} non-finite interpolation points")
+        out = np.zeros((self._coeffs.shape[0], s1.size))
+        for lo in range(0, s1.size, _CHUNK):
+            block = slice(lo, lo + _CHUNK)
+            self._add_stack(s1[block], s2[block], out[:, block])
+        return out.reshape(shape) if out.shape[0] == 1 else out.reshape(-1, *shape)
+
+    def _add_stack(self, s1: np.ndarray, s2: np.ndarray, out: np.ndarray) -> None:
+        """Add the stack at flat points given in grid units into ``out``, shape (fields, points)."""
+        nx, ny = self.grid.shape
         f1, f2 = np.floor(s1), np.floor(s2)
         row = ny + 3
         # flat index of the padded node base - 1 (padded index = node + 1)
         base = (f1.astype(np.intp) % nx) * row + f2.astype(np.intp) % ny
         w1, w2 = _bspline_weights(s1 - f1), _bspline_weights(s2 - f2)
-        out = np.zeros((self._coeffs.shape[0], base.size))
-        gathered = np.empty_like(out)
+        gathered = np.empty(out.shape)
         for a in range(4):
             for b in range(4):
                 # indices lie in range by construction; "clip" lets take
@@ -88,7 +95,6 @@ class PeriodicInterpolator:
                 np.take(self._coeffs, base + (a * row + b), axis=1, out=gathered, mode="clip")
                 gathered *= w1[a] * w2[b]
                 out += gathered
-        return out.reshape(shape) if out.shape[0] == 1 else out.reshape(-1, *shape)
 
     def displaced(self, d1: np.ndarray, d2: np.ndarray):
         """Yield ``(rows, self(x1 + d1, x2 + d2) on rows)`` for the grid nodes

@@ -28,11 +28,13 @@ grid's shared ``half_spectrum`` context, and each step is one
 q belongs to the state: the stepper commits each state with its grad Y,
 grad Y_t and q, solved at the state's own (Y, Y_t) from the predictor's q.
 The first forcing stage of the next step reads all three and solves
-nothing, the monitors read grad Y, and a stored state is inverse transforms
-of the held coefficients.  ``run_lagrangian`` monitors each step from those
-coefficients: ``det_err`` and ``||grad Y||_inf`` at the nodes, the
-constraint residual, the energy, the dissipation and the H^{s2+1} norms of
-d_i Y by Plancherel.
+nothing, the monitors read grad Y and grad Y_t, and a stored state is
+inverse transforms of the held coefficients.  ``run_lagrangian`` monitors
+each step from those coefficients: ``det_err``, ``||grad Y||_inf`` and
+``||grad Y_t||_inf`` at the nodes, the constraint residual, the energy, the
+dissipation and the H^{s2+1} norms of d_i Y by Plancherel.  It samples the
+smallness margin's block tables from them too (``margin_every``), so the
+margin needs no stored state.
 
 ``run_lagrangian`` and ``step`` march through the loop
 ``propagators._march``.  A step is committed only when its result is finite,
@@ -50,6 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from mhd2d.diagnostics import MarginTables, _block_column, _e0_density, _margin_tables
 from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
@@ -517,6 +520,8 @@ class LagrangianRun:
     dissipation: np.ndarray
     d1y_hs_sq: np.ndarray
     d2y_hs_sq: np.ndarray
+    grad_yt_inf: np.ndarray
+    margin: MarginTables | None = None  # sampled every ``margin_every`` steps
 
     def running_integral(self, channel: str) -> np.ndarray:
         """Trapezoidal running integral of one monitor channel."""
@@ -550,19 +555,41 @@ def run_lagrangian(
     store_every: int = 10,
     s2_plus_1: float = 0.25,
     monitor_every: int = 1,
+    margin_every: int | None = None,
 ) -> LagrangianRun:
-    """March the flow-map system, recording states and invariant monitors."""
+    """March the flow-map system, recording states and invariant monitors.
+
+    States are stored at the start, every ``store_every`` steps and after
+    the last.  Every ``monitor_every`` steps (and at those ends) the run
+    records ``_state_monitors`` and ``||grad Y_t||_inf`` (``grad_yt_inf``,
+    the integrand of the a priori bound of Y_t in L^1(R+; Lip)).  With
+    ``margin_every``, it also samples the tables of the smallness margin
+    (``diagnostics.smallness_margin``) at that cadence from the coefficients
+    the stepper holds: no transform, and no state stored for them.
+    """
     n_steps = _step_count(dt, t_end)
     if not (s2_plus_1 > -1.0):
         raise ValueError(
             f"s2_plus_1 = {s2_plus_1}: homogeneous exponent s <= -1 is unreliable on the periodic box"
         )
     s = _Stepper(Y0[0].grid, dt)
-    states, [series] = _march(
-        s, lambda: make_state(Y0, Y1), n_steps, store_every,
-        [("monitor_every", monitor_every, lambda: _state_monitors(s.c, s.ty, s.yh, s.vh, s2_plus_1))],
-    )
-    return LagrangianRun(states, *series)
+    monitors = [
+        ("monitor_every", monitor_every, lambda: (*_state_monitors(s.c, s.ty, s.yh, s.vh, s2_plus_1), s.tv.sup_norm)),
+    ]
+    e0 = []  # the E_0 density of the first margin sample, t = 0
+    if margin_every is not None:
+
+        def margin_column():
+            if not e0:
+                e0.append(_e0_density(s.c, s.yh, s.vh))
+            return (_block_column(s.c, s.yh, s.vh, s.qh),)
+
+        monitors.append(("margin_every", margin_every, margin_column))
+    states, [series, *margin] = _march(s, lambda: make_state(Y0, Y1), n_steps, store_every, monitors)
+    run = LagrangianRun(states, *series)
+    if margin:
+        run.margin = _margin_tables(s.grid, *margin[0], e0[0])
+    return run
 
 
 # ---------------------------------------------------------------------------

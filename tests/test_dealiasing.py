@@ -323,8 +323,30 @@ def test_smallness_margin_costs_5_forward_fields_per_state(rng, fft_fields):
 
     states = [lag.FlowMapState((field(), field()), (field(), field()), field(), 0.1 * n) for n in range(3)]
     fft_fields.clear()
-    diag.smallness_margin(states, 1.5, -0.75)
+    diag.smallness_margin(diag._block_tables(states), 1.5, -0.75)
     assert (fft_fields["rfft2"], fft_fields["irfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (15, 0, 0, 0)
+
+
+def test_sampled_margin_costs_no_transform(rng, fft_fields):
+    """A margin sample reads the coefficients the stepper holds: the column
+    kernel transforms nothing, and a march that samples the margin makes
+    exactly the transforms of one that does not."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    yh, vh = ([c.fwd(random_band_field(g, rng, 1.0, 5.0, 0.02).samples) for _ in range(2)] for _ in range(2))
+    fft_fields.clear()
+    diag._block_column(c, yh, vh, yh[0])
+    diag._e0_density(c, yh, vh)
+    assert sum(fft_fields.values()) == 0
+    y1 = random_solenoidal(g, rng, 1.0, 4.0, 1e-2)
+    zero = (RealField.zeros(g), RealField.zeros(g))
+    counts = []
+    for margin_every in (None, 3):
+        fft_fields.clear()
+        run = lag.run_lagrangian(zero, y1, 0.02, 0.2, store_every=10, margin_every=margin_every)
+        counts.append(dict(fft_fields))
+    assert run.margin.times.tolist() == pytest.approx([0.0, 0.06, 0.12, 0.18, 0.2])
+    assert counts[0] == counts[1]
 
 
 def test_smallness_report_costs_28_fields(rng, fft_fields):

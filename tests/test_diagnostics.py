@@ -79,7 +79,7 @@ def test_functional_requires_pressure(grid32):
     z = _zeros(grid32)
     states = [lag.FlowMapState((z, z), (z, z), None, t) for t in (0.0, 1.0)]
     with pytest.raises(ValueError, match="missing the pressure"):
-        diag.smallness_margin(states, 1.5, 2.5)
+        diag._block_tables(states)
 
 
 def test_functional_monotone_in_horizon(grid32, rng):
@@ -152,7 +152,9 @@ def test_functional_two_way_bookkeeping(grid32, rng):
 
 def _initial_energy(Y0, Y1, s):
     c = half_spectrum(Y0[0].grid)
-    return diag._initial_energy_hat(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1], s)
+    return diag._initial_energy(
+        c, diag._e0_density(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1]), s
+    )
 
 
 def test_initial_energy_homogeneity(grid32, rng):
@@ -165,6 +167,22 @@ def test_initial_energy_homogeneity(grid32, rng):
     assert e2 == pytest.approx(4.0 * e1, rel=1e-10)
 
 
+def test_sampled_margin_equals_the_margin_of_stored_states(grid32, rng):
+    """The margin sampled in the march from the stepper's coefficients is the
+    margin of the states stored at the same cadence, up to the round trip
+    through the nodes that storing makes."""
+    y1 = random_solenoidal(grid32, rng, 1.0, 4.0, 1e-2)
+    run = lag.run_lagrangian((_zeros(grid32), _zeros(grid32)), y1, 0.05, 1.0, store_every=3, margin_every=3)
+    stored = diag._block_tables(run.states)
+    assert np.array_equal(run.margin.times, stored.times) and run.margin.keys == stored.keys
+    assert np.array_equal(run.margin.e0_density, stored.e0_density)
+    sampled, ref = diag.smallness_margin(run.margin, 1.5, -0.75), diag.smallness_margin(stored, 1.5, -0.75)
+    assert sampled.keys() == ref.keys()
+    for name in ref:
+        assert sampled[name] == pytest.approx(ref[name], rel=1e-9), name
+    assert lag.run_lagrangian((_zeros(grid32), _zeros(grid32)), y1, 0.05, 0.2).margin is None
+
+
 def test_smallness_margin_scaling(grid32, rng):
     """Amplitude doubling multiplies the quadratic functionals by 4."""
     y1a = random_solenoidal(grid32, rng, 1.0, 4.0, 5e-3)
@@ -172,8 +190,8 @@ def test_smallness_margin_scaling(grid32, rng):
     zero = (_zeros(grid32), _zeros(grid32))
     run_a = lag.run_lagrangian(zero, y1a, 0.05, 0.5, store_every=2)
     run_b = lag.run_lagrangian(zero, y1b, 0.05, 0.5, store_every=2)
-    ma = diag.smallness_margin(run_a.states, 1.5, -0.75)
-    mb = diag.smallness_margin(run_b.states, 1.5, -0.75)
+    ma = diag.smallness_margin(diag._block_tables(run_a.states), 1.5, -0.75)
+    mb = diag.smallness_margin(diag._block_tables(run_b.states), 1.5, -0.75)
     assert mb["script_E_0"] == pytest.approx(4.0 * ma["script_E_0"], rel=1e-8)
     assert mb["script_E_T"] == pytest.approx(4.0 * ma["script_E_T"], rel=1e-2)
     assert ma["ratio_E_T_over_E_0"] > 0.0

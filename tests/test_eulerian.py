@@ -189,7 +189,7 @@ def test_running_integrals_match_trapezoid_loop(rng):
     for i in range(1, v.size):
         loop[i] = loop[i - 1] + 0.5 * (t[i] - t[i - 1]) * (v[i] + v[i - 1])
     erun = eul.EulerRun([], t, v, v, t, v, v)
-    lrun = lag.LagrangianRun([], t, v, v, v, v, v, v, v)
+    lrun = lag.LagrangianRun([], t, v, v, v, v, v, v, v, v)
     assert np.array_equal(erun.running_blowup_integral(), loop)
     assert np.array_equal(lrun.running_integral("d1y_hs_sq"), loop)
 

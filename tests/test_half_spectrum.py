@@ -348,11 +348,12 @@ def test_initial_energy_matches_full_lattice(grid):
     refs = {s: _initial_energy_full(grid, Y0, Y1, s) for s in (1.5, -0.75)}
     c = half_spectrum(grid)
     for s, ref in refs.items():
-        got = diag._initial_energy_hat(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1], s)
+        density = diag._e0_density(c, [c.fwd(f.samples) for f in Y0], [c.fwd(f.samples) for f in Y1])
+        got = diag._initial_energy(c, density, s)
         assert got == pytest.approx(ref, rel=REL)
     q = _white(grid, rng)
     states = [lag.FlowMapState(Y0, Y1, q, 0.0), lag.FlowMapState(Y0b, Y1b, q, 1.0)]
-    margin = diag.smallness_margin(states, 1.5, -0.75)
+    margin = diag.smallness_margin(diag._block_tables(states), 1.5, -0.75)
     assert margin["script_E_0"] == pytest.approx(refs[1.5] + refs[-0.75], rel=REL)
 
 

@@ -388,8 +388,46 @@ def test_lagrangian_monitors_are_written_in_long_format(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "channel", "value"]
     channels = {r[1] for r in rows[1:]}
-    assert channels == {"det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq"}
+    assert channels == {
+        "det_err", "constraint_err", "grad_inf", "energy", "dissipation", "d1y_hs_sq", "d2y_hs_sq", "grad_yt_inf"
+    }
     assert len(rows) - 1 == 6 * len(channels)  # t = 0 and 5 steps
+
+
+def test_lagrangian_smalldata_stores_only_its_ends(tmp_path, monkeypatch):
+    """The margin is sampled in the march, so the run stores its initial and
+    final states only."""
+    runs = []
+    run_lagrangian = lag.run_lagrangian
+    monkeypatch.setattr(lag, "run_lagrangian", lambda *a, **kw: runs.append(run_lagrangian(*a, **kw)) or runs[-1])
+    args = ["lagrangian-smalldata", "--outdir", str(tmp_path / "o")]
+    for ov in ("nx=16", "ny=16", "dt=0.02", "t_end=0.5"):
+        args += ["--set", ov]
+    assert cli.main(args) == 0
+    [run] = runs
+    assert [st.t for st in run.states] == [0.0, pytest.approx(0.5)]
+    assert run.margin.times == pytest.approx([0.0, 0.06, 0.12, 0.18, 0.24, 0.3, 0.36, 0.42, 0.48, 0.5])
+
+
+def test_lagrangian_smalldata_records_yt_in_l1_lip(tmp_path):
+    """||grad Y_t||_inf is a monitor channel; ``Yt_L1_Lip`` in the margin
+    report is its trapezoidal integral over [0, 10], and the late half adds
+    less than the first (the estimate integrates)."""
+    out = tmp_path / "o"
+    args = ["lagrangian-smalldata", "--outdir", str(out)]
+    for ov in ("nx=32", "ny=32", "dt=0.02", "t_end=10"):
+        args += ["--set", ov]
+    assert cli.main(args) == 0
+    with open(out / "ledgers" / "monitors.csv", newline="") as fh:
+        rows = [(float(t), float(v)) for t, name, v in list(csv.reader(fh))[1:] if name == "grad_yt_inf"]
+    t, v = np.array(rows).T
+    assert t.size == 501 and t[-1] == pytest.approx(10.0) and np.all(v > 0.0)
+    margin = json.loads((out / "smallness_margin.json").read_text())
+    l1 = float(np.trapezoid(v, t))
+    assert margin["Yt_L1_Lip"] == pytest.approx(l1, rel=1e-12)
+    early = float(np.trapezoid(v[:251], t[:251]))
+    assert margin["Yt_L1_Lip_late_half_fraction"] == pytest.approx((l1 - early) / l1, rel=1e-9)
+    assert l1 - early < early
 
 
 def test_cli_block_energy_computes_the_table_once(tmp_path, monkeypatch):

@@ -52,12 +52,16 @@ def _one_step(step, g, dt):
             lambda g, rng, dt, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), dt, t_end, monitor_every=0),
             0.02, 2.0, "monitor_every = 0",
         ),
+        (
+            lambda g, rng, dt, t_end: lag.run_lagrangian(*_lagrangian_data(g, rng), dt, t_end, margin_every=0),
+            0.02, 2.0, "margin_every = 0",
+        ),
         (lambda g, rng, dt, t_end: eul.run_euler(*_euler_data(g, rng), dt, t_end, aux_every=0), 0.01, 1.0, "aux_every = 0"),
     ],
     ids=[
         "lagrangian-negative-dt", "euler-negative-dt", "euler-negative-t_end", "euler-zero-dt", "euler-fractional",
         "step-negative-dt", "step_euler-negative-dt", "lagrangian-store_every-0", "lagrangian-monitor_every-0",
-        "euler-aux_every-0",
+        "lagrangian-margin_every-0", "euler-aux_every-0",
     ],
 )
 def test_step_count_rejects_bad_dt_and_t_end(grid32, rng, march, dt, t_end, bad):

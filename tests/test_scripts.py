@@ -158,9 +158,9 @@ def test_output_tree_roundoff_prints_each_numeric_files_drift(tmp_path):
     assert tail == "3 numeric files, 1 beyond the rule; 1 other differences"
 
 
-def _phase_memory(*args):
+def _phase_memory(*args, workload="initial-data"):
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / "phase_memory.py"), "initial-data", "--set", "nx=32", "--set", "ny=32", *args],
+        [sys.executable, str(SCRIPTS / "phase_memory.py"), workload, "--set", "nx=32", "--set", "ny=32", *args],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -192,3 +192,18 @@ def test_phase_memory_untraced_prints_only_rss():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:-1]
     assert rows and all(row.split()[-5:-2] == ["-", "-", "-"] for row in rows)
+
+
+def test_phase_memory_prints_the_lagrangian_march_and_its_margin():
+    """On lagrangian-march, the march, the margin report and the final
+    snapshot are rows of their own under the whole run."""
+    proc = _phase_memory(workload="lagrangian-march")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows, last = proc.stdout.splitlines()
+    assert last == "lagrangian-march seed 3: exit 0"
+    assert rows[0].startswith("cli.run lagrangian-smalldata ")
+    names = [re.split(r"\s{2,}", row.strip())[0] for row in rows[1:]]
+    assert names == ["run_lagrangian", "save_flow_snapshot", "smallness_margin"]
+    for row in rows:
+        entry, peak, exit_, rss0, rss1 = map(float, row.split()[-5:])
+        assert peak >= max(entry, exit_) and rss1 >= rss0
