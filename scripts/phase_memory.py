@@ -20,6 +20,9 @@ whole ``cli.run`` call:
 - the flow-map march and what the Lagrangian experiment does with it:
   ``run_lagrangian`` (the margin's tables are sampled inside it),
   ``smallness_margin`` and ``save_flow_snapshot``;
+- the exact linear theory of the block-energy experiment: ``evolve_linear``
+  (the data's transforms), ``block_energy_series`` (the propagator and the
+  anisotropic block norms of each state) and ``decay_table``;
 - each ``PeriodicInterpolator`` build (``interp build``, with its field
   count) and call (``interp call``, with its field and point counts); a run
   of consecutive calls, such as the row blocks of one evaluation, is one
@@ -50,7 +53,8 @@ PHASES = {
     "lagrangian": (
         "run_lagrangian", "to_eulerian", "_gradient_interpolator", "_invert", "_newton_step", "_check_invertible",
     ),
-    "diagnostics": ("smallness_margin",),
+    "linear": ("evolve_linear", "block_energy_series"),
+    "diagnostics": ("smallness_margin", "decay_table"),
     "io": ("save_flow_snapshot",),
 }
 

@@ -134,7 +134,7 @@ def _e0_density(c: HalfSpectrum, y0h, y1h) -> np.ndarray:
 
 def _margin_tables(grid: Grid, times, columns, e0_density: np.ndarray) -> MarginTables:
     """``MarginTables`` from the sample times and one ``_block_column`` per sample."""
-    keys = _block_weights(grid, False)[0]
+    keys = _block_weights(grid)[0]
     tabs = np.stack(list(columns), axis=-1)  # (blocks, channels, samples)
     tabs = {name: tabs[:, i] for i, name in enumerate(_CHANNELS)}
     return MarginTables(keys, np.asarray(times), tabs, e0_density, grid)

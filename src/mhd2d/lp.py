@@ -18,11 +18,15 @@ masks on the half spectrum, shape ``(nx, ny // 2 + 1)``:
 Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
 homogeneous norms drop the mean (the torus surrogate of "modulo constants";
 phi(0) = 0, so every dyadic block does); block norms are L2 norms.  Every
-per-block squared L2 norm, here and in ``linear`` and ``diagnostics``, is one
-product of a cached block-weight matrix (squared masks times the Plancherel
-lattice weights) with a per-mode density on the half spectrum
-(``block_sq_norms``), and the Chemin-Lerner norms are taken from the
-(blocks x times) tables of those products (``chemin_lerner_norm``).
+per-block squared L2 norm, here and in ``linear`` and ``diagnostics``, is
+taken from a per-mode density on the half spectrum (``block_sq_norms``) by
+one product with the cached isotropic block-weight matrix (squared masks
+times the Plancherel lattice weights).  An anisotropic block's mask
+phi(2^-j |xi|) phi(2^-k |xi_1|) is that isotropic mask times a factor of the
+row m1 alone, so its norms are the isotropic per-row sums weighted by the
+squared horizontal masks on the 1-D xi_1 axis: no (j, k) x modes matrix is
+built.  The Chemin-Lerner norms are taken from the (blocks x times) tables
+of those products (``chemin_lerner_norm``).
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
 
 # bony_decompose in both directions reads 36 distinct masks at 128^2; the
 # bound keeps one grid's working set without growing across the grids of a
-# sweep (the block-weight matrices read each mask once per grid and family)
+# sweep (the block-weight matrix computes its masks without it)
 @lru_cache(maxsize=64)
 def _mask(grid: Grid, kind: str, j: int, low: bool) -> np.ndarray:
     """phi (or chi when ``low``) of 2^-j tau on the half spectrum."""
@@ -163,25 +167,37 @@ def low_pass_h(u: RealField, k: int) -> RealField:
     return _apply_mask(u, "h", k, low=True)
 
 
-# one matrix per grid and block family; at 128^2 the anisotropic one is
-# 49 x 8320 (3.3 MB)
+# one matrix per grid, 8 x 8320 (0.5 MiB) at 128^2; it holds its squared
+# masks, so they are computed uncached and not held twice
 @lru_cache(maxsize=4)
-def _block_weights(grid: Grid, aniso: bool) -> tuple[tuple, np.ndarray]:
-    """Block keys and the (blocks x modes) matrix whose row for block b is
-    its squared mask times the Plancherel weights of ``HalfSpectrum.norm_sq``
-    (1 on columns 0 and ny/2, 2 elsewhere, times lx ly / (nx ny)^2)."""
-    (j0, j1), (k0, k1) = resolved_range(grid, "iso"), resolved_range(grid, "h")
-    pairs = [(j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1) if j >= k - ANISO_N0]
-    keys = tuple(pairs) if aniso else tuple(range(j0, j1 + 1))
+def _block_weights(grid: Grid) -> tuple[tuple, np.ndarray]:
+    """Isotropic block keys j and the (blocks x modes) matrix whose row for
+    block j is its squared mask times the Plancherel weights of
+    ``HalfSpectrum.norm_sq`` (1 on columns 0 and ny/2, 2 elsewhere, times
+    lx ly / (nx ny)^2)."""
+    j0, j1 = resolved_range(grid, "iso")
+    keys = tuple(range(j0, j1 + 1))
     lattice = np.full((grid.nx, grid.ny // 2 + 1), 2.0 * grid.lx * grid.ly / (grid.nx * grid.ny) ** 2)
     lattice[:, [0, -1]] *= 0.5
     mat = np.empty((len(keys), lattice.size))
-    for row, key in zip(mat, keys):
-        j, k = key if aniso else (key, None)
-        m = _mask(grid, "iso", j, low=False) * (_mask(grid, "h", k, low=False) if aniso else 1.0)
-        row[:] = (m**2 * lattice).ravel()
+    for row, j in zip(mat, keys):
+        row[:] = (_mask.__wrapped__(grid, "iso", j, low=False) ** 2 * lattice).ravel()
     mat.flags.writeable = False
     return keys, mat
+
+
+@lru_cache(maxsize=4)
+def _aniso_weights(grid: Grid) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The anisotropic block keys (j, k) with j >= k - ANISO_N0, the
+    (isotropic x horizontal blocks) mask of those pairs, and the (horizontal
+    blocks x nx) table phi(2^-k |xi_1|)^2 on the 1-D xi_1 axis."""
+    (j0, j1), (k0, k1) = resolved_range(grid, "iso"), resolved_range(grid, "h")
+    keys = tuple((j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1) if j >= k - ANISO_N0)
+    pairs = np.subtract.outer(range(j0, j1 + 1), range(k0, k1 + 1)) >= -ANISO_N0
+    tau = np.abs(half_spectrum(grid).k1[:, 0])
+    hsq = np.stack([_CUTOFFS.phi(tau * 2.0 ** (-float(k))) ** 2 for k in range(k0, k1 + 1)])
+    hsq.flags.writeable = False
+    return keys, pairs, hsq
 
 
 def block_sq_norms(grid: Grid, w: np.ndarray, aniso: bool = False) -> tuple[tuple, np.ndarray]:
@@ -193,9 +209,16 @@ def block_sq_norms(grid: Grid, w: np.ndarray, aniso: bool = False) -> tuple[tupl
     pairs (j, k) with j >= k - ANISO_N0 when ``aniso``; zero blocks keep their
     row.  A density of shape ``(nx, ny // 2 + 1)`` gives one value per block,
     a stack ``(m, nx, ny // 2 + 1)`` a table of shape (blocks, m).
+
+    An anisotropic norm sums each row m1 of the isotropic block's weighted
+    density, then weights the rows by the squared horizontal mask of m1.
     """
-    keys, mat = _block_weights(grid, aniso)
-    return keys, mat @ w.reshape(w.shape[:-2] + (-1,)).T
+    keys, mat = _block_weights(grid)
+    if not aniso:
+        return keys, mat @ w.reshape(w.shape[:-2] + (-1,)).T
+    keys, pairs, hsq = _aniso_weights(grid)
+    per_row = np.einsum("jab,...ab->j...a", mat.reshape(-1, *w.shape[-2:]), w)
+    return keys, np.moveaxis(per_row @ hsq.T, -1, 1)[pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,7 +97,9 @@ def test_blockset_reconstruction(grid64, rng):
     assert err < 1e-10
 
 
-@pytest.mark.parametrize("shape", [(64, 64, TWO_PI, TWO_PI), (32, 48, 2.0 * TWO_PI, 1.5 * TWO_PI)])
+@pytest.mark.parametrize(
+    "shape", [(64, 64, TWO_PI, TWO_PI), (32, 48, 2.0 * TWO_PI, 1.5 * TWO_PI), (128, 128, TWO_PI, TWO_PI)]
+)
 @pytest.mark.parametrize("aniso", [False, True])
 def test_block_sq_norms_matches_per_block_sums(shape, aniso, rng):
     """One product with the cached block-weight matrix equals the written-out
@@ -122,6 +125,26 @@ def test_block_sq_norms_matches_per_block_sums(shape, aniso, rng):
         ref = np.array([c.norm_sq(m**2 * d) for d in dens])
         assert np.all(np.abs(stack[row] - ref) <= 1e-13 * ref)
         assert abs(one[row] - ref[0]) <= 1e-13 * ref[0]
+
+
+def test_aniso_block_tables_hold_under_1_mb(rng):
+    """At 128^2 the per-grid tables behind anisotropic block norms (the
+    isotropic block weights, 8 x 8320, and the squared horizontal masks on the
+    1-D xi_1 axis) hold under 1 MB: no (j, k) x modes matrix is built, and the
+    masks of the build stay out of ``_mask``'s cache."""
+    g = make_grid(128, 128, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    w = np.abs(c.fwd(rng.standard_normal(g.shape))) ** 2
+    c.k1, c.ksq  # the half-spectrum tables are not block tables: read them first
+    for cache in (lp._mask, lp._block_weights, lp._aniso_weights):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        lp.block_sq_norms(g, w, aniso=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
 
 
 def test_aniso_n0_vanishing(grid64, rng):

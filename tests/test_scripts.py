@@ -207,3 +207,18 @@ def test_phase_memory_prints_the_lagrangian_march_and_its_margin():
     for row in rows:
         entry, peak, exit_, rss0, rss1 = map(float, row.split()[-5:])
         assert peak >= max(entry, exit_) and rss1 >= rss0
+
+
+def test_phase_memory_prints_the_linear_theory_phases():
+    """On linear-blocks, the linear evolution, its block energies and the
+    decay table are rows of their own under the whole run."""
+    proc = _phase_memory(workload="linear-blocks")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows, last = proc.stdout.splitlines()
+    assert last == "linear-blocks seed 3: exit 0"
+    assert rows[0].startswith("cli.run block-energy ")
+    names = [re.split(r"\s{2,}", row.strip())[0] for row in rows[1:]]
+    assert names == ["evolve_linear", "block_energy_series", "decay_table"]
+    for row in rows:
+        entry, peak, exit_, rss0, rss1 = map(float, row.split()[-5:])
+        assert peak >= max(entry, exit_) and rss1 >= rss0
