@@ -15,10 +15,11 @@ by taking grad_Y-divergence of the momentum equation, as a fixed point of
                    + div(dA/dt Y_t) + div_Y d1^2 Y ],
 
 which contracts while ||grad Y||_inf stays small, to the L2 increment
-``_PRESSURE_TOL`` = 1e-10; its source ``div_Y d1^2 Y`` is assembled in the
-conservative form ``div((A - I) d1^2 Y) + d1^2 rho(Y)``, whose mean is exactly
-zero.  One stage, ``_stage``, runs grad Y (checked small), the source, the
-adjugate and the fixed point; ``pressure_solve`` and the stepper both call it.
+``_PRESSURE_TOL`` = 1e-10; its q-independent source is assembled in the
+conservative form ``div(dA/dt Y_t + (A - I) d1^2 Y) + d1^2 rho(Y)``, one
+dealiased flux per component, whose mean is exactly zero.  One stage,
+``_stage``, runs grad Y (checked small), the source, the adjugate and the
+fixed point; ``pressure_solve`` and the stepper both call it.
 
 Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
@@ -212,24 +213,23 @@ def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _div_y_d11_forms(
-    c: HalfSpectrum, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray, with_form_b: bool = True
-):
+def _form_a_fluxes(c: HalfSpectrum, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray):
+    """Form A's fluxes (A - I) d1^2 Y at the nodes, and d1^2 Y^1 (form B reads it)."""
+    d11y1 = c.inv(c.ik1 * c.ik1 * y1h)
+    d11y2 = c.inv(c.ik1 * c.ik1 * y2h)
+    return (t.d2y2 * d11y1 - t.d2y1 * d11y2, t.d1y1 * d11y2 - t.d1y2 * d11y1), d11y1
+
+
+def _div_y_d11_forms(c: HalfSpectrum, t: GradTensor, y1h: np.ndarray, y2h: np.ndarray):
     """Spectral right-hand sides of the identity
 
     div((A - I) d1^2 Y) + d1^2 rho(Y)
         = d1(d2Y2 d11Y1 + d1Y2 d12Y1 - d1(d1Y1 d2Y2)) + d2(-d1Y2 d11Y1 + d1Y1 d11Y2).
-
-    Form B is None unless ``with_form_b``.
     """
-    d11y1 = c.inv(c.ik1 * c.ik1 * y1h)
-    d11y2 = c.inv(c.ik1 * c.ik1 * y2h)
+    (u1, u2), d11y1 = _form_a_fluxes(c, t, y1h, y2h)
     # form A; its second flux is also the second flux of form B
-    u1h = c.dh(t.d2y2 * d11y1 - t.d2y1 * d11y2)
-    u2h = c.dh(t.d1y1 * d11y2 - t.d1y2 * d11y1)
-    form_a = c.ik1 * u1h + c.ik2 * u2h + c.ik1 * c.ik1 * _rho_hat(c, t)
-    if not with_form_b:
-        return form_a, None
+    u2h = c.dh(u2)
+    form_a = c.ik1 * c.dh(u1) + c.ik2 * u2h + c.ik1 * c.ik1 * _rho_hat(c, t)
     # form B
     d12y1 = c.inv(c.ik1 * c.ik2 * y1h)
     g1 = c.dh(t.d2y2 * d11y1 + t.d1y2 * d12y1) - c.ik1 * c.dh(t.d1y1 * t.d2y2)
@@ -263,12 +263,13 @@ def _pressure_source(
     c: HalfSpectrum, t: GradTensor, tv: GradTensor, v: tuple[np.ndarray, np.ndarray], y1h: np.ndarray, y2h: np.ndarray
 ) -> np.ndarray:
     """The q-independent part of the pressure equation's right side,
-    div(dA/dt Y_t) + div_Y d1^2 Y, in coefficients."""
+    div(dA/dt Y_t + (A - I) d1^2 Y) + d1^2 rho(Y) in coefficients: one
+    dealiased flux per component, plus rho's."""
+    u1, u2 = _form_a_fluxes(c, t, y1h, y2h)[0]
     # dA/dt has the adjugate entry pattern applied to grad Y_t
-    w1h = c.dh(tv.d2y2 * v[0] - tv.d2y1 * v[1])
-    w2h = c.dh(tv.d1y1 * v[1] - tv.d1y2 * v[0])
-    form_a, _ = _div_y_d11_forms(c, t, y1h, y2h, with_form_b=False)
-    return c.ik1 * w1h + c.ik2 * w2h + form_a
+    u1 += tv.d2y2 * v[0] - tv.d2y1 * v[1]
+    u2 += tv.d1y1 * v[1] - tv.d1y2 * v[0]
+    return c.ik1 * c.dh(u1) + c.ik2 * c.dh(u2) + c.ik1 * c.ik1 * _rho_hat(c, t)
 
 
 def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh: np.ndarray):

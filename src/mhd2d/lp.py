@@ -11,9 +11,10 @@ with S the standard C-infinity step (0 below 0, 1 above 1).  Then
     sum_j phi(2^-j tau) = chi(2^-(b+1) tau) - chi(2^-a tau)  ->  1,
 
 exactly once the dyadic range [a, b] brackets tau.  Blocks are coefficient
-masks on the half spectrum, shape ``(nx, ny // 2 + 1)``:
-``D_j u = inv(phi(2^-j |xi|) fwd(u))`` and the horizontal variants use
-|xi_1|.  Out-of-range indices give the zero field.
+masks on the half spectrum: ``D_j u = inv(phi(2^-j |xi|) fwd(u))`` with a
+mask of shape ``(nx, ny // 2 + 1)``, and the horizontal variants use |xi_1|,
+with masks of shape ``(nx, 1)`` on the 1-D xi_1 axis that broadcast over the
+half spectrum.  Out-of-range indices give the zero field.
 
 Norm conventions: L2 norms by Plancherel (``HalfSpectrum.norm_sq``);
 homogeneous norms drop the mean (the torus surrogate of "modulo constants";
@@ -110,7 +111,7 @@ def _tau(grid: Grid, kind: str) -> np.ndarray:
     if kind == "iso":
         return np.sqrt(c.ksq)
     if kind == "h":
-        return np.abs(np.broadcast_to(c.k1, c.shape))  # masks keep the full shape
+        return np.abs(c.k1)  # (nx, 1): a horizontal mask is a factor of the row m1
     raise ValueError(f"unknown block kind {kind!r}")
 
 
@@ -194,7 +195,7 @@ def _aniso_weights(grid: Grid) -> tuple[tuple, np.ndarray, np.ndarray]:
     (j0, j1), (k0, k1) = resolved_range(grid, "iso"), resolved_range(grid, "h")
     keys = tuple((j, k) for j in range(j0, j1 + 1) for k in range(k0, k1 + 1) if j >= k - ANISO_N0)
     pairs = np.subtract.outer(range(j0, j1 + 1), range(k0, k1 + 1)) >= -ANISO_N0
-    tau = np.abs(half_spectrum(grid).k1[:, 0])
+    tau = _tau(grid, "h")[:, 0]
     hsq = np.stack([_CUTOFFS.phi(tau * 2.0 ** (-float(k))) ** 2 for k in range(k0, k1 + 1)])
     hsq.flags.writeable = False
     return keys, pairs, hsq

@@ -90,13 +90,11 @@ def mode_exponential(m: np.ndarray):
         sinch = np.where(tiny, 1.0 + zsq / 6.0 + zsq * zsq / 120.0, np.sinh(zd) / zd)
         c[i] = e_mu * np.cosh(zs)
         s[i] = e_mu * t * sinch
-        out = np.empty(shape, dtype=complex)
+        out = np.empty(shape)
         o = out.reshape(-1, 2, 2)
-        np.add(c, s * d00, out=o[:, 0, 0])
-        np.multiply(s, e01, out=o[:, 0, 1])
-        np.multiply(s, e10, out=o[:, 1, 0])
-        np.add(c, s * d11, out=o[:, 1, 1])
-        return np.real(out)
+        o[:, 0, 0], o[:, 0, 1] = (c + s * d00).real, (s * e01).real
+        o[:, 1, 0], o[:, 1, 1] = (s * e10).real, (c + s * d11).real
+        return out
 
     return at
 

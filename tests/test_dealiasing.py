@@ -87,7 +87,7 @@ def test_form_a_fused_matches_pairwise(seed, n):
     g, c, field, pd = _setup(seed, n)
     y1h, y2h = c.fwd(field()), c.fwd(field())
     t = lag._grad_hat(c, y1h, y2h)
-    fused, _ = lag._div_y_d11_forms(c, t, y1h, y2h, with_form_b=False)
+    fused, _ = lag._div_y_d11_forms(c, t, y1h, y2h)
     assert _rel(c.inv(fused), c.inv(_form_a_pairwise(c, pd, t, y1h, y2h))) < REL
 
 
@@ -217,11 +217,11 @@ def fft_fields(monkeypatch):
     return count
 
 
-def test_lagrangian_forcing_costs_29_plus_8_per_pressure_iteration(rng, fft_fields):
-    """The held state's 29 + 8n fields are split: its commit solves q from the
-    predictor's (13 + 8n, after the 4 of the grad Y it holds), so its forcing
+def test_lagrangian_forcing_costs_27_plus_8_per_pressure_iteration(rng, fft_fields):
+    """The held state's 27 + 8n fields are split: its commit solves q from the
+    predictor's (11 + 8n, after the 4 of the grad Y it holds), so its forcing
     stage solves nothing and makes only the other 16.  A predictor stage takes
-    grad Y itself and solves: 33 + 8n."""
+    grad Y itself and solves: 31 + 8n."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
@@ -234,17 +234,17 @@ def test_lagrangian_forcing_costs_29_plus_8_per_pressure_iteration(rng, fft_fiel
     fft_fields["fields"] = 0
     s._forcing([(1.01 * y, v) for y, v in z], 0.01)
     assert s.last_pressure.iterations >= 2
-    assert fft_fields["fields"] == 33 + 8 * s.last_pressure.iterations
+    assert fft_fields["fields"] == 31 + 8 * s.last_pressure.iterations
     fft_fields["fields"] = 0
     s._hold([1.02 * y for y, _ in z], [v for _, v in z], 0.01, s.stage_qh)
     assert s.last_pressure.iterations >= 2
-    assert fft_fields["fields"] == 4 + 13 + 8 * s.last_pressure.iterations
+    assert fft_fields["fields"] == 4 + 11 + 8 * s.last_pressure.iterations
 
 
-def test_lagrangian_load_costs_22_plus_8_per_pressure_iteration(rng, fft_fields):
+def test_lagrangian_load_costs_20_plus_8_per_pressure_iteration(rng, fft_fields):
     """Loading a state transforms q, Y and Y_t forward (5 fields) and stages
     it once: grad Y_t and Y_t at the nodes (6), then grad Y, checked small,
-    and the pressure (11 + 8n); grad Y is taken once."""
+    and the pressure (9 + 8n); grad Y is taken once."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
@@ -253,7 +253,20 @@ def test_lagrangian_load_costs_22_plus_8_per_pressure_iteration(rng, fft_fields)
     fft_fields.clear()
     s.load(state)
     assert s.last_pressure.iterations >= 2
-    assert fft_fields["fields"] == 22 + 8 * s.last_pressure.iterations
+    assert fft_fields["fields"] == 20 + 8 * s.last_pressure.iterations
+
+
+def test_pressure_source_costs_5_fields(rng, fft_fields):
+    """d1^2 Y^1 and d1^2 Y^2 at the nodes (2 inverse), then one dealiased
+    flux per component and rho's (3 forward)."""
+    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    yh, vh = ([c.fwd(random_band_field(g, rng, 1.0, 5.0, 0.02).samples) for _ in range(2)] for _ in range(2))
+    t, tv = lag._grad_hat(c, *yh), lag._grad_hat(c, *vh)
+    v = (c.inv(vh[0]), c.inv(vh[1]))
+    fft_fields.clear()
+    lag._pressure_source(c, t, tv, v, *yh)
+    assert (fft_fields["irfft2"], fft_fields["rfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2, 3, 0, 0)
 
 
 def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):
