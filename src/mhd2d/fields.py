@@ -15,26 +15,25 @@ __all__ = [
 ]
 
 
-def _wrapped_offsets(grid: Grid, center: tuple[float, float]):
+def _envelope(grid: Grid, center: tuple[float, float] | None, width: float):
+    """The wrapped x1 offset from ``center`` (the box centre when None) and
+    the Gaussian envelope exp(-(|x - center|^2) / (2 width^2)), argument wrapped."""
+    if center is None:
+        center = (0.5 * grid.lx, 0.5 * grid.ly)
     dx1 = np.mod(grid.x1 - center[0] + 0.5 * grid.lx, grid.lx) - 0.5 * grid.lx
     dx2 = np.mod(grid.x2 - center[1] + 0.5 * grid.ly, grid.ly) - 0.5 * grid.ly
-    return dx1 + 0.0 * dx2, dx2 + 0.0 * dx1
+    d1, d2 = dx1 + 0.0 * dx2, dx2 + 0.0 * dx1
+    return d1, np.exp(-(d1**2 + d2**2) / (2.0 * width**2))
 
 
 def gaussian_bump(grid: Grid, amplitude: float, center: tuple[float, float] | None = None, width: float = 0.5) -> RealField:
-    """amplitude * exp(-(|x - center|^2) / (2 width^2)), argument wrapped."""
-    if center is None:
-        center = (0.5 * grid.lx, 0.5 * grid.ly)
-    d1, d2 = _wrapped_offsets(grid, center)
-    return RealField(grid, amplitude * np.exp(-(d1**2 + d2**2) / (2.0 * width**2)))
+    """amplitude times the Gaussian envelope of ``width`` about ``center``."""
+    return RealField(grid, amplitude * _envelope(grid, center, width)[1])
 
 
 def bump_dx1(grid: Grid, amplitude: float, center: tuple[float, float] | None = None, width: float = 0.5) -> RealField:
     """x1-derivative-shaped bump: zero x1-integral along every row."""
-    if center is None:
-        center = (0.5 * grid.lx, 0.5 * grid.ly)
-    d1, d2 = _wrapped_offsets(grid, center)
-    env = np.exp(-(d1**2 + d2**2) / (2.0 * width**2))
+    d1, env = _envelope(grid, center, width)
     return RealField(grid, -amplitude * d1 / width * env)
 
 

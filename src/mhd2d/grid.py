@@ -6,18 +6,20 @@ expanded as ``u(x) = sum_xi chat(xi) exp(i xi . x)`` with frequencies
 ``exp(i xi0 . x)`` has ``chat(xi0) = 1`` and Plancherel reads
 ``||u||_{L2}^2 = lx * ly * sum |chat|^2``.
 
-Every spectral operation on real fields runs on the real-to-half-spectrum
-(``rfft2``) coefficients ``nx ny chat`` of the ``ny // 2 + 1`` non-negative x2
-frequencies, through one ``HalfSpectrum`` context per grid from
+Every transform of the package runs here.  Spectral operations on real
+fields run on the real-to-half-spectrum (``rfft2``) coefficients ``nx ny chat``
+of the ``ny // 2 + 1`` non-negative x2 frequencies (``d2_columns`` on x2
+columns), through one ``HalfSpectrum`` context per grid from
 ``half_spectrum``; Plancherel sums them over the full lattice (``lattice_sum``,
-``norm_sq``).  Each quadratic sum is dealiased once (``dh``) and nested
-products at each level; sup norms are sampled on the 2x finer grid by zero
-padding (``inv_fine``), with the unpaired Nyquist modes split evenly.  The
-``HalfSpectrum`` owns every wavenumber and mode-index table; ``Grid`` holds
-only the nodes.  The mode indices, the wavenumbers and the derivative
-symbols ``ik1``/``ik2`` are 1-D axes (shapes (nx, 1) and (1, ny // 2 + 1)),
-so products with them broadcast; the other tables have the full
-half-spectrum shape; each is built on its first read.
+``norm_sq``) and quadrature sums the samples (``l2_norm``).  Each quadratic
+sum is dealiased once (``dh``) and nested products at each level; sup norms
+are sampled on the 2x finer grid by zero padding (``inv_fine``), with the
+unpaired Nyquist modes split evenly.  The ``HalfSpectrum`` owns every
+wavenumber and mode-index table; ``Grid`` holds only the nodes.  The mode
+indices, the wavenumbers and the derivative symbols ``ik1``/``ik2`` are 1-D
+axes (shapes (nx, 1) and (1, ny // 2 + 1)), so products with them broadcast;
+the other tables have the full half-spectrum shape; each is built on its
+first read.
 
 All operations are pure functions of immutable inputs.
 """
@@ -141,7 +143,7 @@ def spectral_derivative(u: RealField, axis: int, order: int = 1) -> RealField:
 
 def l2_norm(u: RealField) -> float:
     """L2 norm over the box by quadrature of the samples."""
-    return float(np.sqrt(u.grid.cell_area * np.sum(u.samples.astype(float) ** 2)))
+    return float(np.sqrt(u.grid.cell_area * np.sum(np.square(u.samples, dtype=float))))
 
 
 class HalfSpectrum:
@@ -245,6 +247,11 @@ class HalfSpectrum:
 
     def inv(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(ah, s=self.grid.shape)
+
+    def d2_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Spectral x2-derivative of a column or a stack of columns (periodic,
+        Nyquist mode zeroed), by one real transform along x2."""
+        return np.fft.irfft(self.ik2[0] * np.fft.rfft(cols), n=self.grid.ny)
 
     def grad(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d1 f and d2 f at the nodes from the half-spectrum coefficients of f."""

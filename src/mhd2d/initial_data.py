@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mhd2d.grid import Grid, HalfSpectrum, RealField, _deriv_symbol, _finite_fwd, half_spectrum, spectral_derivative
+from mhd2d.grid import Grid, RealField, _deriv_symbol, _finite_fwd, half_spectrum, l2_norm, spectral_derivative
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.lp import a_ks_norm, sobolev_norm, sobolev_norm_hat
 
@@ -75,12 +75,6 @@ def quiet_column(psi0: RealField) -> int:
     return int(np.argmin(smeared))
 
 
-def _column_d2(cols: np.ndarray, c: HalfSpectrum) -> np.ndarray:
-    """Spectral x2-derivative of a column or a stack of columns (periodic,
-    Nyquist mode zeroed), by one real transform along x2."""
-    return np.fft.irfft(c.ik2[0] * np.fft.rfft(cols), n=c.grid.ny)
-
-
 @dataclass(frozen=True)
 class CompanionInfo:
     start_column: int
@@ -117,7 +111,7 @@ def solve_companion_potential(psi0: RealField, tol: float = 1e-6) -> tuple[RealF
         i = (i0 + whole) % g.nx
         a = (d1psi_h if half else d1psi)[i]
         b = (d2psi_h if half else d2psi)[i]
-        return (b + a * _column_d2(tilde_col, c)) / (1.0 + b)
+        return (b + a * c.d2_columns(tilde_col)) / (1.0 + b)
 
     tilde = np.zeros(g.shape)
     col = np.zeros(g.ny)
@@ -133,7 +127,7 @@ def solve_companion_potential(psi0: RealField, tol: float = 1e-6) -> tuple[RealF
     order = [(i0 + s) % g.nx for s in range(g.nx)]
     marched = tilde[order]
     d1tilde_win = window_derivative_x1(marched, g.dx)
-    d2tilde = _column_d2(tilde, c)
+    d2tilde = c.d2_columns(tilde)
     det_win = (1.0 + d2psi[order]) * (1.0 - d1tilde_win) + d2tilde[order] * d1psi[order]
     det_residual = float(np.max(np.abs(det_win - 1.0)))
     wake = float(np.max(np.abs(marched[-1])))
@@ -276,7 +270,7 @@ def seed_lagrangian_velocity(
     del y1h, y2h
     div += spectral_derivative(RealField(g, w2), 2).samples
     del w2
-    return (RealField(g, v1), RealField(g, v2)), float(np.sqrt(g.cell_area * np.sum(div**2)))
+    return (RealField(g, v1), RealField(g, v2)), l2_norm(RealField(g, div))
 
 
 @dataclass(frozen=True)

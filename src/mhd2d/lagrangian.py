@@ -18,8 +18,9 @@ which contracts while ||grad Y||_inf stays small, to the L2 increment
 ``_PRESSURE_TOL`` = 1e-10; its q-independent source is assembled in the
 conservative form ``div(dA/dt Y_t + (A - I) d1^2 Y) + d1^2 rho(Y)``, one
 dealiased flux per component, whose mean is exactly zero.  One stage,
-``_stage``, runs grad Y (checked small), the source, the adjugate and the
-fixed point; ``pressure_solve`` and the stepper both call it.
+``_stage``, runs grad Y (checked small), the source and the fixed point;
+``pressure_solve`` and the stepper both call it.  Every kernel reads A's
+entries off grad Y (``GradTensor``); no step builds an ``AdjugateField``.
 
 Each quadratic sum is dealiased once by the 2/3 rule (``HalfSpectrum.dh``,
 exact because the truncation is linear); a nested product such as
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from mhd2d.diagnostics import MarginTables, _block_column, _e0_density, _margin_tables
-from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum
+from mhd2d.grid import Grid, HalfSpectrum, RealField, half_spectrum, l2_norm
 from mhd2d.interp import PeriodicInterpolator
 from mhd2d.linear import _flow_map_matrix
 from mhd2d.lp import _homogeneous_weight
@@ -197,15 +198,16 @@ def _rho_hat(c: HalfSpectrum, t: GradTensor) -> np.ndarray:
     return c.dh(t.d1y2 * t.d2y1 - t.d1y1 * t.d2y2)
 
 
-def _adj_t_hat(c: HalfSpectrum, adj: AdjugateField, q1: np.ndarray, q2: np.ndarray):
-    """Dealiased coefficients of A^T (q1, q2), given at the nodes."""
-    return c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)
+def _adj_t_hat(c: HalfSpectrum, t: GradTensor, q1: np.ndarray, q2: np.ndarray):
+    """Dealiased coefficients of A^T (q1, q2), given at the nodes, with A read
+    off grad Y (``t``)."""
+    return c.dh((1.0 + t.d2y2) * q1 - t.d1y2 * q2), c.dh((1.0 + t.d1y1) * q2 - t.d2y1 * q1)
 
 
-def _grad_y_hat(c: HalfSpectrum, adj: AdjugateField, qh: np.ndarray):
+def _grad_y_hat(c: HalfSpectrum, t: GradTensor, qh: np.ndarray):
     """Dealiased coefficients of grad_Y q = A^T grad q, and grad q at the nodes."""
     q1, q2 = c.grad(qh)
-    return _adj_t_hat(c, adj, q1, q2), (q1, q2)
+    return _adj_t_hat(c, t, q1, q2), (q1, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +274,14 @@ def _pressure_source(
     return c.ik1 * c.dh(u1) + c.ik2 * c.dh(u2) + c.ik1 * c.ik1 * _rho_hat(c, t)
 
 
-def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh: np.ndarray):
+def _pressure_map(c: HalfSpectrum, t: GradTensor, const: np.ndarray, qh: np.ndarray):
     """One step q -> q_new of the pressure fixed point, in coefficients; its
     work arrays die when it returns."""
-    wh, (q1, q2) = _grad_y_hat(c, adj, qh)
+    wh, (q1, q2) = _grad_y_hat(c, t, qh)
     w1q, w2q = c.inv(wh[0]), c.inv(wh[1])
     del wh
-    # (A - I) A^T grad q + (A^T - I) grad q, with A - I read off grad Y; each
-    # component is transformed before the next is formed
+    # (A - I) A^T grad q + (A^T - I) grad q; each component is transformed
+    # before the next is formed
     h1 = c.ik1 * c.dh(t.d2y2 * w1q - t.d2y1 * w2q + t.d2y2 * q1 - t.d1y2 * q2)
     h2 = c.ik2 * c.dh(t.d1y1 * w2q - t.d1y2 * w1q + t.d1y1 * q2 - t.d2y1 * q1)
     rhs = -(h1 + h2) + const
@@ -289,16 +291,15 @@ def _pressure_map(c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.
 
 
 def _pressure_fixed_point(
-    c: HalfSpectrum, t: GradTensor, adj: AdjugateField, const: np.ndarray, qh0: np.ndarray | None
+    c: HalfSpectrum, t: GradTensor, const: np.ndarray, qh0: np.ndarray | None
 ) -> tuple[np.ndarray, PressureInfo]:
     """The fixed point q = ``_pressure_map``(q) from ``qh0`` (zero when None)."""
     qh = np.zeros_like(const) if qh0 is None else qh0  # never written in place
-    area = c.grid.lx * c.grid.ly
     inc_prev = math.inf
     contraction = 0.0
     for it in range(1, _PRESSURE_MAX_ITERATIONS + 1):
-        qh_new = _pressure_map(c, t, adj, const, qh)
-        inc = math.sqrt(area * c.lattice_sum(np.abs((qh_new - qh) / (c.grid.nx * c.grid.ny)) ** 2))
+        qh_new = _pressure_map(c, t, const, qh)
+        inc = math.sqrt(c.norm_sq(np.abs(qh_new - qh) ** 2))
         qh = qh_new
         if inc < _PRESSURE_TOL:
             return qh, PressureInfo(it, inc, contraction)
@@ -313,15 +314,14 @@ def _pressure_fixed_point(
 
 
 def _stage(c: HalfSpectrum, yh, tv: GradTensor, v: tuple[np.ndarray, np.ndarray], qh0: np.ndarray | None):
-    """(grad Y checked small, adjugate, q coefficients, PressureInfo) at (Y, Y_t),
+    """(grad Y checked small, q coefficients, PressureInfo) at (Y, Y_t),
     given Y's coefficients and grad Y_t (``tv``) and Y_t (``v``) at the nodes;
     ``v`` dies with the source, ahead of the fixed point from ``qh0``."""
     t = _small(_grad_hat(c, *yh))
     const = _pressure_source(c, t, tv, v, *yh)
     del v
-    adj = adjugate(t)
-    qh, info = _pressure_fixed_point(c, t, adj, const, qh0)
-    return t, adj, qh, info
+    qh, info = _pressure_fixed_point(c, t, const, qh0)
+    return t, qh, info
 
 
 def pressure_solve(
@@ -342,7 +342,7 @@ def pressure_solve(
     c = half_spectrum(g)
     yh = (c.fwd(Y[0].samples), c.fwd(Y[1].samples))
     qh0 = c.fwd(q0.samples) if q0 is not None else None
-    t, _, qh, info = _stage(c, yh, gradient_tensor(Y_t), (Y_t[0].samples, Y_t[1].samples), qh0)
+    t, qh, info = _stage(c, yh, gradient_tensor(Y_t), (Y_t[0].samples, Y_t[1].samples), qh0)
     if check_identity:
         form_a, form_b = _div_y_d11_forms(c, t, *yh)
         ident = float(np.max(np.abs(c.inv(form_a - form_b)))) / max(1.0, float(np.max(np.abs(form_a))))
@@ -357,48 +357,45 @@ def pressure_solve(
 # ---------------------------------------------------------------------------
 
 
-def _minus_grad_y_q(c: HalfSpectrum, adj: AdjugateField, out: list, qh: np.ndarray):
+def _minus_grad_y_q(c: HalfSpectrum, t: GradTensor, out: list, qh: np.ndarray):
     """out - grad_Y q, with the mean mode and the 2/3-truncated modes zeroed."""
-    for oh, ph in zip(out, _grad_y_hat(c, adj, qh)[0]):
+    for oh, ph in zip(out, _grad_y_hat(c, t, qh)[0]):
         oh -= ph
         oh[0, 0] = 0.0
         oh *= c.deal
     return out[0], out[1]
 
 
-def _viscous_hat(c: HalfSpectrum, adj: AdjugateField, g1: np.ndarray, g2: np.ndarray, ch: np.ndarray):
+def _viscous_hat(c: HalfSpectrum, t: GradTensor, g1: np.ndarray, g2: np.ndarray, ch: np.ndarray):
     """(div A A^T grad - Lap) of one component of Y_t, with coefficients ``ch``
     and gradient (g1, g2) at the nodes; its work arrays die when it returns."""
-    w1h, w2h = _adj_t_hat(c, adj, g1, g2)
+    w1h, w2h = _adj_t_hat(c, t, g1, g2)
     w1, w2 = c.inv(w1h), c.inv(w2h)
-    u1h = c.dh(adj.b11 * w1 + adj.b12 * w2)
-    u2h = c.dh(adj.b21 * w1 + adj.b22 * w2)
+    u1h = c.dh((1.0 + t.d2y2) * w1 - t.d2y1 * w2)
+    u2h = c.dh((1.0 + t.d1y1) * w2 - t.d1y2 * w1)
     return c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch
 
 
-def _rhs_f_spectral(
-    c: HalfSpectrum, adj: AdjugateField, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray
-):
+def _rhs_f_spectral(c: HalfSpectrum, t: GradTensor, tv: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """f = (grad_Y . grad_Y - Lap) Y_t - grad_Y q in spectral form (direct),
-    given the adjugate of I + grad Y and grad Y_t (``tv``) at the nodes."""
+    given grad Y (``t``) and grad Y_t (``tv``) at the nodes."""
     out = [
-        _viscous_hat(c, adj, tv.d1y1, tv.d2y1, vh[0]),
-        _viscous_hat(c, adj, tv.d1y2, tv.d2y2, vh[1]),
+        _viscous_hat(c, t, tv.d1y1, tv.d2y1, vh[0]),
+        _viscous_hat(c, t, tv.d1y2, tv.d2y2, vh[1]),
     ]
-    return _minus_grad_y_q(c, adj, out, qh)
+    return _minus_grad_y_q(c, t, out, qh)
 
 
 def _rhs_f_divform(c: HalfSpectrum, t: GradTensor, vh: tuple[np.ndarray, np.ndarray], qh: np.ndarray):
     """Viscous part via the divergence form d1 F1 + d2 F2 (cross-check)."""
-    adj = adjugate(t)
     alpha1 = 2.0 * t.d2y2 + c.inv(c.dh(t.d2y1 * t.d2y1 + t.d2y2 * t.d2y2))
     alpha2 = 2.0 * t.d1y1 + c.inv(c.dh(t.d1y1 * t.d1y1 + t.d1y2 * t.d1y2))
-    beta = c.inv(c.dh(adj.b11 * t.d1y2 + adj.b22 * t.d2y1))
+    beta = c.inv(c.dh((1.0 + t.d2y2) * t.d1y2 + (1.0 + t.d1y1) * t.d2y1))
     out = []
     for ch in vh:
         g1, g2 = c.inv(c.ik1 * ch), c.inv(c.ik2 * ch)
         out.append(c.ik1 * c.dh(alpha1 * g1 - beta * g2) + c.ik2 * c.dh(alpha2 * g2 - beta * g1))
-    return _minus_grad_y_q(c, adj, out, qh)
+    return _minus_grad_y_q(c, t, out, qh)
 
 
 def rhs_f(
@@ -413,7 +410,7 @@ def rhs_f(
     t = gradient_tensor(Y)
     vh = (c.fwd(Y_t[0].samples), c.fwd(Y_t[1].samples))
     qh = c.fwd(q.samples)
-    f1h, f2h = _rhs_f_spectral(c, adjugate(t), _grad_hat(c, *vh), vh, qh)
+    f1h, f2h = _rhs_f_spectral(c, t, _grad_hat(c, *vh), vh, qh)
     f = (RealField(g, c.inv(f1h)), RealField(g, c.inv(f2h)))
     if not cross_check:
         return f
@@ -461,10 +458,10 @@ class _Stepper:
         self._hold([c.fwd(f.samples) for f in state.Y], [c.fwd(f.samples) for f in state.Y_t], state.t, qh)
 
     def _stage(self, yh, vh, qh0: np.ndarray):
-        """(grad Y, grad Y_t, adjugate, q) by ``_stage``; keeps its PressureInfo."""
+        """(grad Y, grad Y_t, q) by ``_stage``; keeps its PressureInfo."""
         tv = _grad_hat(self.c, *vh)
-        t, adj, qh, self.last_pressure = _stage(self.c, yh, tv, (self.c.inv(vh[0]), self.c.inv(vh[1])), qh0)
-        return t, tv, adj, qh
+        t, qh, self.last_pressure = _stage(self.c, yh, tv, (self.c.inv(vh[0]), self.c.inv(vh[1])), qh0)
+        return t, tv, qh
 
     def _hold(self, yh: list, vh: list, t: float, qh0: np.ndarray) -> None:
         """Commit (Y, Y_t) at time t with grad Y (``ty``), grad Y_t (``tv``) and
@@ -473,22 +470,22 @@ class _Stepper:
         PressureConvergenceError if the fixed point stops."""
         if not all(np.all(np.isfinite(h)) for h in vh):
             raise StateBlowupError("non-finite state")
-        ty, tv, _, qh = self._stage(yh, vh, qh0)
+        ty, tv, qh = self._stage(yh, vh, qh0)
         self.yh, self.vh, self.ty, self.tv, self.qh, self.t = yh, vh, ty, tv, qh, t
 
     def _forcing(self, z, s):
         """Forcing slots [(0, f^1), (0, f^2)] of the pairs z = [(Y^1, Y^1_t),
         (Y^2, Y^2_t)] at time t + s.  The held state brings its own grad Y_t and
         q; another stage runs ``_stage`` from the held q and keeps its q in
-        ``stage_qh``, the commit's warm start.  One adjugate serves the
-        pressure and the forcing."""
+        ``stage_qh``, the commit's warm start.  One grad Y serves the pressure
+        and the forcing."""
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
         if yh[0] is self.yh[0] and yh[1] is self.yh[1]:
-            adj, tv, qh = adjugate(self.ty), self.tv, self.qh
+            t, tv, qh = self.ty, self.tv, self.qh
         else:
-            _, tv, adj, qh = self._stage(yh, vh, self.qh)
+            t, tv, qh = self._stage(yh, vh, self.qh)
             self.stage_qh = qh
-        f1h, f2h = _rhs_f_spectral(self.c, adj, tv, vh, qh)
+        f1h, f2h = _rhs_f_spectral(self.c, t, tv, vh, qh)
         return [(None, f1h), (None, f2h)]
 
     def advance(self) -> None:
@@ -742,9 +739,7 @@ def to_eulerian(state: FlowMapState):
         np.negative(grad_at[k1], out=grad_at[k1])
         g1h, g2h = c.fwd(grad_at[k1]), c.fwd(grad_at[k2])
         grad_at[k1] = grad_at[k2] = None
-        curl = c.inv(c.ik1 * g2h - c.ik2 * g1h)
-        curl_res = float(np.sqrt(g.cell_area * np.sum(curl**2)))
-        del curl
+        curl_res = l2_norm(RealField(g, c.inv(c.ik1 * g2h - c.ik2 * g1h)))
         # psi_hat solves i xi . (i xi psi) = div g  =>  -|xi|^2 psi = div g
         ph = c.ik1 * g1h + c.ik2 * g2h
         del g1h, g2h
@@ -763,10 +758,9 @@ def to_eulerian(state: FlowMapState):
     p_raw = q_at - (dpsi1**2 + (1.0 + dpsi2) ** 2)
     del q_at, dpsi1, dpsi2
     p = RealField(g, p_raw - float(np.mean(p_raw)))
-    div_u = c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples))
     info = {
         "curl_residual_psi": curl_psi,
         "curl_residual_psitilde": curl_til,
-        "div_u_l2": float(np.sqrt(g.cell_area * np.sum(div_u**2))),
+        "div_u_l2": l2_norm(RealField(g, c.inv(c.ik1 * c.fwd(u1.samples) + c.ik2 * c.fwd(u2.samples)))),
     }
     return EulerState(psi, (u1, u2), p, state.t), psitilde, info

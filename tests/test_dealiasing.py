@@ -103,7 +103,7 @@ def test_pressure_update_fused_matches_pairwise(seed, n):
     v = (c.inv(vh[0]), c.inv(vh[1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lag, "_PRESSURE_TOL", math.inf)
-        fused, info = lag._pressure_fixed_point(c, t, lag.adjugate(t), lag._pressure_source(c, t, tv, v, y1h, y2h), qh0)
+        fused, info = lag._pressure_fixed_point(c, t, lag._pressure_source(c, t, tv, v, y1h, y2h), qh0)
     assert info.iterations == 1
 
     adj = lag.adjugate(t)
@@ -129,7 +129,7 @@ def test_rhs_f_fused_matches_pairwise(seed, n):
     t = lag._grad_hat(c, c.fwd(field()), c.fwd(field()))
     vh = (c.fwd(field()), c.fwd(field()))
     qh = c.fwd(field(1.0))
-    fused = lag._rhs_f_spectral(c, lag.adjugate(t), lag._grad_hat(c, *vh), vh, qh)
+    fused = lag._rhs_f_spectral(c, t, lag._grad_hat(c, *vh), vh, qh)
 
     adj = lag.adjugate(t)
     ref = []
@@ -269,31 +269,33 @@ def test_pressure_source_costs_5_fields(rng, fft_fields):
     assert (fft_fields["irfft2"], fft_fields["rfft2"], fft_fields["fft2"], fft_fields["ifft2"]) == (2, 3, 0, 0)
 
 
-def test_lagrangian_forcing_builds_one_adjugate(rng, monkeypatch):
-    """The pressure fixed point and the forcing share one adjugate of
-    I + grad Y per stage: one step of ETD2RK evaluates the forcing twice and
-    commits once, and builds three adjugates (the held state's forcing
-    rebuilds its own from the held grad Y)."""
+def test_lagrangian_step_and_pressure_solve_build_no_adjugate(rng, monkeypatch):
+    """Every kernel reads A off grad Y: one step of ETD2RK evaluates the
+    forcing twice and commits once, and neither it nor a pressure solve
+    builds an ``AdjugateField``; ``adjugate`` itself still counts."""
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     Y = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     V = tuple(random_band_field(g, rng, 1.0, 5.0, 0.02) for _ in range(2))
     s = lag._Stepper(g, 0.01)
     s.load(lag.FlowMapState(Y, V, RealField.zeros(g), 0.0))
     calls = Counter()
-    adjugate, forcing = lag.adjugate, s._forcing
+    adjugate_field, forcing = lag.AdjugateField, s._forcing
 
-    def counted_adjugate(t):
+    def counted_adjugate(*args, **kwargs):
         calls["adjugate"] += 1
-        return adjugate(t)
+        return adjugate_field(*args, **kwargs)
 
     def counted_forcing(z, t):
         calls["forcing"] += 1
         return forcing(z, t)
 
-    monkeypatch.setattr(lag, "adjugate", counted_adjugate)
+    monkeypatch.setattr(lag, "AdjugateField", counted_adjugate)
     monkeypatch.setattr(s, "_forcing", counted_forcing)
     s.advance()
-    assert calls == {"forcing": 2, "adjugate": 3}
+    lag.pressure_solve(Y, V)
+    assert (calls["forcing"], calls["adjugate"]) == (2, 0)
+    lag.adjugate(s.ty)
+    assert calls["adjugate"] == 1
 
 
 def test_euler_step_costs_14_fields(rng, fft_fields):

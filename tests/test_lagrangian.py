@@ -31,10 +31,10 @@ def _rho(Y):
     return RealField(c.grid, c.inv(lag._rho_hat(c, lag.gradient_tensor(Y))))
 
 
-def _lagrangian_gradient(q, adj):
-    """grad_Y q = A^T grad q at the nodes (component i sums b_{ji} d_j q)."""
+def _lagrangian_gradient(q, t):
+    """grad_Y q = A^T grad q at the nodes (component i sums b_{ji} d_j q), given grad Y."""
     c = half_spectrum(q.grid)
-    return tuple(RealField(c.grid, c.inv(h)) for h in lag._grad_y_hat(c, adj, c.fwd(q.samples))[0])
+    return tuple(RealField(c.grid, c.inv(h)) for h in lag._grad_y_hat(c, t, c.fwd(q.samples))[0])
 
 
 def _small_vector(g, rng, amp=1e-2, kmax=None):
@@ -170,8 +170,7 @@ def test_run_lagrangian_rejects_sobolev_exponent(grid32, s2p1):
 
 def test_lagrangian_gradient_identity_cases(grid64):
     q = RealField.from_function(grid64, lambda x, y: np.sin(x) + 0 * y)
-    adj = lag.adjugate(lag.gradient_tensor(_pair(grid64)))
-    g1, g2 = _lagrangian_gradient(q, adj)
+    g1, g2 = _lagrangian_gradient(q, lag.gradient_tensor(_pair(grid64)))
     assert np.max(np.abs(g1.samples - np.cos(grid64.x1 + 0 * grid64.x2))) < 1e-12
     assert np.max(np.abs(g2.samples)) < 1e-12
 
@@ -185,8 +184,7 @@ def test_lagrangian_gradient_chain_rule_oracle(rng):
     chi = random_band_field(g, rng, 1.0, 3.0, 0.03)
     Y = flow_displacement(chi)
     q = random_band_field(g, rng, 1.0, 4.0, 1.0)
-    adj = lag.adjugate(lag.gradient_tensor(Y))
-    direct = _lagrangian_gradient(q, adj)
+    direct = _lagrangian_gradient(q, lag.gradient_tensor(Y))
     dinv = lag.invert_flow_map(Y)
     q_eul = lag.compose(q, dinv)
     pulled = []
@@ -195,6 +193,46 @@ def test_lagrangian_gradient_chain_rule_oracle(rng):
         pulled.append(lag.compose(dq, Y))
     for got, ref in zip(direct, pulled):
         assert np.max(np.abs(got.samples - ref.samples)) < 1e-4
+
+
+def _signed_planes(g, rng, k):
+    """k node planes of random values of both signs, a quarter of them +0.0,
+    a quarter -0.0 and a quarter -1.0 (where 1 + d is exactly zero)."""
+    planes = 0.1 * rng.standard_normal((k,) + g.shape)
+    pick = rng.integers(0, 4, size=planes.shape)
+    planes[pick == 0] = 0.0
+    planes[pick == 1] = -0.0
+    planes[pick == 2] = -1.0
+    return planes
+
+
+def _same_bits(a, b):
+    """Equal values (np.array_equal) and equal bytes, so signed zeros count."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_kernels_read_a_off_grad_y_bit_for_bit(n, rng):
+    """``_grad_y_hat`` and ``_viscous_hat`` read A off grad Y and equal the
+    same products formed from the ``AdjugateField`` entries, bit for bit."""
+    g = make_grid(n, n, TWO_PI, TWO_PI)
+    c = half_spectrum(g)
+    t = lag.GradTensor(g, *_signed_planes(g, rng, 4))
+    adj = lag.adjugate(t)
+
+    def adj_t_hat(q1, q2):
+        return c.dh(adj.b11 * q1 + adj.b21 * q2), c.dh(adj.b12 * q1 + adj.b22 * q2)
+
+    x1_only = RealField.from_function(g, lambda x, y: np.sin(x) + 0 * y)  # d2 q is exactly zero
+    for q in (random_band_field(g, rng, 1.0, 5.0), x1_only):
+        (p1h, p2h), (q1, q2) = lag._grad_y_hat(c, t, c.fwd(q.samples))
+        r1h, r2h = adj_t_hat(q1, q2)
+        assert _same_bits(p1h, r1h) and _same_bits(p2h, r2h)
+    g1, g2 = _signed_planes(g, rng, 2)
+    ch = c.fwd(random_band_field(g, rng, 1.0, 5.0).samples)
+    w1, w2 = (c.inv(h) for h in adj_t_hat(g1, g2))
+    ref = c.ik1 * c.dh(adj.b11 * w1 + adj.b12 * w2) + c.ik2 * c.dh(adj.b21 * w1 + adj.b22 * w2) + c.ksq * ch
+    assert _same_bits(lag._viscous_hat(c, t, g1, g2, ch), ref)
 
 
 def test_magnetic_pullback_identity(grid64, rng):
@@ -348,7 +386,7 @@ def test_pressure_stops_when_not_contracting(grid32, rng):
     zero = np.zeros(grid32.shape)
     tv = lag._grad_hat(c, c.fwd(zero), c.fwd(zero))
     with pytest.raises(lag.PressureConvergenceError, match=r"contraction .*grad Y\|\|_inf") as err:
-        lag._pressure_fixed_point(c, t, lag.adjugate(t), lag._pressure_source(c, t, tv, (zero, zero), y1h, y2h), None)
+        lag._pressure_fixed_point(c, t, lag._pressure_source(c, t, tv, (zero, zero), y1h, y2h), None)
     it = int(re.search(r"at iteration (\d+)", str(err.value)).group(1))
     assert it <= 5
 

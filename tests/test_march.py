@@ -268,22 +268,29 @@ def _euler_nonlinear_out_of_place(c, psih, ah):
 
 def _lagrangian_forcing_out_of_place(c, qh):
     """The Lagrangian forcing written out: grad Y taken at every stage, grad Y_t
-    taken again for the viscous term; the pressure warm-starts from ``qh[0]``."""
+    taken again for the viscous term, and the A^T grad and A w products formed
+    from the ``AdjugateField`` entries; the pressure warm-starts from ``qh[0]``."""
+
+    def grad_y(adj, fh):
+        g1, g2 = c.grad(fh)
+        return c.fwd(adj.b11 * g1 + adj.b21 * g2) * c.deal, c.fwd(adj.b12 * g1 + adj.b22 * g2) * c.deal
 
     def forcing(z, s):
         yh, vh = (z[0][0], z[1][0]), (z[0][1], z[1][1])
         t = lag._small(lag._grad_hat(c, *yh))
         v_phys = (c.inv(vh[0]), c.inv(vh[1]))
         adj = lag.adjugate(t)
-        qh[0], _ = lag._pressure_fixed_point(c, t, adj, lag._pressure_source(c, t, lag._grad_hat(c, *vh), v_phys, *yh), qh[0])
+        qh[0], _ = lag._pressure_fixed_point(c, t, lag._pressure_source(c, t, lag._grad_hat(c, *vh), v_phys, *yh), qh[0])
         out = []
-        for ch in vh:
-            (w1h, w2h), _ = lag._grad_y_hat(c, adj, ch)
+        for ch, ph in zip(vh, grad_y(adj, qh[0])):
+            w1h, w2h = grad_y(adj, ch)
             w1, w2 = c.inv(w1h), c.inv(w2h)
             u1h = c.fwd(adj.b11 * w1 + adj.b12 * w2) * c.deal
             u2h = c.fwd(adj.b21 * w1 + adj.b22 * w2) * c.deal
-            out.append(c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch)
-        return [(None, f) for f in lag._minus_grad_y_q(c, adj, out, qh[0])]
+            f = c.ik1 * u1h + c.ik2 * u2h + c.ksq * ch - ph
+            f[0, 0] = 0.0
+            out.append((None, f * c.deal))
+        return out
 
     return forcing
 

@@ -1,4 +1,5 @@
-"""Tests of the scripts under scripts/: runs go in a fresh interpreter; the sweep's size table is only imported."""
+"""Tests of the scripts under scripts/: runs go in a fresh interpreter; the sweep's size table and the
+output tree's sizes and ``compare`` are imported."""
 
 import csv
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mhd2d import cli
 from mhd2d.cli import EXPERIMENTS, ExperimentConfig
 from mhd2d.diagnostics import DecayRow
 from mhd2d.initial_data import ConstructionError
@@ -32,11 +34,15 @@ def test_decay_portrait_writes_the_decay_table(tmp_path):
     assert len(rows) > 1
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _sweep():
-    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPTS / "run_all_experiments.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
+    return _script("run_all_experiments")
 
 
 def test_sweep_sizes_name_experiments_and_build_valid_configs(tmp_path):
@@ -91,6 +97,21 @@ def _tree(top, files):
         (top / rel).parent.mkdir(parents=True, exist_ok=True)
         (top / rel).write_bytes(data)
     return top
+
+
+def test_every_experiment_reruns_byte_identical_at_the_output_tree_sizes(tmp_path, capsys):
+    """Every experiment of ``cli.EXPERIMENTS``, run twice in one process at the
+    sizes of ``output_tree.py write``, passes and writes two trees equal in
+    every byte of every file (C12 reruns only block-energy)."""
+    tree = _script("output_tree")
+    for rerun in ("a", "b"):
+        for name in sorted(EXPERIMENTS):
+            overrides = dict(tree.EXPERIMENT_SIZES, **tree.OVERRIDES.get(name, {}), outdir=str(tmp_path / rerun / name))
+            assert cli.run(cli.load_config(name, None, overrides))[0] == 0, name
+    capsys.readouterr()
+    assert tree.compare(str(tmp_path / "a"), str(tmp_path / "b")) == 0
+    n_files = int(capsys.readouterr().out.split()[0])
+    assert n_files > 2 * len(EXPERIMENTS)
 
 
 def test_output_tree_compare_names_each_differing_or_missing_file(tmp_path):
